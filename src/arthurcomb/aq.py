@@ -19,10 +19,12 @@ order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import add, ge, itemgetter, mul, sub
+from typing import Iterable, Iterator
 
 from .params import (
     ArthurParameter,
@@ -38,7 +40,7 @@ from .params import (
     inf_char,
     quotient_map,
 )
-from .weyl import GroupType, Weight, is_dominant, norm_sq, pairing
+from .weyl import Weight
 
 __all__ = [
     "LeviDatum",
@@ -288,19 +290,13 @@ def delta_u(a_list: tuple[int, ...], n0: int, kind: str) -> Weight:
     return Weight(tuple(v // 2 for v in total))
 
 
-_G0_FAMILY = {"Sp": "C", "SOodd": "B", "SOeven": "D"}
-
-
-def _dominant_for_levi(mu_doubled: tuple[int, ...], a_list: tuple[int, ...], n0: int, kind: str) -> bool:
-    blocks = _block_ranges(a_list)
-    for blk in blocks:
-        for s in blk[:-1]:
-            if mu_doubled[s] < mu_doubled[s + 1]:
-                return False
-    if n0 == 0:
-        return True
-    tail = Weight(mu_doubled[len(mu_doubled) - n0 :])
-    return is_dominant(GroupType(_G0_FAMILY[kind], n0), tail)
+@functools.lru_cache(maxsize=1024)
+def _layout_roots(
+    a_list: tuple[int, ...], n0: int, kind: str
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Doubled nilradical roots and doubled delta(u) of one layout."""
+    roots = tuple(r.doubled for r in nilradical_roots(a_list, n0, kind))
+    return roots, delta_u(a_list, n0, kind).doubled
 
 
 @dataclass(frozen=True)
@@ -322,26 +318,20 @@ def range_check(d: AqDatum) -> RangeResult:
     nilradical root is positive, weakly fair allows zeros.
     """
     a_list, n0, kind = _layout(d.levi)
-    roots = nilradical_roots(a_list, n0, kind)
+    roots, du = _layout_roots(a_list, n0, kind)
     if not roots:
         return RangeResult("good", None)
-    du = delta_u(a_list, n0, kind)
-    coords: list[int] = []
-    pos = 0
-    for t, a in zip(d.t_tilde, a_list):
-        for _ in range(a):
-            coords.append(2 * t - du.doubled[pos])
-            pos += 1
-    coords.extend([0] * n0)
-    x = Weight(tuple(coords))
-    worst = min(pairing(x, r) for r in roots)
-    if worst > 0:
+    # doubled coordinates on the unitary factors; the residual ones are
+    # zero, so the pairings stop where x does
+    x = list(map(sub, [2 * t for t, a in zip(d.t_tilde, a_list) for _ in range(a)], du))
+    worst4 = min(sum(map(mul, x, r)) for r in roots)
+    if worst4 > 0:
         verdict = "good"
-    elif worst == 0:
+    elif worst4 == 0:
         verdict = "weakly_fair"
     else:
         verdict = "neither"
-    return RangeResult(verdict, worst)
+    return RangeResult(verdict, Fraction(worst4, 4))
 
 
 @dataclass(frozen=True)
@@ -388,10 +378,30 @@ class FiltrationReport:
 
 
 def _monoid_sums(
-    roots: list[tuple[int, ...]], max_height: int, cap: int
-) -> tuple[list[tuple[int, ...]], bool]:
+    roots: tuple[tuple[int, ...], ...], max_height: int, cap: int
+) -> tuple[Iterator[tuple[int, ...]], bool]:
+    """Sums of at most ``max_height`` roots (zero included), in sorted order.
+
+    Breadth first: each layer extends its states in sorted order, root by
+    root, and the sweep stops at the first new state found while more
+    than ``cap`` states are known; the flag reports that stop.
+
+    Each state is packed into one int: coordinate i is the digit
+    x_i + off in base 2**bits, most significant first, with
+    off = max|root entry| * max(max_height, 0) and 2**bits > 2*off.
+    A sum of at most ``max_height`` roots has every x_i in [-off, off],
+    so every digit stays in [0, 2**bits): adding a root is one integer
+    addition of its packed (signed) digits and never carries or borrows.
+    Integer order is then tuple order, so the sweep visits and truncates
+    exactly as it would on tuples.  The states are decoded lazily, one
+    tuple at a time.
+    """
     n = len(roots[0]) if roots else 0
-    zero = (0,) * n
+    off = max((abs(v) for r in roots for v in r), default=0) * max(max_height, 0)
+    bits = max(1, (2 * off).bit_length())
+    shifts = [bits * (n - 1 - i) for i in range(n)]
+    packed = [sum(v << sh for v, sh in zip(r, shifts)) for r in roots]
+    zero = sum(off << sh for sh in shifts)
     seen = {zero}
     frontier = [zero]
     truncated = False
@@ -400,8 +410,8 @@ def _monoid_sums(
             break
         nxt = []
         for x in sorted(frontier):
-            for r in roots:
-                y = tuple(a + b for a, b in zip(x, r))
+            for r in packed:
+                y = x + r
                 if y not in seen:
                     if len(seen) > cap:
                         truncated = True
@@ -411,7 +421,9 @@ def _monoid_sums(
             if truncated:
                 break
         frontier = nxt
-    return sorted(seen), truncated
+    mask = (1 << bits) - 1
+    states = (tuple([(y >> sh & mask) - off for sh in shifts]) for y in sorted(seen))
+    return states, truncated
 
 
 def filtration_vanishing(
@@ -440,57 +452,58 @@ def filtration_vanishing(
     if height_bound is None:
         height_bound = max(d_plus.t_tilde, default=0)
 
+    # all vectors in doubled-integer coordinates, so products are 4x the
+    # values; lam_d, delta_d and grade cover the unitary coordinates only,
+    # and map() stops there when pairing them with a root or with mu
     n_u = sum(a_list)
-    lam_u = Weight(tuple(2 * t for t, a in zip(shifts, a_list) for _ in range(a)))
-    delta_l1 = Weight(tuple((a - 1) - 2 * k for a in a_list for k in range(a)))
-    roots = nilradical_roots(a_list, n0, kind)
+    lam_d = tuple(2 * t for t, a in zip(shifts, a_list) for _ in range(a))
+    delta_d = tuple((a - 1) - 2 * k for a in a_list for k in range(a))
+    roots = _layout_roots(a_list, n0, kind)[0]
 
     # root-level certificates, covering every height at once: the
     # translated character pairs >= 0 with each nilradical root, and a
     # strictly positive block grading (decreasing over the unitary
     # factors, zero on the residual) shows mu != 0 forces mu_1 != 0
-    lam_ext = Weight(lam_u.doubled + (0,) * n0)
-    cert_pairing = all(pairing(lam_ext, r) >= 0 for r in roots)
+    cert_pairing = all(sum(map(mul, lam_d, r)) >= 0 for r in roots)
     v = len(a_list)
-    grade = [v - i for i, a in enumerate(a_list) for _ in range(a)] + [0] * n0
-    cert_support = all(
-        sum(g * c for g, c in zip(grade, r.doubled)) > 0 for r in roots
-    )
+    grade = [v - i for i, a in enumerate(a_list) for _ in range(a)]
+    cert_support = all(sum(map(mul, grade, r)) > 0 for r in roots)
 
-    base = lam_u + delta_l1
-    base_norm = norm_sq(base)
-    base_d = base.doubled
-    lam_d = lam_u.doubled
-    delta_d = delta_l1.doubled
-    base_norm4 = sum(v * v for v in base_d)
+    # base = lambda + delta_L1, so |base + mu_1|^2 expands into the base
+    # norm, twice the two pairings and |mu_1|^2
+    base_d = tuple(map(add, lam_d, delta_d))
+    base_norm4 = sum(map(mul, base_d, base_d))
+    base_norm = Fraction(base_norm4, 4)
     items: list[FiltrationItem] = []
     violations: list[FiltrationItem] = []
     enumerated = 0
     dominant_count = 0
     truncated = False
     if roots:
-        sums, truncated = _monoid_sums([r.doubled for r in roots], height_bound, state_cap)
-        block_spans = [(r.start, r.stop) for r in _block_ranges(a_list)]
-        g0_type = GroupType(_G0_FAMILY[kind], n0) if n0 else None
+        sums, truncated = _monoid_sums(roots, height_bound, state_cap)
+        # dominance for the Levi: non-increasing within each gl block and
+        # on the residual tail, whose root system then asks for a last
+        # coordinate >= 0 (B, C) or c[-2] >= |c[-1]| (D); the leading
+        # index pair (0, 0) keeps itemgetter returning tuples
+        spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n_u + n0)]
+        upper = [s for lo, hi in spans for s in range(lo, hi - 1)]
+        higher = itemgetter(0, 0, *upper)
+        lower = itemgetter(0, 0, *(s + 1 for s in upper))
+        tail_last = n0 >= 1 and kind != "SOeven"
+        tail_pair = n0 >= 2 and kind == "SOeven"
         for mu_d in sums:
             if not any(mu_d):
                 continue  # the surviving bottom layer
             enumerated += 1
-            # dominance for the Levi: non-increasing within each gl block,
-            # dominant for the residual root system on the tail
-            ok_dom = all(
-                mu_d[s] >= mu_d[s + 1] for lo, hi in block_spans for s in range(lo, hi - 1)
-            )
-            if ok_dom and g0_type is not None:
-                ok_dom = is_dominant(g0_type, Weight(mu_d[len(mu_d) - n0 :]))
-            if not ok_dom:
+            if not all(map(ge, higher(mu_d), lower(mu_d))):
+                continue
+            if tail_last and mu_d[-1] < 0 or tail_pair and mu_d[-2] < abs(mu_d[-1]):
                 continue
             dominant_count += 1
             mu1_d = mu_d[:n_u]
-            # all comparisons in doubled-integer arithmetic (4x the values)
-            with4 = sum((b + m) * (b + m) for b, m in zip(base_d, mu1_d))
-            pl4 = sum(a * b for a, b in zip(lam_d, mu1_d))
-            pd4 = sum(a * b for a, b in zip(delta_d, mu1_d))
+            pl4 = sum(map(mul, lam_d, mu1_d))
+            pd4 = sum(map(mul, delta_d, mu1_d))
+            with4 = base_norm4 + 2 * (pl4 + pd4) + sum(map(mul, mu1_d, mu1_d))
             ok = with4 > base_norm4 and pl4 >= 0 and pd4 >= 0
             if not ok or len(items) < 500:
                 item = FiltrationItem(

@@ -70,20 +70,14 @@ def _parse_half(value, context: str) -> Fraction:
     return f
 
 
-def parse_spec_data(data: dict) -> tuple[ArthurParameter, dict]:
-    if not isinstance(data, dict):
-        raise SpecError("spec file must contain a JSON object")
-    _require_keys(data, {"group", "blocks", "options"}, "spec")
-    gdata = data.get("group")
-    if not isinstance(gdata, dict):
-        raise SpecError("missing 'group' object")
-    _require_keys(gdata, {"kind", "rank", "signature"}, "group")
+def _parse_group(gdata: dict, context: str) -> ClassicalGroup:
+    _require_keys(gdata, {"kind", "rank", "signature"}, context)
     kind = gdata.get("kind")
     rank = gdata.get("rank")
     if kind not in ("Sp", "SOodd", "SOeven"):
-        raise SpecError(f"group.kind must be Sp, SOodd or SOeven, got {kind!r}")
+        raise SpecError(f"{context}.kind must be Sp, SOodd or SOeven, got {kind!r}")
     if not isinstance(rank, int) or rank < 0:
-        raise SpecError("group.rank must be a non-negative integer")
+        raise SpecError(f"{context}.rank must be a non-negative integer")
     signature = gdata.get("signature")
     if signature is not None:
         if (
@@ -91,12 +85,22 @@ def parse_spec_data(data: dict) -> tuple[ArthurParameter, dict]:
             or len(signature) != 2
             or not all(isinstance(x, int) for x in signature)
         ):
-            raise SpecError("group.signature must be a pair of integers")
+            raise SpecError(f"{context}.signature must be a pair of integers")
         signature = tuple(signature)
     try:
-        group = ClassicalGroup(kind, rank, signature)
+        return ClassicalGroup(kind, rank, signature)
     except ParameterError as exc:
         raise SpecError(str(exc)) from exc
+
+
+def parse_spec_data(data: dict) -> tuple[ArthurParameter, dict]:
+    if not isinstance(data, dict):
+        raise SpecError("spec file must contain a JSON object")
+    _require_keys(data, {"group", "blocks", "options"}, "spec")
+    gdata = data.get("group")
+    if not isinstance(gdata, dict):
+        raise SpecError("missing 'group' object")
+    group = _parse_group(gdata, "group")
 
     bdata = data.get("blocks")
     if not isinstance(bdata, list) or not bdata:
@@ -311,14 +315,19 @@ def _parse_packet_file(path: str, psi_plus: ArthurParameter):
         if not isinstance(ld, dict):
             raise SpecError(f"entries[{i}].levi must be an object")
         _require_keys(ld, {"unitary", "g0"}, f"entries[{i}].levi")
-        unitary = tuple((int(p), int(q)) for p, q in ld.get("unitary", []))
+        unitary = ld.get("unitary", [])
+        if not isinstance(unitary, list) or not all(
+            isinstance(pq, list) and len(pq) == 2 and all(type(x) is int and x >= 0 for x in pq)
+            for pq in unitary
+        ):
+            raise SpecError(
+                f"entries[{i}].levi.unitary must be a list of [p, q] pairs of non-negative integers"
+            )
         g0d = ld.get("g0")
         if not isinstance(g0d, dict):
             raise SpecError(f"entries[{i}].levi.g0 must be an object")
-        _require_keys(g0d, {"kind", "rank", "signature"}, f"entries[{i}].levi.g0")
-        sig = g0d.get("signature")
-        g0 = ClassicalGroup(g0d["kind"], g0d["rank"], tuple(sig) if sig else None)
-        levi = LeviDatum(unitary, g0)
+        g0 = _parse_group(g0d, f"entries[{i}].levi.g0")
+        levi = LeviDatum(tuple(map(tuple, unitary)), g0)
         sd = ed.get("sigma") or {}
         if not isinstance(sd, dict):
             raise SpecError(f"entries[{i}].sigma must be an object")

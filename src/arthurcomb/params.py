@@ -12,6 +12,7 @@ endoscopic splittings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -494,8 +495,12 @@ class ComponentGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @functools.cached_property
+    def _element_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.elements)
+
     def __contains__(self, s: tuple[int, ...]) -> bool:
-        return tuple(s) in set(self.elements)
+        return tuple(s) in self._element_set
 
     @property
     def identity(self) -> tuple[int, ...]:

@@ -26,7 +26,6 @@ __all__ = [
     "weyl_elements",
     "simple_roots",
     "positive_roots",
-    "simple_reflections",
     "reflection",
     "orbit",
     "dominant_rep",
@@ -207,16 +206,6 @@ def generators(t: GroupType) -> list[WeylElement]:
             gens.append(_d_reflection(n))
         if t.extended and n >= 1:
             gens.append(_flip(n, n - 1))
-    return gens
-
-
-def simple_reflections(t: GroupType) -> list[WeylElement]:
-    n = t.rank
-    gens = [_swap(n, i) for i in range(n - 1)]
-    if t.family in ("B", "C") and n >= 1:
-        gens.append(_flip(n, n - 1))
-    elif t.family == "D" and n >= 2:
-        gens.append(_d_reflection(n))
     return gens
 
 

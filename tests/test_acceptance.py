@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from arthurcomb.aq import (
+    FILTRATION_STATE_CAP,
     aq_datum,
     enumerate_levis,
     filtration_vanishing,
@@ -174,6 +175,7 @@ def test_criterion_6_filtration_vanishing():
     violations = 0
     cert_failures = 0
     range_failures = 0
+    truncated = 0
     checked = 0
     for psi in corpus(signed=True):
         offs = canonical_offsets(psi)
@@ -188,6 +190,7 @@ def test_criterion_6_filtration_vanishing():
             aq_datum(plus, levis[0]), psi, height_bound=2 * max(offs, default=0)
         )
         violations += len(rep.violations)
+        truncated += rep.truncated
         if not (rep.cert_weight_pairing and rep.cert_unitary_support):
             cert_failures += 1
         checked += 1
@@ -198,7 +201,8 @@ def test_criterion_6_filtration_vanishing():
         ok,
         f"filtration vanishing over {checked} parameters at height 2*max(T): "
         f"{violations} norm violations, {cert_failures} certificate failures, "
-        f"{range_failures} range failures, {elapsed:.0f}s",
+        f"{range_failures} range failures, {truncated} stopped at the "
+        f"{FILTRATION_STATE_CAP}-state cap, {elapsed:.0f}s",
     )
 
 

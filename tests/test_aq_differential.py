@@ -1,0 +1,297 @@
+"""Differential tests: the packed-integer filtration sweep against the
+tuple-based code it replaced.
+
+The oracle functions below are the earlier implementations of
+``aq._monoid_sums``, ``aq.range_check`` and ``aq.filtration_vanishing``,
+unchanged apart from their names and the private helpers they used,
+which are inlined or copied here.  The package must give the same
+states, the same truncation point and equal reports on a seeded sample of
+the signed criterion-6 corpus, which includes sweeps stopped at the state
+cap.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arthurcomb import aq
+from arthurcomb.aq import (
+    FILTRATION_STATE_CAP,
+    FiltrationItem,
+    FiltrationReport,
+    RangeResult,
+    aq_datum,
+    delta_u,
+    enumerate_levis,
+    lambda_tilde,
+    nilradical_roots,
+)
+from arthurcomb.params import (
+    ClassicalGroup,
+    ParameterError,
+    arthur_parameter,
+    canonical_offsets,
+    dominate,
+    enumerate_parameters,
+)
+from arthurcomb.weyl import GroupType, Weight, is_dominant, norm_sq, pairing
+
+SEED = 20260810
+PER_KIND = 4
+
+
+# --- oracle: the tuple-based code --------------------------------------------
+
+
+def old_monoid_sums(roots, max_height, cap):
+    n = len(roots[0]) if roots else 0
+    zero = (0,) * n
+    seen = {zero}
+    frontier = [zero]
+    truncated = False
+    for _h in range(max_height):
+        if truncated or not frontier:
+            break
+        nxt = []
+        for x in sorted(frontier):
+            for r in roots:
+                y = tuple(a + b for a, b in zip(x, r))
+                if y not in seen:
+                    if len(seen) > cap:
+                        truncated = True
+                        break
+                    seen.add(y)
+                    nxt.append(y)
+            if truncated:
+                break
+        frontier = nxt
+    return sorted(seen), truncated
+
+
+def old_range_check(d):
+    a_list, n0, kind = d.levi.a_list, d.levi.g0.rank, d.levi.g0.kind
+    roots = nilradical_roots(a_list, n0, kind)
+    if not roots:
+        return RangeResult("good", None)
+    du = delta_u(a_list, n0, kind)
+    coords = []
+    pos = 0
+    for t, a in zip(d.t_tilde, a_list):
+        for _ in range(a):
+            coords.append(2 * t - du.doubled[pos])
+            pos += 1
+    coords.extend([0] * n0)
+    x = Weight(tuple(coords))
+    worst = min(pairing(x, r) for r in roots)
+    if worst > 0:
+        verdict = "good"
+    elif worst == 0:
+        verdict = "weakly_fair"
+    else:
+        verdict = "neither"
+    return RangeResult(verdict, worst)
+
+
+_G0_FAMILY = {"Sp": "C", "SOodd": "B", "SOeven": "D"}
+
+
+def _block_ranges(a_list):
+    out = []
+    start = 0
+    for a in a_list:
+        out.append(range(start, start + a))
+        start += a
+    return out
+
+
+def old_filtration_vanishing(d_plus, psi, height_bound=None, state_cap=FILTRATION_STATE_CAP):
+    if old_range_check(d_plus).verdict != "good":
+        raise ParameterError("filtration sweep requires a good-range datum")
+    a_list, n0, kind = d_plus.levi.a_list, d_plus.levi.g0.rank, d_plus.levi.g0.kind
+    shifts = lambda_tilde(psi)
+    if len(shifts) != len(a_list):
+        raise ParameterError("parameter does not match the Levi datum")
+    if height_bound is None:
+        height_bound = max(d_plus.t_tilde, default=0)
+
+    n_u = sum(a_list)
+    lam_u = Weight(tuple(2 * t for t, a in zip(shifts, a_list) for _ in range(a)))
+    delta_l1 = Weight(tuple((a - 1) - 2 * k for a in a_list for k in range(a)))
+    roots = nilradical_roots(a_list, n0, kind)
+
+    lam_ext = Weight(lam_u.doubled + (0,) * n0)
+    cert_pairing = all(pairing(lam_ext, r) >= 0 for r in roots)
+    v = len(a_list)
+    grade = [v - i for i, a in enumerate(a_list) for _ in range(a)] + [0] * n0
+    cert_support = all(
+        sum(g * c for g, c in zip(grade, r.doubled)) > 0 for r in roots
+    )
+
+    base = lam_u + delta_l1
+    base_norm = norm_sq(base)
+    base_d = base.doubled
+    lam_d = lam_u.doubled
+    delta_d = delta_l1.doubled
+    base_norm4 = sum(v * v for v in base_d)
+    items = []
+    violations = []
+    enumerated = 0
+    dominant_count = 0
+    truncated = False
+    if roots:
+        sums, truncated = old_monoid_sums([r.doubled for r in roots], height_bound, state_cap)
+        block_spans = [(r.start, r.stop) for r in _block_ranges(a_list)]
+        g0_type = GroupType(_G0_FAMILY[kind], n0) if n0 else None
+        for mu_d in sums:
+            if not any(mu_d):
+                continue
+            enumerated += 1
+            ok_dom = all(
+                mu_d[s] >= mu_d[s + 1] for lo, hi in block_spans for s in range(lo, hi - 1)
+            )
+            if ok_dom and g0_type is not None:
+                ok_dom = is_dominant(g0_type, Weight(mu_d[len(mu_d) - n0 :]))
+            if not ok_dom:
+                continue
+            dominant_count += 1
+            mu1_d = mu_d[:n_u]
+            with4 = sum((b + m) * (b + m) for b, m in zip(base_d, mu1_d))
+            pl4 = sum(a * b for a, b in zip(lam_d, mu1_d))
+            pd4 = sum(a * b for a, b in zip(delta_d, mu1_d))
+            ok = with4 > base_norm4 and pl4 >= 0 and pd4 >= 0
+            if not ok or len(items) < 500:
+                item = FiltrationItem(
+                    mu=Weight(mu_d),
+                    mu1=Weight(mu1_d),
+                    norm_with=Fraction(with4, 4),
+                    norm_without=base_norm,
+                    pairing_lambda=Fraction(pl4, 4),
+                    pairing_delta=Fraction(pd4, 4),
+                )
+                if len(items) < 500:
+                    items.append(item)
+                if not ok:
+                    violations.append(item)
+    return FiltrationReport(
+        height_bound=height_bound,
+        enumerated=enumerated,
+        dominant_count=dominant_count,
+        items=tuple(items),
+        violations=tuple(violations),
+        truncated=truncated,
+        cert_weight_pairing=cert_pairing,
+        cert_unitary_support=cert_support,
+    )
+
+
+# --- the sample ----------------------------------------------------------------
+
+
+def _quasi_split(kind, rank):
+    if kind == "Sp":
+        return ClassicalGroup("Sp", rank)
+    if kind == "SOodd":
+        return ClassicalGroup("SOodd", rank, (rank + 1, rank))
+    sig = (rank, rank) if rank % 2 == 0 else (rank + 1, rank - 1)
+    return ClassicalGroup("SOeven", rank, sig)
+
+
+def _signed_corpus(kind, ranks):
+    for rank in ranks:
+        target = _quasi_split(kind, rank)
+        for psi in enumerate_parameters(ClassicalGroup(kind, rank)):
+            yield arthur_parameter(target, psi.blocks)
+
+
+@functools.lru_cache(maxsize=1)
+def _sample():
+    """Seeded corpus sample, PER_KIND parameters of each group kind, as
+    (psi, psi_plus, datum_plus, height)."""
+    rng = random.Random(SEED)
+    params = []
+    for kind, ranks in (("Sp", (1, 2, 3)), ("SOodd", (1, 2, 3, 4)), ("SOeven", (1, 2, 3, 4))):
+        params += rng.sample(list(_signed_corpus(kind, ranks)), PER_KIND)
+    out = []
+    for psi in params:
+        offs = canonical_offsets(psi)
+        plus = dominate(psi, offs)
+        datum = aq_datum(plus, enumerate_levis(plus)[0])
+        out.append((psi, plus, datum, 2 * max(offs, default=0)))
+    return out
+
+
+def _doubled_roots(datum):
+    levi = datum.levi
+    return [r.doubled for r in nilradical_roots(levi.a_list, levi.g0.rank, levi.g0.kind)]
+
+
+def _new_monoid_sums(roots, max_height, cap):
+    states, truncated = aq._monoid_sums(tuple(roots), max_height, cap)
+    return list(states), truncated
+
+
+# --- the tests -----------------------------------------------------------------
+
+
+def test_monoid_sums_match_oracle_on_corpus_sample():
+    capped = 0
+    for _psi, _plus, datum, height in _sample():
+        roots = _doubled_roots(datum)
+        old = old_monoid_sums(roots, height, FILTRATION_STATE_CAP)
+        assert _new_monoid_sums(roots, height, FILTRATION_STATE_CAP) == old
+        capped += old[1]
+    assert capped, "the sample must include sweeps stopped at the state cap"
+
+
+def test_monoid_sums_truncate_at_the_same_point():
+    for _psi, _plus, datum, height in _sample():
+        roots = _doubled_roots(datum)
+        # the full state count, or a cut-down one for the capped sweeps
+        states = len(old_monoid_sums(roots, height, 3000)[0])
+        for cap in (states - 2, states - 1, states, states + 1):
+            assert _new_monoid_sums(roots, height, cap) == old_monoid_sums(roots, height, cap)
+
+
+def test_monoid_sums_cap_boundary_flags():
+    roots = [(2, -2), (2, 2), (4, 0)]
+    states, truncated = old_monoid_sums(roots, 4, 10**6)
+    assert not truncated
+    n = len(states)
+    # n states fit while at most cap + 1 are known; one more new state trips the flag
+    assert _new_monoid_sums(roots, 4, n - 1) == (states, False)
+    assert _new_monoid_sums(roots, 4, n - 2)[1]
+    assert len(_new_monoid_sums(roots, 4, n - 2)[0]) == n - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=5, unique=True)
+    ),
+    st.integers(-2, 6),
+    st.integers(0, 80),
+)
+def test_monoid_sums_match_oracle_on_random_roots(roots, height, cap):
+    assert _new_monoid_sums(roots, height, cap) == old_monoid_sums(roots, height, cap)
+
+
+def test_filtration_and_range_reports_match_oracle():
+    for psi, plus, datum, height in _sample():
+        new = aq.filtration_vanishing(datum, psi, height_bound=height)
+        old = old_filtration_vanishing(datum, psi, height_bound=height)
+        for field in FiltrationReport.__dataclass_fields__:
+            assert getattr(new, field) == getattr(old, field), (str(psi), field)
+        for levi in enumerate_levis(plus):
+            for side in (plus, psi):
+                d = aq_datum(side, levi)
+                assert aq.range_check(d) == old_range_check(d), (str(side), str(levi))
+
+
+def test_filtration_matches_oracle_with_small_caps():
+    for psi, _plus, datum, height in _sample()[:6]:
+        for cap in (0, 1, 37):
+            new = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=cap)
+            assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=cap)

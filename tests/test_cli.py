@@ -191,6 +191,24 @@ def test_packet_unknown_field_rejected(ex1_path, tmp_path):
     assert main(["packet", "--spec", ex1_path, "--offsets", "5", "--plus-packet", str(pk_path)]) == 2
 
 
+
+def _packet_exit_code(spec_path, tmp_path, levi):
+    pk_path = tmp_path / "pk.json"
+    pk_path.write_text(json.dumps({"entries": [{"levi": levi, "character": [1, 1]}]}))
+    return main(["packet", "--spec", spec_path, "--offsets", "5", "--plus-packet", str(pk_path)])
+
+
+def test_packet_missing_g0_kind_rejected(ex1_path, tmp_path, capsys):
+    levi = {"unitary": [[1, 1]], "g0": {"rank": 0}}
+    assert _packet_exit_code(ex1_path, tmp_path, levi) == 2
+    assert "g0.kind" in capsys.readouterr().err
+
+
+def test_packet_fractional_unitary_rejected(ex1_path, tmp_path, capsys):
+    levi = {"unitary": [[1.5, 1]], "g0": {"kind": "Sp", "rank": 0}}
+    assert _packet_exit_code(ex1_path, tmp_path, levi) == 2
+    assert "unitary" in capsys.readouterr().err
+
 # --- determinism -----------------------------------------------------------------
 
 
