@@ -139,10 +139,41 @@ def _lambda_l(levi: LeviDatum, t_tilde: Iterable[int], sigma: Sigma) -> Weight:
     return Weight(tuple(coords))
 
 
-def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None = None) -> AqDatum:
-    shifts = lambda_tilde(psi)
-    if len(shifts) != len(levi.unitary_factors):
+def _residual_signature(g: ClassicalGroup, factors: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """Signature of G_0 once each U(p, q) has taken 2p and 2q from g's."""
+    p_big, q_big = g.signature
+    return p_big - 2 * sum(p for p, _q in factors), q_big - 2 * sum(q for _p, q in factors)
+
+
+def _check_levi(psi: ArthurParameter, levi: LeviDatum) -> None:
+    """Reject a Levi datum that does not fit the parameter, with the same
+    arithmetic as ``enumerate_levis`` but O(blocks) work."""
+    a_list = [a for _t2, a in psi.discrete]
+    if len(a_list) != len(levi.unitary_factors):
         raise ParameterError("Levi factor count does not match the discrete blocks")
+    for i, ((p, q), a) in enumerate(zip(levi.unitary_factors, a_list), 1):
+        if p < 0 or q < 0 or p + q != a:
+            raise ParameterError(f"U({p},{q}) does not fit discrete block {i} of size {a}")
+    g, g0 = psi.group, levi.g0
+    if g0.kind != g.kind:
+        raise ParameterError(f"G_0 kind {g0.kind} differs from the group kind {g.kind}")
+    n0 = g.rank - sum(a_list)
+    if g0.rank != n0:
+        raise ParameterError(f"G_0 rank {g0.rank} != {n0}, the rank left by the discrete blocks")
+    if g.signature is not None:
+        p0, q0 = _residual_signature(g, levi.unitary_factors)
+        if p0 < 0 or q0 < 0:
+            raise ParameterError(f"unitary factors {levi} exceed the signature of {g}")
+        if g0.signature != (p0, q0):
+            raise ParameterError(f"G_0 signature {g0.signature} != ({p0}, {q0}) for {g}")
+
+
+def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None = None) -> AqDatum:
+    """The A_q datum of ``levi`` for psi; a Levi datum that does not fit
+    the parameter (factor sizes, G_0 kind, rank or signature) raises
+    ParameterError."""
+    shifts = lambda_tilde(psi)
+    _check_levi(psi, levi)
     if sigma is None:
         sigma = default_sigma(psi, levi.g0)
     return AqDatum(levi, tuple(shifts), sigma, _lambda_l(levi, shifts, sigma))
@@ -190,9 +221,7 @@ def enumerate_levis(psi: ArthurParameter, group: ClassicalGroup | None = None) -
         else:
             if g.signature is None:
                 raise ParameterError("Levi enumeration for SO kinds needs a signature")
-            p_big, q_big = g.signature
-            p0 = p_big - 2 * sum(p for p, _q in factors)
-            q0 = q_big - 2 * sum(q for _p, q in factors)
+            p0, q0 = _residual_signature(g, factors)
             if p0 < 0 or q0 < 0:
                 continue
             g0 = ClassicalGroup(g.kind, n0, (p0, q0))
@@ -202,19 +231,25 @@ def enumerate_levis(psi: ArthurParameter, group: ClassicalGroup | None = None) -
     return out
 
 
-def lambda_tilde_fractions(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[Fraction]:
-    """The character shifts t_i~ as exact fractions, no integrality check."""
+def _lambda_tilde_doubled(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[int]:
+    """2 t_i~ = t2_i + a_i - 1 + 2 eps_G + 2 (sum_{j>i} a_j + n_0), in integers."""
     g = psi.group if group is None else group
     disc = psi.discrete
     a_list = [a for _t2, a in disc]
     n0 = g.rank - sum(a_list)
     if n0 < 0:
         raise ParameterError("discrete blocks exceed the rank")
+    eps2 = int(2 * g.epsilon_g)
     out = []
     for i, (t2, a) in enumerate(disc):
         tail = sum(a_list[i + 1 :])
-        out.append(Fraction(t2, 2) + Fraction(a - 1, 2) + g.epsilon_g + tail + n0)
+        out.append(t2 + a - 1 + eps2 + 2 * (tail + n0))
     return out
+
+
+def lambda_tilde_fractions(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[Fraction]:
+    """The character shifts t_i~ as exact fractions, no integrality check."""
+    return [Fraction(d, 2) for d in _lambda_tilde_doubled(psi, group)]
 
 
 def lambda_tilde(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[int]:
@@ -224,10 +259,10 @@ def lambda_tilde(psi: ArthurParameter, group: ClassicalGroup | None = None) -> l
     fractional value raises ParityError.
     """
     out = []
-    for i, v in enumerate(lambda_tilde_fractions(psi, group)):
-        if v.denominator != 1:
-            raise ParityError(f"t~_{i + 1} = {v} is not an integer (bad parity)")
-        out.append(int(v))
+    for i, d in enumerate(_lambda_tilde_doubled(psi, group)):
+        if d % 2:
+            raise ParityError(f"t~_{i + 1} = {Fraction(d, 2)} is not an integer (bad parity)")
+        out.append(d // 2)
     return out
 
 

@@ -10,7 +10,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -140,16 +139,19 @@ def parse_spec_data(data: dict) -> tuple[ArthurParameter, dict]:
     return psi, dict(options)
 
 
-def parse_spec(path: str) -> tuple[ArthurParameter, dict]:
-    """Load and validate a parameter spec file; dimension errors are fatal."""
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_spec_data(data)
+
+
+def parse_spec(path: str) -> tuple[ArthurParameter, dict]:
+    """Load and validate a parameter spec file; dimension errors are fatal."""
+    return parse_spec_data(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +295,7 @@ def cmd_translate(args) -> tuple[dict, list[dict]]:
 
 
 def _parse_packet_file(path: str, psi_plus: ArthurParameter):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise SpecError("packet file must contain a JSON object")
     _require_keys(data, {"entries"}, "packet")
@@ -457,22 +453,15 @@ def _suite_filtration(psi: ArthurParameter, args) -> tuple[dict, list[dict]]:
     return results, [_verdict("filtration", ok, f"{total_viol} violation(s) over {len(levis)} data")]
 
 
-def _suite_twisted(args, workers: int) -> tuple[dict, list[dict]]:
-    n = args.n
+def _suite_twisted(args, n: int) -> tuple[dict, list[dict]]:
     if args.mu:
         mus = [weight([Fraction(x) for x in args.mu.split(",")])]
     else:
         mus = list(theta_invariant_dominant_weights(n, args.max_entry))
-
-    def run(mu):
-        rep = verify_transfer_identity(mu, args.endo_rank, args.trials, args.seed)
-        return str(mu), rep.max_residual
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, mus))
-    else:
-        rows = [run(mu) for mu in mus]
+    rows = [
+        (str(mu), verify_transfer_identity(mu, args.endo_rank, args.trials, args.seed).max_residual)
+        for mu in mus
+    ]
     rows.sort()
     worst = max((r for _m, r in rows), default=0.0)
     results = {
@@ -485,8 +474,7 @@ def _suite_twisted(args, workers: int) -> tuple[dict, list[dict]]:
     return results, [_verdict("twisted-trace", ok, f"max residual {worst:.2e} over {len(rows)} weight(s)")]
 
 
-def _suite_kostant(args) -> tuple[dict, list[dict]]:
-    n = args.n
+def _suite_kostant(args, n: int) -> tuple[dict, list[dict]]:
     if args.mu:
         mus = [weight([Fraction(x) for x in args.mu.split(",")])]
     else:
@@ -547,16 +535,11 @@ def cmd_verify(args) -> tuple[dict, list[dict], object]:
         merge("norms", _suite_norms(psi, args))
     if suite in ("filtration", "all") and not bad_parity:
         merge("filtration", _suite_filtration(psi, args))
-    if suite in ("twisted-trace",):
-        merge("twisted_trace", _suite_twisted(args, args.workers))
-    if suite in ("kostant",):
-        merge("kostant", _suite_kostant(args))
-    if suite == "all":
-        saved_n = args.n
-        args.n = args.n or 4
-        merge("twisted_trace", _suite_twisted(args, args.workers))
-        merge("kostant", _suite_kostant(args))
-        args.n = saved_n
+    n = (args.n or 4) if suite == "all" else args.n
+    if suite in ("twisted-trace", "all"):
+        merge("twisted_trace", _suite_twisted(args, n))
+    if suite in ("kostant", "all"):
+        merge("kostant", _suite_kostant(args, n))
     return results, verdicts, payload
 
 
@@ -598,7 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--mu", default=None, help="comma-separated weight entries")
     p_v.add_argument("--max-entry", dest="max_entry", type=int, default=2)
     p_v.add_argument("--endo-rank", dest="endo_rank", type=int, default=None)
-    p_v.add_argument("--workers", type=int, default=1)
+    p_v.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; suites run serially, so reports and timings do not depend on it",
+    )
     return parser
 
 

@@ -3,9 +3,10 @@
 Combinations are stored orbit-by-orbit: each dominant weight stands for
 its full orbit and the recorded multiplicity applies to every orbit
 element, so invariance is structural.  The module also computes the
-translation weight attached to a domination pair, runs the exhaustive
-orbit-uniqueness check behind the translation argument, and transfers
-infinitesimal characters from the group to the GL side.
+translation weight attached to a domination pair, runs the
+orbit-uniqueness check behind the translation argument as a pruned
+search over all rearrangements, and transfers infinitesimal characters
+from the group to the GL side.
 """
 
 from __future__ import annotations
@@ -156,26 +157,6 @@ def _nu_display_doubled(psi: ArthurParameter) -> tuple[int, ...]:
     return tuple(head + middle + tail)
 
 
-def _distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    counts = Counter(items)
-    keys = sorted(counts, reverse=True)
-    n = len(items)
-    out: list[int] = [0] * n
-
-    def rec(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(out)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                out[depth] = k
-                yield from rec(depth + 1)
-                counts[k] += 1
-
-    yield from rec(0)
-
-
 def _rearrangement_count(items: tuple[int, ...]) -> int:
     counts = Counter(items)
     total = math.factorial(len(items))
@@ -186,17 +167,63 @@ def _rearrangement_count(items: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Result of the exhaustive rearrangement sweep.
+    """Result of the pruned search over all rearrangements.
 
     ``matches`` lists every rearrangement mu of the translation weight
     with nu_+ + mu in the orbit of nu_psi; uniqueness means the aligned
-    subtraction -lambda is the only one.
+    subtraction -lambda is the only one.  ``rearrangements`` counts all
+    distinct rearrangements; ``nodes`` counts the search-tree nodes the
+    backtracking visited to find the matches.
     """
 
     unique: bool
     aligned: Weight
     matches: tuple[Weight, ...]
     rearrangements: int
+    nodes: int
+
+
+def _orbit_matches(
+    nu_plus: tuple[int, ...], lam_items: tuple[int, ...], target: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], int]:
+    """Every rearrangement mu of ``lam_items`` with nu_plus + mu a
+    rearrangement of ``target``, and the number of search-tree nodes.
+
+    Backtracking (Knuth, TAOCP 7.2.2): mu is filled one position at a
+    time, trying the distinct unused values in descending order, and a
+    value k is taken at position i only while nu_plus[i] + k still has an
+    unmatched copy in the target multiset.  Every leaf is a match and no
+    match is cut off, so the result is the set of matching rearrangements
+    in descending lexicographic order.  Each value taken at a position is
+    one node, so a search without dead ends visits len(nu_plus) nodes.
+    """
+    n = len(nu_plus)
+    unused = Counter(lam_items)
+    keys = sorted(unused, reverse=True)
+    missing = Counter(target)
+    mu = [0] * n
+    matches: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def rec(i: int) -> None:
+        nonlocal nodes
+        if i == n:
+            matches.append(tuple(mu))
+            return
+        base = nu_plus[i]
+        for k in keys:
+            s = base + k
+            if unused[k] and missing[s]:
+                nodes += 1
+                unused[k] -= 1
+                missing[s] -= 1
+                mu[i] = k
+                rec(i + 1)
+                missing[s] += 1
+                unused[k] += 1
+
+    rec(0)
+    return matches, nodes
 
 
 def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> UniquenessReport:
@@ -204,14 +231,10 @@ def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> Uniquen
         raise ParameterError("uniqueness check requires good parity")
     datum = translation_weight(psi, psi_plus)
     nu_plus = _nu_display_doubled(psi_plus)
-    target = tuple(sorted(_gl_doubled(psi), reverse=True))
+    target = _gl_doubled(psi)
     lam_items = datum.lambda_GL.doubled
     aligned = tuple(-x for x in lam_items)
-    matches = []
-    for mu in _distinct_permutations(lam_items):
-        s = tuple(sorted((a + b for a, b in zip(nu_plus, mu)), reverse=True))
-        if s == target:
-            matches.append(mu)
+    matches, nodes = _orbit_matches(nu_plus, lam_items, target)
     matches.sort(reverse=True)
     unique = matches == [aligned]
     return UniquenessReport(
@@ -219,6 +242,7 @@ def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> Uniquen
         aligned=Weight(aligned),
         matches=tuple(Weight(m) for m in matches),
         rearrangements=_rearrangement_count(lam_items),
+        nodes=nodes,
     )
 
 

@@ -75,6 +75,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_orbit_uniqueness():
     start = time.time()
     checked = 0
+    nodes = 0
     failures = []
     for psi in corpus():
         plus = dominate(psi, canonical_offsets(psi))
@@ -82,13 +83,14 @@ def test_criterion_1_orbit_uniqueness():
         if not rep.unique:
             failures.append(str(psi))
         checked += 1
+        nodes += rep.nodes
     elapsed = time.time() - start
     ok = not failures and elapsed <= 300
     report(
         1,
         ok,
         f"orbit uniqueness over {checked} parameters, {len(failures)} failures, "
-        f"{elapsed:.1f}s (budget 300s)",
+        f"{nodes} search nodes, {elapsed:.1f}s (budget 300s)",
     )
 
 

@@ -78,6 +78,38 @@ def test_enumerate_levis_requires_signature():
         enumerate_levis(psi)
 
 
+# --- Levi data checked against the parameter ----------------------------------
+
+SO43 = ClassicalGroup("SOodd", 3, (4, 3))
+SO61 = ClassicalGroup("SOodd", 3, (6, 1))
+
+
+def _one_block_psi(group):
+    """ex1 for Sp(4,R); I[1]R[2] + sgn R[2] for SO(p,q) of rank 3."""
+    if group.kind == "Sp":
+        return arthur_parameter(group, [block(Fraction(3, 2), 2), block(0, 1)])
+    return arthur_parameter(group, [block(1, 2), block(0, 2, "-")])
+
+
+@pytest.mark.parametrize(
+    "group, factors, g0, message",
+    [
+        (SP2, ((5, 5),), ClassicalGroup("Sp", 0), "does not fit discrete block 1"),
+        (SP2, ((-1, 3),), ClassicalGroup("Sp", 0), "does not fit discrete block 1"),
+        (SP2, ((1, 1), (0, 0)), ClassicalGroup("Sp", 0), "factor count"),
+        (SP2, ((1, 1),), ClassicalGroup("SOodd", 0), "kind"),
+        (SP2, ((1, 1),), ClassicalGroup("Sp", 1), "rank"),
+        (SO43, ((1, 1),), ClassicalGroup("SOodd", 1, (1, 2)), "signature"),
+        (SO43, ((1, 1),), ClassicalGroup("SOodd", 1), "signature"),
+        (SO61, ((1, 1),), ClassicalGroup("SOodd", 1, (3, 0)), "exceed the signature"),
+    ],
+)
+def test_aq_datum_rejects_levi_not_fitting_parameter(group, factors, g0, message):
+    psi = _one_block_psi(group)
+    with pytest.raises(ParameterError, match=message):
+        aq_datum(psi, LeviDatum(factors, g0))
+
+
 # --- character shifts ----------------------------------------------------------
 
 

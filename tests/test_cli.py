@@ -209,6 +209,13 @@ def test_packet_fractional_unitary_rejected(ex1_path, tmp_path, capsys):
     assert _packet_exit_code(ex1_path, tmp_path, levi) == 2
     assert "unitary" in capsys.readouterr().err
 
+
+def test_packet_levi_not_fitting_block_rejected(ex1_path, tmp_path, capsys):
+    # U(5,5) cannot sit on the a=2 block of Sp(4,R)
+    levi = {"unitary": [[5, 5]], "g0": {"kind": "Sp", "rank": 0}}
+    assert _packet_exit_code(ex1_path, tmp_path, levi) == 2
+    assert "does not fit discrete block 1 of size 2" in capsys.readouterr().err
+
 # --- determinism -----------------------------------------------------------------
 
 
