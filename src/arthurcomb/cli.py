@@ -1,15 +1,21 @@
 """Command-line front end: parse parameter files, run verifier sweeps,
 emit deterministic reports.
 
+Every command runs one pipeline in ``main``: parse the spec once, resolve
+each setting once (flag, then the spec's ``options``, then the default)
+and emit the handler's ``(results, verdicts)`` as one report.
+
 Exit codes: 0 all verdicts pass, 1 at least one violation, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -45,6 +51,7 @@ from .aq import (
 from .params import g_inf_char
 
 SUITES = ("uniqueness", "twisted-trace", "filtration", "parity", "norms", "kostant", "all")
+SPEC_SUITES = ("uniqueness", "filtration", "parity", "norms", "all")
 
 
 class SpecError(ValueError):
@@ -62,7 +69,7 @@ def _parse_half(value, context: str) -> Fraction:
         raise SpecError(f"{context}: half-integers must be integers or 'k'/'k/2' strings")
     try:
         f = Fraction(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SpecError(f"{context}: cannot parse {value!r} as a half-integer") from exc
     if f.denominator not in (1, 2):
         raise SpecError(f"{context}: {value!r} is not a half-integer")
@@ -155,6 +162,84 @@ def parse_spec(path: str) -> tuple[ArthurParameter, dict]:
 
 
 # ---------------------------------------------------------------------------
+# settings
+
+
+@dataclass(frozen=True)
+class Settings:
+    """The settings of one invocation, each resolved and type-checked once."""
+
+    seed: int
+    trials: int
+    offsets: tuple[int, ...]  # empty: the canonical offsets
+    offsets_given: str | list | None  # as written on the command line or in the spec
+    threshold: int | None
+    height_bound: int | None  # None: 2 * max(offsets)
+    n: int | None
+    weights: tuple[Weight, ...]  # checked by the twisted-trace and Kostant suites
+    endo_rank: int | None
+
+
+def resolve_settings(args, options: dict) -> Settings:
+    """Resolve every setting of one invocation: the command line wins, then
+    the spec's ``options``, then the default.  ``args`` is only read."""
+
+    def option(name: str, default=None):
+        value = getattr(args, name, None)
+        if value is None:
+            value = options.get(name)
+        if value is not None and type(value) is not int:
+            raise SpecError(f"options.{name} must be an integer, got {value!r}")
+        return default if value is None else value
+
+    offsets_given = getattr(args, "offsets", None)
+    if offsets_given is None:
+        offsets_given = options.get("offsets")
+        offsets = offsets_given or []
+        if not isinstance(offsets, list) or not all(type(x) is int for x in offsets):
+            raise SpecError(f"options.offsets must be a list of integers, got {offsets_given!r}")
+    else:
+        try:
+            offsets = [int(x) for x in offsets_given.split(",")] if offsets_given else []
+        except ValueError:
+            raise SpecError(f"--offsets must be comma-separated integers, got {offsets_given!r}") from None
+
+    suite = getattr(args, "suite", None)
+    n = getattr(args, "n", None)
+    if n is None and suite in ("twisted-trace", "kostant"):
+        raise SpecError(f"suite {suite!r} requires --n")
+    if n is None and suite == "all":
+        n = 4
+    return Settings(
+        seed=option("seed", 0),
+        trials=option("trials", 100),
+        offsets=tuple(offsets),
+        offsets_given=offsets_given,
+        threshold=option("threshold"),
+        height_bound=option("height_bound"),
+        n=n,
+        weights=() if n is None else _weight_list(n, args.mu, args.max_entry),
+        endo_rank=getattr(args, "endo_rank", None),
+    )
+
+
+def _weight_list(n: int, mu: str | None, max_entry: int) -> tuple[Weight, ...]:
+    """``--mu``, or every theta-invariant dominant weight of GL(n) with
+    entries up to ``--max-entry``."""
+    if not mu:
+        return tuple(theta_invariant_dominant_weights(n, max_entry))
+    w = weight([_parse_half(x, "--mu") for x in mu.split(",")])
+    if len(w) != n:
+        raise SpecError(f"--mu has {len(w)} entries but --n is {n}")
+    return (w,)
+
+
+def _domination_pair(psi: ArthurParameter, s: Settings) -> tuple[tuple[int, ...], ArthurParameter]:
+    offsets = s.offsets or canonical_offsets(psi, s.threshold)
+    return offsets, dominate(psi, offsets, s.threshold)
+
+
+# ---------------------------------------------------------------------------
 # report plumbing
 
 
@@ -216,13 +301,9 @@ def _verdict(check: str, ok: bool, detail: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
-
-
-def _offsets_for(psi: ArthurParameter, args) -> list[int]:
-    if getattr(args, "offsets", None):
-        return [int(x) for x in args.offsets.split(",")] if isinstance(args.offsets, str) else list(args.offsets)
-    return list(canonical_offsets(psi, getattr(args, "threshold", None)))
+# subcommand handlers: each takes (args, psi, settings, pair), where
+# ``pair()`` returns the domination pair (offsets, psi_plus), and returns
+# (results, verdicts)
 
 
 def _psi_payload(psi: ArthurParameter) -> dict:
@@ -239,17 +320,18 @@ def _psi_payload(psi: ArthurParameter) -> dict:
     }
 
 
-def cmd_info(args) -> tuple[dict, list[dict]]:
-    psi, _opts = parse_spec(args.spec)
+def _parity_rows(rep) -> list[dict]:
+    return [{"block": str(r.block), "ok": r.ok, "reason": r.reason} for r in rep.blocks]
+
+
+def cmd_info(args, psi, s, pair) -> tuple[dict, list[dict]]:
     parity = good_parity(psi)
     results = {
         "parameter": str(psi),
         "dual_dim": psi.group.dual_dim,
         "dimension": sum(b.dim for b in psi.blocks),
         "good_parity": parity.ok,
-        "parity_blocks": [
-            {"block": str(r.block), "ok": r.ok, "reason": r.reason} for r in parity.blocks
-        ],
+        "parity_blocks": _parity_rows(parity),
     }
     verdicts = [_verdict("good-parity", parity.ok, "all blocks match the dual type" if parity.ok else "bad parity")]
     if parity.ok:
@@ -259,8 +341,7 @@ def cmd_info(args) -> tuple[dict, list[dict]]:
     return results, verdicts
 
 
-def cmd_infchar(args) -> tuple[dict, list[dict]]:
-    psi, _opts = parse_spec(args.spec)
+def cmd_infchar(args, psi, s, pair) -> tuple[dict, list[dict]]:
     gl = inf_char(psi, "GL")
     g = inf_char(psi, "G")
     results = {
@@ -270,10 +351,8 @@ def cmd_infchar(args) -> tuple[dict, list[dict]]:
     return results, [_verdict("infchar", True, f"GL {gl} / G {g}")]
 
 
-def cmd_dominate(args) -> tuple[dict, list[dict]]:
-    psi, _opts = parse_spec(args.spec)
-    offs = _offsets_for(psi, args)
-    plus = dominate(psi, offs, args.threshold)
+def cmd_dominate(args, psi, s, pair) -> tuple[dict, list[dict]]:
+    offs, plus = pair()
     results = {
         "offsets": offs,
         "dominating": _psi_payload(plus),
@@ -281,10 +360,8 @@ def cmd_dominate(args) -> tuple[dict, list[dict]]:
     return results, [_verdict("dominate", True, str(plus))]
 
 
-def cmd_translate(args) -> tuple[dict, list[dict]]:
-    psi, _opts = parse_spec(args.spec)
-    offs = _offsets_for(psi, args)
-    plus = dominate(psi, offs, args.threshold)
+def cmd_translate(args, psi, s, pair) -> tuple[dict, list[dict]]:
+    offs, plus = pair()
     datum = translation_weight(psi, plus)
     results = {
         "offsets": offs,
@@ -294,22 +371,28 @@ def cmd_translate(args) -> tuple[dict, list[dict]]:
     return results, [_verdict("translate", True, f"lambda = {datum.lambda_GL}")]
 
 
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+
+
+def _field(obj: dict, key: str, kind: type, context: str, default=None):
+    """``obj[key]``, or ``default`` when absent; it must be a ``kind``."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise SpecError(f"{context}.{key} must be {_TYPE_NAMES[kind]}")
+    return value
+
+
 def _parse_packet_file(path: str, psi_plus: ArthurParameter):
     data = _load_json(path)
     if not isinstance(data, dict):
         raise SpecError("packet file must contain a JSON object")
     _require_keys(data, {"entries"}, "packet")
-    entries_data = data.get("entries")
-    if not isinstance(entries_data, list):
-        raise SpecError("packet.entries must be a list")
     entries = []
-    for i, ed in enumerate(entries_data):
+    for i, ed in enumerate(_field(data, "entries", list, "packet")):
         if not isinstance(ed, dict):
             raise SpecError(f"entries[{i}] must be an object")
         _require_keys(ed, {"levi", "character", "sigma"}, f"entries[{i}]")
-        ld = ed.get("levi")
-        if not isinstance(ld, dict):
-            raise SpecError(f"entries[{i}].levi must be an object")
+        ld = _field(ed, "levi", dict, f"entries[{i}]")
         _require_keys(ld, {"unitary", "g0"}, f"entries[{i}].levi")
         unitary = ld.get("unitary", [])
         if not isinstance(unitary, list) or not all(
@@ -319,35 +402,28 @@ def _parse_packet_file(path: str, psi_plus: ArthurParameter):
             raise SpecError(
                 f"entries[{i}].levi.unitary must be a list of [p, q] pairs of non-negative integers"
             )
-        g0d = ld.get("g0")
-        if not isinstance(g0d, dict):
-            raise SpecError(f"entries[{i}].levi.g0 must be an object")
-        g0 = _parse_group(g0d, f"entries[{i}].levi.g0")
+        g0 = _parse_group(_field(ld, "g0", dict, f"entries[{i}].levi"), f"entries[{i}].levi.g0")
         levi = LeviDatum(tuple(map(tuple, unitary)), g0)
-        sd = ed.get("sigma") or {}
-        if not isinstance(sd, dict):
-            raise SpecError(f"entries[{i}].sigma must be an object")
+        sd = _field(ed, "sigma", dict, f"entries[{i}]", {})
         _require_keys(sd, {"label", "nu", "weakly_unipotent"}, f"entries[{i}].sigma")
-        if sd.get("nu") is not None:
-            nu = g_inf_char(g0.gside_type(), weight([_parse_half(x, "sigma.nu") for x in sd["nu"]]))
-            sigma = Sigma(sd.get("label", "sigma"), nu, sd.get("weakly_unipotent", True))
-            datum = aq_datum(psi_plus, levi, sigma)
-        else:
-            datum = aq_datum(psi_plus, levi)
-            if "label" in sd or "weakly_unipotent" in sd:
-                sigma = Sigma(sd.get("label", "sigma"), datum.sigma.nu_sigma, sd.get("weakly_unipotent", True))
-                datum = aq_datum(psi_plus, levi, sigma)
+        label = _field(sd, "label", str, f"entries[{i}].sigma", "sigma")
+        unipotent = _field(sd, "weakly_unipotent", bool, f"entries[{i}].sigma", True)
+        datum = aq_datum(psi_plus, levi)
+        if sd:
+            nu = datum.sigma.nu_sigma
+            if "nu" in sd:
+                nu_data = _field(sd, "nu", list, f"entries[{i}].sigma")
+                nu = g_inf_char(g0.gside_type(), weight([_parse_half(x, f"entries[{i}].sigma.nu") for x in nu_data]))
+            datum = aq_datum(psi_plus, levi, Sigma(label, nu, unipotent))
         values = ed.get("character")
-        if not isinstance(values, list) or not all(v in (1, -1) for v in values):
+        if not isinstance(values, list) or not all(type(v) is int and v in (1, -1) for v in values):
             raise SpecError(f"entries[{i}].character must be a list of +-1")
         entries.append((datum, tuple(values)))
     return packet_data(psi_plus, entries)
 
 
-def cmd_packet(args) -> tuple[dict, list[dict]]:
-    psi, _opts = parse_spec(args.spec)
-    offs = _offsets_for(psi, args)
-    plus = dominate(psi, offs, args.threshold)
+def cmd_packet(args, psi, s, pair) -> tuple[dict, list[dict]]:
+    offs, plus = pair()
     pk_plus = _parse_packet_file(args.plus_packet, plus)
     result = translate_packet(pk_plus, psi)
     results = {
@@ -374,21 +450,16 @@ def cmd_packet(args) -> tuple[dict, list[dict]]:
 # verify suites
 
 
-def _suite_parity(psi: ArthurParameter) -> tuple[dict, list[dict]]:
+def _suite_parity(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
     rep = good_parity(psi)
-    results = {
-        "parity_blocks": [
-            {"block": str(r.block), "ok": r.ok, "reason": r.reason} for r in rep.blocks
-        ]
-    }
+    results = {"parity_blocks": _parity_rows(rep)}
     bad = [r for r in rep.blocks if not r.ok]
     detail = "all blocks good" if rep.ok else f"{len(bad)} block(s) violate the criterion"
     return results, [_verdict("parity", rep.ok, detail)]
 
 
-def _suite_uniqueness(psi: ArthurParameter, args) -> tuple[dict, list[dict]]:
-    offs = _offsets_for(psi, args)
-    plus = dominate(psi, offs, args.threshold)
+def _suite_uniqueness(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
+    offs, plus = pair()
     rep = uniqueness_check(psi, plus)
     results = {
         "offsets": offs,
@@ -405,13 +476,13 @@ def _suite_uniqueness(psi: ArthurParameter, args) -> tuple[dict, list[dict]]:
     ]
 
 
-def _suite_norms(psi: ArthurParameter, args) -> tuple[dict, list[dict]]:
+def _suite_norms(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
     import random
 
-    rng = random.Random(args.seed)
+    rng = random.Random(s.seed)
     gt = psi.group.gside_type()
     failures = 0
-    trials = args.trials
+    trials = s.trials
     for _ in range(trials):
         w = weight([Fraction(rng.randint(-14, 14), 2) for _ in range(psi.group.rank)])
         nu = g_inf_char(gt, w)
@@ -426,11 +497,10 @@ def _suite_norms(psi: ArthurParameter, args) -> tuple[dict, list[dict]]:
     return results, [_verdict("norm-doubling", ok, f"{failures} failures in {trials} trials")]
 
 
-def _suite_filtration(psi: ArthurParameter, args) -> tuple[dict, list[dict]]:
-    offs = _offsets_for(psi, args)
-    plus = dominate(psi, offs, args.threshold)
+def _suite_filtration(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
+    offs, plus = pair()
     levis = enumerate_levis(plus)
-    height = args.height_bound if args.height_bound is not None else 2 * max(offs, default=0)
+    height = s.height_bound if s.height_bound is not None else 2 * max(offs, default=0)
     total_viol = 0
     per_levi = []
     for levi in levis:
@@ -453,20 +523,16 @@ def _suite_filtration(psi: ArthurParameter, args) -> tuple[dict, list[dict]]:
     return results, [_verdict("filtration", ok, f"{total_viol} violation(s) over {len(levis)} data")]
 
 
-def _suite_twisted(args, n: int) -> tuple[dict, list[dict]]:
-    if args.mu:
-        mus = [weight([Fraction(x) for x in args.mu.split(",")])]
-    else:
-        mus = list(theta_invariant_dominant_weights(n, args.max_entry))
+def _suite_twisted(psi, s: Settings, pair) -> tuple[dict, list[dict]]:
     rows = [
-        (str(mu), verify_transfer_identity(mu, args.endo_rank, args.trials, args.seed).max_residual)
-        for mu in mus
+        (str(mu), verify_transfer_identity(mu, s.endo_rank, s.trials, s.seed).max_residual)
+        for mu in s.weights
     ]
     rows.sort()
     worst = max((r for _m, r in rows), default=0.0)
     results = {
-        "n": n,
-        "trials": args.trials,
+        "n": s.n,
+        "trials": s.trials,
         "cases": [{"mu": m, "residual": r} for m, r in rows],
         "max_residual": worst,
     }
@@ -474,73 +540,37 @@ def _suite_twisted(args, n: int) -> tuple[dict, list[dict]]:
     return results, [_verdict("twisted-trace", ok, f"max residual {worst:.2e} over {len(rows)} weight(s)")]
 
 
-def _suite_kostant(args, n: int) -> tuple[dict, list[dict]]:
-    if args.mu:
-        mus = [weight([Fraction(x) for x in args.mu.split(",")])]
-    else:
-        mus = list(theta_invariant_dominant_weights(n, args.max_entry))
-    rows = [(str(mu), kostant_theta_invariance(n, mu)) for mu in mus]
+def _suite_kostant(psi, s: Settings, pair) -> tuple[dict, list[dict]]:
+    rows = [(str(mu), kostant_theta_invariance(s.n, mu)) for mu in s.weights]
     rows.sort()
     ok = all(r for _m, r in rows)
-    results = {"n": n, "cases": [{"mu": m, "ok": r} for m, r in rows]}
+    results = {"n": s.n, "cases": [{"mu": m, "ok": r} for m, r in rows]}
     return results, [_verdict("kostant", ok, f"{len(rows)} weight(s) checked")]
 
 
-def cmd_verify(args) -> tuple[dict, list[dict], object]:
-    suite = args.suite
+# report key -> suite, in report order; the suites marked True are skipped
+# for a parameter of bad parity
+VERIFY_SUITES = {
+    "parity": (_suite_parity, False),
+    "uniqueness": (_suite_uniqueness, True),
+    "norms": (_suite_norms, True),
+    "filtration": (_suite_filtration, True),
+    "twisted_trace": (_suite_twisted, False),
+    "kostant": (_suite_kostant, False),
+}
+
+
+def cmd_verify(args, psi, s, pair) -> tuple[dict, list[dict]]:
+    if psi is None and args.suite in SPEC_SUITES:
+        raise SpecError(f"suite {args.suite!r} requires --spec")
+    good = psi is None or good_parity(psi).ok
     results: dict = {}
     verdicts: list[dict] = []
-    needs_spec = suite in ("uniqueness", "filtration", "parity", "norms", "all")
-    psi = None
-    spec_payload = None
-    if needs_spec:
-        if not args.spec:
-            raise SpecError(f"suite {suite!r} requires --spec")
-        psi, opts = parse_spec(args.spec)
-        spec_payload = _psi_payload(psi)
-        if args.seed is None and "seed" in opts:
-            args.seed = opts["seed"]
-        if args.offsets is None and "offsets" in opts:
-            args.offsets = opts["offsets"]
-        if args.height_bound is None and "height_bound" in opts:
-            args.height_bound = opts["height_bound"]
-        if args.threshold is None and "threshold" in opts:
-            args.threshold = opts["threshold"]
-    if args.seed is None:
-        args.seed = 0
-    payload = {
-        "suite": suite,
-        "spec": spec_payload,
-        "offsets": args.offsets,
-        "threshold": args.threshold,
-        "trials": args.trials,
-        "height_bound": args.height_bound,
-        "n": args.n,
-        "mu": args.mu,
-        "max_entry": args.max_entry,
-        "endo_rank": args.endo_rank,
-    }
-
-    def merge(name, rv):
-        r, v = rv
-        results[name] = r
-        verdicts.extend(v)
-
-    if suite in ("parity", "all"):
-        merge("parity", _suite_parity(psi))
-    bad_parity = psi is not None and not good_parity(psi).ok
-    if suite in ("uniqueness", "all") and not bad_parity:
-        merge("uniqueness", _suite_uniqueness(psi, args))
-    if suite in ("norms", "all") and not bad_parity:
-        merge("norms", _suite_norms(psi, args))
-    if suite in ("filtration", "all") and not bad_parity:
-        merge("filtration", _suite_filtration(psi, args))
-    n = (args.n or 4) if suite == "all" else args.n
-    if suite in ("twisted-trace", "all"):
-        merge("twisted_trace", _suite_twisted(args, n))
-    if suite in ("kostant", "all"):
-        merge("kostant", _suite_kostant(args, n))
-    return results, verdicts, payload
+    for key, (suite, needs_good_parity) in VERIFY_SUITES.items():
+        if args.suite in (key.replace("_", "-"), "all") and (good or not needs_good_parity):
+            results[key], suite_verdicts = suite(psi, s, pair)
+            verdicts.extend(suite_verdicts)
+    return results, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -553,29 +583,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True):
+    def add_command(name, handler, help, spec_required=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--spec", required=spec_required, help="parameter spec file (JSON)")
         p.add_argument("--offsets", help="comma-separated integer offsets", default=None)
         p.add_argument("--threshold", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
+        return p
 
-    p_info = sub.add_parser("info", help="dimensions, parity, component group")
-    add_common(p_info)
-    p_infchar = sub.add_parser("infchar", help="infinitesimal characters")
-    add_common(p_infchar)
-    p_dom = sub.add_parser("dominate", help="build the dominating parameter")
-    add_common(p_dom)
-    p_tr = sub.add_parser("translate", help="translation weight data")
-    add_common(p_tr)
-    p_pk = sub.add_parser("packet", help="translate a packet given its dominating data")
-    add_common(p_pk)
+    add_command("info", cmd_info, "dimensions, parity, component group")
+    add_command("infchar", cmd_infchar, "infinitesimal characters")
+    add_command("dominate", cmd_dominate, "build the dominating parameter")
+    add_command("translate", cmd_translate, "translation weight data")
+    p_pk = add_command("packet", cmd_packet, "translate a packet given its dominating data")
     p_pk.add_argument("--plus-packet", required=True, help="packet data for the dominating parameter")
 
-    p_v = sub.add_parser("verify", help="run a verifier sweep")
+    p_v = add_command("verify", cmd_verify, "run a verifier sweep", spec_required=False)
     p_v.add_argument("suite", choices=SUITES)
-    add_common(p_v, spec_required=False)
-    p_v.add_argument("--trials", type=int, default=100)
+    p_v.add_argument("--trials", type=int, default=None, help="default 100")
     p_v.add_argument("--height-bound", dest="height_bound", type=int, default=None)
     p_v.add_argument("--n", type=int, default=None)
     p_v.add_argument("--mu", default=None, help="comma-separated weight entries")
@@ -591,37 +618,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        psi, options = (None, {}) if args.spec is None else parse_spec(args.spec)
+        s = resolve_settings(args, options)
+        pair = functools.cache(lambda: _domination_pair(psi, s))
+        results, verdicts = args.handler(args, psi, s, pair)
+        spec = None if psi is None else _psi_payload(psi)
         if args.command == "verify":
-            if args.suite in ("twisted-trace", "kostant") and args.n is None:
-                raise SpecError(f"suite {args.suite!r} requires --n")
-            if args.seed is None:
-                args.seed = 0
-            results, verdicts, payload = cmd_verify(args)
-            report = make_report(f"verify {args.suite}", payload, args.seed, results, verdicts)
-            emit_report(report, args.format)
-            return 0 if _all_pass(verdicts) else 1
-        handler = {
-            "info": cmd_info,
-            "infchar": cmd_infchar,
-            "dominate": cmd_dominate,
-            "translate": cmd_translate,
-            "packet": cmd_packet,
-        }[args.command]
-        results, verdicts = handler(args)
-        payload = {"command": args.command, "spec": args.spec}
-        if args.spec:
-            psi, _ = parse_spec(args.spec)
-            payload["spec"] = _psi_payload(psi)
-        seed = args.seed if args.seed is not None else 0
-        report = make_report(args.command, payload, seed, results, verdicts)
-        emit_report(report, args.format)
+            title = f"verify {args.suite}"
+            payload = {
+                "suite": args.suite,
+                "spec": spec,
+                "offsets": s.offsets_given,
+                "threshold": s.threshold,
+                "trials": s.trials,
+                "height_bound": s.height_bound,
+                "n": args.n,
+                "mu": args.mu,
+                "max_entry": args.max_entry,
+                "endo_rank": args.endo_rank,
+            }
+        else:
+            title = args.command
+            payload = {"command": args.command, "spec": spec}
+        emit_report(make_report(title, payload, s.seed, results, verdicts), args.format)
         return 0 if _all_pass(verdicts) else 1
-    except (SpecError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

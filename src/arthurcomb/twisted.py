@@ -105,27 +105,23 @@ class ThetaFixedWeyl:
         return len(self.elements)
 
 
-def _signed_image(p: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    m = n // 2
-    perm = [0] * m
-    signs = [1] * m
-    for i in range(m):
-        j = p[i]
-        if j < m:
-            perm[i] = j
-        else:
-            perm[i] = n - 1 - j
-            signs[i] = -1
-    return tuple(perm), tuple(signs)
-
-
 def theta_fixed_weyl(n: int) -> ThetaFixedWeyl:
+    """Built from the signed images: a theta-fixed p is set by p[i] for
+    i < floor(n/2), which is perm[i] (sign +1) or n-1-perm[i] (sign -1),
+    and p[n-1-i] = n-1-p[i]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    fixed = [p for p in itertools.permutations(range(n)) if theta_perm(p) == p]
-    fixed.sort()
-    images = tuple((p, _signed_image(p, n)) for p in fixed)
-    return ThetaFixedWeyl(n, tuple(fixed), tuple((p, im) for p, im in images))
+    m = n // 2
+    pairs = []
+    for perm in itertools.permutations(range(m)):
+        for signs in itertools.product((1, -1), repeat=m):
+            p = list(range(n))
+            for i in range(m):
+                p[i] = perm[i] if signs[i] == 1 else n - 1 - perm[i]
+                p[n - 1 - i] = n - 1 - p[i]
+            pairs.append((tuple(p), (perm, signs)))
+    pairs.sort()
+    return ThetaFixedWeyl(n, tuple(p for p, _image in pairs), tuple(pairs))
 
 
 def _check_twistable(n: int, mu: Weight) -> tuple[int, ...]:
@@ -141,28 +137,18 @@ def _check_twistable(n: int, mu: Weight) -> tuple[int, ...]:
     return x
 
 
-def _coset_rep_for_weight(mu: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal-length w with w.mu = target: positions of equal values are
-    matched in increasing order."""
-    n = len(mu)
-    slots: dict[int, list[int]] = {}
-    for j in range(n):
-        slots.setdefault(target[j], []).append(j)
-    taken = {v: 0 for v in slots}
-    w = [0] * n
-    for i in range(n):
-        v = mu[i]
-        w[i] = slots[v][taken[v]]
-        taken[v] += 1
-    return tuple(w)
-
-
-def _extremal_weights(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    seen = set()
-    for p in itertools.permutations(mu):
-        if p not in seen:
-            seen.add(p)
-            yield p
+def _theta_fixed_cosets(x: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(Kostant representative, extremal weight) of each theta-fixed coset
+    of W/W_x, by descending weight, for x theta-invariant and dominant.
+    Such a rearrangement of x is set by its first floor(n/2) entries, a
+    signed rearrangement of x's head (the middle entry of odd n is 0); as
+    x is non-increasing, the minimal-length w with target[w[i]] = x[i]
+    lists target's positions in a stable descending sort."""
+    n = len(x)
+    m = n // 2
+    for head in reversed(_signed_orbit(x[:m], m)):
+        target = head + x[m : n - m] + theta_weight(head)
+        yield tuple(sorted(range(n), key=lambda j: -target[j])), target
 
 
 @dataclass(frozen=True)
@@ -181,14 +167,10 @@ class ExtremalRep:
 
 def extremal_rep(n: int, mu: Weight) -> ExtremalRep:
     x = _check_twistable(n, mu)
-    cosets = []
-    for target in _extremal_weights(x):
-        if theta_weight(target) != target:
-            continue
-        rep = _coset_rep_for_weight(x, target)
-        cosets.append((rep, Weight(tuple(2 * v for v in target))))
-    cosets.sort(key=lambda rw: rw[1].doubled, reverse=True)
-    return ExtremalRep(n, mu, tuple(cosets))
+    cosets = tuple(
+        (rep, Weight(tuple(2 * v for v in target))) for rep, target in _theta_fixed_cosets(x)
+    )
+    return ExtremalRep(n, mu, cosets)
 
 
 def _char_value(entries: tuple[complex, ...], exponents: tuple[int, ...]) -> complex:
@@ -218,13 +200,7 @@ def kostant_theta_invariance(n: int, mu: Weight) -> bool:
     """Check theta(w) = w for the Kostant representative of every
     theta-stable coset of W/W_mu.  Exact; returns True iff all pass."""
     x = _check_twistable(n, mu)
-    for target in _extremal_weights(x):
-        if theta_weight(target) != target:
-            continue
-        rep = _coset_rep_for_weight(x, target)
-        if theta_perm(rep) != rep:
-            return False
-    return True
+    return all(theta_perm(rep) == rep for rep, _target in _theta_fixed_cosets(x))
 
 
 def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:

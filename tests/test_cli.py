@@ -1,9 +1,11 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from arthurcomb.cli import main, parse_spec, parse_spec_data, SpecError
 
@@ -192,9 +194,10 @@ def test_packet_unknown_field_rejected(ex1_path, tmp_path):
 
 
 
-def _packet_exit_code(spec_path, tmp_path, levi):
+def _packet_exit_code(spec_path, tmp_path, levi, **fields):
+    entry = {"levi": levi, "character": [1, 1], **fields}
     pk_path = tmp_path / "pk.json"
-    pk_path.write_text(json.dumps({"entries": [{"levi": levi, "character": [1, 1]}]}))
+    pk_path.write_text(json.dumps({"entries": [entry]}))
     return main(["packet", "--spec", spec_path, "--offsets", "5", "--plus-packet", str(pk_path)])
 
 
@@ -215,6 +218,205 @@ def test_packet_levi_not_fitting_block_rejected(ex1_path, tmp_path, capsys):
     levi = {"unitary": [[5, 5]], "g0": {"kind": "Sp", "rank": 0}}
     assert _packet_exit_code(ex1_path, tmp_path, levi) == 2
     assert "does not fit discrete block 1 of size 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"sigma": {"nu": 5}}, "sigma.nu"),
+        ({"sigma": {"nu": ["x"]}}, "sigma.nu"),
+        ({"sigma": {"label": 3}}, "sigma.label"),
+        ({"sigma": {"weakly_unipotent": "yes"}}, "sigma.weakly_unipotent"),
+        ({"sigma": []}, "sigma must be an object"),
+        ({"character": [True, 1]}, "character"),
+    ],
+)
+def test_packet_sigma_and_character_typed_strictly(ex1_path, tmp_path, capsys, fields, message):
+    levi = {"unitary": [[1, 1]], "g0": {"kind": "Sp", "rank": 0}}
+    assert _packet_exit_code(ex1_path, tmp_path, levi, **fields) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_packet_sigma_fields_used(ex1_path, tmp_path, capsys):
+    levi = {"unitary": [[1, 1]], "g0": {"kind": "Sp", "rank": 0}}
+    sigma = {"label": "pi", "nu": [], "weakly_unipotent": False}
+    assert _packet_exit_code(ex1_path, tmp_path, levi, sigma=sigma) == 0
+    (kept,) = json.loads(capsys.readouterr().out)["results"]["entries"]
+    assert "; pi]" in kept["datum"]
+
+
+# --- settings: command line, then the spec's options, then the default ------------
+
+
+def _spec_with_options(tmp_path, options):
+    p = tmp_path / "opts.json"
+    p.write_text(json.dumps({**EX1_SPEC, "options": options}))
+    return str(p)
+
+
+def _report(capsys, argv):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_spec_seed_and_trials_used_without_flags(tmp_path, capsys):
+    path = _spec_with_options(tmp_path, {"seed": 7, "trials": 3})
+    code, report = _report(capsys, ["verify", "norms", "--spec", path])
+    assert code == 0
+    assert report["seed"] == 7
+    assert report["results"]["norms"]["trials"] == 3
+
+
+def test_spec_seed_and_trials_reach_twisted_trace(tmp_path, capsys):
+    path = _spec_with_options(tmp_path, {"seed": 7, "trials": 3})
+    argv = ["verify", "twisted-trace", "--n", "3", "--mu", "1,0,-1"]
+    _code, flagged = _report(capsys, argv + ["--seed", "7", "--trials", "3"])
+    _code, from_spec = _report(capsys, argv + ["--spec", path])
+    assert from_spec["seed"] == 7
+    assert from_spec["results"] == flagged["results"]
+
+
+@pytest.mark.parametrize("command", ["dominate", "translate", "packet", "verify uniqueness"])
+def test_spec_offsets_used_by_every_command(ex1_path, tmp_path, capsys, command):
+    pk_path = tmp_path / "pk.json"
+    pk_path.write_text(json.dumps({"entries": []}))
+    argv = command.split() + ["--spec", ex1_path]
+    if command == "packet":
+        argv += ["--plus-packet", str(pk_path)]
+    code, report = _report(capsys, argv)
+    assert code == 0
+    results = report["results"].get("uniqueness", report["results"])
+    assert results["offsets"] == [5]  # EX1_SPEC's options; the canonical offsets are [4]
+    assert report["seed"] == 7
+
+
+def test_flags_override_spec_options(ex1_path, capsys):
+    code, report = _report(
+        capsys,
+        ["verify", "all", "--spec", ex1_path, "--seed", "9", "--offsets", "6", "--trials", "4",
+         "--n", "2", "--max-entry", "1"],
+    )
+    assert code == 0
+    assert report["seed"] == 9
+    assert report["results"]["uniqueness"]["offsets"] == [6]
+    assert report["results"]["filtration"]["offsets"] == [6]
+    assert report["results"]["norms"]["trials"] == 4
+    assert report["results"]["twisted_trace"]["trials"] == 4
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"offsets": [[1]]}, "options.offsets"),
+        ({"offsets": "5"}, "options.offsets"),
+        ({"threshold": "x"}, "options.threshold"),
+        ({"height_bound": "3"}, "options.height_bound"),
+        ({"seed": True}, "options.seed"),
+        ({"trials": 1.5}, "options.trials"),
+    ],
+)
+def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
+    path = _spec_with_options(tmp_path, options)
+    assert main(["verify", "all", "--spec", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_malformed_offsets_flag_exits_two(ex1_path, capsys):
+    assert main(["dominate", "--spec", ex1_path, "--offsets", "5,x"]) == 2
+    assert "--offsets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["twisted-trace", "kostant"])
+def test_mu_length_must_match_n(capsys, suite):
+    assert main(["verify", suite, "--n", "3", "--mu", "1,-1"]) == 2
+    assert "--mu has 2 entries but --n is 3" in capsys.readouterr().err
+
+
+def test_mu_with_zero_denominator_exits_two(capsys):
+    assert main(["verify", "kostant", "--n", "2", "--mu", "1/0,-1"]) == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+# --- fuzzed spec and packet files -----------------------------------------------
+# One of the two files is fuzzed: a valid file with one or two values
+# anywhere in it (the whole file included) replaced by small arbitrary JSON.
+
+FUZZ_SPEC = {
+    **EX1_SPEC,
+    "options": {"offsets": [5], "seed": 7, "threshold": 2, "height_bound": 4, "trials": 3},
+}
+FUZZ_PACKET = {
+    "entries": [
+        {
+            "levi": {"unitary": [[1, 1]], "g0": {"kind": "Sp", "rank": 0}},
+            "character": [1, 1],
+            "sigma": {"label": "pi", "nu": [], "weakly_unipotent": True},
+        }
+    ]
+}
+
+_scalar = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.floats(-3, 8, allow_nan=False)
+    | st.text("0123456789/-+ Sp", max_size=4)
+)
+_json = _scalar | st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["t", "a", "nu", "kind", "rank", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _positions(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _positions(value, path + (key,))
+
+
+@st.composite
+def _corrupted(draw, base):
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_positions(doc))))
+        value = draw(_json)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command", ["info", "dominate", "translate", "packet"])
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_fuzzed_spec_and_packet_files_exit_cleanly(tmp_path, command, data):
+    files = {"spec": FUZZ_SPEC, "packet": FUZZ_PACKET}
+    target = data.draw(st.sampled_from(sorted(files))) if command == "packet" else "spec"
+    files[target] = data.draw(_corrupted(files[target]))
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = [command, "--spec", str(paths["spec"])]
+    if command == "packet":
+        argv += ["--plus-packet", str(paths["packet"])]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+
 
 # --- determinism -----------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from arthurcomb.twisted import (
     twisted_trace_extremal,
     verify_transfer_identity,
 )
-from arthurcomb.weyl import weight
+from arthurcomb.weyl import Weight, weight
 
 
 # --- theta-fixed Weyl group ---------------------------------------------------
@@ -223,3 +223,77 @@ def test_theta_invariant_weight_generator():
     for mu in mus:
         x = tuple(d // 2 for d in mu.doubled)
         assert theta_weight(x) == x
+
+
+# --- theta-fixed cosets against the full-orbit enumerator -------------------------
+
+
+def _extremal_weights(mu):
+    """Oracle: every distinct rearrangement of mu, by walking all n! orders."""
+    seen = set()
+    for p in itertools.permutations(mu):
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
+def _coset_rep_for_weight(mu, target):
+    """Oracle: minimal-length w with w.mu = target; positions of equal
+    values are matched in increasing order."""
+    n = len(mu)
+    slots = {}
+    for j in range(n):
+        slots.setdefault(target[j], []).append(j)
+    taken = {v: 0 for v in slots}
+    w = [0] * n
+    for i in range(n):
+        v = mu[i]
+        w[i] = slots[v][taken[v]]
+        taken[v] += 1
+    return tuple(w)
+
+
+def _oracle_cosets(x):
+    return [
+        (_coset_rep_for_weight(x, target), target)
+        for target in _extremal_weights(x)
+        if theta_weight(target) == target
+    ]
+
+
+def test_theta_fixed_cosets_match_full_orbit_oracle():
+    weights = [mu for n in range(1, 9) for mu in theta_invariant_dominant_weights(n, 3)]
+    assert len(weights) == 104
+    for mu in weights:
+        n = len(mu)
+        x = tuple(d // 2 for d in mu.doubled)
+        cosets = _oracle_cosets(x)
+        expected = sorted(
+            ((rep, Weight(tuple(2 * v for v in t))) for rep, t in cosets),
+            key=lambda rw: rw[1].doubled,
+            reverse=True,
+        )
+        assert list(extremal_rep(n, mu).extremal_cosets) == expected
+        assert kostant_theta_invariance(n, mu) == all(theta_perm(r) == r for r, _t in cosets)
+
+
+def _signed_image(p, n):
+    m = n // 2
+    perm = [0] * m
+    signs = [1] * m
+    for i in range(m):
+        j = p[i]
+        if j < m:
+            perm[i] = j
+        else:
+            perm[i] = n - 1 - j
+            signs[i] = -1
+    return tuple(perm), tuple(signs)
+
+
+def test_theta_fixed_weyl_matches_full_group_oracle():
+    for n in range(1, 8):
+        fixed = sorted(p for p in itertools.permutations(range(n)) if theta_perm(p) == p)
+        tf = theta_fixed_weyl(n)
+        assert list(tf.elements) == fixed
+        assert list(tf.signed_images) == [(p, _signed_image(p, n)) for p in fixed]
