@@ -23,8 +23,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge, itemgetter, mul, sub
-from typing import Iterable, Iterator
+from operator import add, mul, sub
+from typing import Iterable
 
 from .params import (
     ArthurParameter,
@@ -412,31 +412,75 @@ class FiltrationReport:
         return not self.violations and self.cert_weight_pairing and self.cert_unitary_support
 
 
-def _monoid_sums(
-    roots: tuple[tuple[int, ...], ...], max_height: int, cap: int
-) -> tuple[Iterator[tuple[int, ...]], bool]:
-    """Sums of at most ``max_height`` roots (zero included), in sorted order.
+class _Digits:
+    """Where each column of a packed monoid state sits: the offset added to
+    its value, the width of its digit in bits (one spare top bit
+    included) and the digit's shift, most significant column first."""
 
-    Breadth first: each layer extends its states in sorted order, root by
-    root, and the sweep stops at the first new state found while more
+    __slots__ = ("offs", "widths", "shifts", "zero")
+
+    def __init__(self, offs: Iterable[int]):
+        self.offs = tuple(offs)
+        self.widths = tuple((2 * off).bit_length() + 1 for off in self.offs)
+        self.shifts = tuple(sum(self.widths[i + 1 :]) for i in range(len(self.widths)))
+        self.zero = sum(off << sh for off, sh in zip(self.offs, self.shifts))
+
+    def decode(self, y: int, cols: Iterable[int]) -> tuple[int, ...]:
+        """The values of the columns ``cols`` in state ``y``."""
+        return tuple(
+            (y >> self.shifts[i] & (1 << self.widths[i]) - 1) - self.offs[i] for i in cols
+        )
+
+    def nonneg(self, cols: Iterable[int]) -> tuple[int, int]:
+        """``(c, h)`` such that ``(y + c) & h == h`` exactly when every
+        column in ``cols`` is >= 0 in state ``y``.
+
+        A digit x + off lies in [0, 2*off], below its spare top bit t, so
+        adding t - off sets that bit exactly when x >= 0 and carries into
+        no other digit."""
+        c = h = 0
+        for i in cols:
+            top = 1 << self.widths[i] - 1
+            c += top - self.offs[i] << self.shifts[i]
+            h += top << self.shifts[i]
+        return c, h
+
+    def zeros(self, cols: Iterable[int]) -> tuple[int, int]:
+        """``(m, z)`` such that ``y & m == z`` exactly when every column in
+        ``cols`` is 0 in state ``y``."""
+        m = sum((1 << self.widths[i]) - 1 << self.shifts[i] for i in cols)
+        return m, self.zero & m
+
+
+def _monoid_sums(
+    rows: tuple[tuple[int, ...], ...], max_height: int, cap: int
+) -> tuple[set[int], bool, _Digits]:
+    """Packed sums of at most ``max_height`` rows (zero included).
+
+    Breadth first: each layer extends its states in sorted order, row by
+    row, and the sweep stops at the first new state found while more
     than ``cap`` states are known; the flag reports that stop.
 
-    Each state is packed into one int: coordinate i is the digit
-    x_i + off in base 2**bits, most significant first, with
-    off = max|root entry| * max(max_height, 0) and 2**bits > 2*off.
-    A sum of at most ``max_height`` roots has every x_i in [-off, off],
-    so every digit stays in [0, 2**bits): adding a root is one integer
-    addition of its packed (signed) digits and never carries or borrows.
-    Integer order is then tuple order, so the sweep visits and truncates
-    exactly as it would on tuples.  The states are decoded lazily, one
-    tuple at a time.
+    Each state is one int holding one digit per column, most significant
+    first.  Column i has the offset off_i = max|entry_i| * max(max_height, 0)
+    and a digit x_i + off_i of (2*off_i).bit_length() + 1 bits.  A sum of
+    at most ``max_height`` rows has every x_i in [-off_i, off_i], so every
+    digit stays in [0, 2*off_i]: adding a row is one integer addition of
+    its packed (signed) digits and never carries or borrows, and the top
+    bit of every digit stays clear for the sign tests of ``_Digits.nonneg``.
+
+    Callers may append columns that are linear functions of the leading
+    (coordinate) columns; a sum then carries their values along.  Integer
+    order is lexicographic order of the digits, and two states that agree
+    on the coordinates agree on every column, so integer order is
+    coordinate-tuple order and the states are in bijection with the
+    coordinate sums: the sweep visits and truncates exactly as it would on
+    coordinate tuples.  Nothing is decoded here; ``_Digits`` reads the
+    columns of the states a caller needs.
     """
-    n = len(roots[0]) if roots else 0
-    off = max((abs(v) for r in roots for v in r), default=0) * max(max_height, 0)
-    bits = max(1, (2 * off).bit_length())
-    shifts = [bits * (n - 1 - i) for i in range(n)]
-    packed = [sum(v << sh for v, sh in zip(r, shifts)) for r in roots]
-    zero = sum(off << sh for sh in shifts)
+    digits = _Digits(max(map(abs, col)) * max(max_height, 0) for col in zip(*rows))
+    packed = [sum(v << sh for v, sh in zip(r, digits.shifts)) for r in rows]
+    zero = digits.zero
     seen = {zero}
     frontier = [zero]
     truncated = False
@@ -456,9 +500,7 @@ def _monoid_sums(
             if truncated:
                 break
         frontier = nxt
-    mask = (1 << bits) - 1
-    states = (tuple([(y >> sh & mask) - off for sh in shifts]) for y in sorted(seen))
-    return states, truncated
+    return seen, truncated, digits
 
 
 def filtration_vanishing(
@@ -477,6 +519,30 @@ def filtration_vanishing(
     expansion separately.  lambda is the translated character for psi.
     The default bound is the largest coordinate of the good-range
     character (weights appearing in its restriction cannot exceed it).
+
+    The difference of the two norms is 2<lambda, mu_1> + 2<delta_L1, mu_1>
+    + |mu_1|^2, and the certificates bound it at every height at once:
+
+    - ``cert_weight_pairing`` (<lambda, r> >= 0 for every nilradical root
+      r) gives <lambda, mu_1> >= 0: lambda is zero on the residual
+      coordinates, so <lambda, mu_1> = <lambda, mu> = sum c_r <lambda, r>
+      with every coefficient c_r >= 0.
+    - Levi dominance gives <delta_L1, mu_1> >= 0, by Abel summation on
+      each block: with d_1 > ... > d_a the entries of delta_L1 there and
+      D_k = d_1 + ... + d_k, the block contributes
+      sum_{k<a} (m_k - m_{k+1}) D_k + m_a D_a.  Each m_k - m_{k+1} >= 0
+      because mu_1 does not increase inside the block, each D_k >= 0
+      because the d_k decrease and sum to D_a = 0.
+    - ``cert_unitary_support`` (grade . r > 0 for a grading that is zero
+      on the residual coordinates) gives grade . mu > 0 for mu != 0, so
+      mu_1 != 0 and |mu_1|^2 > 0.
+
+    So a dominant mu != 0 can fail only if one of the two pairings is
+    negative or mu_1 = 0, and the sweep decodes only those states (and
+    the first 500, which it reports as items): the pairings, the
+    dominance differences and the residual tail test ride along the
+    breadth-first sweep as columns of the packed states, and each test is
+    one mask operation on one int.
     """
     if range_check(d_plus).verdict != "good":
         raise ParameterError("filtration sweep requires a good-range datum")
@@ -491,6 +557,7 @@ def filtration_vanishing(
     # values; lam_d, delta_d and grade cover the unitary coordinates only,
     # and map() stops there when pairing them with a root or with mu
     n_u = sum(a_list)
+    n = n_u + n0
     lam_d = tuple(2 * t for t, a in zip(shifts, a_list) for _ in range(a))
     delta_d = tuple((a - 1) - 2 * k for a in a_list for k in range(a))
     roots = _layout_roots(a_list, n0, kind)[0]
@@ -515,44 +582,59 @@ def filtration_vanishing(
     dominant_count = 0
     truncated = False
     if roots:
-        sums, truncated = _monoid_sums(roots, height_bound, state_cap)
-        # dominance for the Levi: non-increasing within each gl block and
-        # on the residual tail, whose root system then asks for a last
-        # coordinate >= 0 (B, C) or c[-2] >= |c[-1]| (D); the leading
-        # index pair (0, 0) keeps itemgetter returning tuples
-        spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n_u + n0)]
-        upper = [s for lo, hi in spans for s in range(lo, hi - 1)]
-        higher = itemgetter(0, 0, *upper)
-        lower = itemgetter(0, 0, *(s + 1 for s in upper))
-        tail_last = n0 >= 1 and kind != "SOeven"
-        tail_pair = n0 >= 2 and kind == "SOeven"
-        for mu_d in sums:
-            if not any(mu_d):
-                continue  # the surviving bottom layer
-            enumerated += 1
-            if not all(map(ge, higher(mu_d), lower(mu_d))):
-                continue
-            if tail_last and mu_d[-1] < 0 or tail_pair and mu_d[-2] < abs(mu_d[-1]):
-                continue
-            dominant_count += 1
+        # dominance for the Levi, as functionals that must be >= 0:
+        # non-increasing within each gl block and on the residual tail,
+        # whose root system then asks for mu[-1] >= 0 (B, C) or
+        # mu[-2] >= |mu[-1]| (D)
+        def functional(*entries: tuple[int, int]) -> list[int]:
+            f = [0] * n
+            for i, val in entries:
+                f[i] = val
+            return f
+
+        spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n)]
+        dominance = [functional((s, 1), (s + 1, -1)) for lo, hi in spans for s in range(lo, hi - 1)]
+        if n0 >= 1 and kind != "SOeven":
+            dominance.append(functional((n - 1, 1)))
+        elif n0 >= 2:
+            dominance += [functional((n - 2, 1), (n - 1, -1)), functional((n - 2, 1), (n - 1, 1))]
+        # columns: the n coordinates, the dominance functionals, pl4, pd4
+        extra = dominance + [lam_d, delta_d]
+        rows = tuple(r + tuple(sum(map(mul, f, r)) for f in extra) for r in roots)
+        seen, truncated, digits = _monoid_sums(rows, height_bound, state_cap)
+        seen.remove(digits.zero)  # the surviving bottom layer
+        enumerated = len(seen)
+        k = n + len(dominance)
+        pair_cols = (k, k + 1)
+        dom_c, dom_h = digits.nonneg(range(n, k))
+        pair_c, pair_h = digits.nonneg(pair_cols)
+        u_mask, u_zero = digits.zeros(range(n_u))
+        dominant = sorted(y for y in seen if (y + dom_c) & dom_h == dom_h)
+        dominant_count = len(dominant)
+
+        def item(y: int) -> FiltrationItem:
+            mu_d = digits.decode(y, range(n))
             mu1_d = mu_d[:n_u]
-            pl4 = sum(map(mul, lam_d, mu1_d))
-            pd4 = sum(map(mul, delta_d, mu1_d))
+            pl4, pd4 = digits.decode(y, pair_cols)
             with4 = base_norm4 + 2 * (pl4 + pd4) + sum(map(mul, mu1_d, mu1_d))
-            ok = with4 > base_norm4 and pl4 >= 0 and pd4 >= 0
-            if not ok or len(items) < 500:
-                item = FiltrationItem(
-                    mu=Weight(mu_d),
-                    mu1=Weight(mu1_d),
-                    norm_with=Fraction(with4, 4),
-                    norm_without=base_norm,
-                    pairing_lambda=Fraction(pl4, 4),
-                    pairing_delta=Fraction(pd4, 4),
-                )
-                if len(items) < 500:
-                    items.append(item)
-                if not ok:
-                    violations.append(item)
+            return FiltrationItem(
+                mu=Weight(mu_d),
+                mu1=Weight(mu1_d),
+                norm_with=Fraction(with4, 4),
+                norm_without=base_norm,
+                pairing_lambda=Fraction(pl4, 4),
+                pairing_delta=Fraction(pd4, 4),
+            )
+
+        # past the first 500, only a state with a negative pairing or
+        # mu_1 = 0 can fail (see above)
+        items = [item(y) for y in dominant[:500]]
+        suspects = [
+            item(y)
+            for y in dominant[500:]
+            if (y + pair_c) & pair_h != pair_h or y & u_mask == u_zero
+        ]
+        violations = [it for it in items + suspects if not it.ok]
     return FiltrationReport(
         height_bound=height_bound,
         enumerated=enumerated,

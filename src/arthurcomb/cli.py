@@ -204,6 +204,14 @@ def resolve_settings(args, options: dict) -> Settings:
         except ValueError:
             raise SpecError(f"--offsets must be comma-separated integers, got {offsets_given!r}") from None
 
+    # a count below these would check nothing and still pass
+    trials = option("trials", 100)
+    if trials < 1:
+        raise SpecError(f"--trials/options.trials must be at least 1, got {trials}")
+    max_entry = getattr(args, "max_entry", None)
+    if max_entry is not None and max_entry < 0:
+        raise SpecError(f"--max-entry must be at least 0, got {max_entry}")
+
     suite = getattr(args, "suite", None)
     n = getattr(args, "n", None)
     if n is None and suite in ("twisted-trace", "kostant"):
@@ -212,7 +220,7 @@ def resolve_settings(args, options: dict) -> Settings:
         n = 4
     return Settings(
         seed=option("seed", 0),
-        trials=option("trials", 100),
+        trials=trials,
         offsets=tuple(offsets),
         offsets_given=offsets_given,
         threshold=option("threshold"),

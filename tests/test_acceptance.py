@@ -178,6 +178,8 @@ def test_criterion_6_filtration_vanishing():
     cert_failures = 0
     range_failures = 0
     truncated = 0
+    states = 0
+    dominant = 0
     checked = 0
     for psi in corpus(signed=True):
         offs = canonical_offsets(psi)
@@ -193,6 +195,8 @@ def test_criterion_6_filtration_vanishing():
         )
         violations += len(rep.violations)
         truncated += rep.truncated
+        states += rep.enumerated
+        dominant += rep.dominant_count
         if not (rep.cert_weight_pairing and rep.cert_unitary_support):
             cert_failures += 1
         checked += 1
@@ -204,7 +208,8 @@ def test_criterion_6_filtration_vanishing():
         f"filtration vanishing over {checked} parameters at height 2*max(T): "
         f"{violations} norm violations, {cert_failures} certificate failures, "
         f"{range_failures} range failures, {truncated} stopped at the "
-        f"{FILTRATION_STATE_CAP}-state cap, {elapsed:.0f}s",
+        f"{FILTRATION_STATE_CAP}-state cap, {states} monoid states of which "
+        f"{dominant} dominant, {elapsed:.0f}s",
     )
 
 

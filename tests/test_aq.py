@@ -1,6 +1,9 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arthurcomb.aq import (
     AqDatum,
@@ -253,6 +256,28 @@ def test_filtration_default_height_bound(ex1):
     report = filtration_vanishing(d_plus, ex1)
     assert report.height_bound == max(d_plus.t_tilde)
     assert report.passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+        lambda a_list: st.tuples(*[st.lists(st.integers(-6, 6), min_size=a, max_size=a) for a in a_list])
+    )
+)
+def test_levi_dominance_gives_nonnegative_delta_pairing(blocks):
+    """The Abel-summation step behind ``pairing_delta >= 0``: mu_1 that does
+    not increase inside any gl block pairs non-negatively with delta_L1."""
+    mu1 = [v for blk in blocks for v in sorted(blk, reverse=True)]
+    # doubled delta_L1: the sum of the positive roots e_s - e_t (s < t) of each block
+    delta = [0] * len(mu1)
+    start = 0
+    for blk in blocks:
+        for s in range(start, start + len(blk)):
+            for t in range(s + 1, start + len(blk)):
+                delta[s] += 1
+                delta[t] -= 1
+        start += len(blk)
+    assert sum(map(mul, delta, mu1)) >= 0
 
 
 # --- packet translation ---------------------------------------------------------------

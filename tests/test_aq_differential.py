@@ -13,6 +13,7 @@ cap.
 import functools
 import random
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,8 +230,10 @@ def _doubled_roots(datum):
 
 
 def _new_monoid_sums(roots, max_height, cap):
-    states, truncated = aq._monoid_sums(tuple(roots), max_height, cap)
-    return list(states), truncated
+    """The packed sweep's states, decoded to coordinate tuples in sorted order."""
+    seen, truncated, digits = aq._monoid_sums(tuple(roots), max_height, cap)
+    n = len(roots[0]) if roots else 0
+    return [digits.decode(y, range(n)) for y in sorted(seen)], truncated
 
 
 # --- the tests -----------------------------------------------------------------
@@ -278,6 +281,41 @@ def test_monoid_sums_match_oracle_on_random_roots(roots, height, cap):
     assert _new_monoid_sums(roots, height, cap) == old_monoid_sums(roots, height, cap)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=5, unique=True),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=4),
+            st.sets(st.integers(0, n - 1)),
+        )
+    ),
+    st.integers(-2, 5),
+    st.integers(0, 60),
+    st.data(),
+)
+def test_packed_columns_carry_linear_functionals(drawn, height, cap, data):
+    coords, funcs, zeroed = drawn
+    n = len(coords[0])
+    # some coordinate columns zero in every row, and an all-zero functional
+    coords = [tuple(0 if i in zeroed else v for i, v in enumerate(r)) for r in coords]
+    funcs = funcs + [(0,) * n]
+    rows = [r + tuple(sum(map(mul, f, r)) for f in funcs) for r in coords]
+    seen, truncated, digits = aq._monoid_sums(tuple(rows), height, cap)
+    width = len(rows[0])
+    decoded = {y: digits.decode(y, range(width)) for y in sorted(seen)}
+    assert ([v[:n] for v in decoded.values()], truncated) == old_monoid_sums(coords, height, cap)
+    cols = data.draw(st.sets(st.integers(0, width - 1)))
+    c, h = digits.nonneg(cols)
+    m, z = digits.zeros(cols)
+    for y, v in decoded.items():
+        x = v[:n]
+        assert list(v[n:]) == [sum(map(mul, f, x)) for f in funcs]
+        assert ((y + c) & h == h) == all(v[i] >= 0 for i in cols)
+        assert (y & m == z) == all(v[i] == 0 for i in cols)
+    assert decoded[digits.zero] == (0,) * width
+
+
 def test_filtration_and_range_reports_match_oracle():
     for psi, plus, datum, height in _sample():
         new = aq.filtration_vanishing(datum, psi, height_bound=height)
@@ -295,3 +333,23 @@ def test_filtration_matches_oracle_with_small_caps():
         for cap in (0, 1, 37):
             new = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=cap)
             assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=cap)
+
+
+def test_filtration_matches_oracle_when_the_pairing_certificate_fails(monkeypatch):
+    """Reversed shifts make lambda pair negatively with some roots, so the
+    sweep finds violations, past the first 500 items too, where only the
+    suspect states are decoded."""
+    sample = _sample()  # the data are built with the true shifts
+    true_shifts = aq.lambda_tilde
+
+    def reversed_shifts(psi, group=None):
+        return true_shifts(psi, group)[::-1]
+
+    monkeypatch.setattr(aq, "lambda_tilde", reversed_shifts)
+    monkeypatch.setitem(globals(), "lambda_tilde", reversed_shifts)
+    late = 0
+    for psi, _plus, datum, height in sample:
+        new = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
+        assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
+        late += len(new.violations) - sum(v in new.items for v in new.violations)
+    assert late, "the sample must have violations past the reported items"

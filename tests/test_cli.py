@@ -314,6 +314,8 @@ def test_flags_override_spec_options(ex1_path, capsys):
         ({"height_bound": "3"}, "options.height_bound"),
         ({"seed": True}, "options.seed"),
         ({"trials": 1.5}, "options.trials"),
+        ({"trials": 0}, "options.trials must be at least 1"),
+        ({"trials": -5}, "options.trials must be at least 1"),
     ],
 )
 def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
@@ -321,6 +323,23 @@ def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
     assert main(["verify", "all", "--spec", path]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "twisted-trace", "--n", "2", "--trials", "-3"], "--trials"),
+        (["verify", "twisted-trace", "--n", "2", "--trials", "0"], "--trials"),
+        (["verify", "norms", "--spec", "{ex1}", "--trials", "-5"], "--trials"),
+        (["verify", "kostant", "--n", "4", "--max-entry", "-1"], "--max-entry"),
+        (["verify", "all", "--spec", "{ex1}", "--n", "2", "--max-entry", "-1"], "--max-entry"),
+    ],
+)
+def test_vacuous_counts_exit_two(ex1_path, capsys, argv, message):
+    assert main([a.replace("{ex1}", ex1_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_malformed_offsets_flag_exits_two(ex1_path, capsys):
