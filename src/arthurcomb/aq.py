@@ -19,7 +19,9 @@ order.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -417,13 +419,23 @@ class _Digits:
     its value, the width of its digit in bits (one spare top bit
     included) and the digit's shift, most significant column first."""
 
-    __slots__ = ("offs", "widths", "shifts", "zero")
+    __slots__ = ("offs", "widths", "shifts", "zero", "nbytes")
 
     def __init__(self, offs: Iterable[int]):
         self.offs = tuple(offs)
         self.widths = tuple((2 * off).bit_length() + 1 for off in self.offs)
         self.shifts = tuple(sum(self.widths[i + 1 :]) for i in range(len(self.widths)))
         self.zero = sum(off << sh for off, sh in zip(self.offs, self.shifts))
+        self.nbytes = (sum(self.widths) + 7) // 8
+
+    def to_bytes(self, states: Iterable[int]) -> bytes:
+        """``states`` as one string of ``nbytes``-byte little-endian ints."""
+        return b"".join(y.to_bytes(self.nbytes, "little") for y in states)
+
+    def from_bytes(self, blob: bytes) -> list[int]:
+        """The states that ``to_bytes`` wrote into ``blob``, in order."""
+        w = self.nbytes
+        return [int.from_bytes(blob[i : i + w], "little") for i in range(0, len(blob), w)]
 
     def decode(self, y: int, cols: Iterable[int]) -> tuple[int, ...]:
         """The values of the columns ``cols`` in state ``y``."""
@@ -454,12 +466,17 @@ class _Digits:
 
 def _monoid_sums(
     rows: tuple[tuple[int, ...], ...], max_height: int, cap: int
-) -> tuple[set[int], bool, _Digits]:
-    """Packed sums of at most ``max_height`` rows (zero included).
+) -> tuple[list[list[int]], bool, _Digits]:
+    """Packed sums of at most ``max_height`` rows, layer by layer.
 
-    Breadth first: each layer extends its states in sorted order, row by
-    row, and the sweep stops at the first new state found while more
-    than ``cap`` states are known; the flag reports that stop.
+    Breadth first: layer h holds the states first reached as a sum of h
+    rows, sorted.  Each layer is extended in sorted order, row by row, and
+    the sweep stops at the first new state found while more than ``cap``
+    states are known (the zero state included); the flag reports that
+    stop, and the layer being built then ends there.  The returned list
+    holds layers 1, 2, ...: the zero state (layer 0) is left out.  The
+    layers are pairwise disjoint, and the zero state and their union are
+    exactly the states a ``seen`` set of the sweep would hold.
 
     Each state is one int holding one digit per column, most significant
     first.  Column i has the offset off_i = max|entry_i| * max(max_height, 0)
@@ -480,15 +497,15 @@ def _monoid_sums(
     """
     digits = _Digits(max(map(abs, col)) * max(max_height, 0) for col in zip(*rows))
     packed = [sum(v << sh for v, sh in zip(r, digits.shifts)) for r in rows]
-    zero = digits.zero
-    seen = {zero}
-    frontier = [zero]
+    seen = {digits.zero}
+    layers: list[list[int]] = []
+    frontier = [digits.zero]
     truncated = False
     for _h in range(max_height):
         if truncated or not frontier:
             break
         nxt = []
-        for x in sorted(frontier):
+        for x in frontier:
             for r in packed:
                 y = x + r
                 if y not in seen:
@@ -499,8 +516,94 @@ def _monoid_sums(
                     nxt.append(y)
             if truncated:
                 break
+        nxt.sort()
+        layers.append(nxt)
         frontier = nxt
-    return seen, truncated, digits
+    return layers, truncated, digits
+
+
+# A filtration report lists this many dominant states as items.
+_REPORTED_ITEMS = 500
+
+
+def _delta_l1(a_list: tuple[int, ...]) -> tuple[int, ...]:
+    """Doubled delta_L1 on the unitary coordinates: (a-1)/2, ..., -(a-1)/2
+    on each block."""
+    return tuple((a - 1) - 2 * k for a in a_list for k in range(a))
+
+
+@functools.lru_cache(maxsize=256)
+def _layout_sweep(
+    a_list: tuple[int, ...],
+    n0: int,
+    kind: str,
+    height: int,
+    cap: int,
+    lam_d: tuple[int, ...] | None,
+) -> tuple[int, int, bool, _Digits, int, bytes]:
+    """The dominant part of the monoid sweep of one layout, height and cap.
+
+    The packed rows hold the coordinates of each nilradical root, the
+    Levi-dominance functionals, then ``<lam_d, r>`` unless ``lam_d`` is
+    None, then ``<delta_L1, r>``.  A dominant state is a *suspect* when one
+    of those pairings is negative or its unitary part is zero.
+
+    Returns ``(enumerated, dominant_count, truncated, digits, head,
+    states)``: the counts and truncation flag of the sweep, its digit
+    layout, and in ``states`` (``digits.to_bytes``) the first ``head``
+    dominant states, ``head`` <= ``_REPORTED_ITEMS``, then the suspects
+    past them, all in increasing order.  Nothing else is kept.
+
+    ``lam_d`` (the doubled shifts on the unitary coordinates) is None when
+    the caller's pairing certificate holds, so that every parameter of the
+    layout shares one entry: the pairing is then >= 0 on every state and
+    would add no suspect.
+    """
+    n_u = sum(a_list)
+    n = n_u + n0
+    roots = _layout_roots(a_list, n0, kind)[0]
+
+    # dominance for the Levi, as functionals that must be >= 0:
+    # non-increasing within each gl block and on the residual tail, whose
+    # root system then asks for mu[-1] >= 0 (B, C) or mu[-2] >= |mu[-1]| (D)
+    def functional(*entries: tuple[int, int]) -> list[int]:
+        f = [0] * n
+        for i, val in entries:
+            f[i] = val
+        return f
+
+    spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n)]
+    dominance = [functional((s, 1), (s + 1, -1)) for lo, hi in spans for s in range(lo, hi - 1)]
+    if n0 >= 1 and kind != "SOeven":
+        dominance.append(functional((n - 1, 1)))
+    elif n0 >= 2:
+        dominance += [functional((n - 2, 1), (n - 1, -1)), functional((n - 2, 1), (n - 1, 1))]
+    pairings = ([] if lam_d is None else [lam_d]) + [_delta_l1(a_list)]
+    rows = tuple(r + tuple(sum(map(mul, f, r)) for f in dominance + pairings) for r in roots)
+    layers, truncated, digits = _monoid_sums(rows, height, cap)
+
+    k = n + len(dominance)
+    dom_c, dom_h = digits.nonneg(range(n, k))
+    pair_c, pair_h = digits.nonneg(range(k, k + len(pairings)))
+    u_mask, u_zero = digits.zeros(range(n_u))
+    dominant = [[y for y in layer if (y + dom_c) & dom_h == dom_h] for layer in layers]
+    head = list(itertools.islice(heapq.merge(*dominant), _REPORTED_ITEMS))
+    suspects = []
+    if head:
+        suspects = sorted(
+            y
+            for layer in dominant
+            for y in layer[bisect.bisect_right(layer, head[-1]) :]
+            if (y + pair_c) & pair_h != pair_h or y & u_mask == u_zero
+        )
+    return (
+        sum(map(len, layers)),
+        sum(map(len, dominant)),
+        truncated,
+        digits,
+        len(head),
+        digits.to_bytes(head + suspects),
+    )
 
 
 def filtration_vanishing(
@@ -538,11 +641,23 @@ def filtration_vanishing(
       mu_1 != 0 and |mu_1|^2 > 0.
 
     So a dominant mu != 0 can fail only if one of the two pairings is
-    negative or mu_1 = 0, and the sweep decodes only those states (and
-    the first 500, which it reports as items): the pairings, the
-    dominance differences and the residual tail test ride along the
-    breadth-first sweep as columns of the packed states, and each test is
-    one mask operation on one int.
+    negative or mu_1 = 0 (a *suspect*), and only the suspects and the
+    first 500 dominant states (the reported items) are decoded.
+
+    The monoid, the dominance test and <delta_L1, mu_1> depend only on the
+    layout (block sizes, residual rank and kind), the height and the state
+    cap, so one sweep per key ``(layout, height, cap, lam_d)`` is cached
+    by ``_layout_sweep`` and read by every parameter that shares it.
+    <lambda, mu_1> is the one term that depends on the shifts.  When
+    ``cert_weight_pairing`` holds it is >= 0 on every state (first point
+    above), so leaving it out of the suspect test drops no suspect: the
+    key's ``lam_d`` is then None and every parameter of the layout shares
+    the entry.  When the certificate fails, lam_d joins the key and its
+    pairing rides along the sweep as a column of the suspect test.
+
+    For each state it reads, this function computes the two pairings and
+    the norm in 4x integers and decides the verdict from them; the
+    ``Fraction`` fields of the items come from a memo of k/4 per call.
     """
     if range_check(d_plus).verdict != "good":
         raise ParameterError("filtration sweep requires a good-range datum")
@@ -559,7 +674,7 @@ def filtration_vanishing(
     n_u = sum(a_list)
     n = n_u + n0
     lam_d = tuple(2 * t for t, a in zip(shifts, a_list) for _ in range(a))
-    delta_d = tuple((a - 1) - 2 * k for a in a_list for k in range(a))
+    delta_d = _delta_l1(a_list)
     roots = _layout_roots(a_list, n0, kind)[0]
 
     # root-level certificates, covering every height at once: the
@@ -582,59 +697,39 @@ def filtration_vanishing(
     dominant_count = 0
     truncated = False
     if roots:
-        # dominance for the Levi, as functionals that must be >= 0:
-        # non-increasing within each gl block and on the residual tail,
-        # whose root system then asks for mu[-1] >= 0 (B, C) or
-        # mu[-2] >= |mu[-1]| (D)
-        def functional(*entries: tuple[int, int]) -> list[int]:
-            f = [0] * n
-            for i, val in entries:
-                f[i] = val
-            return f
+        enumerated, dominant_count, truncated, digits, head, states = _layout_sweep(
+            a_list, n0, kind, height_bound, state_cap, None if cert_pairing else lam_d
+        )
+        quarters: dict[int, Fraction] = {}
 
-        spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n)]
-        dominance = [functional((s, 1), (s + 1, -1)) for lo, hi in spans for s in range(lo, hi - 1)]
-        if n0 >= 1 and kind != "SOeven":
-            dominance.append(functional((n - 1, 1)))
-        elif n0 >= 2:
-            dominance += [functional((n - 2, 1), (n - 1, -1)), functional((n - 2, 1), (n - 1, 1))]
-        # columns: the n coordinates, the dominance functionals, pl4, pd4
-        extra = dominance + [lam_d, delta_d]
-        rows = tuple(r + tuple(sum(map(mul, f, r)) for f in extra) for r in roots)
-        seen, truncated, digits = _monoid_sums(rows, height_bound, state_cap)
-        seen.remove(digits.zero)  # the surviving bottom layer
-        enumerated = len(seen)
-        k = n + len(dominance)
-        pair_cols = (k, k + 1)
-        dom_c, dom_h = digits.nonneg(range(n, k))
-        pair_c, pair_h = digits.nonneg(pair_cols)
-        u_mask, u_zero = digits.zeros(range(n_u))
-        dominant = sorted(y for y in seen if (y + dom_c) & dom_h == dom_h)
-        dominant_count = len(dominant)
+        def quarter(k4: int) -> Fraction:
+            q = quarters.get(k4)
+            if q is None:
+                q = quarters[k4] = Fraction(k4, 4)
+            return q
 
-        def item(y: int) -> FiltrationItem:
-            mu_d = digits.decode(y, range(n))
+        coords = range(n)
+        for i, y in enumerate(digits.from_bytes(states)):
+            mu_d = digits.decode(y, coords)
             mu1_d = mu_d[:n_u]
-            pl4, pd4 = digits.decode(y, pair_cols)
+            pl4 = sum(map(mul, lam_d, mu1_d))
+            pd4 = sum(map(mul, delta_d, mu1_d))
             with4 = base_norm4 + 2 * (pl4 + pd4) + sum(map(mul, mu1_d, mu1_d))
-            return FiltrationItem(
-                mu=Weight(mu_d),
-                mu1=Weight(mu1_d),
-                norm_with=Fraction(with4, 4),
-                norm_without=base_norm,
-                pairing_lambda=Fraction(pl4, 4),
-                pairing_delta=Fraction(pd4, 4),
-            )
-
-        # past the first 500, only a state with a negative pairing or
-        # mu_1 = 0 can fail (see above)
-        items = [item(y) for y in dominant[:500]]
-        suspects = [
-            item(y)
-            for y in dominant[500:]
-            if (y + pair_c) & pair_h != pair_h or y & u_mask == u_zero
-        ]
-        violations = [it for it in items + suspects if not it.ok]
+            ok = with4 > base_norm4 and pl4 >= 0 and pd4 >= 0
+            reported = i < head
+            if reported or not ok:
+                it = FiltrationItem(
+                    mu=Weight(mu_d),
+                    mu1=Weight(mu1_d),
+                    norm_with=quarter(with4),
+                    norm_without=base_norm,
+                    pairing_lambda=quarter(pl4),
+                    pairing_delta=quarter(pd4),
+                )
+                if reported:
+                    items.append(it)
+                if not ok:
+                    violations.append(it)
     return FiltrationReport(
         height_bound=height_bound,
         enumerated=enumerated,

@@ -211,11 +211,17 @@ def resolve_settings(args, options: dict) -> Settings:
     max_entry = getattr(args, "max_entry", None)
     if max_entry is not None and max_entry < 0:
         raise SpecError(f"--max-entry must be at least 0, got {max_entry}")
+    # a negative height enumerates no monoid state; the library allows it
+    height_bound = option("height_bound")
+    if height_bound is not None and height_bound < 0:
+        raise SpecError(f"--height-bound/options.height_bound must be at least 0, got {height_bound}")
 
     suite = getattr(args, "suite", None)
     n = getattr(args, "n", None)
     if n is None and suite in ("twisted-trace", "kostant"):
         raise SpecError(f"suite {suite!r} requires --n")
+    if n is not None and n < 0:
+        raise SpecError(f"--n must be at least 0, got {n}")
     if n is None and suite == "all":
         n = 4
     return Settings(
@@ -224,7 +230,7 @@ def resolve_settings(args, options: dict) -> Settings:
         offsets=tuple(offsets),
         offsets_given=offsets_given,
         threshold=option("threshold"),
-        height_bound=option("height_bound"),
+        height_bound=height_bound,
         n=n,
         weights=() if n is None else _weight_list(n, args.mu, args.max_entry),
         endo_rank=getattr(args, "endo_rank", None),

@@ -7,7 +7,7 @@ unchanged apart from their names and the private helpers they used,
 which are inlined or copied here.  The package must give the same
 states, the same truncation point and equal reports on a seeded sample of
 the signed criterion-6 corpus, which includes sweeps stopped at the state
-cap.
+cap, whether a layout's sweep is run afresh or read from the cache.
 """
 
 import functools
@@ -224,16 +224,46 @@ def _sample():
     return out
 
 
+def _pair_sharing_a_sweep():
+    """The first two signed-corpus parameters whose filtration sweeps share
+    a layout and a height but not the shifts, as (psi, datum_plus, height)."""
+    first = {}
+    for kind, ranks in (("Sp", (1, 2, 3)), ("SOodd", (1, 2, 3, 4)), ("SOeven", (1, 2, 3, 4))):
+        for psi in _signed_corpus(kind, ranks):
+            offs = canonical_offsets(psi)
+            plus = dominate(psi, offs)
+            datum = aq_datum(plus, enumerate_levis(plus)[0])
+            height = 2 * max(offs, default=0)
+            key = (datum.levi.a_list, datum.levi.g0.rank, datum.levi.g0.kind, height)
+            if key in first and lambda_tilde(first[key][0]) != lambda_tilde(psi):
+                return first[key], (psi, datum, height)
+            first.setdefault(key, (psi, datum, height))
+    raise AssertionError("no two corpus parameters share a sweep")
+
+
 def _doubled_roots(datum):
     levi = datum.levi
     return [r.doubled for r in nilradical_roots(levi.a_list, levi.g0.rank, levi.g0.kind)]
 
 
+def _layer_union(layers, digits):
+    """The zero state and the states of the sweep's layers, sorted, after
+    checking that each layer is sorted, that no state is in two layers and
+    that no layer holds the zero state."""
+    for layer in layers:
+        assert all(a < b for a, b in zip(layer, layer[1:])), "a layer is not sorted"
+    states = [y for layer in layers for y in layer]
+    assert len(set(states)) == len(states), "two layers share a state"
+    assert digits.zero not in states, "a layer holds the zero state"
+    return sorted([digits.zero, *states])
+
+
 def _new_monoid_sums(roots, max_height, cap):
-    """The packed sweep's states, decoded to coordinate tuples in sorted order."""
-    seen, truncated, digits = aq._monoid_sums(tuple(roots), max_height, cap)
+    """The packed sweep's states, zero included, decoded to coordinate
+    tuples in sorted order."""
+    layers, truncated, digits = aq._monoid_sums(tuple(roots), max_height, cap)
     n = len(roots[0]) if roots else 0
-    return [digits.decode(y, range(n)) for y in sorted(seen)], truncated
+    return [digits.decode(y, range(n)) for y in _layer_union(layers, digits)], truncated
 
 
 # --- the tests -----------------------------------------------------------------
@@ -301,9 +331,9 @@ def test_packed_columns_carry_linear_functionals(drawn, height, cap, data):
     coords = [tuple(0 if i in zeroed else v for i, v in enumerate(r)) for r in coords]
     funcs = funcs + [(0,) * n]
     rows = [r + tuple(sum(map(mul, f, r)) for f in funcs) for r in coords]
-    seen, truncated, digits = aq._monoid_sums(tuple(rows), height, cap)
+    layers, truncated, digits = aq._monoid_sums(tuple(rows), height, cap)
     width = len(rows[0])
-    decoded = {y: digits.decode(y, range(width)) for y in sorted(seen)}
+    decoded = {y: digits.decode(y, range(width)) for y in _layer_union(layers, digits)}
     assert ([v[:n] for v in decoded.values()], truncated) == old_monoid_sums(coords, height, cap)
     cols = data.draw(st.sets(st.integers(0, width - 1)))
     c, h = digits.nonneg(cols)
@@ -353,3 +383,47 @@ def test_filtration_matches_oracle_when_the_pairing_certificate_fails(monkeypatc
         assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
         late += len(new.violations) - sum(v in new.items for v in new.violations)
     assert late, "the sample must have violations past the reported items"
+
+
+def test_layout_sweep_shared_by_parameters_with_other_shifts():
+    cases = _pair_sharing_a_sweep()
+    cold = []
+    for psi, datum, height in cases:
+        aq._layout_sweep.cache_clear()
+        cold.append(aq.filtration_vanishing(datum, psi, height_bound=height))
+    aq._layout_sweep.cache_clear()
+    warm = [aq.filtration_vanishing(datum, psi, height_bound=height) for psi, datum, height in cases]
+    info = aq._layout_sweep.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert warm == cold
+    assert warm == [old_filtration_vanishing(datum, psi, height_bound=height) for psi, datum, height in cases]
+    assert cold[0].items != cold[1].items  # the shifts show in the items
+
+
+def test_layout_sweep_keeps_reversed_and_certified_sweeps_apart(monkeypatch):
+    """A reversed-shift sweep fails the pairing certificate and is cached
+    under its own key; the certified sweep of the same layout, before and
+    after it, still matches the oracle."""
+    true_shifts = aq.lambda_tilde
+
+    def reversed_shifts(psi, group=None):
+        return true_shifts(psi, group)[::-1]
+
+    failed = 0
+    for psi, _plus, datum, height in _sample():
+        aq._layout_sweep.cache_clear()
+        certified = []
+        for shifts in (true_shifts, reversed_shifts, true_shifts):
+            monkeypatch.setattr(aq, "lambda_tilde", shifts)
+            monkeypatch.setitem(globals(), "lambda_tilde", shifts)
+            new = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
+            assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
+            certified.append(new.cert_weight_pairing)
+        assert certified[0] and certified[2]
+        if _doubled_roots(datum):
+            # the certified sweep is run once, the reversed one shares it
+            # only if it passes the certificate too
+            info = aq._layout_sweep.cache_info()
+            assert (info.misses, info.hits) == ((1, 2) if certified[1] else (2, 1))
+        failed += not certified[1]
+    assert failed, "the sample must have reversed shifts that fail the certificate"

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from arthurcomb import aq
 from arthurcomb.cli import main, parse_spec, parse_spec_data, SpecError
 
 EX1_SPEC = {
@@ -316,6 +317,7 @@ def test_flags_override_spec_options(ex1_path, capsys):
         ({"trials": 1.5}, "options.trials"),
         ({"trials": 0}, "options.trials must be at least 1"),
         ({"trials": -5}, "options.trials must be at least 1"),
+        ({"height_bound": -1}, "options.height_bound must be at least 0"),
     ],
 )
 def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
@@ -333,6 +335,9 @@ def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
         (["verify", "norms", "--spec", "{ex1}", "--trials", "-5"], "--trials"),
         (["verify", "kostant", "--n", "4", "--max-entry", "-1"], "--max-entry"),
         (["verify", "all", "--spec", "{ex1}", "--n", "2", "--max-entry", "-1"], "--max-entry"),
+        (["verify", "twisted-trace", "--n", "-1"], "--n must be at least 0"),
+        (["verify", "kostant", "--n", "-1"], "--n must be at least 0"),
+        (["verify", "filtration", "--spec", "{ex1}", "--height-bound", "-1"], "--height-bound"),
     ],
 )
 def test_vacuous_counts_exit_two(ex1_path, capsys, argv, message):
@@ -340,6 +345,15 @@ def test_vacuous_counts_exit_two(ex1_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_filtration_levi_rows_share_one_sweep(ex1_path, capsys):
+    aq._layout_sweep.cache_clear()
+    assert main(["verify", "filtration", "--spec", ex1_path]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["filtration"]["levis"]
+    assert len(rows) == 3
+    info = aq._layout_sweep.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_malformed_offsets_flag_exits_two(ex1_path, capsys):
