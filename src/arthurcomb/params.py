@@ -48,6 +48,7 @@ __all__ = [
     "EndoscopicSplit",
     "endoscopic_split",
     "enumerate_parameters",
+    "corpus",
 ]
 
 
@@ -724,3 +725,29 @@ def enumerate_parameters(
         yield from rec(idx + 1, remaining, chosen)
 
     yield from rec(0, target, [])
+
+
+# the corpus groups: every kind at each rank with n* <= 8
+_CORPUS_RANKS = (("Sp", (1, 2, 3)), ("SOodd", (1, 2, 3, 4)), ("SOeven", (1, 2, 3, 4)))
+
+
+def _quasi_split_form(kind: str, rank: int) -> ClassicalGroup:
+    if kind == "Sp":
+        return ClassicalGroup("Sp", rank)
+    if kind == "SOodd":
+        return ClassicalGroup("SOodd", rank, (rank + 1, rank))
+    return ClassicalGroup("SOeven", rank, (rank, rank) if rank % 2 == 0 else (rank + 1, rank - 1))
+
+
+def corpus(signed: bool = False) -> Iterator[ArthurParameter]:
+    """The 1072 good-parity parameters with n* <= 8 under
+    ``enumerate_parameters``' default block bounds: Sp of rank 1-3, then
+    SO odd and SO even of rank 1-4, each group's parameters in enumeration
+    order.  With ``signed``, each parameter is rebuilt on the quasi-split
+    real form of its group (SO odd: (r+1, r); SO even: (r, r) for even r,
+    (r+1, r-1) for odd r), as Levi enumeration needs a signature."""
+    for kind, ranks in _CORPUS_RANKS:
+        for rank in ranks:
+            target = _quasi_split_form(kind, rank)
+            for psi in enumerate_parameters(ClassicalGroup(kind, rank)):
+                yield arthur_parameter(target, psi.blocks) if signed else psi

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  The corpus is every good-parity parameter with n* <= 8 built from
-blocks with t <= 7/2 and a <= 4, over all three group kinds.
+lines.  The corpus is ``params.corpus``: every good-parity parameter with
+n* <= 8 built from blocks with t <= 7/2 and a <= 4, over all three group
+kinds.
 """
 
 import json
@@ -19,7 +20,6 @@ from arthurcomb.aq import (
     enumerate_levis,
     filtration_vanishing,
     lambda_tilde_fractions,
-    packet_data,
     range_check,
     translate_packet,
 )
@@ -28,9 +28,8 @@ from arthurcomb.params import (
     arthur_parameter,
     block,
     canonical_offsets,
-    component_group,
+    corpus,
     dominate,
-    enumerate_parameters,
     g_inf_char,
     good_parity,
     quotient_map,
@@ -44,28 +43,6 @@ from arthurcomb.twisted import (
 from arthurcomb.weyl import Weight, norm_sq, weight
 
 SEED = 20260810
-
-BARE_GROUPS = (
-    [ClassicalGroup("Sp", r) for r in (1, 2, 3)]
-    + [ClassicalGroup("SOodd", r) for r in (1, 2, 3, 4)]
-    + [ClassicalGroup("SOeven", r) for r in (1, 2, 3, 4)]
-)
-
-
-def quasi_split(kind: str, rank: int) -> ClassicalGroup:
-    if kind == "Sp":
-        return ClassicalGroup("Sp", rank)
-    if kind == "SOodd":
-        return ClassicalGroup("SOodd", rank, (rank + 1, rank))
-    sig = (rank, rank) if rank % 2 == 0 else (rank + 1, rank - 1)
-    return ClassicalGroup("SOeven", rank, sig)
-
-
-def corpus(signed: bool = False):
-    for g in BARE_GROUPS:
-        target = quasi_split(g.kind, g.rank) if signed else g
-        for psi in enumerate_parameters(g):
-            yield arthur_parameter(target, psi.blocks) if signed else psi
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -217,26 +194,14 @@ def test_criterion_6_filtration_vanishing():
     )
 
 
-def _full_packet(psi_plus):
-    grp = component_group(psi_plus)
-    return packet_data(
-        psi_plus,
-        [
-            (aq_datum(psi_plus, levi), eps)
-            for levi in enumerate_levis(psi_plus)
-            for eps in grp.characters()
-        ],
-    )
-
-
-def test_criterion_7_translation_round_trip():
+def test_criterion_7_translation_round_trip(full_packet):
     identity_failures = 0
     count_failures = 0
     kernel_failures = 0
     checked = 0
     for psi in corpus(signed=True):
         plus = dominate(psi, canonical_offsets(psi))
-        pk_plus = _full_packet(plus)
+        pk_plus = full_packet(plus)
         # T = 0: translating the dominating packet to itself is the identity
         result0 = translate_packet(pk_plus, plus)
         if result0.packet != pk_plus or result0.vanishing:

@@ -283,19 +283,9 @@ def test_levi_dominance_gives_nonnegative_delta_pairing(blocks):
 # --- packet translation ---------------------------------------------------------------
 
 
-def _full_packet(psi_plus):
-    grp = component_group(psi_plus)
-    levis = enumerate_levis(psi_plus)
-    entries = []
-    for levi in levis:
-        for eps in grp.characters():
-            entries.append((aq_datum(psi_plus, levi), eps))
-    return packet_data(psi_plus, entries)
-
-
-def test_translate_packet_ex1(ex1):
+def test_translate_packet_ex1(ex1, full_packet):
     plus = dominate(ex1, [5])
-    pk = _full_packet(plus)
+    pk = full_packet(plus)
     result = translate_packet(pk, ex1)
     assert result.kernel_order == 1
     assert result.vanishing == ()
@@ -305,19 +295,19 @@ def test_translate_packet_ex1(ex1):
         assert range_check(datum).verdict in ("good", "weakly_fair")
 
 
-def test_translate_packet_zero_offsets_is_identity():
+def test_translate_packet_zero_offsets_is_identity(full_packet):
     psi = arthur_parameter(SP2, [block(Fraction(11, 2), 2), block(0, 1)])
-    pk = _full_packet(psi)
+    pk = full_packet(psi)
     result = translate_packet(pk, psi)
     assert result.packet == pk
     assert result.vanishing == ()
 
 
-def test_translate_packet_kernel_vanishing():
+def test_translate_packet_kernel_vanishing(full_packet):
     g = ClassicalGroup("SOodd", 2, (3, 2))
     psi = arthur_parameter(g, [block(Fraction(1, 2), 1, mult=2)])
     plus = dominate(psi, canonical_offsets(psi))
-    pk = _full_packet(plus)
+    pk = full_packet(plus)
     result = translate_packet(pk, psi)
     assert result.kernel_order == 2
     assert result.vanishing  # characters separating the merged copies drop
@@ -340,8 +330,8 @@ def test_translate_packet_rejects_mismatched_shifts(ex1):
 # --- evaluation -------------------------------------------------------------------------
 
 
-def test_evaluate_at_identity(ex1):
-    pk = _full_packet(dominate(ex1, [5]))
+def test_evaluate_at_identity(ex1, full_packet):
+    pk = full_packet(dominate(ex1, [5]))
     result = translate_packet(pk, ex1)
     grp = component_group(ex1)
     combo = evaluate_at(result.packet, grp.identity)
@@ -360,16 +350,16 @@ def test_evaluate_at_s_psi(ex1):
     assert set(combo.values()) == {0}
 
 
-def test_evaluate_at_rejects_outside_elements(ex1):
-    pk = _full_packet(dominate(ex1, [5]))
+def test_evaluate_at_rejects_outside_elements(ex1, full_packet):
+    pk = full_packet(dominate(ex1, [5]))
     # (1,-1) violates the determinant condition, so it is not in A(psi)
     with pytest.raises(ParameterError):
         evaluate_at(pk, (1, -1))
 
 
-def test_evaluate_at_coefficients_are_signs(ex1):
+def test_evaluate_at_coefficients_are_signs(ex1, full_packet):
     plus = dominate(ex1, [5])
-    pk = _full_packet(plus)
+    pk = full_packet(plus)
     grp = component_group(plus)
     for s in grp.elements:
         for _label, coeff in evaluate_at(pk, s).items():

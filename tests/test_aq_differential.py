@@ -30,14 +30,7 @@ from arthurcomb.aq import (
     lambda_tilde,
     nilradical_roots,
 )
-from arthurcomb.params import (
-    ClassicalGroup,
-    ParameterError,
-    arthur_parameter,
-    canonical_offsets,
-    dominate,
-    enumerate_parameters,
-)
+from arthurcomb.params import ParameterError, canonical_offsets, corpus, dominate
 from arthurcomb.weyl import GroupType, Weight, is_dominant, norm_sq, pairing
 
 SEED = 20260810
@@ -191,30 +184,15 @@ def old_filtration_vanishing(d_plus, psi, height_bound=None, state_cap=FILTRATIO
 # --- the sample ----------------------------------------------------------------
 
 
-def _quasi_split(kind, rank):
-    if kind == "Sp":
-        return ClassicalGroup("Sp", rank)
-    if kind == "SOodd":
-        return ClassicalGroup("SOodd", rank, (rank + 1, rank))
-    sig = (rank, rank) if rank % 2 == 0 else (rank + 1, rank - 1)
-    return ClassicalGroup("SOeven", rank, sig)
-
-
-def _signed_corpus(kind, ranks):
-    for rank in ranks:
-        target = _quasi_split(kind, rank)
-        for psi in enumerate_parameters(ClassicalGroup(kind, rank)):
-            yield arthur_parameter(target, psi.blocks)
-
-
 @functools.lru_cache(maxsize=1)
 def _sample():
     """Seeded corpus sample, PER_KIND parameters of each group kind, as
     (psi, psi_plus, datum_plus, height)."""
     rng = random.Random(SEED)
     params = []
-    for kind, ranks in (("Sp", (1, 2, 3)), ("SOodd", (1, 2, 3, 4)), ("SOeven", (1, 2, 3, 4))):
-        params += rng.sample(list(_signed_corpus(kind, ranks)), PER_KIND)
+    signed = list(corpus(signed=True))
+    for kind in ("Sp", "SOodd", "SOeven"):
+        params += rng.sample([psi for psi in signed if psi.group.kind == kind], PER_KIND)
     out = []
     for psi in params:
         offs = canonical_offsets(psi)
@@ -228,16 +206,15 @@ def _pair_sharing_a_sweep():
     """The first two signed-corpus parameters whose filtration sweeps share
     a layout and a height but not the shifts, as (psi, datum_plus, height)."""
     first = {}
-    for kind, ranks in (("Sp", (1, 2, 3)), ("SOodd", (1, 2, 3, 4)), ("SOeven", (1, 2, 3, 4))):
-        for psi in _signed_corpus(kind, ranks):
-            offs = canonical_offsets(psi)
-            plus = dominate(psi, offs)
-            datum = aq_datum(plus, enumerate_levis(plus)[0])
-            height = 2 * max(offs, default=0)
-            key = (datum.levi.a_list, datum.levi.g0.rank, datum.levi.g0.kind, height)
-            if key in first and lambda_tilde(first[key][0]) != lambda_tilde(psi):
-                return first[key], (psi, datum, height)
-            first.setdefault(key, (psi, datum, height))
+    for psi in corpus(signed=True):
+        offs = canonical_offsets(psi)
+        plus = dominate(psi, offs)
+        datum = aq_datum(plus, enumerate_levis(plus)[0])
+        height = 2 * max(offs, default=0)
+        key = (datum.levi.a_list, datum.levi.g0.rank, datum.levi.g0.kind, height)
+        if key in first and lambda_tilde(first[key][0]) != lambda_tilde(psi):
+            return first[key], (psi, datum, height)
+        first.setdefault(key, (psi, datum, height))
     raise AssertionError("no two corpus parameters share a sweep")
 
 

@@ -335,9 +335,12 @@ def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
         (["verify", "norms", "--spec", "{ex1}", "--trials", "-5"], "--trials"),
         (["verify", "kostant", "--n", "4", "--max-entry", "-1"], "--max-entry"),
         (["verify", "all", "--spec", "{ex1}", "--n", "2", "--max-entry", "-1"], "--max-entry"),
-        (["verify", "twisted-trace", "--n", "-1"], "--n must be at least 0"),
-        (["verify", "kostant", "--n", "-1"], "--n must be at least 0"),
+        (["verify", "twisted-trace", "--n", "-1"], "--n must be at least 1"),
+        (["verify", "kostant", "--n", "-1"], "--n must be at least 1"),
         (["verify", "filtration", "--spec", "{ex1}", "--height-bound", "-1"], "--height-bound"),
+        (["verify", "twisted-trace", "--n", "0"], "--n must be at least 1"),
+        (["verify", "kostant", "--n", "0"], "--n must be at least 1"),
+        (["verify", "all", "--spec", "{ex1}", "--n", "0"], "--n must be at least 1"),
     ],
 )
 def test_vacuous_counts_exit_two(ex1_path, capsys, argv, message):
@@ -353,7 +356,7 @@ def test_filtration_levi_rows_share_one_sweep(ex1_path, capsys):
     rows = json.loads(capsys.readouterr().out)["results"]["filtration"]["levis"]
     assert len(rows) == 3
     info = aq._layout_sweep.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 0)
 
 
 def test_malformed_offsets_flag_exits_two(ex1_path, capsys):

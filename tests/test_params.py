@@ -13,6 +13,7 @@ from arthurcomb.params import (
     block,
     canonical_offsets,
     component_group,
+    corpus,
     dimension,
     dominate,
     domination_offsets,
@@ -350,3 +351,15 @@ def test_dominate_preserves_structure_corpus():
             assert plus.unipotent == psi.unipotent
             gl = inf_char(plus, "GL").entries
             assert sorted(-e for e in gl) == sorted(gl)
+
+
+def test_corpus_modes_share_their_parameters():
+    bare = list(corpus())
+    signed = list(corpus(signed=True))
+    assert len(bare) == len(signed) == 1072
+    assert [(p.group.kind, p.group.rank, p.blocks) for p in bare] == [
+        (p.group.kind, p.group.rank, p.blocks) for p in signed
+    ]
+    assert all(p.group.signature is None for p in bare)
+    assert all(p.group.quasi_split for p in signed)
+    assert [k for k, _ in itertools.groupby(p.group.kind for p in bare)] == ["Sp", "SOodd", "SOeven"]

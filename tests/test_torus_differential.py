@@ -21,10 +21,9 @@ from hypothesis import strategies as st
 
 from arthurcomb import torus
 from arthurcomb.params import (
-    ClassicalGroup,
     canonical_offsets,
+    corpus,
     dominate,
-    enumerate_parameters,
     inf_char,
 )
 from arthurcomb.torus import UniquenessReport, translation_weight, uniqueness_check
@@ -32,12 +31,6 @@ from arthurcomb.weyl import Weight
 
 SEED = 20260810
 FULL_SAMPLE = 6
-
-BARE_GROUPS = (
-    [ClassicalGroup("Sp", r) for r in (1, 2, 3)]
-    + [ClassicalGroup("SOodd", r) for r in (1, 2, 3, 4)]
-    + [ClassicalGroup("SOeven", r) for r in (1, 2, 3, 4)]
-)
 
 
 # --- oracle: the enumerating code ----------------------------------------------
@@ -121,13 +114,8 @@ def old_uniqueness_check(psi, psi_plus):
 # --- the cases -------------------------------------------------------------------
 
 
-def _corpus():
-    for g in BARE_GROUPS:
-        yield from enumerate_parameters(g)
-
-
 def _canonical_pairs():
-    for psi in _corpus():
+    for psi in corpus():
         yield psi, dominate(psi, canonical_offsets(psi))
 
 
@@ -153,7 +141,7 @@ def test_reports_match_oracle_up_to_720_rearrangements():
 
 def test_reports_match_oracle_at_threshold_zero():
     not_unique = 0
-    for psi in _corpus():
+    for psi in corpus():
         plus = dominate(psi, canonical_offsets(psi, threshold=0), threshold=0)
         not_unique += not _assert_same_report(psi, plus).unique
     assert not_unique, "threshold 0 must include pairs with several matches"
