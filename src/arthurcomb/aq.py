@@ -42,7 +42,7 @@ from .params import (
     inf_char,
     quotient_map,
 )
-from .weyl import Weight
+from .weyl import Weight, _vector
 
 __all__ = [
     "LeviDatum",
@@ -147,10 +147,18 @@ def _residual_signature(g: ClassicalGroup, factors: tuple[tuple[int, int], ...])
     return p_big - 2 * sum(p for p, _q in factors), q_big - 2 * sum(q for _p, q in factors)
 
 
+def _discrete_layout(psi: ArthurParameter) -> tuple[tuple[int, ...], int]:
+    """The discrete block sizes a_i and the residual rank n_0 = rank - sum a_i.
+
+    n_0 >= 0 for every parameter, as its dimension check gives 2 sum a_i <= n*."""
+    a_list = tuple(a for _t2, a in psi.discrete)
+    return a_list, psi.group.rank - sum(a_list)
+
+
 def _check_levi(psi: ArthurParameter, levi: LeviDatum) -> None:
     """Reject a Levi datum that does not fit the parameter, with the same
     arithmetic as ``enumerate_levis`` but O(blocks) work."""
-    a_list = [a for _t2, a in psi.discrete]
+    a_list, n0 = _discrete_layout(psi)
     if len(a_list) != len(levi.unitary_factors):
         raise ParameterError("Levi factor count does not match the discrete blocks")
     for i, ((p, q), a) in enumerate(zip(levi.unitary_factors, a_list), 1):
@@ -159,7 +167,6 @@ def _check_levi(psi: ArthurParameter, levi: LeviDatum) -> None:
     g, g0 = psi.group, levi.g0
     if g0.kind != g.kind:
         raise ParameterError(f"G_0 kind {g0.kind} differs from the group kind {g.kind}")
-    n0 = g.rank - sum(a_list)
     if g0.rank != n0:
         raise ParameterError(f"G_0 rank {g0.rank} != {n0}, the rank left by the discrete blocks")
     if g.signature is not None:
@@ -199,7 +206,7 @@ def packet_data(
     return PacketData(psi, canon)
 
 
-def enumerate_levis(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[LeviDatum]:
+def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
     """All Levi data consistent with the real form's signature.
 
     Each discrete block of size a contributes a factor U(p, q) with
@@ -209,12 +216,8 @@ def enumerate_levis(psi: ArthurParameter, group: ClassicalGroup | None = None) -
     """
     if not good_parity(psi).ok:
         raise ParityError("Levi enumeration requires good parity")
-    g = psi.group if group is None else group
-    disc = psi.discrete
-    a_list = [a for _t2, a in disc]
-    n0 = g.rank - sum(a_list)
-    if n0 < 0:
-        raise ParameterError("discrete blocks exceed the rank")
+    g = psi.group
+    a_list, n0 = _discrete_layout(psi)
     out: list[LeviDatum] = []
     for ps in itertools.product(*(range(a + 1) for a in a_list)):
         factors = tuple((p, a - p) for p, a in zip(ps, a_list))
@@ -233,35 +236,30 @@ def enumerate_levis(psi: ArthurParameter, group: ClassicalGroup | None = None) -
     return out
 
 
-def _lambda_tilde_doubled(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[int]:
+def _lambda_tilde_doubled(psi: ArthurParameter) -> list[int]:
     """2 t_i~ = t2_i + a_i - 1 + 2 eps_G + 2 (sum_{j>i} a_j + n_0), in integers."""
-    g = psi.group if group is None else group
-    disc = psi.discrete
-    a_list = [a for _t2, a in disc]
-    n0 = g.rank - sum(a_list)
-    if n0 < 0:
-        raise ParameterError("discrete blocks exceed the rank")
-    eps2 = int(2 * g.epsilon_g)
+    a_list, n0 = _discrete_layout(psi)
+    eps2 = int(2 * psi.group.epsilon_g)
     out = []
-    for i, (t2, a) in enumerate(disc):
+    for i, (t2, a) in enumerate(psi.discrete):
         tail = sum(a_list[i + 1 :])
         out.append(t2 + a - 1 + eps2 + 2 * (tail + n0))
     return out
 
 
-def lambda_tilde_fractions(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[Fraction]:
+def lambda_tilde_fractions(psi: ArthurParameter) -> list[Fraction]:
     """The character shifts t_i~ as exact fractions, no integrality check."""
-    return [Fraction(d, 2) for d in _lambda_tilde_doubled(psi, group)]
+    return [Fraction(d, 2) for d in _lambda_tilde_doubled(psi)]
 
 
-def lambda_tilde(psi: ArthurParameter, group: ClassicalGroup | None = None) -> list[int]:
+def lambda_tilde(psi: ArthurParameter) -> list[int]:
     """t_i~ = t_i + (a_i - 1)/2 + eps_G + sum_{j>i} a_j + n_0, all integers.
 
     Integrality of every shift is exactly the good-parity criterion; a
     fractional value raises ParityError.
     """
     out = []
-    for i, d in enumerate(_lambda_tilde_doubled(psi, group)):
+    for i, d in enumerate(_lambda_tilde_doubled(psi)):
         if d % 2:
             raise ParityError(f"t~_{i + 1} = {Fraction(d, 2)} is not an integer (bad parity)")
         out.append(d // 2)
@@ -287,44 +285,30 @@ def nilradical_roots(a_list: tuple[int, ...], n0: int, kind: str) -> list[Weight
     blocks = _block_ranges(a_list)
     g0_range = range(n - n0, n)
     roots: list[Weight] = []
-
-    def vec(pairs) -> Weight:
-        d = [0] * n
-        for idx, val in pairs:
-            d[idx] = val
-        return Weight(tuple(d))
-
     for bi, blk in enumerate(blocks):
         for s in blk:
             # within the block only e_s + e_t leaves the gl(a_i) factor
             for t in blk:
                 if t > s:
-                    roots.append(vec([(s, 2), (t, 2)]))
+                    roots.append(_vector(n, (s, 2), (t, 2)))
             for later in blocks[bi + 1 :]:
                 for t in later:
-                    roots.append(vec([(s, 2), (t, -2)]))
-                    roots.append(vec([(s, 2), (t, 2)]))
+                    roots.append(_vector(n, (s, 2), (t, -2)))
+                    roots.append(_vector(n, (s, 2), (t, 2)))
             for t in g0_range:
-                roots.append(vec([(s, 2), (t, -2)]))
-                roots.append(vec([(s, 2), (t, 2)]))
+                roots.append(_vector(n, (s, 2), (t, -2)))
+                roots.append(_vector(n, (s, 2), (t, 2)))
             if kind == "Sp":
-                roots.append(vec([(s, 4)]))
+                roots.append(_vector(n, (s, 4)))
             elif kind == "SOodd":
-                roots.append(vec([(s, 2)]))
+                roots.append(_vector(n, (s, 2)))
     return roots
 
 
 def delta_u(a_list: tuple[int, ...], n0: int, kind: str) -> Weight:
     """Half sum of the nilradical roots; constant on each unitary block,
     zero on the residual coordinates."""
-    n = sum(a_list) + n0
-    total = [0] * n
-    for r in nilradical_roots(a_list, n0, kind):
-        for i, v in enumerate(r.doubled):
-            total[i] += v
-    if any(v % 2 for v in total):
-        raise RuntimeError("half sum is not half-integral")
-    return Weight(tuple(v // 2 for v in total))
+    return Weight(_layout_roots(tuple(a_list), n0, kind)[1])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -333,7 +317,11 @@ def _layout_roots(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Doubled nilradical roots and doubled delta(u) of one layout."""
     roots = tuple(r.doubled for r in nilradical_roots(a_list, n0, kind))
-    return roots, delta_u(a_list, n0, kind).doubled
+    # twice delta(u) is the root sum, so doubled delta(u) is the doubled sum halved
+    total = [sum(col) for col in zip(*roots)] or [0] * (sum(a_list) + n0)
+    if any(v % 2 for v in total):
+        raise RuntimeError("half sum is not half-integral")
+    return roots, tuple(v // 2 for v in total)
 
 
 @dataclass(frozen=True)
@@ -565,19 +553,16 @@ def _layout_sweep(
 
     # dominance for the Levi, as functionals that must be >= 0:
     # non-increasing within each gl block and on the residual tail, whose
-    # root system then asks for mu[-1] >= 0 (B, C) or mu[-2] >= |mu[-1]| (D)
-    def functional(*entries: tuple[int, int]) -> list[int]:
-        f = [0] * n
-        for i, val in entries:
-            f[i] = val
-        return f
-
+    # root system then asks for mu[-1] >= 0 (B, C) or mu[-2] >= |mu[-1]| (D;
+    # the tail's span already holds mu[-2] >= mu[-1], so add mu[-2] >= -mu[-1])
     spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n)]
-    dominance = [functional((s, 1), (s + 1, -1)) for lo, hi in spans for s in range(lo, hi - 1)]
+    dominance = [
+        _vector(n, (s, 1), (s + 1, -1)).doubled for lo, hi in spans for s in range(lo, hi - 1)
+    ]
     if n0 >= 1 and kind != "SOeven":
-        dominance.append(functional((n - 1, 1)))
+        dominance.append(_vector(n, (n - 1, 1)).doubled)
     elif n0 >= 2:
-        dominance += [functional((n - 2, 1), (n - 1, -1)), functional((n - 2, 1), (n - 1, 1))]
+        dominance.append(_vector(n, (n - 2, 1), (n - 1, 1)).doubled)
     pairings = ([] if lam_d is None else [lam_d]) + [_delta_l1(a_list)]
     rows = tuple(r + tuple(sum(map(mul, f, r)) for f in dominance + pairings) for r in roots)
     layers, truncated, digits = _monoid_sums(rows, height, cap)

@@ -50,9 +50,6 @@ from .aq import (
 )
 from .params import g_inf_char
 
-SUITES = ("uniqueness", "twisted-trace", "filtration", "parity", "norms", "kostant", "all")
-SPEC_SUITES = ("uniqueness", "filtration", "parity", "norms", "all")
-
 
 class SpecError(ValueError):
     pass
@@ -289,8 +286,8 @@ def make_report(command: str, payload, seed, results: dict, verdicts: list[dict]
     }
 
 
-def emit_report(report: dict, fmt: str = "json", out=None) -> None:
-    out = out or sys.stdout
+def emit_report(report: dict, fmt: str = "json") -> None:
+    out = sys.stdout
     if fmt == "json":
         out.write(json.dumps(report, sort_keys=True, indent=1))
         out.write("\n")
@@ -515,24 +512,24 @@ def _suite_filtration(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, li
     offs, plus = pair()
     height = s.height_bound if s.height_bound is not None else 2 * max(offs, default=0)
     data = [aq_datum(plus, levi) for levi in enumerate_levis(plus)]
-    ranges = [range_check(d).verdict for d in data]
-    if any(r != "good" for r in ranges):
-        raise ParameterError("filtration sweep requires a good-range datum")
     # every Levi datum of psi_+ has the same layout and shifts, and the
-    # height is given, so one sweep gives every row's report
+    # height is given, so one range check and one sweep give every row
+    verdict = range_check(data[0]).verdict
+    if verdict != "good":
+        raise ParameterError("filtration sweep requires a good-range datum")
     rep = filtration_vanishing(data[0], psi, height)
     certified = rep.cert_weight_pairing and rep.cert_unitary_support
     per_levi = [
         {
             "levi": str(d.levi),
-            "range": r,
+            "range": verdict,
             "enumerated": rep.enumerated,
             "dominant": rep.dominant_count,
             "violations": len(rep.violations),
             "certificates": certified,
             "truncated": rep.truncated,
         }
-        for d, r in zip(data, ranges)
+        for d in data
     ]
     results = {"offsets": offs, "height_bound": height, "levis": per_levi}
     ok = not rep.violations and certified
@@ -565,16 +562,20 @@ def _suite_kostant(psi, s: Settings, pair) -> tuple[dict, list[dict]]:
     return results, [_verdict("kostant", ok, f"{len(rows)} weight(s) checked")]
 
 
-# report key -> suite, in report order; the suites marked True are skipped
-# for a parameter of bad parity
+# report key -> (suite, needs --spec, skipped for a parameter of bad
+# parity), in report order; the suite's name is its key with "-" for "_"
 VERIFY_SUITES = {
-    "parity": (_suite_parity, False),
-    "uniqueness": (_suite_uniqueness, True),
-    "norms": (_suite_norms, True),
-    "filtration": (_suite_filtration, True),
-    "twisted_trace": (_suite_twisted, False),
-    "kostant": (_suite_kostant, False),
+    "parity": (_suite_parity, True, False),
+    "uniqueness": (_suite_uniqueness, True, True),
+    "norms": (_suite_norms, True, True),
+    "filtration": (_suite_filtration, True, True),
+    "twisted_trace": (_suite_twisted, False, False),
+    "kostant": (_suite_kostant, False, False),
 }
+SUITES = tuple(key.replace("_", "-") for key in VERIFY_SUITES) + ("all",)
+SPEC_SUITES = tuple(
+    key.replace("_", "-") for key, (_suite, needs_spec, _parity) in VERIFY_SUITES.items() if needs_spec
+) + ("all",)
 
 
 def cmd_verify(args, psi, s, pair) -> tuple[dict, list[dict]]:
@@ -583,7 +584,7 @@ def cmd_verify(args, psi, s, pair) -> tuple[dict, list[dict]]:
     good = psi is None or good_parity(psi).ok
     results: dict = {}
     verdicts: list[dict] = []
-    for key, (suite, needs_good_parity) in VERIFY_SUITES.items():
+    for key, (suite, _needs_spec, needs_good_parity) in VERIFY_SUITES.items():
         if args.suite in (key.replace("_", "-"), "all") and (good or not needs_good_parity):
             results[key], suite_verdicts = suite(psi, s, pair)
             verdicts.extend(suite_verdicts)

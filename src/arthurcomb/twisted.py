@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .weyl import Weight
+from .weyl import GroupType, Weight, orbit, weyl_elements
 
 __all__ = [
     "TwistedTorusElement",
@@ -113,13 +113,12 @@ def theta_fixed_weyl(n: int) -> ThetaFixedWeyl:
         raise ValueError("n must be >= 1")
     m = n // 2
     pairs = []
-    for perm in itertools.permutations(range(m)):
-        for signs in itertools.product((1, -1), repeat=m):
-            p = list(range(n))
-            for i in range(m):
-                p[i] = perm[i] if signs[i] == 1 else n - 1 - perm[i]
-                p[n - 1 - i] = n - 1 - p[i]
-            pairs.append((tuple(p), (perm, signs)))
+    for w in weyl_elements(GroupType("C", m)):
+        p = list(range(n))
+        for i in range(m):
+            p[i] = w.src[i] if w.signs[i] == 1 else n - 1 - w.src[i]
+            p[n - 1 - i] = n - 1 - p[i]
+        pairs.append((tuple(p), (w.src, w.signs)))
     pairs.sort()
     return ThetaFixedWeyl(n, tuple(p for p, _image in pairs), tuple(pairs))
 
@@ -204,14 +203,12 @@ def kostant_theta_invariance(n: int, mu: Weight) -> bool:
 
 
 def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """Orbit of nu under signed permutations of the first k coordinates."""
-    m = len(nu)
+    """Orbit of nu under signed permutations of the first k coordinates,
+    sorted.  The group acts linearly, so the C_k orbit of the integer head
+    is taken as is, without doubling."""
     head, tail = nu[:k], nu[k:]
-    out = set()
-    for p in itertools.permutations(head):
-        for signs in itertools.product((1, -1), repeat=k):
-            out.add(tuple(s * v for s, v in zip(signs, p)) + tail)
-    return sorted(out)
+    orb, _stab = orbit(GroupType("C", k), Weight(head))
+    return sorted(w.doubled + tail for w in orb)
 
 
 @dataclass(frozen=True)

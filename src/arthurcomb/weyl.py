@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "GroupType",
@@ -174,60 +174,38 @@ def weyl_elements(t: GroupType) -> Iterator[WeylElement]:
             yield WeylElement(perm, signs)
 
 
-def _swap(n: int, i: int) -> WeylElement:
-    src = list(range(n))
-    src[i], src[i + 1] = src[i + 1], src[i]
-    return WeylElement(tuple(src), (1,) * n)
-
-
 def _flip(n: int, i: int) -> WeylElement:
     signs = [1] * n
     signs[i] = -1
     return WeylElement(tuple(range(n)), tuple(signs))
 
 
-def _d_reflection(n: int) -> WeylElement:
-    # reflection in e_{n-1} + e_n: swap the last two coordinates, negate both
-    src = list(range(n))
-    src[n - 2], src[n - 1] = src[n - 1], src[n - 2]
-    signs = [1] * n
-    signs[n - 2] = signs[n - 1] = -1
-    return WeylElement(tuple(src), tuple(signs))
+def _vector(n: int, *entries: tuple[int, int]) -> Weight:
+    """The length-n vector with the given (index, doubled value) entries
+    and zeros elsewhere."""
+    d = [0] * n
+    for i, v in entries:
+        d[i] = v
+    return Weight(tuple(d))
 
 
 def generators(t: GroupType) -> list[WeylElement]:
     """Simple reflections, plus the outer flip for extended D."""
-    n = t.rank
-    gens = [_swap(n, i) for i in range(n - 1)]
-    if t.family in ("B", "C") and n >= 1:
-        gens.append(_flip(n, n - 1))
-    elif t.family == "D":
-        if n >= 2:
-            gens.append(_d_reflection(n))
-        if t.extended and n >= 1:
-            gens.append(_flip(n, n - 1))
+    gens = [reflection(t, a) for a in simple_roots(t)]
+    if t.extended and t.rank >= 1:
+        gens.append(_flip(t.rank, t.rank - 1))
     return gens
 
 
 def simple_roots(t: GroupType) -> list[Weight]:
     n = t.rank
-    roots = []
-    for i in range(n - 1):
-        d = [0] * n
-        d[i], d[i + 1] = 2, -2
-        roots.append(Weight(tuple(d)))
+    roots = [_vector(n, (i, 2), (i + 1, -2)) for i in range(n - 1)]
     if t.family == "B" and n >= 1:
-        d = [0] * n
-        d[n - 1] = 2
-        roots.append(Weight(tuple(d)))
+        roots.append(_vector(n, (n - 1, 2)))
     elif t.family == "C" and n >= 1:
-        d = [0] * n
-        d[n - 1] = 4
-        roots.append(Weight(tuple(d)))
+        roots.append(_vector(n, (n - 1, 4)))
     elif t.family == "D" and n >= 2:
-        d = [0] * n
-        d[n - 2] = d[n - 1] = 2
-        roots.append(Weight(tuple(d)))
+        roots.append(_vector(n, (n - 2, 2), (n - 1, 2)))
     return roots
 
 
@@ -236,23 +214,12 @@ def positive_roots(t: GroupType) -> list[Weight]:
     roots = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = [0] * n
-            d[i], d[j] = 2, -2
-            roots.append(Weight(tuple(d)))
+            roots.append(_vector(n, (i, 2), (j, -2)))
             if t.family != "A":
-                d = [0] * n
-                d[i] = d[j] = 2
-                roots.append(Weight(tuple(d)))
-    if t.family == "B":
-        for i in range(n):
-            d = [0] * n
-            d[i] = 2
-            roots.append(Weight(tuple(d)))
-    elif t.family == "C":
-        for i in range(n):
-            d = [0] * n
-            d[i] = 4
-            roots.append(Weight(tuple(d)))
+                roots.append(_vector(n, (i, 2), (j, 2)))
+    if t.family in ("B", "C"):
+        long = 2 if t.family == "B" else 4
+        roots += [_vector(n, (i, long)) for i in range(n)]
     return roots
 
 
@@ -292,6 +259,23 @@ def _check_length(t: GroupType, w: Weight) -> None:
         raise ValueError(f"weight of length {len(w)} does not match {t}")
 
 
+def _closure(start, moves: list[Callable]) -> set:
+    """Everything reached from ``start`` by applying ``moves`` repeatedly,
+    breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def orbit(t: GroupType, w: Weight) -> tuple[frozenset[Weight], int]:
     """Full orbit of ``w`` under the acting group, plus stabilizer order.
 
@@ -300,18 +284,7 @@ def orbit(t: GroupType, w: Weight) -> tuple[frozenset[Weight], int]:
     than the group for singular weights.
     """
     _check_length(t, w)
-    gens = [(g.src, g.signs) for g in generators(t)]
-    seen = {w.doubled}
-    frontier = [w.doubled]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for src, signs in gens:
-                y = tuple(signs[i] * x[src[i]] for i in range(len(x)))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    seen = _closure(w.doubled, [g.apply_doubled for g in generators(t)])
     orb = frozenset(Weight(x) for x in seen)
     return orb, weyl_order(t) // len(orb)
 
@@ -374,21 +347,6 @@ def half_sum_positive_roots(t: GroupType) -> Weight:
     return Weight(tuple(2 * (n - 1 - i) for i in range(n)))
 
 
-def _subgroup_closure(gens: list[WeylElement], n: int) -> set[WeylElement]:
-    group = {WeylElement.identity(n)}
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = s * g
-                if h not in group:
-                    group.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return group
-
-
 def levi_subgroup(t: GroupType, levi_simple_roots: Iterable[Weight]) -> set[WeylElement]:
     """The reflection subgroup generated by a subset of the simple roots."""
     simples = set(simple_roots(t))
@@ -396,8 +354,7 @@ def levi_subgroup(t: GroupType, levi_simple_roots: Iterable[Weight]) -> set[Weyl
     for a in levi:
         if a not in simples:
             raise ValueError(f"{a} is not a simple root of {t}")
-    refs = [reflection(t, a) for a in levi]
-    return _subgroup_closure(refs, t.rank)
+    return _closure(WeylElement.identity(t.rank), [reflection(t, a).__mul__ for a in levi])
 
 
 def kostant_reps(t: GroupType, levi_simple_roots: Iterable[Weight]) -> list[WeylElement]:

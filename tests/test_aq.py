@@ -29,6 +29,7 @@ from arthurcomb.params import (
     block,
     canonical_offsets,
     component_group,
+    corpus,
     dominate,
     enumerate_parameters,
     good_parity,
@@ -211,6 +212,19 @@ def test_range_check_no_discrete_blocks_is_good():
     psi = arthur_parameter(SP2, [block(0, 5)])
     d = aq_datum(psi, enumerate_levis(psi)[0])
     assert range_check(d).verdict == "good"
+
+
+def test_range_check_is_shared_by_the_levi_data_of_a_parameter():
+    # range_check reads only the layout and the shifts, which all Levi data
+    # of one parameter share, so `verify filtration` checks one datum
+    checked = 0
+    for psi in corpus(signed=True):
+        plus = dominate(psi, canonical_offsets(psi))
+        for side in (plus, psi):
+            results = [range_check(aq_datum(side, levi)) for levi in enumerate_levis(side)]
+            assert all(r == results[0] for r in results), str(side)
+            checked += 1
+    assert checked == 2 * 1072
 
 
 # --- filtration vanishing -----------------------------------------------------------

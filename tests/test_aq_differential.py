@@ -349,8 +349,8 @@ def test_filtration_matches_oracle_when_the_pairing_certificate_fails(monkeypatc
     sample = _sample()  # the data are built with the true shifts
     true_shifts = aq.lambda_tilde
 
-    def reversed_shifts(psi, group=None):
-        return true_shifts(psi, group)[::-1]
+    def reversed_shifts(psi):
+        return true_shifts(psi)[::-1]
 
     monkeypatch.setattr(aq, "lambda_tilde", reversed_shifts)
     monkeypatch.setitem(globals(), "lambda_tilde", reversed_shifts)
@@ -383,8 +383,8 @@ def test_layout_sweep_keeps_reversed_and_certified_sweeps_apart(monkeypatch):
     after it, still matches the oracle."""
     true_shifts = aq.lambda_tilde
 
-    def reversed_shifts(psi, group=None):
-        return true_shifts(psi, group)[::-1]
+    def reversed_shifts(psi):
+        return true_shifts(psi)[::-1]
 
     failed = 0
     for psi, _plus, datum, height in _sample():

@@ -215,6 +215,25 @@ def test_extremal_coset_count_matches_restricted_orbit():
             assert len(rep.extremal_cosets) == len(_signed_orbit(head, n // 2))
 
 
+def _signed_orbit_oracle(nu, k):
+    """Every sign pattern on every rearrangement of the first k entries."""
+    head, tail = nu[:k], nu[k:]
+    out = set()
+    for p in itertools.permutations(head):
+        for signs in itertools.product((1, -1), repeat=k):
+            out.add(tuple(s * v for s, v in zip(signs, p)) + tail)
+    return sorted(out)
+
+
+def test_signed_orbit_matches_brute_force():
+    from arthurcomb.twisted import _signed_orbit
+
+    for length in range(5):
+        for nu in itertools.product(range(4), repeat=length):
+            for k in range(length + 1):
+                assert _signed_orbit(nu, k) == _signed_orbit_oracle(nu, k), (nu, k)
+
+
 def test_theta_invariant_weight_generator():
     mus = list(theta_invariant_dominant_weights(4, 1))
     assert weight([1, 1, -1, -1]) in mus
