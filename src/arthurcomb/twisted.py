@@ -15,6 +15,7 @@ theta-fixed.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -57,14 +58,17 @@ class TwistedTorusElement:
     def is_regular(self, tol: float = 1e-8) -> bool:
         """Sufficient desk-scale regularity: the norm coordinates are
         pairwise distinct and different from +-1."""
-        vals = norm_map(self)
-        for i, v in enumerate(vals):
-            if abs(v - 1) < tol or abs(v + 1) < tol:
+        return _regular_norm(norm_map(self), tol)
+
+
+def _regular_norm(vals: tuple[complex, ...], tol: float) -> bool:
+    for i, v in enumerate(vals):
+        if abs(v - 1) < tol or abs(v + 1) < tol:
+            return False
+        for w in vals[i + 1 :]:
+            if abs(v - w) < tol:
                 return False
-            for w in vals[i + 1 :]:
-                if abs(v - w) < tol:
-                    return False
-        return True
+    return True
 
 
 def torus_element(entries: Iterable[complex]) -> TwistedTorusElement:
@@ -172,12 +176,43 @@ def extremal_rep(n: int, mu: Weight) -> ExtremalRep:
     return ExtremalRep(n, mu, cosets)
 
 
-def _char_value(entries: tuple[complex, ...], exponents: tuple[int, ...]) -> complex:
-    out = 1.0 + 0.0j
-    for e, k in zip(entries, exponents):
-        if k:
-            out *= e**k
-    return out
+# Laurent monomials, each as the power-table indices of its non-zero exponents.
+_Monomials = tuple[tuple[int, ...], ...]
+
+
+def _coset_exponents(rep: ExtremalRep) -> list[tuple[int, ...]]:
+    return [tuple(d // 2 for d in w.doubled) for _rep, w in rep.extremal_cosets]
+
+
+def _flat_monomials(exponents: Iterable[tuple[int, ...]], bound: int) -> _Monomials:
+    """Each Laurent monomial as the indices, into a ``_power_table`` of
+    the same bound, of its non-zero exponents in coordinate order."""
+    width = 2 * bound + 1
+    return tuple(
+        tuple(i * width + bound + k for i, k in enumerate(e) if k) for e in exponents
+    )
+
+
+def _power_table(entries: tuple[complex, ...], bound: int) -> list[complex]:
+    """e**p for every entry e and every p in [-bound, bound], entry-major."""
+    return [e**p for e in entries for p in range(-bound, bound + 1)]
+
+
+def _monomial_values(table: list[complex], monomials: _Monomials) -> Iterator[complex]:
+    """Each monomial's value: the product of its table entries, left to
+    right, starting from 1.0+0.0j."""
+    for idx in monomials:
+        value = 1.0 + 0.0j
+        for i in idx:
+            value *= table[i]
+        yield value
+
+
+def _extremal_sum(table: list[complex], monomials: _Monomials) -> complex:
+    total = 0.0 + 0.0j
+    for value in _monomial_values(table, monomials):
+        total += value
+    return total
 
 
 def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
@@ -186,13 +221,17 @@ def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
     Theta acts trivially on every theta-fixed extremal line, so the trace
     is the sum of the fixed extremal characters at t; non-fixed lines are
     permuted off the diagonal and contribute zero.
+
+    Evaluation order (shared with ``verify_transfer_identity``): each
+    character is the product, left to right from 1.0+0.0j, of ``e**k``
+    over the coordinates whose exponent k is non-zero, and the characters
+    are added with ``+=`` from 0.0+0.0j in coset order.
     """
     if t.n != rep.n:
         raise ValueError("torus element length mismatch")
-    total = 0.0 + 0.0j
-    for _rep, w in rep.extremal_cosets:
-        total += _char_value(t.entries, tuple(d // 2 for d in w.doubled))
-    return total
+    exponents = _coset_exponents(rep)
+    bound = max((abs(k) for e in exponents for k in e), default=0)
+    return _extremal_sum(_power_table(t.entries, bound), _flat_monomials(exponents, bound))
 
 
 def kostant_theta_invariance(n: int, mu: Weight) -> bool:
@@ -236,6 +275,14 @@ def verify_transfer_identity(
     identity is exact there).  Random trials draw unit-modulus regular
     torus elements from the given seed; the maximum absolute residual
     over the trials is reported.
+
+    The residual is bit-for-bit that of evaluating every character
+    directly: the trials are the first ``trials`` regular draws from
+    ``random.Random(seed)``; each character is the product, left to right
+    from 1.0+0.0j, of ``e**k`` (read from a per-trial table) over its
+    non-zero exponents k; the twisted side adds them with ``+=`` from
+    0.0+0.0j in coset order (``twisted_trace_extremal``), and the
+    endoscopic side with ``sum()`` in sorted orbit order.
     """
     n = len(mu)
     x = _check_twistable(n, mu)
@@ -243,29 +290,41 @@ def verify_transfer_identity(
     k = m if endo_rank is None else endo_rank
     if not 0 <= k <= m:
         raise ValueError(f"endo_rank must be between 0 and {m}")
-    rep = extremal_rep(n, mu)
-    nu = x[:m]
-    orbit_exps = _signed_orbit(nu, k)
-    rng = random.Random(seed)
+    bound = max(map(abs, x), default=0)
+    lhs_monomials = _flat_monomials(_coset_exponents(extremal_rep(n, mu)), bound)
+    rhs_monomials = _flat_monomials(_signed_orbit(x[:m], k), bound)
     worst = 0.0
-    for _ in range(trials):
-        t = _random_regular(rng, n)
-        lhs = twisted_trace_extremal(rep, t)
-        nt = norm_map(t)
-        rhs = sum(_char_value(nt, e) for e in orbit_exps)
+    for entries, nt in _draws(n, trials, seed):
+        lhs = _extremal_sum(_power_table(entries, bound), lhs_monomials)
+        rhs = sum(_monomial_values(_power_table(nt, bound), rhs_monomials))
         worst = max(worst, abs(lhs - rhs))
     return TransferIdentityReport(
         n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=worst
     )
 
 
-def _random_regular(rng: random.Random, n: int, attempts: int = 1000) -> TwistedTorusElement:
+@functools.lru_cache(maxsize=8)
+def _draws(
+    n: int, trials: int, seed: int
+) -> tuple[tuple[tuple[complex, ...], tuple[complex, ...]], ...]:
+    """The trial elements of ``verify_transfer_identity``, as (entries,
+    norm map) pairs: the first ``trials`` regular draws from
+    ``random.Random(seed)``.  Every weight of one sweep shares them; each
+    key holds O(trials·n) complex numbers, for at most 8 keys."""
+    rng = random.Random(seed)
+    return tuple(_random_regular(rng, n) for _ in range(trials))
+
+
+def _random_regular(
+    rng: random.Random, n: int, attempts: int = 1000
+) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     for _ in range(attempts):
         t = TwistedTorusElement(
             tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
         )
-        if n < 2 or t.is_regular(tol=1e-6):
-            return t
+        nt = norm_map(t)
+        if _regular_norm(nt, 1e-6):
+            return t.entries, nt
     raise RuntimeError("could not sample a regular torus element")
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +35,25 @@ def full_packet():
     """Builds the packet of a parameter from every Levi datum paired with
     every character of its component group, Levis outermost."""
     return _full_packet
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_cli(args):
+    """`python -m arthurcomb.cli args` in a child process that imports the
+    package from this checkout's src/, ahead of any installed copy; its
+    stdout and stderr are kept as bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "arthurcomb.cli", *args],
+        capture_output=True,
+        env=env,
+    )
+
+
+@pytest.fixture
+def run_cli():
+    """Runs the CLI of this checkout in a child process."""
+    return _run_cli

@@ -8,8 +8,6 @@ kinds.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -228,7 +226,7 @@ def test_criterion_7_translation_round_trip(full_packet):
     )
 
 
-def test_criterion_8_cli_determinism(tmp_path):
+def test_criterion_8_cli_determinism(tmp_path, run_cli):
     spec = {
         "group": {"kind": "Sp", "rank": 2},
         "blocks": [{"t": "3/2", "a": 2}, {"t": "0", "a": 1}],
@@ -237,21 +235,15 @@ def test_criterion_8_cli_determinism(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
 
-    def run(extra):
-        return subprocess.run(
-            [sys.executable, "-m", "arthurcomb.cli", *extra],
-            capture_output=True,
-        )
-
     commands = [
         ["verify", "all", "--spec", str(path), "--seed", "7"],
         ["verify", "twisted-trace", "--n", "4", "--trials", "50", "--seed", "3"],
     ]
     mismatches = 0
     for cmd in commands:
-        first = run(cmd + ["--workers", "1"])
-        second = run(cmd + ["--workers", "1"])
-        workers = run(cmd + ["--workers", "2"])
+        first = run_cli(cmd + ["--workers", "1"])
+        second = run_cli(cmd + ["--workers", "1"])
+        workers = run_cli(cmd + ["--workers", "2"])
         if not (first.stdout == second.stdout == workers.stdout):
             mismatches += 1
         if first.returncode != 0:

@@ -1,8 +1,6 @@
 import contextlib
 import io
 import json
-import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,15 +29,6 @@ def ex1_path(tmp_path):
     p = tmp_path / "ex1.json"
     p.write_text(json.dumps(EX1_SPEC))
     return str(p)
-
-
-def run_cli(args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "arthurcomb.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    return proc
 
 
 # --- spec parsing -----------------------------------------------------------
@@ -457,7 +446,7 @@ def test_fuzzed_spec_and_packet_files_exit_cleanly(tmp_path, command, data):
 # --- determinism -----------------------------------------------------------------
 
 
-def test_report_bytes_deterministic(ex1_path):
+def test_report_bytes_deterministic(ex1_path, run_cli):
     args = ["verify", "all", "--spec", ex1_path, "--seed", "7"]
     a = run_cli(args)
     b = run_cli(args)
@@ -466,7 +455,7 @@ def test_report_bytes_deterministic(ex1_path):
     assert a.stdout  # nonempty
 
 
-def test_report_bytes_independent_of_workers(ex1_path):
+def test_report_bytes_independent_of_workers(ex1_path, run_cli):
     base = ["verify", "all", "--spec", ex1_path, "--seed", "7"]
     a = run_cli(base + ["--workers", "1"])
     b = run_cli(base + ["--workers", "2"])
@@ -474,7 +463,7 @@ def test_report_bytes_independent_of_workers(ex1_path):
     assert a.stdout == b.stdout
 
 
-def test_text_and_json_agree_on_verdicts(ex1_path):
+def test_text_and_json_agree_on_verdicts(ex1_path, run_cli):
     j = run_cli(["verify", "uniqueness", "--spec", ex1_path, "--offsets", "5"])
     t = run_cli(
         ["verify", "uniqueness", "--spec", ex1_path, "--offsets", "5", "--format", "text"]
@@ -482,4 +471,4 @@ def test_text_and_json_agree_on_verdicts(ex1_path):
     assert j.returncode == t.returncode == 0
     report = json.loads(j.stdout)
     assert all(v["status"] == "pass" for v in report["verdicts"])
-    assert "overall: pass" in t.stdout
+    assert b"overall: pass" in t.stdout

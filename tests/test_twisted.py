@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arthurcomb.twisted import (
     TwistedTorusElement,
@@ -316,3 +318,87 @@ def test_theta_fixed_weyl_matches_full_group_oracle():
         tf = theta_fixed_weyl(n)
         assert list(tf.elements) == fixed
         assert list(tf.signed_images) == [(p, _signed_image(p, n)) for p in fixed]
+
+
+# --- table evaluation against the direct per-coset loop -------------------------
+
+
+def _char_value(entries, exponents):
+    """Oracle: a Laurent character evaluated coordinate by coordinate."""
+    out = 1.0 + 0.0j
+    for e, k in zip(entries, exponents):
+        if k:
+            out *= e**k
+    return out
+
+
+def _oracle_trace(rep, t):
+    total = 0.0 + 0.0j
+    for _rep, w in rep.extremal_cosets:
+        total += _char_value(t.entries, tuple(d // 2 for d in w.doubled))
+    return total
+
+
+def _oracle_residual(mu, endo_rank, trials, seed):
+    """Oracle: a fresh draw per trial and every character evaluated directly."""
+    n = len(mu)
+    m = n // 2
+    x = tuple(d // 2 for d in mu.doubled)
+    rep = extremal_rep(n, mu)
+    orbit_exps = _signed_orbit_oracle(x[:m], endo_rank)
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(trials):
+        while True:
+            t = TwistedTorusElement(
+                tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
+            )
+            if n < 2 or t.is_regular(tol=1e-6):
+                break
+        nt = norm_map(t)
+        rhs = sum(_char_value(nt, e) for e in orbit_exps)
+        worst = max(worst, abs(_oracle_trace(rep, t) - rhs))
+    return worst
+
+
+def test_transfer_identity_matches_oracle_on_every_small_weight():
+    weights = [mu for n in range(9) for mu in theta_invariant_dominant_weights(n, 3)]
+    assert len(weights) == 105
+    for mu in weights:
+        got = verify_transfer_identity(mu, trials=100, seed=7).max_residual
+        assert got == _oracle_residual(mu, len(mu) // 2, 100, 7), mu
+
+
+def test_transfer_identity_matches_oracle_for_every_endo_rank():
+    for n in range(7):
+        for mu in theta_invariant_dominant_weights(n, 3):
+            for k in range(n // 2 + 1):
+                for seed in (0, 3):
+                    for trials in (1, 37):
+                        got = verify_transfer_identity(mu, k, trials, seed).max_residual
+                        assert got == _oracle_residual(mu, k, trials, seed), (mu, k, seed, trials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_twisted_trace_matches_oracle_on_random_elements(data):
+    n = data.draw(st.integers(1, 8))
+    mu = data.draw(st.sampled_from(list(theta_invariant_dominant_weights(n, 3))))
+    angles = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    t = torus_element(cmath.exp(2j * cmath.pi * a) for a in angles)
+    rep = extremal_rep(n, mu)
+    assert twisted_trace_extremal(rep, t) == _oracle_trace(rep, t)
+
+
+def test_shared_draws_give_the_same_reports_cold_and_warm():
+    from arthurcomb.twisted import _draws
+
+    weights = list(theta_invariant_dominant_weights(6, 3))
+    cold = []
+    for mu in weights:
+        _draws.cache_clear()
+        cold.append(verify_transfer_identity(mu, trials=37, seed=3))
+    hits = _draws.cache_info().hits
+    warm = [verify_transfer_identity(mu, trials=37, seed=3) for mu in weights]
+    assert _draws.cache_info().hits == hits + len(weights)
+    assert warm == cold
