@@ -37,7 +37,6 @@ from .params import (
     QuotientMap,
     arthur_parameter,
     component_group,
-    domination_offsets,
     good_parity,
     inf_char,
     quotient_map,
@@ -749,7 +748,6 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     kernel acquire a vanishing annotation and are dropped.
     """
     psi_plus = packet_plus.psi
-    domination_offsets(psi, psi_plus)
     qm = quotient_map(psi_plus, psi)
     shifts_plus = lambda_tilde(psi_plus)
     shifts = lambda_tilde(psi)

@@ -231,7 +231,7 @@ def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> Uniquen
         raise ParameterError("uniqueness check requires good parity")
     datum = translation_weight(psi, psi_plus)
     nu_plus = _nu_display_doubled(psi_plus)
-    target = _gl_doubled(psi)
+    target = inf_char(psi, "GL").doubled
     lam_items = datum.lambda_GL.doubled
     aligned = tuple(-x for x in lam_items)
     matches, nodes = _orbit_matches(nu_plus, lam_items, target)
@@ -244,10 +244,6 @@ def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> Uniquen
         rearrangements=_rearrangement_count(lam_items),
         nodes=nodes,
     )
-
-
-def _gl_doubled(psi: ArthurParameter) -> tuple[int, ...]:
-    return inf_char(psi, "GL").doubled
 
 
 def transfer_infchar(nu: InfChar, group: ClassicalGroup) -> InfChar:

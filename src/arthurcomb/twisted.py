@@ -140,18 +140,20 @@ def _check_twistable(n: int, mu: Weight) -> tuple[int, ...]:
     return x
 
 
-def _theta_fixed_cosets(x: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(Kostant representative, extremal weight) of each theta-fixed coset
-    of W/W_x, by descending weight, for x theta-invariant and dominant.
-    Such a rearrangement of x is set by its first floor(n/2) entries, a
-    signed rearrangement of x's head (the middle entry of odd n is 0); as
-    x is non-increasing, the minimal-length w with target[w[i]] = x[i]
-    lists target's positions in a stable descending sort."""
-    n = len(x)
-    m = n // 2
-    for head in reversed(_signed_orbit(x[:m], m)):
-        target = head + x[m : n - m] + theta_weight(head)
-        yield tuple(sorted(range(n), key=lambda j: -target[j])), target
+def _theta_fixed_targets(x: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The theta-fixed rearrangements of x (theta-invariant, dominant),
+    descending.  Each is set by its first m = floor(n/2) entries, a signed
+    rearrangement of x's head (the middle entry of odd n is 0): the C_m
+    orbit of the head, in reverse of ``_signed_orbit``'s sorted order."""
+    m = len(x) // 2
+    return [h + x[m : len(x) - m] + theta_weight(h) for h in reversed(_signed_orbit(x[:m], m))]
+
+
+def _kostant_rep(target: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimal-length w with target[w[i]] = x[i], x the dominant
+    rearrangement of target: as x is non-increasing, w lists target's
+    positions in a stable descending sort."""
+    return tuple(sorted(range(len(target)), key=lambda j: -target[j]))
 
 
 @dataclass(frozen=True)
@@ -171,17 +173,13 @@ class ExtremalRep:
 def extremal_rep(n: int, mu: Weight) -> ExtremalRep:
     x = _check_twistable(n, mu)
     cosets = tuple(
-        (rep, Weight(tuple(2 * v for v in target))) for rep, target in _theta_fixed_cosets(x)
+        (_kostant_rep(t), Weight(tuple(2 * v for v in t))) for t in _theta_fixed_targets(x)
     )
     return ExtremalRep(n, mu, cosets)
 
 
 # Laurent monomials, each as the power-table indices of its non-zero exponents.
 _Monomials = tuple[tuple[int, ...], ...]
-
-
-def _coset_exponents(rep: ExtremalRep) -> list[tuple[int, ...]]:
-    return [tuple(d // 2 for d in w.doubled) for _rep, w in rep.extremal_cosets]
 
 
 def _flat_monomials(exponents: Iterable[tuple[int, ...]], bound: int) -> _Monomials:
@@ -229,7 +227,7 @@ def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
     """
     if t.n != rep.n:
         raise ValueError("torus element length mismatch")
-    exponents = _coset_exponents(rep)
+    exponents = [tuple(d // 2 for d in w.doubled) for _rep, w in rep.extremal_cosets]
     bound = max((abs(k) for e in exponents for k in e), default=0)
     return _extremal_sum(_power_table(t.entries, bound), _flat_monomials(exponents, bound))
 
@@ -238,7 +236,7 @@ def kostant_theta_invariance(n: int, mu: Weight) -> bool:
     """Check theta(w) = w for the Kostant representative of every
     theta-stable coset of W/W_mu.  Exact; returns True iff all pass."""
     x = _check_twistable(n, mu)
-    return all(theta_perm(rep) == rep for rep, _target in _theta_fixed_cosets(x))
+    return all(theta_perm(w) == w for w in map(_kostant_rep, _theta_fixed_targets(x)))
 
 
 def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
@@ -282,7 +280,8 @@ def verify_transfer_identity(
     from 1.0+0.0j, of ``e**k`` (read from a per-trial table) over its
     non-zero exponents k; the twisted side adds them with ``+=`` from
     0.0+0.0j in coset order (``twisted_trace_extremal``), and the
-    endoscopic side with ``sum()`` in sorted orbit order.
+    endoscopic side with ``sum()`` in sorted orbit order.  Draws with
+    trials * n <= ``_DRAW_CACHE_ENTRIES`` are cached, larger ones redrawn.
     """
     n = len(mu)
     x = _check_twistable(n, mu)
@@ -291,10 +290,14 @@ def verify_transfer_identity(
     if not 0 <= k <= m:
         raise ValueError(f"endo_rank must be between 0 and {m}")
     bound = max(map(abs, x), default=0)
-    lhs_monomials = _flat_monomials(_coset_exponents(extremal_rep(n, mu)), bound)
-    rhs_monomials = _flat_monomials(_signed_orbit(x[:m], k), bound)
+    targets = _theta_fixed_targets(x)
+    # in the principal case the targets' heads, ascending, are the C_m orbit
+    heads = [t[:m] for t in reversed(targets)] if k == m else _signed_orbit(x[:m], k)
+    lhs_monomials = _flat_monomials(targets, bound)
+    rhs_monomials = _flat_monomials(heads, bound)
+    draws = (_draws if trials * n <= _DRAW_CACHE_ENTRIES else _draw_iter)(n, trials, seed)
     worst = 0.0
-    for entries, nt in _draws(n, trials, seed):
+    for entries, nt in draws:
         lhs = _extremal_sum(_power_table(entries, bound), lhs_monomials)
         rhs = sum(_monomial_values(_power_table(nt, bound), rhs_monomials))
         worst = max(worst, abs(lhs - rhs))
@@ -303,29 +306,37 @@ def verify_transfer_identity(
     )
 
 
+# the most trial entries (trials * n) that one key of _draws keeps
+_DRAW_CACHE_ENTRIES = 10_000
+
+
 @functools.lru_cache(maxsize=8)
 def _draws(
     n: int, trials: int, seed: int
 ) -> tuple[tuple[tuple[complex, ...], tuple[complex, ...]], ...]:
+    """``_draw_iter``'s pairs, shared by every weight of one sweep: at most
+    8 keys, each of at most ``_DRAW_CACHE_ENTRIES`` trial entries."""
+    return tuple(_draw_iter(n, trials, seed))
+
+
+def _draw_iter(
+    n: int, trials: int, seed: int
+) -> Iterator[tuple[tuple[complex, ...], tuple[complex, ...]]]:
     """The trial elements of ``verify_transfer_identity``, as (entries,
     norm map) pairs: the first ``trials`` regular draws from
-    ``random.Random(seed)``.  Every weight of one sweep shares them; each
-    key holds O(trials·n) complex numbers, for at most 8 keys."""
+    ``random.Random(seed)``."""
     rng = random.Random(seed)
-    return tuple(_random_regular(rng, n) for _ in range(trials))
-
-
-def _random_regular(
-    rng: random.Random, n: int, attempts: int = 1000
-) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    for _ in range(attempts):
-        t = TwistedTorusElement(
-            tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
-        )
-        nt = norm_map(t)
-        if _regular_norm(nt, 1e-6):
-            return t.entries, nt
-    raise RuntimeError("could not sample a regular torus element")
+    for _ in range(trials):
+        for _attempt in range(1000):
+            t = TwistedTorusElement(
+                tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
+            )
+            nt = norm_map(t)
+            if _regular_norm(nt, 1e-6):
+                yield t.entries, nt
+                break
+        else:
+            raise RuntimeError("could not sample a regular torus element")
 
 
 def theta_invariant_dominant_weights(n: int, max_entry: int) -> Iterator[Weight]:

@@ -40,20 +40,26 @@ def full_packet():
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _run_cli(args):
-    """`python -m arthurcomb.cli args` in a child process that imports the
-    package from this checkout's src/, ahead of any installed copy; its
-    stdout and stderr are kept as bytes."""
+def _run_python(args):
+    """`python args` in a child process that imports the package from this
+    checkout's src/, ahead of any installed copy; its stdout and stderr
+    are kept as bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "arthurcomb.cli", *args],
-        capture_output=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def _run_cli(args):
+    return _run_python(["-m", "arthurcomb.cli", *args])
 
 
 @pytest.fixture
 def run_cli():
     """Runs the CLI of this checkout in a child process."""
     return _run_cli
+
+
+@pytest.fixture
+def run_python():
+    """Runs the interpreter in a child process that sees this checkout."""
+    return _run_python

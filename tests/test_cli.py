@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -472,3 +474,23 @@ def test_text_and_json_agree_on_verdicts(ex1_path, run_cli):
     report = json.loads(j.stdout)
     assert all(v["status"] == "pass" for v in report["verdicts"])
     assert b"overall: pass" in t.stdout
+
+
+# --- dependencies ----------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import sys
+bare = set(sys.modules)
+import arthurcomb, arthurcomb.cli
+print(sorted(set(sys.modules) - bare))
+"""
+
+
+def test_package_imports_only_the_standard_library(run_python):
+    # the package declares no runtime dependencies, even where numpy is installed
+    out = run_python(["-c", _IMPORT_PROBE])
+    assert out.returncode == 0, out.stderr
+    added = ast.literal_eval(out.stdout.decode())
+    assert "arthurcomb.cli" in added
+    tops = {name.partition(".")[0] for name in added}
+    assert tops - set(sys.stdlib_module_names) == {"arthurcomb"}

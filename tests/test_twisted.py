@@ -402,3 +402,27 @@ def test_shared_draws_give_the_same_reports_cold_and_warm():
     warm = [verify_transfer_identity(mu, trials=37, seed=3) for mu in weights]
     assert _draws.cache_info().hits == hits + len(weights)
     assert warm == cold
+
+
+def test_draws_past_the_cache_bound_are_not_kept():
+    from arthurcomb.twisted import _DRAW_CACHE_ENTRIES, _draws
+
+    mu = weight([1, 0, 0, 0, 0, 0, 0, -1])
+    trials = _DRAW_CACHE_ENTRIES // 8 + 1
+    size = _draws.cache_info().currsize
+    got = verify_transfer_identity(mu, trials=trials, seed=5).max_residual
+    assert _draws.cache_info().currsize == size
+    assert got == _oracle_residual(mu, 4, trials, 5)
+
+
+@pytest.mark.parametrize("endo_rank, orbits", [(None, 1), (3, 1), (2, 2), (0, 2)])
+def test_transfer_identity_builds_a_second_orbit_only_off_principal(
+    monkeypatch, endo_rank, orbits
+):
+    from arthurcomb import twisted
+
+    calls = []
+    real = twisted._signed_orbit
+    monkeypatch.setattr(twisted, "_signed_orbit", lambda *a: calls.append(a) or real(*a))
+    verify_transfer_identity(weight([2, 1, 0, 0, -1, -2]), endo_rank, trials=3)
+    assert len(calls) == orbits
