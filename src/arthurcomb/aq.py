@@ -20,6 +20,7 @@ order.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import heapq
 import itertools
@@ -519,7 +520,53 @@ def _delta_l1(a_list: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((a - 1) - 2 * k for a in a_list for k in range(a))
 
 
-@functools.lru_cache(maxsize=256)
+_SweepInfo = collections.namedtuple("_SweepInfo", "hits misses maxsize currsize")
+
+
+class _SweepCache:
+    """The cache of ``_layout_sweep``: least recently used first out, at
+    most ``maxsize`` entries, with ``cache_info`` and ``cache_clear`` as
+    ``functools.lru_cache`` has them.
+
+    A sweep that did not stop at the cap is kept under its whole key.  A
+    sweep that stopped at the cap is kept under the key without its height
+    and answers every height at or above its stop layer (the argument is
+    in ``_layout_sweep``); a call at a lower height has a key of its own.
+    A call answered from an entry counts as a hit, a sweep run as a miss.
+    """
+
+    maxsize = 256
+
+    def __init__(self, sweep):
+        functools.update_wrapper(self, sweep)
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.entries: collections.OrderedDict = collections.OrderedDict()
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _SweepInfo:
+        return _SweepInfo(self.hits, self.misses, self.maxsize, len(self.entries))
+
+    def __call__(self, a_list, n0, kind, height, cap, lam_d):
+        # entry[2] is the sweep's truncation flag, entry[3] its layer count
+        base = (a_list, n0, kind, cap, lam_d)
+        capped = self.entries.get(base)
+        key = base if capped is not None and height >= capped[3] else base + (height,)
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            self.entries.move_to_end(key)
+            return entry
+        self.misses += 1
+        entry = self.__wrapped__(a_list, n0, kind, height, cap, lam_d)
+        self.entries[base if entry[2] else key] = entry
+        if len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+        return entry
+
+
+@_SweepCache
 def _layout_sweep(
     a_list: tuple[int, ...],
     n0: int,
@@ -527,7 +574,7 @@ def _layout_sweep(
     height: int,
     cap: int,
     lam_d: tuple[int, ...] | None,
-) -> tuple[int, int, bool, _Digits, int, bytes]:
+) -> tuple[int, int, bool, int, _Digits, int, bytes]:
     """The dominant part of the monoid sweep of one layout, height and cap.
 
     The packed rows hold the coordinates of each nilradical root, the
@@ -535,16 +582,31 @@ def _layout_sweep(
     None, then ``<delta_L1, r>``.  A dominant state is a *suspect* when one
     of those pairings is negative or its unitary part is zero.
 
-    Returns ``(enumerated, dominant_count, truncated, digits, head,
-    states)``: the counts and truncation flag of the sweep, its digit
-    layout, and in ``states`` (``digits.to_bytes``) the first ``head``
-    dominant states, ``head`` <= ``_REPORTED_ITEMS``, then the suspects
-    past them, all in increasing order.  Nothing else is kept.
+    Returns ``(enumerated, dominant_count, truncated, layers, digits, head,
+    states)``: the counts and truncation flag of the sweep, the number of
+    layers it built, its digit layout, and in ``states``
+    (``digits.to_bytes``) the first ``head`` dominant states, ``head`` <=
+    ``_REPORTED_ITEMS``, then the suspects past them, all in increasing
+    order.  Nothing else is kept.
 
     ``lam_d`` (the doubled shifts on the unitary coordinates) is None when
     the caller's pairing certificate holds, so that every parameter of the
     layout shares one entry: the pairing is then >= 0 on every state and
     would add no suspect.
+
+    A sweep that stops at the cap does so in its last layer, the L-th,
+    which is empty when the cap was reached exactly at the end of layer
+    L - 1 (the first new state of layer L then stops it).  A sweep of the
+    same layout, cap and ``lam_d`` at any height h >= L builds the same L
+    layers and stops at the same state: the height enters only through the
+    digit widths and the number of layers allowed, and integer order is
+    coordinate-tuple order whatever the widths (``_monoid_sums``), so both
+    sweeps extend the same sorted frontiers in the same order.  Their
+    counts, flag, head and suspects are then equal, and the entry's own
+    ``digits`` decode its ``states``.  So ``_SweepCache`` keeps one entry
+    for every height >= L.  A height below L builds fewer layers and does
+    not stop at the cap, and a sweep that did not stop at the cap may grow
+    with the height, so both keep the height in their key.
     """
     n_u = sum(a_list)
     n = n_u + n0
@@ -584,6 +646,7 @@ def _layout_sweep(
         sum(map(len, layers)),
         sum(map(len, dominant)),
         truncated,
+        len(layers),
         digits,
         len(head),
         digits.to_bytes(head + suspects),
@@ -630,8 +693,12 @@ def filtration_vanishing(
 
     The monoid, the dominance test and <delta_L1, mu_1> depend only on the
     layout (block sizes, residual rank and kind), the height and the state
-    cap, so one sweep per key ``(layout, height, cap, lam_d)`` is cached
-    by ``_layout_sweep`` and read by every parameter that shares it.
+    cap, so ``_layout_sweep`` caches one sweep per key ``(layout, height,
+    cap, lam_d)`` and every parameter that shares the key reads it.  A
+    sweep that stops at the cap in its L-th layer is the same sweep at
+    every height >= L (``_layout_sweep`` shows why), so it is run once and
+    read at all those heights; a lower height, or a sweep that did not
+    stop at the cap, keeps a key of its own.
     <lambda, mu_1> is the one term that depends on the shifts.  When
     ``cert_weight_pairing`` holds it is >= 0 on every state (first point
     above), so leaving it out of the suspect test drops no suspect: the
@@ -681,7 +748,7 @@ def filtration_vanishing(
     dominant_count = 0
     truncated = False
     if roots:
-        enumerated, dominant_count, truncated, digits, head, states = _layout_sweep(
+        enumerated, dominant_count, truncated, _layers, digits, head, states = _layout_sweep(
             a_list, n0, kind, height_bound, state_cap, None if cert_pairing else lam_d
         )
         quarters: dict[int, Fraction] = {}

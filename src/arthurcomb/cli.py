@@ -212,6 +212,10 @@ def resolve_settings(args, options: dict) -> Settings:
     height_bound = option("height_bound")
     if height_bound is not None and height_bound < 0:
         raise SpecError(f"--height-bound/options.height_bound must be at least 0, got {height_bound}")
+    # a negative gap bound would act as 0
+    threshold = option("threshold")
+    if threshold is not None and threshold < 0:
+        raise SpecError(f"--threshold/options.threshold must be at least 0, got {threshold}")
 
     suite = getattr(args, "suite", None)
     n = getattr(args, "n", None)
@@ -226,7 +230,7 @@ def resolve_settings(args, options: dict) -> Settings:
         trials=trials,
         offsets=tuple(offsets),
         offsets_given=offsets_given,
-        threshold=option("threshold"),
+        threshold=threshold,
         height_bound=height_bound,
         n=n,
         weights=() if n is None else _weight_list(n, args.mu, args.max_entry),

@@ -404,3 +404,85 @@ def test_layout_sweep_keeps_reversed_and_certified_sweeps_apart(monkeypatch):
             assert (info.misses, info.hits) == ((1, 2) if certified[1] else (2, 1))
         failed += not certified[1]
     assert failed, "the sample must have reversed shifts that fail the certificate"
+
+
+# --- one capped sweep for every height at or above its stop layer ------------
+
+
+def _capped_corpus_layout():
+    """The first signed-corpus parameter of the SOodd layout a = (1,1,1,1),
+    n_0 = 0 at each of its heights, as height: (psi, datum_plus, height);
+    the sweep stops at the state cap below every one of those heights."""
+    out = {}
+    for psi in corpus(signed=True):
+        if psi.group.kind != "SOodd":
+            continue
+        offs = canonical_offsets(psi)
+        plus = dominate(psi, offs)
+        datum = aq_datum(plus, enumerate_levis(plus)[0])
+        height = 2 * max(offs, default=0)
+        if (datum.levi.a_list, datum.levi.g0.rank) == ((1, 1, 1, 1), 0):
+            out.setdefault(height, (psi, datum, height))
+    return out
+
+
+def _layers(datum, height, cap):
+    layers, truncated, _digits = aq._monoid_sums(tuple(_doubled_roots(datum)), height, cap)
+    return layers, truncated
+
+
+def _check_one_sweep_at_and_above_the_stop_layer(cases, cap, near=(-2, -1, 0, 1)):
+    """``cases`` are (psi, datum_plus, height) of one layout whose sweep
+    stops at ``cap``.  With L its stop layer, the calls are the highest
+    case, then heights L + k (k in ``near``, heights at least 0, in
+    increasing order) of its parameter, then the other cases.  Each report
+    equals the oracle's, whether the cache is cleared before the call
+    (cold) or holds the calls before it (warm), and the warm calls run one
+    sweep for every height >= L and one for each height below L."""
+    psi, datum, top = max(cases, key=lambda c: c[2])
+    layers, truncated = _layers(datum, top, cap)
+    assert truncated, "the sweep must stop at the cap"
+    stop = len(layers)
+    heights = sorted({max(stop + k, 0) for k in near} - {top})
+    below = [h for h in heights if h < stop]
+    calls = [(psi, datum, top)] + [(psi, datum, h) for h in heights]
+    calls += [c for c in cases if c[2] != top]
+    oracle = [old_filtration_vanishing(d, p, height_bound=h, state_cap=cap) for p, d, h in calls]
+    assert [rep.truncated for rep in oracle] == [h >= stop for _p, _d, h in calls]
+    cold = []
+    for p, d, h in calls:
+        aq._layout_sweep.cache_clear()
+        cold.append(aq.filtration_vanishing(d, p, height_bound=h, state_cap=cap))
+    aq._layout_sweep.cache_clear()
+    warm = [aq.filtration_vanishing(d, p, height_bound=h, state_cap=cap) for p, d, h in calls]
+    info = aq._layout_sweep.cache_info()
+    assert cold == oracle, (str(psi), cap)
+    assert warm == oracle, (str(psi), cap)
+    assert (info.misses, info.hits) == (1 + len(below), len(calls) - 1 - len(below)), (str(psi), cap)
+    return stop, layers[-1]
+
+
+def test_capped_corpus_sweep_is_run_once_for_every_height_at_or_above_its_stop_layer():
+    cases = _capped_corpus_layout()
+    assert sorted(cases) == [58, 60, 62, 64]
+    # the oracle takes about a second per call at the full cap, so two
+    # of the four heights and L-1, L stand for the layout
+    stop, _last = _check_one_sweep_at_and_above_the_stop_layer(
+        [cases[58], cases[64]], FILTRATION_STATE_CAP, near=(-1, 0)
+    )
+    assert stop < 58
+
+
+def test_capped_sample_sweeps_are_run_once_for_every_height_at_or_above_their_stop_layer():
+    checked = {0: 0, 1: 0, 37: 0, "filled": 0}
+    for psi, _plus, datum, height in _sample():
+        # a cap reached exactly at the end of layer 2: the first new state
+        # of layer 3 stops the sweep, so its stop layer holds no state
+        filled = sum(map(len, _layers(datum, 2, 10**6)[0]))
+        for cap, name in ((0, 0), (1, 1), (37, 37), (filled, "filled")):
+            if not _layers(datum, height, cap)[1]:
+                continue  # no roots, height 0, or all states fit under the cap
+            stop, last = _check_one_sweep_at_and_above_the_stop_layer([(psi, datum, height)], cap)
+            assert name != "filled" or (stop, last) == (3, [])
+            checked[name] += 1
+    assert min(checked.values()) >= 5, checked

@@ -309,6 +309,7 @@ def test_flags_override_spec_options(ex1_path, capsys):
         ({"trials": 0}, "options.trials must be at least 1"),
         ({"trials": -5}, "options.trials must be at least 1"),
         ({"height_bound": -1}, "options.height_bound must be at least 0"),
+        ({"threshold": -1}, "options.threshold must be at least 0"),
     ],
 )
 def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
@@ -332,6 +333,8 @@ def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
         (["verify", "twisted-trace", "--n", "0"], "--n must be at least 1"),
         (["verify", "kostant", "--n", "0"], "--n must be at least 1"),
         (["verify", "all", "--spec", "{ex1}", "--n", "0"], "--n must be at least 1"),
+        (["verify", "filtration", "--spec", "{ex1}", "--threshold", "-1"], "--threshold"),
+        (["dominate", "--spec", "{ex1}", "--threshold", "-2"], "--threshold"),
     ],
 )
 def test_vacuous_counts_exit_two(ex1_path, capsys, argv, message):
