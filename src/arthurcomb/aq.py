@@ -548,9 +548,9 @@ class _SweepCache:
     def cache_info(self) -> _SweepInfo:
         return _SweepInfo(self.hits, self.misses, self.maxsize, len(self.entries))
 
-    def __call__(self, a_list, n0, kind, height, cap, lam_d):
+    def __call__(self, a_list, n0, kind, height, cap):
         # entry[2] is the sweep's truncation flag, entry[3] its layer count
-        base = (a_list, n0, kind, cap, lam_d)
+        base = (a_list, n0, kind, cap)
         capped = self.entries.get(base)
         key = base if capped is not None and height >= capped[3] else base + (height,)
         entry = self.entries.get(key)
@@ -559,7 +559,7 @@ class _SweepCache:
             self.entries.move_to_end(key)
             return entry
         self.misses += 1
-        entry = self.__wrapped__(a_list, n0, kind, height, cap, lam_d)
+        entry = self.__wrapped__(a_list, n0, kind, height, cap)
         self.entries[base if entry[2] else key] = entry
         if len(self.entries) > self.maxsize:
             self.entries.popitem(last=False)
@@ -573,14 +573,15 @@ def _layout_sweep(
     kind: str,
     height: int,
     cap: int,
-    lam_d: tuple[int, ...] | None,
 ) -> tuple[int, int, bool, int, _Digits, int, bytes]:
     """The dominant part of the monoid sweep of one layout, height and cap.
 
     The packed rows hold the coordinates of each nilradical root, the
-    Levi-dominance functionals, then ``<lam_d, r>`` unless ``lam_d`` is
-    None, then ``<delta_L1, r>``.  A dominant state is a *suspect* when one
-    of those pairings is negative or its unitary part is zero.
+    Levi-dominance functionals, then ``<delta_L1, r>``.  A dominant state
+    is a *suspect* when that pairing is negative or its unitary part is
+    zero.  No shift reaches the sweep: the pairing with the shifts is > 0
+    on every root for every parameter (``filtration_vanishing``), so every
+    parameter of the layout shares one entry.
 
     Returns ``(enumerated, dominant_count, truncated, layers, digits, head,
     states)``: the counts and truncation flag of the sweep, the number of
@@ -589,16 +590,11 @@ def _layout_sweep(
     ``_REPORTED_ITEMS``, then the suspects past them, all in increasing
     order.  Nothing else is kept.
 
-    ``lam_d`` (the doubled shifts on the unitary coordinates) is None when
-    the caller's pairing certificate holds, so that every parameter of the
-    layout shares one entry: the pairing is then >= 0 on every state and
-    would add no suspect.
-
     A sweep that stops at the cap does so in its last layer, the L-th,
     which is empty when the cap was reached exactly at the end of layer
     L - 1 (the first new state of layer L then stops it).  A sweep of the
-    same layout, cap and ``lam_d`` at any height h >= L builds the same L
-    layers and stops at the same state: the height enters only through the
+    same layout and cap at any height h >= L builds the same L layers and
+    stops at the same state: the height enters only through the
     digit widths and the number of layers allowed, and integer order is
     coordinate-tuple order whatever the widths (``_monoid_sums``), so both
     sweeps extend the same sorted frontiers in the same order.  Their
@@ -624,13 +620,13 @@ def _layout_sweep(
         dominance.append(_vector(n, (n - 1, 1)).doubled)
     elif n0 >= 2:
         dominance.append(_vector(n, (n - 2, 1), (n - 1, 1)).doubled)
-    pairings = ([] if lam_d is None else [lam_d]) + [_delta_l1(a_list)]
-    rows = tuple(r + tuple(sum(map(mul, f, r)) for f in dominance + pairings) for r in roots)
+    functionals = dominance + [_delta_l1(a_list)]
+    rows = tuple(r + tuple(sum(map(mul, f, r)) for f in functionals) for r in roots)
     layers, truncated, digits = _monoid_sums(rows, height, cap)
 
     k = n + len(dominance)
     dom_c, dom_h = digits.nonneg(range(n, k))
-    pair_c, pair_h = digits.nonneg(range(k, k + len(pairings)))
+    pair_c, pair_h = digits.nonneg((k,))
     u_mask, u_zero = digits.zeros(range(n_u))
     dominant = [[y for y in layer if (y + dom_c) & dom_h == dom_h] for layer in layers]
     head = list(itertools.islice(heapq.merge(*dominant), _REPORTED_ITEMS))
@@ -676,7 +672,13 @@ def filtration_vanishing(
     - ``cert_weight_pairing`` (<lambda, r> >= 0 for every nilradical root
       r) gives <lambda, mu_1> >= 0: lambda is zero on the residual
       coordinates, so <lambda, mu_1> = <lambda, mu> = sum c_r <lambda, r>
-      with every coefficient c_r >= 0.
+      with every coefficient c_r >= 0.  It holds for every parameter that
+      ``lambda_tilde`` accepts.  In canonical block order t2 does not
+      increase and every a >= 1, so t~_i - t~_{i+1} = (t2_i - t2_{i+1}
+      + a_i + a_{i+1}) / 2 >= 1, and t~_v >= t_v > 0 as eps_G >= 0 and
+      n_0 >= 0.  lambda is constant on each block, and a nilradical root
+      pairs with it as a difference t~_i - t~_j (i < j), a single shift
+      or a sum of two shifts, each > 0, whatever the Levi layout.
     - Levi dominance gives <delta_L1, mu_1> >= 0, by Abel summation on
       each block: with d_1 > ... > d_a the entries of delta_L1 there and
       D_k = d_1 + ... + d_k, the block contributes
@@ -687,24 +689,19 @@ def filtration_vanishing(
       on the residual coordinates) gives grade . mu > 0 for mu != 0, so
       mu_1 != 0 and |mu_1|^2 > 0.
 
-    So a dominant mu != 0 can fail only if one of the two pairings is
-    negative or mu_1 = 0 (a *suspect*), and only the suspects and the
-    first 500 dominant states (the reported items) are decoded.
+    So a dominant mu != 0 can fail only if <delta_L1, mu_1> < 0 or
+    mu_1 = 0 (a *suspect*), and only the suspects and the first 500
+    dominant states (the reported items) are decoded.  Both certificates
+    are still computed and reported, and ``passed`` requires them.
 
-    The monoid, the dominance test and <delta_L1, mu_1> depend only on the
+    The monoid, the dominance test and the suspect test depend only on the
     layout (block sizes, residual rank and kind), the height and the state
     cap, so ``_layout_sweep`` caches one sweep per key ``(layout, height,
-    cap, lam_d)`` and every parameter that shares the key reads it.  A
-    sweep that stops at the cap in its L-th layer is the same sweep at
-    every height >= L (``_layout_sweep`` shows why), so it is run once and
-    read at all those heights; a lower height, or a sweep that did not
-    stop at the cap, keeps a key of its own.
-    <lambda, mu_1> is the one term that depends on the shifts.  When
-    ``cert_weight_pairing`` holds it is >= 0 on every state (first point
-    above), so leaving it out of the suspect test drops no suspect: the
-    key's ``lam_d`` is then None and every parameter of the layout shares
-    the entry.  When the certificate fails, lam_d joins the key and its
-    pairing rides along the sweep as a column of the suspect test.
+    cap)`` and every parameter that shares the key reads it.  A sweep that
+    stops at the cap in its L-th layer is the same sweep at every height
+    >= L (``_layout_sweep`` shows why), so it is run once and read at all
+    those heights; a lower height, or a sweep that did not stop at the
+    cap, keeps a key of its own.
 
     For each state it reads, this function computes the two pairings and
     the norm in 4x integers and decides the verdict from them; the
@@ -714,8 +711,7 @@ def filtration_vanishing(
         raise ParameterError("filtration sweep requires a good-range datum")
     a_list, n0, kind = _layout(d_plus.levi)
     shifts = lambda_tilde(psi)
-    if len(shifts) != len(a_list):
-        raise ParameterError("parameter does not match the Levi datum")
+    _check_levi(psi, d_plus.levi)
     if height_bound is None:
         height_bound = max(d_plus.t_tilde, default=0)
 
@@ -749,7 +745,7 @@ def filtration_vanishing(
     truncated = False
     if roots:
         enumerated, dominant_count, truncated, _layers, digits, head, states = _layout_sweep(
-            a_list, n0, kind, height_bound, state_cap, None if cert_pairing else lam_d
+            a_list, n0, kind, height_bound, state_cap
         )
         quarters: dict[int, Fraction] = {}
 

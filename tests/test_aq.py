@@ -143,6 +143,21 @@ def test_lambda_tilde_integrality_iff_good_parity():
             assert all(v.denominator == 1 for v in lambda_tilde_fractions(psi))
 
 
+def test_lambda_tilde_is_positive_and_strictly_decreasing():
+    """The premise of ``cert_weight_pairing`` holding for every parameter:
+    each nilradical root pairs with the shifts as a difference t~_i - t~_j
+    (i < j), a single shift or a sum of two, so all are positive."""
+    checked = 0
+    for kind in ("Sp", "SOodd", "SOeven"):
+        for rank in range(1, 7):
+            for psi in enumerate_parameters(ClassicalGroup(kind, rank), Fraction(11, 2), 6):
+                shifts = lambda_tilde(psi)
+                assert all(t > 0 for t in shifts), str(psi)
+                assert all(s > t for s, t in zip(shifts, shifts[1:])), str(psi)
+                checked += 1
+    assert checked == 41386
+
+
 # --- layout and delta(u) ---------------------------------------------------------
 
 
@@ -262,6 +277,18 @@ def test_filtration_requires_good_range(ex1):
     bad = AqDatum(d.levi, (-3,), d.sigma, d.lambda_L)
     with pytest.raises(ParameterError):
         filtration_vanishing(bad, ex1)
+
+
+def test_filtration_rejects_parameter_not_fitting_the_levi():
+    # the Levi U(0,2) x Sp(2,R) of psi_+ has one unitary factor, as psi's
+    # one discrete block has, but that block has size 1
+    g = ClassicalGroup("Sp", 3)
+    other = arthur_parameter(g, [block(Fraction(3, 2), 2), block(0, 3)])
+    plus = dominate(other, canonical_offsets(other))
+    d_plus = aq_datum(plus, enumerate_levis(plus)[0])
+    psi = arthur_parameter(g, [block(1, 1), block(0, 5)])
+    with pytest.raises(ParameterError, match=r"U\(0,2\) does not fit discrete block 1 of size 1"):
+        filtration_vanishing(d_plus, psi, height_bound=4)
 
 
 def test_filtration_default_height_bound(ex1):

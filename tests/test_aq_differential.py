@@ -342,26 +342,6 @@ def test_filtration_matches_oracle_with_small_caps():
             assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=cap)
 
 
-def test_filtration_matches_oracle_when_the_pairing_certificate_fails(monkeypatch):
-    """Reversed shifts make lambda pair negatively with some roots, so the
-    sweep finds violations, past the first 500 items too, where only the
-    suspect states are decoded."""
-    sample = _sample()  # the data are built with the true shifts
-    true_shifts = aq.lambda_tilde
-
-    def reversed_shifts(psi):
-        return true_shifts(psi)[::-1]
-
-    monkeypatch.setattr(aq, "lambda_tilde", reversed_shifts)
-    monkeypatch.setitem(globals(), "lambda_tilde", reversed_shifts)
-    late = 0
-    for psi, _plus, datum, height in sample:
-        new = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
-        assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
-        late += len(new.violations) - sum(v in new.items for v in new.violations)
-    assert late, "the sample must have violations past the reported items"
-
-
 def test_layout_sweep_shared_by_parameters_with_other_shifts():
     cases = _pair_sharing_a_sweep()
     cold = []
@@ -377,33 +357,43 @@ def test_layout_sweep_shared_by_parameters_with_other_shifts():
     assert cold[0].items != cold[1].items  # the shifts show in the items
 
 
-def test_layout_sweep_keeps_reversed_and_certified_sweeps_apart(monkeypatch):
-    """A reversed-shift sweep fails the pairing certificate and is cached
-    under its own key; the certified sweep of the same layout, before and
-    after it, still matches the oracle."""
-    true_shifts = aq.lambda_tilde
+def _reversed_shifts(psi):
+    """The shifts of psi in reverse order, so that lambda pairs negatively
+    with some nilradical roots.  No parameter has such shifts (see
+    ``test_aq.py::test_lambda_tilde_is_positive_and_strictly_decreasing``);
+    only these tests give them to the pairing certificate."""
+    return lambda_tilde(psi)[::-1]
 
-    def reversed_shifts(psi):
-        return true_shifts(psi)[::-1]
 
-    failed = 0
+def test_failed_pairing_certificate_fails_the_report(monkeypatch):
+    """At cap 0 no state is read, so the certificate alone must fail the
+    report."""
+    sample = _sample()  # the data are built with the true shifts
+    monkeypatch.setattr(aq, "lambda_tilde", _reversed_shifts)
+    failed = {0: 0, 3000: 0}
+    for psi, _plus, datum, height in sample:
+        for cap in failed:
+            rep = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=cap)
+            if not rep.cert_weight_pairing:
+                assert not rep.passed, (str(psi), cap)
+                assert cap or not rep.violations, str(psi)
+                failed[cap] += 1
+    assert failed == {0: 7, 3000: 7}, "the sample must have reversed shifts that fail the certificate"
+
+
+def test_layout_sweep_does_not_depend_on_the_shifts(monkeypatch):
+    """A reversed-shift call reads the sweep of the true shifts from the
+    cache, and the counts of the two reports agree."""
     for psi, _plus, datum, height in _sample():
         aq._layout_sweep.cache_clear()
-        certified = []
-        for shifts in (true_shifts, reversed_shifts, true_shifts):
+        reports = []
+        for shifts in (lambda_tilde, _reversed_shifts):
             monkeypatch.setattr(aq, "lambda_tilde", shifts)
-            monkeypatch.setitem(globals(), "lambda_tilde", shifts)
-            new = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
-            assert new == old_filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
-            certified.append(new.cert_weight_pairing)
-        assert certified[0] and certified[2]
-        if _doubled_roots(datum):
-            # the certified sweep is run once, the reversed one shares it
-            # only if it passes the certificate too
-            info = aq._layout_sweep.cache_info()
-            assert (info.misses, info.hits) == ((1, 2) if certified[1] else (2, 1))
-        failed += not certified[1]
-    assert failed, "the sample must have reversed shifts that fail the certificate"
+            rep = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=3000)
+            reports.append((rep.enumerated, rep.dominant_count, rep.truncated))
+        assert reports[0] == reports[1], str(psi)
+        info = aq._layout_sweep.cache_info()
+        assert (info.misses, info.hits) == ((1, 1) if _doubled_roots(datum) else (0, 0)), str(psi)
 
 
 # --- one capped sweep for every height at or above its stop layer ------------

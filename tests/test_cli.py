@@ -319,6 +319,20 @@ def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
     assert message in err and "Traceback" not in err
 
 
+# spec files for the argv below: Sp(2,R) with I[1]R[1] + triv R[1], or
+# SO(2,1) with I[1/2]R[1], each with one JSON boolean where a count belongs
+_SP2_SPEC = {"group": {"kind": "Sp", "rank": 1}, "blocks": [{"t": "1", "a": 1}, {"t": "0", "a": 1}]}
+BOOLEAN_COUNT_SPECS = {
+    "{rank_true}": {**_SP2_SPEC, "group": {"kind": "Sp", "rank": True}},
+    "{signature_true}": {
+        "group": {"kind": "SOodd", "rank": 1, "signature": [2, True]},
+        "blocks": [{"t": "1/2", "a": 1}],
+    },
+    "{a_true}": {**_SP2_SPEC, "blocks": [{"t": "1", "a": True}, {"t": "0", "a": 1}]},
+    "{mult_true}": {**_SP2_SPEC, "blocks": [{"t": "1", "a": 1}, {"t": "0", "a": 1, "mult": True}]},
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -335,10 +349,19 @@ def test_malformed_spec_option_exits_two(tmp_path, capsys, options, message):
         (["verify", "all", "--spec", "{ex1}", "--n", "0"], "--n must be at least 1"),
         (["verify", "filtration", "--spec", "{ex1}", "--threshold", "-1"], "--threshold"),
         (["dominate", "--spec", "{ex1}", "--threshold", "-2"], "--threshold"),
+        (["info", "--spec", "{rank_true}"], "group.rank"),
+        (["info", "--spec", "{signature_true}"], "group.signature"),
+        (["info", "--spec", "{a_true}"], "blocks[0].a"),
+        (["info", "--spec", "{mult_true}"], "blocks[1].mult"),
     ],
 )
-def test_vacuous_counts_exit_two(ex1_path, capsys, argv, message):
-    assert main([a.replace("{ex1}", ex1_path) for a in argv]) == 2
+def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
+    paths = {"{ex1}": ex1_path}
+    for name, spec in BOOLEAN_COUNT_SPECS.items():
+        paths[name] = str(tmp_path / f"{name.strip('{}')}.json")
+        with open(paths[name], "w") as f:
+            json.dump(spec, f)
+    assert main([paths.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
