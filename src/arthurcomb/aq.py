@@ -19,7 +19,6 @@ order.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
 import heapq
@@ -377,6 +376,26 @@ class FiltrationItem:
         )
 
 
+class _OnFirstRead:
+    """A dataclass field that may be given a function in place of its
+    value: the function is called on the first read of the field, and its
+    result is kept as the value from then on."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so that the field has no default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class FiltrationReport:
     """Outcome of the vanishing sweep for one datum.
@@ -385,13 +404,15 @@ class FiltrationReport:
     the filtration at once: every nilradical root pairs non-negatively
     with the translated character, and every nilradical root has positive
     unitary support (so mu_1 = 0 forces mu = 0).  The explicit items
-    re-verify the norm expansion on the enumerated layers.
+    re-verify the norm expansion on the first 500 dominant states, in
+    increasing order; ``filtration_vanishing`` hands them over packed, and
+    they are decoded on the first read of ``items``, then kept.
     """
 
     height_bound: int
     enumerated: int
     dominant_count: int
-    items: tuple[FiltrationItem, ...]
+    items: tuple[FiltrationItem, ...] = _OnFirstRead()
     violations: tuple[FiltrationItem, ...]
     truncated: bool
     cert_weight_pairing: bool
@@ -514,6 +535,63 @@ def _monoid_sums(
 _REPORTED_ITEMS = 500
 
 
+@functools.lru_cache(maxsize=4096)
+def _quarter(k4: int) -> Fraction:
+    """k4 / 4, the value of a pairing or norm computed in 4x integers."""
+    return Fraction(k4, 4)
+
+
+class _ItemReader:
+    """Decodes packed states of one datum's sweep into ``FiltrationItem``s.
+
+    All vectors are in doubled-integer coordinates, so products are 4x the
+    values; ``lam_d`` and ``delta_d`` cover the unitary coordinates only,
+    and map() stops there when pairing them with mu.  base = lambda +
+    delta_L1, so |base + mu_1|^2 expands into the base norm, twice the two
+    pairings and |mu_1|^2.
+    """
+
+    def __init__(self, digits: _Digits, n: int, lam_d: tuple[int, ...], delta_d: tuple[int, ...]):
+        self.digits, self.coords, self.n_u = digits, range(n), len(lam_d)
+        self.lam_d, self.delta_d = lam_d, delta_d
+        base_d = tuple(map(add, lam_d, delta_d))
+        self.base_norm4 = sum(map(mul, base_d, base_d))
+
+    def _terms(self, y: int) -> tuple[tuple[int, ...], int, int, int]:
+        """mu and 4x |base + mu_1|^2, <lambda, mu_1>, <delta_L1, mu_1>."""
+        mu_d = self.digits.decode(y, self.coords)
+        mu1_d = mu_d[: self.n_u]
+        pl4 = sum(map(mul, self.lam_d, mu1_d))
+        pd4 = sum(map(mul, self.delta_d, mu1_d))
+        with4 = self.base_norm4 + 2 * (pl4 + pd4) + sum(map(mul, mu1_d, mu1_d))
+        return mu_d, with4, pl4, pd4
+
+    def _item(self, mu_d: tuple[int, ...], with4: int, pl4: int, pd4: int) -> FiltrationItem:
+        return FiltrationItem(
+            mu=Weight(mu_d),
+            mu1=Weight(mu_d[: self.n_u]),
+            norm_with=_quarter(with4),
+            norm_without=_quarter(self.base_norm4),
+            pairing_lambda=_quarter(pl4),
+            pairing_delta=_quarter(pd4),
+        )
+
+    def items(self, blob: bytes) -> tuple[FiltrationItem, ...]:
+        """The items of the states packed in ``blob``, in order."""
+        return tuple(self._item(*self._terms(y)) for y in self.digits.from_bytes(blob))
+
+    def violations(self, states: Iterable[int]) -> tuple[FiltrationItem, ...]:
+        """The items of the ``states`` that fail the norm increase or a
+        pairing sign, in order."""
+        out = []
+        for y in states:
+            terms = self._terms(y)
+            _mu_d, with4, pl4, pd4 = terms
+            if not (with4 > self.base_norm4 and pl4 >= 0 and pd4 >= 0):
+                out.append(self._item(*terms))
+        return tuple(out)
+
+
 def _delta_l1(a_list: tuple[int, ...]) -> tuple[int, ...]:
     """Doubled delta_L1 on the unitary coordinates: (a-1)/2, ..., -(a-1)/2
     on each block."""
@@ -584,11 +662,12 @@ def _layout_sweep(
     parameter of the layout shares one entry.
 
     Returns ``(enumerated, dominant_count, truncated, layers, digits, head,
-    states)``: the counts and truncation flag of the sweep, the number of
-    layers it built, its digit layout, and in ``states``
-    (``digits.to_bytes``) the first ``head`` dominant states, ``head`` <=
-    ``_REPORTED_ITEMS``, then the suspects past them, all in increasing
-    order.  Nothing else is kept.
+    suspects)``: the counts and truncation flag of the sweep, the number
+    of layers it built, its digit layout, and two strings of packed states
+    (``digits.to_bytes``), each in increasing order: in ``head`` the first
+    ``_REPORTED_ITEMS`` dominant states (all of them if there are fewer),
+    in ``suspects`` every suspect among all the dominant states, those of
+    the head included.  Nothing else is kept.
 
     A sweep that stops at the cap does so in its last layer, the L-th,
     which is empty when the cap was reached exactly at the end of layer
@@ -599,10 +678,11 @@ def _layout_sweep(
     coordinate-tuple order whatever the widths (``_monoid_sums``), so both
     sweeps extend the same sorted frontiers in the same order.  Their
     counts, flag, head and suspects are then equal, and the entry's own
-    ``digits`` decode its ``states``.  So ``_SweepCache`` keeps one entry
-    for every height >= L.  A height below L builds fewer layers and does
-    not stop at the cap, and a sweep that did not stop at the cap may grow
-    with the height, so both keep the height in their key.
+    ``digits`` decode its ``head`` and ``suspects``.  So ``_SweepCache``
+    keeps one entry for every height >= L.  A height below L builds fewer
+    layers and does not stop at the cap, and a sweep that did not stop at
+    the cap may grow with the height, so both keep the height in their
+    key.
     """
     n_u = sum(a_list)
     n = n_u + n0
@@ -629,23 +709,21 @@ def _layout_sweep(
     pair_c, pair_h = digits.nonneg((k,))
     u_mask, u_zero = digits.zeros(range(n_u))
     dominant = [[y for y in layer if (y + dom_c) & dom_h == dom_h] for layer in layers]
-    head = list(itertools.islice(heapq.merge(*dominant), _REPORTED_ITEMS))
-    suspects = []
-    if head:
-        suspects = sorted(
-            y
-            for layer in dominant
-            for y in layer[bisect.bisect_right(layer, head[-1]) :]
-            if (y + pair_c) & pair_h != pair_h or y & u_mask == u_zero
-        )
+    head = itertools.islice(heapq.merge(*dominant), _REPORTED_ITEMS)
+    suspects = sorted(
+        y
+        for layer in dominant
+        for y in layer
+        if (y + pair_c) & pair_h != pair_h or y & u_mask == u_zero
+    )
     return (
         sum(map(len, layers)),
         sum(map(len, dominant)),
         truncated,
         len(layers),
         digits,
-        len(head),
-        digits.to_bytes(head + suspects),
+        digits.to_bytes(head),
+        digits.to_bytes(suspects),
     )
 
 
@@ -689,10 +767,15 @@ def filtration_vanishing(
       on the residual coordinates) gives grade . mu > 0 for mu != 0, so
       mu_1 != 0 and |mu_1|^2 > 0.
 
-    So a dominant mu != 0 can fail only if <delta_L1, mu_1> < 0 or
-    mu_1 = 0 (a *suspect*), and only the suspects and the first 500
-    dominant states (the reported items) are decoded.  Both certificates
-    are still computed and reported, and ``passed`` requires them.
+    So when ``cert_weight_pairing`` holds, a dominant mu != 0 can fail
+    only if <delta_L1, mu_1> < 0 or mu_1 = 0 (a *suspect*), and the
+    suspects are the only states decoded to find the violations.  When it
+    fails, the first 500 dominant states are tested as well.  Both
+    certificates are still computed and reported, and ``passed`` requires
+    them.  The first 500 dominant states are the report's ``items``; they
+    reach the report packed and are decoded on the first read of
+    ``items``, so a caller that reads only the verdict decodes none of
+    them.
 
     The monoid, the dominance test and the suspect test depend only on the
     layout (block sizes, residual rank and kind), the height and the state
@@ -703,9 +786,9 @@ def filtration_vanishing(
     those heights; a lower height, or a sweep that did not stop at the
     cap, keeps a key of its own.
 
-    For each state it reads, this function computes the two pairings and
-    the norm in 4x integers and decides the verdict from them; the
-    ``Fraction`` fields of the items come from a memo of k/4 per call.
+    For each state it decodes, ``_ItemReader`` computes the two pairings
+    and the norm in 4x integers and decides the verdict from them; the
+    ``Fraction`` fields of the items come from a memo of k/4.
     """
     if range_check(d_plus).verdict != "good":
         raise ParameterError("filtration sweep requires a good-range datum")
@@ -717,9 +800,8 @@ def filtration_vanishing(
 
     # all vectors in doubled-integer coordinates, so products are 4x the
     # values; lam_d, delta_d and grade cover the unitary coordinates only,
-    # and map() stops there when pairing them with a root or with mu
-    n_u = sum(a_list)
-    n = n_u + n0
+    # and map() stops there when pairing them with a root
+    n = sum(a_list) + n0
     lam_d = tuple(2 * t for t, a in zip(shifts, a_list) for _ in range(a))
     delta_d = _delta_l1(a_list)
     roots = _layout_roots(a_list, n0, kind)[0]
@@ -733,56 +815,28 @@ def filtration_vanishing(
     grade = [v - i for i, a in enumerate(a_list) for _ in range(a)]
     cert_support = all(sum(map(mul, grade, r)) > 0 for r in roots)
 
-    # base = lambda + delta_L1, so |base + mu_1|^2 expands into the base
-    # norm, twice the two pairings and |mu_1|^2
-    base_d = tuple(map(add, lam_d, delta_d))
-    base_norm4 = sum(map(mul, base_d, base_d))
-    base_norm = Fraction(base_norm4, 4)
-    items: list[FiltrationItem] = []
-    violations: list[FiltrationItem] = []
+    items = violations = ()
     enumerated = 0
     dominant_count = 0
     truncated = False
     if roots:
-        enumerated, dominant_count, truncated, _layers, digits, head, states = _layout_sweep(
+        enumerated, dominant_count, truncated, _layers, digits, head, suspects = _layout_sweep(
             a_list, n0, kind, height_bound, state_cap
         )
-        quarters: dict[int, Fraction] = {}
-
-        def quarter(k4: int) -> Fraction:
-            q = quarters.get(k4)
-            if q is None:
-                q = quarters[k4] = Fraction(k4, 4)
-            return q
-
-        coords = range(n)
-        for i, y in enumerate(digits.from_bytes(states)):
-            mu_d = digits.decode(y, coords)
-            mu1_d = mu_d[:n_u]
-            pl4 = sum(map(mul, lam_d, mu1_d))
-            pd4 = sum(map(mul, delta_d, mu1_d))
-            with4 = base_norm4 + 2 * (pl4 + pd4) + sum(map(mul, mu1_d, mu1_d))
-            ok = with4 > base_norm4 and pl4 >= 0 and pd4 >= 0
-            reported = i < head
-            if reported or not ok:
-                it = FiltrationItem(
-                    mu=Weight(mu_d),
-                    mu1=Weight(mu1_d),
-                    norm_with=quarter(with4),
-                    norm_without=base_norm,
-                    pairing_lambda=quarter(pl4),
-                    pairing_delta=quarter(pd4),
-                )
-                if reported:
-                    items.append(it)
-                if not ok:
-                    violations.append(it)
+        reader = _ItemReader(digits, n, lam_d, delta_d)
+        candidates = digits.from_bytes(suspects)
+        if not cert_pairing:
+            # without the certificate a state that is not a suspect may
+            # fail as well, so the reported states are tested too
+            candidates = sorted(set(candidates).union(digits.from_bytes(head)))
+        violations = reader.violations(candidates)
+        items = functools.partial(reader.items, head)
     return FiltrationReport(
         height_bound=height_bound,
         enumerated=enumerated,
         dominant_count=dominant_count,
-        items=tuple(items),
-        violations=tuple(violations),
+        items=items,
+        violations=violations,
         truncated=truncated,
         cert_weight_pairing=cert_pairing,
         cert_unitary_support=cert_support,

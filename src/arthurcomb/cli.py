@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,16 +62,21 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise SpecError(f"unknown field(s) {sorted(unknown)} in {context}")
 
 
+# the only string forms of a half-integer: "k" or "k/2" with k an integer
+_HALF_STRING = re.compile(r"-?[0-9]+(/2)?")
+
+
 def _parse_half(value, context: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise SpecError(f"{context}: half-integers must be integers or 'k'/'k/2' strings")
+    if isinstance(value, str) and not _HALF_STRING.fullmatch(value):
+        raise SpecError(f"{context}: {value!r} is not written as 'k' or 'k/2'")
+    # a matched string has denominator 1 or 2; Fraction still rejects a
+    # string past the int-conversion digit limit and a non-number
     try:
-        f = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return Fraction(value)
+    except (ValueError, TypeError) as exc:
         raise SpecError(f"{context}: cannot parse {value!r} as a half-integer") from exc
-    if f.denominator not in (1, 2):
-        raise SpecError(f"{context}: {value!r} is not a half-integer")
-    return f
 
 
 def _parse_group(gdata: dict, context: str) -> ClassicalGroup:

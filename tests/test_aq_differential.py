@@ -476,3 +476,88 @@ def test_capped_sample_sweeps_are_run_once_for_every_height_at_or_above_their_st
             assert name != "filled" or (stop, last) == (3, [])
             checked[name] += 1
     assert min(checked.values()) >= 5, checked
+
+
+# --- violations from the suspects, items on first read ------------------------
+
+
+def _oracle_dominant(datum, height, cap):
+    """The nonzero Levi-dominant states of the oracle sweep, as doubled
+    coordinate tuples in increasing order, by the oracle's dominance test."""
+    a_list, n0, kind = datum.levi.a_list, datum.levi.g0.rank, datum.levi.g0.kind
+    sums, _truncated = old_monoid_sums(_doubled_roots(datum), height, cap)
+    spans = [(r.start, r.stop) for r in _block_ranges(a_list)]
+    g0_type = GroupType(_G0_FAMILY[kind], n0) if n0 else None
+    return [
+        mu
+        for mu in sums
+        if any(mu)
+        and all(mu[s] >= mu[s + 1] for lo, hi in spans for s in range(lo, hi - 1))
+        and (g0_type is None or is_dominant(g0_type, Weight(mu[len(mu) - n0 :])))
+    ]
+
+
+def test_suspects_in_the_head_are_found(monkeypatch):
+    """With delta_L1 negated, a dominant state pairs <= 0 with it, so the
+    first 500 dominant states hold suspects.  The sweep marks exactly the
+    suspects a decode of every dominant state finds, and the violations
+    are those of head plus suspects."""
+    true_delta = aq._delta_l1
+    monkeypatch.setattr(aq, "_delta_l1", lambda a_list: tuple(-v for v in true_delta(a_list)))
+    cap = 3000
+    in_head = past_head = 0
+    aq._layout_sweep.cache_clear()
+    try:
+        for psi, _plus, datum, height in _sample():
+            if not _doubled_roots(datum):
+                continue
+            a_list, n0, kind = datum.levi.a_list, datum.levi.g0.rank, datum.levi.g0.kind
+            n_u = sum(a_list)
+            *_counts, digits, head, suspects = aq._layout_sweep(a_list, n0, kind, height, cap)
+            coords = range(n_u + n0)
+            decoded = [digits.decode(y, coords) for y in digits.from_bytes(suspects)]
+            dominant = _oracle_dominant(datum, height, cap)
+            delta = aq._delta_l1(a_list)
+            expected = [
+                mu for mu in dominant if sum(map(mul, delta, mu)) < 0 or not any(mu[:n_u])
+            ]
+            assert decoded == expected, str(psi)
+            assert [digits.decode(y, coords) for y in digits.from_bytes(head)] == dominant[:500]
+            in_head += len(set(expected) & set(dominant[:500]))
+            past_head += len(set(expected) - set(dominant[:500]))
+
+            lam = tuple(2 * t for t, a in zip(lambda_tilde(psi), a_list) for _ in range(a))
+            base = tuple(map(sum, zip(lam, delta)))
+            candidates = sorted(set(dominant[:500]) | set(expected))
+            items = [
+                FiltrationItem(
+                    mu=Weight(mu),
+                    mu1=Weight(mu[:n_u]),
+                    norm_with=Fraction(sum((b + m) ** 2 for b, m in zip(base, mu)), 4),
+                    norm_without=Fraction(sum(b * b for b in base), 4),
+                    pairing_lambda=Fraction(sum(map(mul, lam, mu)), 4),
+                    pairing_delta=Fraction(sum(map(mul, delta, mu)), 4),
+                )
+                for mu in candidates
+            ]
+            rep = aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=cap)
+            assert rep.cert_weight_pairing, str(psi)
+            assert rep.violations == tuple(it for it in items if not it.ok), str(psi)
+    finally:
+        aq._layout_sweep.cache_clear()  # no sweep of the negated delta_L1 stays behind
+    assert in_head and past_head, "the sample must have suspects in and past the head"
+
+
+def test_items_are_decoded_on_first_read(monkeypatch):
+    psi, _plus, datum, height = _sample()[0]
+    calls = []
+    decode = aq._Digits.decode
+    monkeypatch.setattr(aq._Digits, "decode", lambda self, y, cols: calls.append(y) or decode(self, y, cols))
+    rep = aq.filtration_vanishing(datum, psi, height_bound=height)
+    assert rep.dominant_count >= 500
+    assert len(calls) == 0
+    first = rep.items
+    assert len(calls) == 500
+    assert rep.items is first
+    assert len(calls) == 500
+    assert first == old_filtration_vanishing(datum, psi, height_bound=height).items

@@ -221,6 +221,7 @@ def test_packet_levi_not_fitting_block_rejected(ex1_path, tmp_path, capsys):
         ({"sigma": {"weakly_unipotent": "yes"}}, "sigma.weakly_unipotent"),
         ({"sigma": []}, "sigma must be an object"),
         ({"character": [True, 1]}, "character"),
+        ({"sigma": {"nu": ["0.5"]}}, "entries[0].sigma.nu: '0.5' is not written as 'k' or 'k/2'"),
     ],
 )
 def test_packet_sigma_and_character_typed_strictly(ex1_path, tmp_path, capsys, fields, message):
@@ -331,6 +332,11 @@ BOOLEAN_COUNT_SPECS = {
     "{a_true}": {**_SP2_SPEC, "blocks": [{"t": "1", "a": True}, {"t": "0", "a": 1}]},
     "{mult_true}": {**_SP2_SPEC, "blocks": [{"t": "1", "a": 1}, {"t": "0", "a": 1, "mult": True}]},
 }
+# the same Sp(2,R) spec with a half-integer string other than "k" or "k/2"
+MALFORMED_HALF_SPECS = {
+    f"{{t_{i}}}": {**_SP2_SPEC, "blocks": [{"t": t, "a": 1}, {"t": "0", "a": 1}]}
+    for i, t in enumerate(["0.5", "1e3", " 3/2", "1_0", "1e5000"])
+}
 
 
 @pytest.mark.parametrize(
@@ -353,11 +359,18 @@ BOOLEAN_COUNT_SPECS = {
         (["info", "--spec", "{signature_true}"], "group.signature"),
         (["info", "--spec", "{a_true}"], "blocks[0].a"),
         (["info", "--spec", "{mult_true}"], "blocks[1].mult"),
+        (["info", "--spec", "{t_0}"], "blocks[0].t: '0.5' is not written as 'k' or 'k/2'"),
+        (["info", "--spec", "{t_1}"], "blocks[0].t: '1e3' is not written"),
+        (["info", "--spec", "{t_2}"], "blocks[0].t: ' 3/2' is not written"),
+        (["info", "--spec", "{t_3}"], "blocks[0].t: '1_0' is not written"),
+        (["info", "--spec", "{t_4}"], "blocks[0].t: '1e5000' is not written"),
+        (["verify", "kostant", "--n", "1", "--mu", "0.5"], "--mu: '0.5' is not written"),
+        (["verify", "twisted-trace", "--n", "2", "--mu", "1e3,-1e3"], "--mu: '1e3' is not written"),
     ],
 )
 def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
     paths = {"{ex1}": ex1_path}
-    for name, spec in BOOLEAN_COUNT_SPECS.items():
+    for name, spec in {**BOOLEAN_COUNT_SPECS, **MALFORMED_HALF_SPECS}.items():
         paths[name] = str(tmp_path / f"{name.strip('{}')}.json")
         with open(paths[name], "w") as f:
             json.dump(spec, f)
