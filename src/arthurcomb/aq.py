@@ -35,6 +35,7 @@ from .params import (
     ParameterError,
     ParityError,
     QuotientMap,
+    _kept,
     arthur_parameter,
     component_group,
     good_parity,
@@ -100,10 +101,16 @@ class Sigma:
 
 def default_sigma(psi: ArthurParameter, g0: ClassicalGroup) -> Sigma:
     """Sigma attached to the unipotent part of the parameter."""
-    unip = psi.unipotent
-    if g0.rank == 0 and not unip:
+    return _unipotent_sigma(psi.unipotent, g0.kind, g0.rank)
+
+
+@functools.lru_cache(maxsize=256)
+def _unipotent_sigma(unip: tuple, kind: str, rank: int) -> Sigma:
+    """Sigma of a unipotent part on a G_0 of this kind and rank; it depends
+    on nothing else, so parameters that share the pair share one value."""
+    if rank == 0 and not unip:
         return Sigma("sigma", None)
-    psi_u = arthur_parameter(ClassicalGroup(g0.kind, g0.rank), unip)
+    psi_u = arthur_parameter(ClassicalGroup(kind, rank), unip)
     return Sigma("sigma", inf_char(psi_u, "G"))
 
 
@@ -146,8 +153,10 @@ def _residual_signature(g: ClassicalGroup, factors: tuple[tuple[int, int], ...])
     return p_big - 2 * sum(p for p, _q in factors), q_big - 2 * sum(q for _p, q in factors)
 
 
+@_kept
 def _discrete_layout(psi: ArthurParameter) -> tuple[tuple[int, ...], int]:
-    """The discrete block sizes a_i and the residual rank n_0 = rank - sum a_i.
+    """The discrete block sizes a_i and the residual rank n_0 = rank - sum a_i,
+    kept on the parameter.
 
     n_0 >= 0 for every parameter, as its dimension check gives 2 sum a_i <= n*."""
     a_list = tuple(a for _t2, a in psi.discrete)
@@ -179,7 +188,19 @@ def _check_levi(psi: ArthurParameter, levi: LeviDatum) -> None:
 def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None = None) -> AqDatum:
     """The A_q datum of ``levi`` for psi; a Levi datum that does not fit
     the parameter (factor sizes, G_0 kind, rank or signature) raises
-    ParameterError."""
+    ParameterError.
+
+    Each datum is built once per (levi, sigma) and kept on psi, so repeated
+    calls return the same object."""
+    data = psi.__dict__.setdefault("_aq_data", {})
+    key = (levi, sigma)
+    datum = data.get(key)
+    if datum is None:
+        datum = data[key] = _aq_datum(psi, levi, sigma)
+    return datum
+
+
+def _aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None) -> AqDatum:
     shifts = lambda_tilde(psi)
     _check_levi(psi, levi)
     if sigma is None:
@@ -235,15 +256,17 @@ def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
     return out
 
 
-def _lambda_tilde_doubled(psi: ArthurParameter) -> list[int]:
-    """2 t_i~ = t2_i + a_i - 1 + 2 eps_G + 2 (sum_{j>i} a_j + n_0), in integers."""
+@_kept
+def _lambda_tilde_doubled(psi: ArthurParameter) -> tuple[int, ...]:
+    """2 t_i~ = t2_i + a_i - 1 + 2 eps_G + 2 (sum_{j>i} a_j + n_0), in
+    integers, kept on the parameter."""
     a_list, n0 = _discrete_layout(psi)
     eps2 = int(2 * psi.group.epsilon_g)
     out = []
     for i, (t2, a) in enumerate(psi.discrete):
         tail = sum(a_list[i + 1 :])
         out.append(t2 + a - 1 + eps2 + 2 * (tail + n0))
-    return out
+    return tuple(out)
 
 
 def lambda_tilde_fractions(psi: ArthurParameter) -> list[Fraction]:
@@ -257,12 +280,18 @@ def lambda_tilde(psi: ArthurParameter) -> list[int]:
     Integrality of every shift is exactly the good-parity criterion; a
     fractional value raises ParityError.
     """
+    return list(_shifts(psi))
+
+
+@_kept
+def _shifts(psi: ArthurParameter) -> tuple[int, ...]:
+    """``lambda_tilde`` as a tuple, kept on the parameter."""
     out = []
     for i, d in enumerate(_lambda_tilde_doubled(psi)):
         if d % 2:
             raise ParityError(f"t~_{i + 1} = {Fraction(d, 2)} is not an integer (bad parity)")
         out.append(d // 2)
-    return out
+    return tuple(out)
 
 
 def _layout(levi: LeviDatum) -> tuple[tuple[int, ...], int, str]:
@@ -339,15 +368,24 @@ def range_check(d: AqDatum) -> RangeResult:
     i-th unitary factor (the character parameter normalized so that the
     induced module keeps the parameter's infinitesimal character) and
     zero on the residual factor; good means every pairing with a
-    nilradical root is positive, weakly fair allows zeros.
+    nilradical root is positive, weakly fair allows zeros.  The verdict
+    depends only on the layout and t~, so every datum that shares the
+    pair reads one cached result.
     """
-    a_list, n0, kind = _layout(d.levi)
+    return _range_verdict(*_layout(d.levi), d.t_tilde)
+
+
+@functools.lru_cache(maxsize=256)
+def _range_verdict(
+    a_list: tuple[int, ...], n0: int, kind: str, t_tilde: tuple[int, ...]
+) -> RangeResult:
+    """``range_check`` of a layout and shifts."""
     roots, du = _layout_roots(a_list, n0, kind)
     if not roots:
         return RangeResult("good", None)
     # doubled coordinates on the unitary factors; the residual ones are
     # zero, so the pairings stop where x does
-    x = list(map(sub, [2 * t for t, a in zip(d.t_tilde, a_list) for _ in range(a)], du))
+    x = list(map(sub, [2 * t for t, a in zip(t_tilde, a_list) for _ in range(a)], du))
     worst4 = min(sum(map(mul, x, r)) for r in roots)
     if worst4 > 0:
         verdict = "good"
@@ -863,27 +901,38 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     psi-side shifts and its character is transported through the quotient
     A(psi_+) -> A(psi).  Entries whose character is nontrivial on the
     kernel acquire a vanishing annotation and are dropped.
+
+    Each distinct datum is checked and rebuilt once, however many
+    characters it carries, and each character is pushed once per quotient
+    map: the map and its push table are kept on psi_+ (``quotient_map``),
+    the shifts on each parameter, and the range verdict of a (layout, t~)
+    pair in a bounded module cache (``range_check``).
     """
     psi_plus = packet_plus.psi
     qm = quotient_map(psi_plus, psi)
     shifts_plus = lambda_tilde(psi_plus)
-    shifts = lambda_tilde(psi)
+    shifts = tuple(lambda_tilde(psi))
+    # keyed by id: ``aq_datum`` returns one object per (psi_+, levi, sigma),
+    # so equal data share it, and every datum stays alive in packet_plus
+    moved: dict[int, AqDatum] = {}
     entries = []
     dropped = []
     for datum, values in packet_plus.entries:
-        if list(datum.t_tilde) != shifts_plus:
-            raise ParameterError(
-                f"entry shifts {datum.t_tilde} do not match the dominating parameter"
+        new_datum = moved.get(id(datum))
+        if new_datum is None:
+            if list(datum.t_tilde) != shifts_plus:
+                raise ParameterError(
+                    f"entry shifts {datum.t_tilde} do not match the dominating parameter"
+                )
+            if range_check(datum).verdict != "good":
+                raise ParameterError(f"{datum.label()} is not in the good range")
+            new_datum = moved[id(datum)] = AqDatum(
+                levi=datum.levi,
+                t_tilde=shifts,
+                sigma=datum.sigma,
+                lambda_L=_lambda_l(datum.levi, shifts, datum.sigma),
             )
-        if range_check(datum).verdict != "good":
-            raise ParameterError(f"{datum.label()} is not in the good range")
         pushed = qm.push_character(values)
-        new_datum = AqDatum(
-            levi=datum.levi,
-            t_tilde=tuple(shifts),
-            sigma=datum.sigma,
-            lambda_L=_lambda_l(datum.levi, shifts, datum.sigma),
-        )
         if pushed is None:
             dropped.append((new_datum, values))
         else:

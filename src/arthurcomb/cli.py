@@ -157,6 +157,15 @@ def _load_json(path: str):
         raise SpecError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # the one other ValueError of json.load: int() refuses a literal
+        # longer than sys.get_int_max_str_digits()
+        raise SpecError(
+            f"{path}: an integer literal is too long (more than "
+            f"{sys.get_int_max_str_digits()} digits)"
+        ) from exc
+    except RecursionError as exc:
+        raise SpecError(f"{path}: arrays or objects are nested too deeply") from exc
 
 
 def parse_spec(path: str) -> tuple[ArthurParameter, dict]:

@@ -68,6 +68,26 @@ class DominationError(ParameterError):
     pass
 
 
+def _kept(fn):
+    """Memo for a function of one object: ``fn(obj)`` is computed on the
+    first call and kept in ``obj.__dict__``, so the value is freed with the
+    object.  A module-level cache keyed by the object would instead keep
+    every object it was given alive.  Unlike ``functools.cached_property``
+    before Python 3.12, a first call takes no lock.  Under ``property``, a
+    kept method reads as an attribute."""
+    key = "_kept_" + fn.__qualname__
+
+    @functools.wraps(fn)
+    def kept(obj):
+        try:
+            return obj.__dict__[key]
+        except KeyError:
+            value = obj.__dict__[key] = fn(obj)
+            return value
+
+    return kept
+
+
 _KINDS = ("Sp", "SOodd", "SOeven")
 
 
@@ -224,7 +244,14 @@ def block(t, a: int, eta=1, mult: int = 1) -> Block:
 
 @dataclass(frozen=True)
 class ArthurParameter:
-    """A parameter: group plus canonically sorted multiset of blocks."""
+    """A parameter: group plus canonically sorted multiset of blocks.
+
+    Values derived from the parameter alone (its discrete and unipotent
+    parts, good parity, component group, quotient maps and, in ``aq``, its
+    layout, shifts and A_q data) are computed once and kept on the object
+    (``_kept``); they play no part in ``==``, ``hash``, ``repr`` or
+    pickling, and are freed with it.
+    """
 
     group: ClassicalGroup
     blocks: tuple[Block, ...]
@@ -241,7 +268,12 @@ class ArthurParameter:
         if keys != sorted(keys, key=lambda k: (-k[0], -k[1], -k[2])):
             raise ParameterError("blocks not in canonical order")
 
+    def __getstate__(self) -> dict:
+        # the kept values are left out of a pickle and recomputed on use
+        return {"group": self.group, "blocks": self.blocks}
+
     @property
+    @_kept
     def discrete(self) -> tuple[tuple[int, int], ...]:
         """The t > 0 part expanded by multiplicity: pairs (t2, a), t descending."""
         out = []
@@ -251,6 +283,7 @@ class ArthurParameter:
         return tuple(out)
 
     @property
+    @_kept
     def unipotent(self) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.t2 == 0)
 
@@ -311,6 +344,7 @@ def _block_parity(group: ClassicalGroup, b: Block) -> BlockParity:
     return BlockParity(b, ok, f"a = {b.a} {'is' if ok else 'is not'} odd (orthogonal dual)")
 
 
+@_kept
 def good_parity(psi: ArthurParameter) -> GoodParityReport:
     """Good parity: every block self-dual of the same type as the dual group."""
     reports = tuple(_block_parity(psi.group, b) for b in psi.blocks)
@@ -496,7 +530,8 @@ class ComponentGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @functools.cached_property
+    @property
+    @_kept
     def _element_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.elements)
 
@@ -512,18 +547,27 @@ class ComponentGroup:
         return self.det_relation and any(d % 2 for d in self.dims)
 
     def canonical_character(self, values: Iterable[int]) -> tuple[int, ...]:
-        """Canonical representative of a character given by generator values."""
+        """Canonical representative of a character given by generator
+        values; each value vector is canonicalized once and kept on the
+        group."""
         v = tuple(values)
+        table = self.__dict__.setdefault("_canonical", {})
+        if v in table:
+            return table[v]
         if len(v) != len(self.basis) or any(x not in (1, -1) for x in v):
             raise ParameterError("character values must be +-1 per basis block")
-        if not self.relation_nontrivial:
-            return v
-        mask = tuple(-1 if d % 2 else 1 for d in self.dims)
-        w = tuple(a * b for a, b in zip(v, mask))
-        return min(v, w, key=lambda u: tuple(0 if x == 1 else 1 for x in u))
+        canon = v
+        if self.relation_nontrivial:
+            mask = tuple(-1 if d % 2 else 1 for d in self.dims)
+            w = tuple(a * b for a, b in zip(v, mask))
+            canon = min(v, w, key=lambda u: tuple(0 if x == 1 else 1 for x in u))
+        table[v] = canon
+        return canon
 
+    @_kept
     def characters(self) -> tuple[tuple[int, ...], ...]:
-        """All characters, as canonical generator-value vectors."""
+        """All characters, as canonical generator-value vectors; computed
+        once per group and kept on it."""
         raw = itertools.product((1, -1), repeat=len(self.basis))
         return tuple(sorted({self.canonical_character(v) for v in raw}, reverse=True))
 
@@ -546,8 +590,12 @@ class ComponentGroup:
         return self.evaluate(values, self.center_image()) == 1
 
 
+@_kept
 def component_group(psi: ArthurParameter) -> ComponentGroup:
-    """Component group of the centralizer, with s_psi = image of -1 in SL(2)."""
+    """Component group of the centralizer, with s_psi = image of -1 in SL(2).
+
+    Built once per parameter and kept on it, so every caller of one
+    parameter shares the group, its element set and its characters."""
     if not good_parity(psi).ok:
         raise ParityError("component group requires good parity")
     basis = tuple(Block(b.t2, b.a, b.eta) for b in psi.blocks)
@@ -576,7 +624,10 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """The surjection A(psi_+) -> A(psi) that merges separated copies."""
+    """The surjection A(psi_+) -> A(psi) that merges separated copies.
+
+    Its kernel and its push table (each character pushed so far, with
+    its image or None) are computed once and kept on the map."""
 
     source: ComponentGroup
     target: ComponentGroup
@@ -594,6 +645,7 @@ class QuotientMap:
     def kernel_order(self) -> int:
         return self.source.order // self.target.order
 
+    @_kept
     def kernel(self) -> tuple[tuple[int, ...], ...]:
         ident = self.target.identity
         return tuple(s for s in self.source.elements if self.push(s) == ident)
@@ -607,15 +659,35 @@ class QuotientMap:
 
     def push_character(self, values_plus: tuple[int, ...]) -> tuple[int, ...] | None:
         """Descend a character to A(psi); None flags a vanishing coefficient."""
-        if not self.character_descends(values_plus):
-            return None
-        out = [1] * len(self.target.basis)
-        for i, j in enumerate(self.index_map):
-            out[j] = values_plus[i]
-        return self.target.canonical_character(out)
+        values_plus = tuple(values_plus)
+        table = self.__dict__.setdefault("_push_table", {})
+        if values_plus in table:
+            return table[values_plus]
+        pushed = None
+        if self.character_descends(values_plus):
+            out = [1] * len(self.target.basis)
+            for i, j in enumerate(self.index_map):
+                out[j] = values_plus[i]
+            pushed = self.target.canonical_character(out)
+        table[values_plus] = pushed
+        return pushed
 
 
 def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
+    """The quotient A(psi_+) -> A(psi) of a domination pair.
+
+    Built and checked for surjectivity once per pair: the map is kept on
+    psi_+, keyed by the fields of psi, so it holds no reference to psi and
+    is freed with psi_+."""
+    maps = psi_plus.__dict__.setdefault("_quotient_maps", {})
+    key = (psi.group, psi.blocks)
+    qm = maps.get(key)
+    if qm is None:
+        qm = maps[key] = _quotient_map(psi_plus, psi)
+    return qm
+
+
+def _quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
     domination_offsets(psi, psi_plus)
     source = component_group(psi_plus)
     target = component_group(psi)

@@ -193,6 +193,7 @@ def test_criterion_6_filtration_vanishing():
 
 
 def test_criterion_7_translation_round_trip(full_packet):
+    start = time.time()
     identity_failures = 0
     count_failures = 0
     kernel_failures = 0
@@ -217,12 +218,13 @@ def test_criterion_7_translation_round_trip(full_packet):
         if len(qm.kernel()) != qm.kernel_order:
             kernel_failures += 1
         checked += 1
+    elapsed = time.time() - start
     ok = identity_failures == 0 and count_failures == 0 and kernel_failures == 0
     report(
         7,
         ok,
         f"packet translation over {checked} parameters: {identity_failures} identity, "
-        f"{count_failures} count, {kernel_failures} quotient failures",
+        f"{count_failures} count, {kernel_failures} quotient failures, {elapsed:.1f}s",
     )
 
 

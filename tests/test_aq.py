@@ -1,3 +1,6 @@
+import gc
+import pickle
+import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -22,6 +25,7 @@ from arthurcomb.aq import (
     translate_packet,
 )
 from arthurcomb.params import (
+    ArthurParameter,
     ClassicalGroup,
     ParameterError,
     ParityError,
@@ -33,6 +37,7 @@ from arthurcomb.params import (
     dominate,
     enumerate_parameters,
     good_parity,
+    quotient_map,
 )
 from arthurcomb.weyl import weight
 
@@ -366,6 +371,35 @@ def test_translate_packet_rejects_mismatched_shifts(ex1):
     pk = packet_data(plus, [(wrong, (1, 1))])
     with pytest.raises(ParameterError):
         translate_packet(pk, ex1)
+
+
+def test_kept_values_leave_the_parameter_as_it_was_and_die_with_it(full_packet):
+    """What the packet path keeps on psi and psi_+ changes neither their
+    ==, hash, repr nor pickle, and is freed with them: no module-level
+    cache holds a parameter, and the kept values make no reference cycle,
+    so the parameters go as soon as the last reference does."""
+    g = ClassicalGroup("SOodd", 2, (3, 2))
+    psi = arthur_parameter(g, [block(Fraction(1, 2), 1, mult=2)])
+    plus = dominate(psi, canonical_offsets(psi))
+    pk = full_packet(plus)
+    results = [translate_packet(pk, plus), translate_packet(pk, psi)]
+    results.append(quotient_map(plus, psi).kernel())
+    assert results[1].vanishing
+    for p in (psi, plus):
+        fresh = ArthurParameter(p.group, p.blocks)
+        assert vars(p) != vars(fresh)  # something is kept
+        assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and vars(back) == vars(fresh)
+    refs = [weakref.ref(psi), weakref.ref(plus)]
+    gc.disable()
+    try:
+        del psi, plus, pk, results, p, fresh, back
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 # --- evaluation -------------------------------------------------------------------------

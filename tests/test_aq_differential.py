@@ -1,16 +1,22 @@
-"""Differential tests: the packed-integer filtration sweep against the
-tuple-based code it replaced.
+"""Differential tests: the packed-integer filtration sweep and the
+memoized packet translation against the code they replaced.
 
 The oracle functions below are the earlier implementations of
 ``aq._monoid_sums``, ``aq.range_check`` and ``aq.filtration_vanishing``,
-unchanged apart from their names and the private helpers they used,
-which are inlined or copied here.  The package must give the same
-states, the same truncation point and equal reports on a seeded sample of
-the signed criterion-6 corpus, which includes sweeps stopped at the state
-cap, whether a layout's sweep is run afresh or read from the cache.
+and of the per-entry packet path (``params.component_group``,
+``params.quotient_map`` with ``QuotientMap.push_character``,
+``aq.aq_datum`` and ``aq.translate_packet``), unchanged apart from their
+names and the private helpers they used, which are inlined or copied
+here.  The package must give the same states, the same truncation point
+and equal reports on a seeded sample of the signed criterion-6 corpus,
+which includes sweeps stopped at the state cap, whether a layout's sweep
+is run afresh or read from the cache; and equal packets, vanishing
+entries, kernels and pushed characters on a seeded sample of the signed
+criterion-7 corpus.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -21,16 +27,36 @@ from hypothesis import strategies as st
 from arthurcomb import aq
 from arthurcomb.aq import (
     FILTRATION_STATE_CAP,
+    AqDatum,
     FiltrationItem,
     FiltrationReport,
+    PacketData,
     RangeResult,
+    Sigma,
     aq_datum,
     delta_u,
     enumerate_levis,
     lambda_tilde,
     nilradical_roots,
+    packet_data,
+    translate_packet,
 )
-from arthurcomb.params import ParameterError, canonical_offsets, corpus, dominate
+from arthurcomb.params import (
+    Block,
+    ClassicalGroup,
+    ComponentGroup,
+    ParameterError,
+    ParityError,
+    arthur_parameter,
+    canonical_offsets,
+    component_group,
+    corpus,
+    dominate,
+    domination_offsets,
+    good_parity,
+    inf_char,
+    quotient_map,
+)
 from arthurcomb.weyl import GroupType, Weight, is_dominant, norm_sq, pairing
 
 SEED = 20260810
@@ -179,6 +205,174 @@ def old_filtration_vanishing(d_plus, psi, height_bound=None, state_cap=FILTRATIO
         cert_weight_pairing=cert_pairing,
         cert_unitary_support=cert_support,
     )
+
+
+# --- oracle: the per-entry packet translation ---------------------------------
+
+
+def old_canonical_character(group, values):
+    v = tuple(values)
+    if len(v) != len(group.basis) or any(x not in (1, -1) for x in v):
+        raise ParameterError("character values must be +-1 per basis block")
+    if not group.relation_nontrivial:
+        return v
+    mask = tuple(-1 if d % 2 else 1 for d in group.dims)
+    w = tuple(a * b for a, b in zip(v, mask))
+    return min(v, w, key=lambda u: tuple(0 if x == 1 else 1 for x in u))
+
+
+def old_characters(group):
+    raw = itertools.product((1, -1), repeat=len(group.basis))
+    return tuple(sorted({old_canonical_character(group, v) for v in raw}, reverse=True))
+
+
+def old_component_group(psi):
+    if not good_parity(psi).ok:
+        raise ParityError("component group requires good parity")
+    basis = tuple(Block(b.t2, b.a, b.eta) for b in psi.blocks)
+    dims = tuple(b.dim for b in psi.blocks)
+    det_relation = psi.group.dual_special_orthogonal
+    elements = []
+    for signs in itertools.product((1, -1), repeat=len(basis)):
+        if det_relation:
+            det = 1
+            for s, d in zip(signs, dims):
+                if s == -1 and d % 2:
+                    det = -det
+            if det != 1:
+                continue
+        elements.append(signs)
+    s_psi = tuple(-1 if b.a % 2 == 0 else 1 for b in basis)
+    return ComponentGroup(
+        basis=basis,
+        dims=dims,
+        det_relation=det_relation,
+        dual_has_center=psi.group.dual_has_center,
+        elements=tuple(sorted(elements, reverse=True)),
+        s_psi=s_psi,
+    )
+
+
+class OldQuotientMap:
+    def __init__(self, source, target, index_map):
+        self.source, self.target, self.index_map = source, target, index_map
+
+    def push(self, s_plus):
+        if tuple(s_plus) not in self.source.elements:
+            raise ParameterError("element not in the source group")
+        out = [1] * len(self.target.basis)
+        for i, j in enumerate(self.index_map):
+            out[j] *= s_plus[i]
+        return tuple(out)
+
+    def kernel(self):
+        ident = (1,) * len(self.target.basis)
+        return tuple(s for s in self.source.elements if self.push(s) == ident)
+
+    def character_descends(self, values_plus):
+        fibers = {}
+        for i, j in enumerate(self.index_map):
+            fibers.setdefault(j, set()).add(values_plus[i])
+        return all(len(vals) == 1 for vals in fibers.values())
+
+    def push_character(self, values_plus):
+        if not self.character_descends(values_plus):
+            return None
+        out = [1] * len(self.target.basis)
+        for i, j in enumerate(self.index_map):
+            out[j] = values_plus[i]
+        return old_canonical_character(self.target, out)
+
+
+def old_quotient_map(psi_plus, psi):
+    domination_offsets(psi, psi_plus)
+    source = old_component_group(psi_plus)
+    target = old_component_group(psi)
+    target_index = {b.key: j for j, b in enumerate(target.basis)}
+    disc_keys = [(t2, a, 1) for t2, a in psi.discrete]
+    disc_pos = 0
+    index_map = []
+    for b in source.basis:
+        if b.t2 > 0:
+            key = disc_keys[disc_pos]
+            disc_pos += 1
+            index_map.append(target_index[key])
+        else:
+            index_map.append(target_index[b.key])
+    qm = OldQuotientMap(source, target, tuple(index_map))
+    if {qm.push(s) for s in source.elements} != set(target.elements):
+        raise RuntimeError("quotient map is not surjective")
+    return qm
+
+
+def old_lambda_tilde(psi):
+    a_list = tuple(a for _t2, a in psi.discrete)
+    n0 = psi.group.rank - sum(a_list)
+    eps2 = int(2 * psi.group.epsilon_g)
+    out = []
+    for i, (t2, a) in enumerate(psi.discrete):
+        d = t2 + a - 1 + eps2 + 2 * (sum(a_list[i + 1 :]) + n0)
+        if d % 2:
+            raise ParityError(f"t~_{i + 1} = {Fraction(d, 2)} is not an integer (bad parity)")
+        out.append(d // 2)
+    return out
+
+
+def old_lambda_l(levi, t_tilde, sigma):
+    coords = []
+    for t, a in zip(t_tilde, levi.a_list):
+        coords.extend([2 * t] * a)
+    if sigma.nu_sigma is not None:
+        coords.extend(sigma.nu_sigma.doubled)
+    else:
+        coords.extend([0] * levi.g0.rank)
+    return Weight(tuple(coords))
+
+
+def old_aq_datum(psi, levi):
+    shifts = old_lambda_tilde(psi)
+    aq._check_levi(psi, levi)
+    g0 = levi.g0
+    if g0.rank == 0 and not psi.unipotent:
+        sigma = Sigma("sigma", None)
+    else:
+        psi_u = arthur_parameter(ClassicalGroup(g0.kind, g0.rank), psi.unipotent)
+        sigma = Sigma("sigma", inf_char(psi_u, "G"))
+    return AqDatum(levi, tuple(shifts), sigma, old_lambda_l(levi, shifts, sigma))
+
+
+def old_packet_data(psi, entries):
+    group = old_component_group(psi)
+    return PacketData(psi, tuple((d, old_canonical_character(group, v)) for d, v in entries))
+
+
+def old_translate_packet(packet_plus, psi):
+    """(packet, vanishing, quotient map)."""
+    psi_plus = packet_plus.psi
+    qm = old_quotient_map(psi_plus, psi)
+    shifts_plus = old_lambda_tilde(psi_plus)
+    shifts = old_lambda_tilde(psi)
+    entries = []
+    dropped = []
+    for datum, values in packet_plus.entries:
+        if list(datum.t_tilde) != shifts_plus:
+            raise ParameterError(
+                f"entry shifts {datum.t_tilde} do not match the dominating parameter"
+            )
+        if old_range_check(datum).verdict != "good":
+            raise ParameterError(f"{datum.label()} is not in the good range")
+        pushed = qm.push_character(values)
+        new_datum = AqDatum(
+            levi=datum.levi,
+            t_tilde=tuple(shifts),
+            sigma=datum.sigma,
+            lambda_L=old_lambda_l(datum.levi, shifts, datum.sigma),
+        )
+        if pushed is None:
+            dropped.append((new_datum, values))
+        else:
+            entries.append((new_datum, pushed))
+    return PacketData(psi, tuple(entries)), tuple(dropped), qm
 
 
 # --- the sample ----------------------------------------------------------------
@@ -561,3 +755,62 @@ def test_items_are_decoded_on_first_read(monkeypatch):
     assert rep.items is first
     assert len(calls) == 500
     assert first == old_filtration_vanishing(datum, psi, height_bound=height).items
+
+
+# --- packet translation against the per-entry oracle ---------------------------
+
+
+def _translate(packet, psi):
+    """``translate_packet`` as the oracle's (packet, vanishing, map)."""
+    out = translate_packet(packet, psi)
+    return out.packet, out.vanishing, out.quotient
+
+
+def _outcome(translate, packet, psi):
+    """(packet, vanishing) of a translation, or the error it raises."""
+    try:
+        return translate(packet, psi)[:2]
+    except (ParameterError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_packet_translation_matches_per_entry_oracle():
+    """On about 100 seeded signed-corpus parameters, with every Levi datum
+    of psi_+ paired with every character of A(psi_+): the packet, the
+    translations to psi_+ and to psi (each made twice, so the second reads
+    what the first kept), the kernels and the push of every sign vector
+    equal the oracle's.  psi's own packet, translated to psi, is refused in
+    the same words when one of its data is only weakly fair (or, when psi
+    repeats a block, when its quotient map to itself is built)."""
+    rng = random.Random(SEED)
+    sample = rng.sample(list(corpus(signed=True)), 100)
+    vanishing = refused = 0
+    for psi in sample:
+        plus = dominate(psi, canonical_offsets(psi))
+        levis = enumerate_levis(plus)
+        chars = component_group(plus).characters()
+        assert chars == old_characters(old_component_group(plus)), str(psi)
+        new_pk = packet_data(plus, [(aq_datum(plus, levi), eps) for levi in levis for eps in chars])
+        old_pk = old_packet_data(
+            plus, [(old_aq_datum(plus, levi), eps) for levi in levis for eps in chars]
+        )
+        assert new_pk == old_pk, str(psi)
+        for target in (plus, psi, plus, psi):
+            old = old_translate_packet(old_pk, target)
+            new = translate_packet(new_pk, target)
+            assert (new.packet, new.vanishing) == old[:2], (str(psi), str(target))
+            qm, old_qm = quotient_map(plus, target), old[2]
+            assert new.quotient is qm
+            assert (qm.source, qm.target) == (old_qm.source, old_qm.target), str(psi)
+            assert qm.index_map == old_qm.index_map, str(psi)
+            assert qm.kernel() == old_qm.kernel(), str(psi)
+            for values in itertools.product((1, -1), repeat=len(qm.source.basis)):
+                assert qm.push_character(values) == old_qm.push_character(values), (str(psi), values)
+        vanishing += len(new.vanishing)
+        own_chars = component_group(psi).characters()
+        own = packet_data(psi, [(aq_datum(psi, levi), eps) for levi in levis for eps in own_chars])
+        outcome = _outcome(_translate, own, psi)
+        assert outcome == _outcome(old_translate_packet, own, psi), str(psi)
+        refused += outcome[0] is ParameterError
+    assert vanishing, "the sample must hold characters that do not descend"
+    assert refused, "the sample must hold packets refused for their range"

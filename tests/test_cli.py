@@ -337,6 +337,19 @@ MALFORMED_HALF_SPECS = {
     f"{{t_{i}}}": {**_SP2_SPEC, "blocks": [{"t": t, "a": 1}, {"t": "0", "a": 1}]}
     for i, t in enumerate(["0.5", "1e3", " 3/2", "1_0", "1e5000"])
 }
+# files that json.dump cannot write: an unquoted integer literal of 5001
+# digits (past Python's default limit of 4300) in a spec and in a packet
+# file, and a spec nested 100,000 arrays deep
+_LONG_INT = "1" + "0" * 5000
+RAW_JSON_FILES = {
+    "{long_int_spec}": '{"group": {"kind": "Sp", "rank": 1}, "blocks": [{"t": '
+    + _LONG_INT
+    + ', "a": 1}, {"t": "0", "a": 1}]}',
+    "{long_int_packet}": '{"entries": [{"levi": {"unitary": [[1, 1]], "g0": {"kind": "Sp", "rank": '
+    + _LONG_INT
+    + '}}, "character": [1, 1]}]}',
+    "{deep_spec}": "[" * 100_000 + "]" * 100_000,
+}
 
 
 @pytest.mark.parametrize(
@@ -366,6 +379,12 @@ MALFORMED_HALF_SPECS = {
         (["info", "--spec", "{t_4}"], "blocks[0].t: '1e5000' is not written"),
         (["verify", "kostant", "--n", "1", "--mu", "0.5"], "--mu: '0.5' is not written"),
         (["verify", "twisted-trace", "--n", "2", "--mu", "1e3,-1e3"], "--mu: '1e3' is not written"),
+        (["info", "--spec", "{long_int_spec}"], "long_int_spec.json: an integer literal is too long"),
+        (
+            ["packet", "--spec", "{ex1}", "--offsets", "5", "--plus-packet", "{long_int_packet}"],
+            "long_int_packet.json: an integer literal is too long",
+        ),
+        (["info", "--spec", "{deep_spec}"], "deep_spec.json: arrays or objects are nested too deeply"),
     ],
 )
 def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
@@ -374,6 +393,10 @@ def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
         paths[name] = str(tmp_path / f"{name.strip('{}')}.json")
         with open(paths[name], "w") as f:
             json.dump(spec, f)
+    for name, text in RAW_JSON_FILES.items():
+        paths[name] = str(tmp_path / f"{name.strip('{}')}.json")
+        with open(paths[name], "w") as f:
+            f.write(text)
     assert main([paths.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
