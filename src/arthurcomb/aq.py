@@ -192,20 +192,16 @@ def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None = None) 
 
     Each datum is built once per (levi, sigma) and kept on psi, so repeated
     calls return the same object."""
-    data = psi.__dict__.setdefault("_aq_data", {})
-    key = (levi, sigma)
-    datum = data.get(key)
-    if datum is None:
-        datum = data[key] = _aq_datum(psi, levi, sigma)
-    return datum
+    return _aq_datum(psi, levi, sigma)
 
 
+@_kept
 def _aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None) -> AqDatum:
-    shifts = lambda_tilde(psi)
+    shifts = _shifts(psi)
     _check_levi(psi, levi)
     if sigma is None:
         sigma = default_sigma(psi, levi.g0)
-    return AqDatum(levi, tuple(shifts), sigma, _lambda_l(levi, shifts, sigma))
+    return AqDatum(levi, shifts, sigma, _lambda_l(levi, shifts, sigma))
 
 
 @dataclass(frozen=True)
@@ -256,10 +252,9 @@ def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
     return out
 
 
-@_kept
 def _lambda_tilde_doubled(psi: ArthurParameter) -> tuple[int, ...]:
     """2 t_i~ = t2_i + a_i - 1 + 2 eps_G + 2 (sum_{j>i} a_j + n_0), in
-    integers, kept on the parameter."""
+    integers."""
     a_list, n0 = _discrete_layout(psi)
     eps2 = int(2 * psi.group.epsilon_g)
     out = []
@@ -573,14 +568,10 @@ def _monoid_sums(
 _REPORTED_ITEMS = 500
 
 
-@functools.lru_cache(maxsize=4096)
-def _quarter(k4: int) -> Fraction:
-    """k4 / 4, the value of a pairing or norm computed in 4x integers."""
-    return Fraction(k4, 4)
-
-
-class _ItemReader:
-    """Decodes packed states of one datum's sweep into ``FiltrationItem``s.
+def _decode_items(
+    digits: _Digits, n: int, lam_d: tuple[int, ...], delta_d: tuple[int, ...], states: Iterable[int]
+) -> tuple[FiltrationItem, ...]:
+    """The ``FiltrationItem``s of packed states of one datum's sweep, in order.
 
     All vectors are in doubled-integer coordinates, so products are 4x the
     values; ``lam_d`` and ``delta_d`` cover the unitary coordinates only,
@@ -588,46 +579,27 @@ class _ItemReader:
     delta_L1, so |base + mu_1|^2 expands into the base norm, twice the two
     pairings and |mu_1|^2.
     """
-
-    def __init__(self, digits: _Digits, n: int, lam_d: tuple[int, ...], delta_d: tuple[int, ...]):
-        self.digits, self.coords, self.n_u = digits, range(n), len(lam_d)
-        self.lam_d, self.delta_d = lam_d, delta_d
-        base_d = tuple(map(add, lam_d, delta_d))
-        self.base_norm4 = sum(map(mul, base_d, base_d))
-
-    def _terms(self, y: int) -> tuple[tuple[int, ...], int, int, int]:
-        """mu and 4x |base + mu_1|^2, <lambda, mu_1>, <delta_L1, mu_1>."""
-        mu_d = self.digits.decode(y, self.coords)
-        mu1_d = mu_d[: self.n_u]
-        pl4 = sum(map(mul, self.lam_d, mu1_d))
-        pd4 = sum(map(mul, self.delta_d, mu1_d))
-        with4 = self.base_norm4 + 2 * (pl4 + pd4) + sum(map(mul, mu1_d, mu1_d))
-        return mu_d, with4, pl4, pd4
-
-    def _item(self, mu_d: tuple[int, ...], with4: int, pl4: int, pd4: int) -> FiltrationItem:
-        return FiltrationItem(
-            mu=Weight(mu_d),
-            mu1=Weight(mu_d[: self.n_u]),
-            norm_with=_quarter(with4),
-            norm_without=_quarter(self.base_norm4),
-            pairing_lambda=_quarter(pl4),
-            pairing_delta=_quarter(pd4),
+    n_u = len(lam_d)
+    base_d = tuple(map(add, lam_d, delta_d))
+    base4 = sum(map(mul, base_d, base_d))
+    out = []
+    for y in states:
+        mu_d = digits.decode(y, range(n))
+        mu1_d = mu_d[:n_u]
+        pl4 = sum(map(mul, lam_d, mu1_d))
+        pd4 = sum(map(mul, delta_d, mu1_d))
+        with4 = base4 + 2 * (pl4 + pd4) + sum(map(mul, mu1_d, mu1_d))
+        out.append(
+            FiltrationItem(
+                mu=Weight(mu_d),
+                mu1=Weight(mu1_d),
+                norm_with=Fraction(with4, 4),
+                norm_without=Fraction(base4, 4),
+                pairing_lambda=Fraction(pl4, 4),
+                pairing_delta=Fraction(pd4, 4),
+            )
         )
-
-    def items(self, blob: bytes) -> tuple[FiltrationItem, ...]:
-        """The items of the states packed in ``blob``, in order."""
-        return tuple(self._item(*self._terms(y)) for y in self.digits.from_bytes(blob))
-
-    def violations(self, states: Iterable[int]) -> tuple[FiltrationItem, ...]:
-        """The items of the ``states`` that fail the norm increase or a
-        pairing sign, in order."""
-        out = []
-        for y in states:
-            terms = self._terms(y)
-            _mu_d, with4, pl4, pd4 = terms
-            if not (with4 > self.base_norm4 and pl4 >= 0 and pd4 >= 0):
-                out.append(self._item(*terms))
-        return tuple(out)
+    return tuple(out)
 
 
 def _delta_l1(a_list: tuple[int, ...]) -> tuple[int, ...]:
@@ -824,9 +796,10 @@ def filtration_vanishing(
     those heights; a lower height, or a sweep that did not stop at the
     cap, keeps a key of its own.
 
-    For each state it decodes, ``_ItemReader`` computes the two pairings
-    and the norm in 4x integers and decides the verdict from them; the
-    ``Fraction`` fields of the items come from a memo of k/4.
+    ``_decode_items`` turns a state into a ``FiltrationItem``, computing the
+    two pairings and the norm in 4x integers; the violations are the
+    decoded candidates that fail ``FiltrationItem.ok``, the one place an
+    item's verdict is decided.
     """
     if range_check(d_plus).verdict != "good":
         raise ParameterError("filtration sweep requires a good-range datum")
@@ -861,14 +834,14 @@ def filtration_vanishing(
         enumerated, dominant_count, truncated, _layers, digits, head, suspects = _layout_sweep(
             a_list, n0, kind, height_bound, state_cap
         )
-        reader = _ItemReader(digits, n, lam_d, delta_d)
+        decode = functools.partial(_decode_items, digits, n, lam_d, delta_d)
         candidates = digits.from_bytes(suspects)
         if not cert_pairing:
             # without the certificate a state that is not a suspect may
             # fail as well, so the reported states are tested too
             candidates = sorted(set(candidates).union(digits.from_bytes(head)))
-        violations = reader.violations(candidates)
-        items = functools.partial(reader.items, head)
+        violations = tuple(item for item in decode(candidates) if not item.ok)
+        items = lambda: decode(digits.from_bytes(head))
     return FiltrationReport(
         height_bound=height_bound,
         enumerated=enumerated,
@@ -910,8 +883,8 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     """
     psi_plus = packet_plus.psi
     qm = quotient_map(psi_plus, psi)
-    shifts_plus = lambda_tilde(psi_plus)
-    shifts = tuple(lambda_tilde(psi))
+    shifts_plus = _shifts(psi_plus)
+    shifts = _shifts(psi)
     # keyed by id: ``aq_datum`` returns one object per (psi_+, levi, sigma),
     # so equal data share it, and every datum stays alive in packet_plus
     moved: dict[int, AqDatum] = {}
@@ -920,7 +893,7 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     for datum, values in packet_plus.entries:
         new_datum = moved.get(id(datum))
         if new_datum is None:
-            if list(datum.t_tilde) != shifts_plus:
+            if datum.t_tilde != shifts_plus:
                 raise ParameterError(
                     f"entry shifts {datum.t_tilde} do not match the dominating parameter"
                 )

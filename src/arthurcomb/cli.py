@@ -673,6 +673,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the uniqueness search recurses once per GL coordinate, so a valid
+        # parameter with about 1000 of them exceeds the interpreter's limit
+        print("error: the parameter is too large for this command", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -69,20 +69,22 @@ class DominationError(ParameterError):
 
 
 def _kept(fn):
-    """Memo for a function of one object: ``fn(obj)`` is computed on the
-    first call and kept in ``obj.__dict__``, so the value is freed with the
-    object.  A module-level cache keyed by the object would instead keep
-    every object it was given alive.  Unlike ``functools.cached_property``
-    before Python 3.12, a first call takes no lock.  Under ``property``, a
-    kept method reads as an attribute."""
+    """Memo for a function of one object and hashable arguments:
+    ``fn(obj, *args)`` is computed on the first call with those arguments
+    and kept in ``obj.__dict__``, in one table per function keyed by the
+    argument tuple, so the values are freed with the object.  A
+    module-level cache keyed by the object would instead keep every object
+    it was given alive.  Unlike ``functools.cached_property`` before
+    Python 3.12, a first call takes no lock.  Under ``property``, a kept
+    method of no arguments reads as an attribute."""
     key = "_kept_" + fn.__qualname__
 
     @functools.wraps(fn)
-    def kept(obj):
+    def kept(obj, *args):
         try:
-            return obj.__dict__[key]
+            return obj.__dict__[key][args]
         except KeyError:
-            value = obj.__dict__[key] = fn(obj)
+            value = obj.__dict__.setdefault(key, {})[args] = fn(obj, *args)
             return value
 
     return kept
@@ -546,23 +548,18 @@ class ComponentGroup:
     def relation_nontrivial(self) -> bool:
         return self.det_relation and any(d % 2 for d in self.dims)
 
-    def canonical_character(self, values: Iterable[int]) -> tuple[int, ...]:
+    @_kept
+    def canonical_character(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of a character given by generator
         values; each value vector is canonicalized once and kept on the
         group."""
-        v = tuple(values)
-        table = self.__dict__.setdefault("_canonical", {})
-        if v in table:
-            return table[v]
-        if len(v) != len(self.basis) or any(x not in (1, -1) for x in v):
+        if len(values) != len(self.basis) or any(x not in (1, -1) for x in values):
             raise ParameterError("character values must be +-1 per basis block")
-        canon = v
-        if self.relation_nontrivial:
-            mask = tuple(-1 if d % 2 else 1 for d in self.dims)
-            w = tuple(a * b for a, b in zip(v, mask))
-            canon = min(v, w, key=lambda u: tuple(0 if x == 1 else 1 for x in u))
-        table[v] = canon
-        return canon
+        if not self.relation_nontrivial:
+            return values
+        mask = tuple(-1 if d % 2 else 1 for d in self.dims)
+        w = tuple(a * b for a, b in zip(values, mask))
+        return min(values, w, key=lambda u: tuple(0 if x == 1 else 1 for x in u))
 
     @_kept
     def characters(self) -> tuple[tuple[int, ...], ...]:
@@ -626,8 +623,8 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
 class QuotientMap:
     """The surjection A(psi_+) -> A(psi) that merges separated copies.
 
-    Its kernel and its push table (each character pushed so far, with
-    its image or None) are computed once and kept on the map."""
+    Each character pushed is pushed once and its image (or None) kept on
+    the map."""
 
     source: ComponentGroup
     target: ComponentGroup
@@ -645,7 +642,6 @@ class QuotientMap:
     def kernel_order(self) -> int:
         return self.source.order // self.target.order
 
-    @_kept
     def kernel(self) -> tuple[tuple[int, ...], ...]:
         ident = self.target.identity
         return tuple(s for s in self.source.elements if self.push(s) == ident)
@@ -657,20 +653,15 @@ class QuotientMap:
             fibers.setdefault(j, set()).add(values_plus[i])
         return all(len(vals) == 1 for vals in fibers.values())
 
+    @_kept
     def push_character(self, values_plus: tuple[int, ...]) -> tuple[int, ...] | None:
         """Descend a character to A(psi); None flags a vanishing coefficient."""
-        values_plus = tuple(values_plus)
-        table = self.__dict__.setdefault("_push_table", {})
-        if values_plus in table:
-            return table[values_plus]
-        pushed = None
-        if self.character_descends(values_plus):
-            out = [1] * len(self.target.basis)
-            for i, j in enumerate(self.index_map):
-                out[j] = values_plus[i]
-            pushed = self.target.canonical_character(out)
-        table[values_plus] = pushed
-        return pushed
+        if not self.character_descends(values_plus):
+            return None
+        out = [1] * len(self.target.basis)
+        for i, j in enumerate(self.index_map):
+            out[j] = values_plus[i]
+        return self.target.canonical_character(tuple(out))
 
 
 def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
@@ -678,7 +669,10 @@ def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap
 
     Built and checked for surjectivity once per pair: the map is kept on
     psi_+, keyed by the fields of psi, so it holds no reference to psi and
-    is freed with psi_+."""
+    is freed with psi_+.  ``_kept`` would key it by psi itself, and for the
+    identity pair (psi, psi) that puts psi in a table in its own
+    ``__dict__``: a reference cycle, which only the garbage collector
+    frees."""
     maps = psi_plus.__dict__.setdefault("_quotient_maps", {})
     key = (psi.group, psi.blocks)
     qm = maps.get(key)
@@ -692,15 +686,15 @@ def _quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMa
     source = component_group(psi_plus)
     target = component_group(psi)
     target_index = {b.key: j for j, b in enumerate(target.basis)}
-    # positional correspondence of the expanded discrete parts
+    # positional correspondence of the expanded discrete parts: the mult
+    # copies of a block of psi_+ sit over mult equal entries of psi's
     disc_keys = [(t2, a, 1) for t2, a in psi.discrete]
     disc_pos = 0
     index_map = []
-    for b in source.basis:
+    for b in psi_plus.blocks:
         if b.t2 > 0:
-            key = disc_keys[disc_pos]
-            disc_pos += 1
-            index_map.append(target_index[key])
+            index_map.append(target_index[disc_keys[disc_pos]])
+            disc_pos += b.mult
         else:
             index_map.append(target_index[b.key])
     qm = QuotientMap(source, target, tuple(index_map))

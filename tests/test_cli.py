@@ -350,6 +350,9 @@ RAW_JSON_FILES = {
     + '}}, "character": [1, 1]}]}',
     "{deep_spec}": "[" * 100_000 + "]" * 100_000,
 }
+# a valid Sp(1000,R) spec: the uniqueness search recurses once per GL
+# coordinate, 1001 of them, past the interpreter's recursion limit
+LARGE_SPECS = {"{sp1000}": {"group": {"kind": "Sp", "rank": 500}, "blocks": [{"t": "0", "a": 1001}]}}
 
 
 @pytest.mark.parametrize(
@@ -385,11 +388,13 @@ RAW_JSON_FILES = {
             "long_int_packet.json: an integer literal is too long",
         ),
         (["info", "--spec", "{deep_spec}"], "deep_spec.json: arrays or objects are nested too deeply"),
+        (["verify", "uniqueness", "--spec", "{sp1000}"], "too large for this command"),
+        (["verify", "all", "--spec", "{sp1000}"], "too large for this command"),
     ],
 )
 def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
     paths = {"{ex1}": ex1_path}
-    for name, spec in {**BOOLEAN_COUNT_SPECS, **MALFORMED_HALF_SPECS}.items():
+    for name, spec in {**BOOLEAN_COUNT_SPECS, **MALFORMED_HALF_SPECS, **LARGE_SPECS}.items():
         paths[name] = str(tmp_path / f"{name.strip('{}')}.json")
         with open(paths[name], "w") as f:
             json.dump(spec, f)

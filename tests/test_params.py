@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from arthurcomb.params import (
     DimensionError,
     DominationError,
     ParityError,
+    _kept,
     arthur_parameter,
     block,
     canonical_offsets,
@@ -269,6 +271,49 @@ def test_quotient_map_merged_copies():
     assert not qm.character_descends((1, -1))
     assert qm.push_character((1, -1)) is None
     assert qm.push_character((-1, -1)) is not None
+
+
+def test_quotient_map_to_itself_is_the_identity_over_corpus():
+    """Also when psi repeats a discrete block: the copies of a block of
+    psi_+ sit over as many entries of psi's discrete part."""
+    for psi in corpus(signed=True):
+        qm = quotient_map(psi, psi)
+        assert qm.kernel_order == 1, str(psi)
+        assert qm.index_map == tuple(range(len(psi.blocks))), str(psi)
+
+
+def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1):
+    """``_kept`` computes fn(obj, *args) once per object and argument
+    tuple; two groups, or two arguments, never share an entry, and the
+    filled tables leave ==, hash and repr of the groups and of a quotient
+    map as they were."""
+    calls = []
+
+    class Box:
+        @_kept
+        def f(self, *args):
+            calls.append((self, args))
+            return len(calls)
+
+    one, two = Box(), Box()
+    assert [one.f(1), one.f(2), two.f(1), one.f(1, 2), one.f(), one.f(1), two.f(1)] == [1, 2, 3, 4, 5, 1, 3]
+    assert calls == [(one, (1,)), (one, (2,)), (two, (1,)), (one, (1, 2)), (one, ())]
+
+    # ex1's dual SO(5) cuts A(psi) by the determinant, SO(5,R)'s dual Sp(4) does not
+    sp = component_group(ex1)
+    so = component_group(arthur_parameter(SO_ODD2, [block(Fraction(3, 2), 1), block(Fraction(1, 2), 1)]))
+    psi = arthur_parameter(SO_ODD2, [block(Fraction(1, 2), 1, mult=2)])
+    qm = quotient_map(dominate(psi, canonical_offsets(psi)), psi)
+    fresh = [dataclasses.replace(x) for x in (sp, so, qm)]
+    assert sp.canonical_character((1, -1)) == (1, 1)
+    assert sp.canonical_character((-1, 1)) == (-1, 1)
+    assert so.canonical_character((1, -1)) == (1, -1)
+    assert so.canonical_character((-1, 1)) == (-1, 1)
+    assert qm.push_character((1, -1)) is None
+    assert qm.push_character((-1, -1)) == (-1,)
+    for x, y in zip((sp, so, qm), fresh):
+        assert vars(x) != vars(y)  # something is kept
+        assert (x, hash(x), repr(x)) == (y, hash(y), repr(y))
 
 
 def test_quotient_map_is_surjective_homomorphism():
