@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .params import (
     ArthurParameter,
@@ -42,7 +42,7 @@ from .params import (
     inf_char,
     quotient_map,
 )
-from .weyl import Weight, _vector
+from .weyl import GroupType, Weight, half_sum_positive_roots, positive_roots, simple_roots
 
 __all__ = [
     "LeviDatum",
@@ -293,39 +293,25 @@ def _layout(levi: LeviDatum) -> tuple[tuple[int, ...], int, str]:
     return levi.a_list, levi.g0.rank, levi.g0.kind
 
 
-def _block_ranges(a_list: tuple[int, ...]) -> list[range]:
+def _levi_roots(a_list: tuple[int, ...], n0: int, kind: str, roots: Callable) -> list[tuple[int, ...]]:
+    """``roots`` (``positive_roots`` or ``simple_roots``) of each Levi
+    factor in turn, gl(a_i) as type A and then G_0, as doubled vectors in
+    the fixed coordinate layout."""
+    n = sum(a_list) + n0
     out = []
     start = 0
-    for a in a_list:
-        out.append(range(start, start + a))
-        start += a
+    for t in [GroupType("A", a) for a in a_list] + [ClassicalGroup(kind, n0).gside_type()]:
+        out += [(0,) * start + r.doubled + (0,) * (n - start - t.rank) for r in roots(t)]
+        start += t.rank
     return out
 
 
 def nilradical_roots(a_list: tuple[int, ...], n0: int, kind: str) -> list[Weight]:
-    """Positive roots outside the Levi, in the fixed coordinate layout."""
-    n = sum(a_list) + n0
-    blocks = _block_ranges(a_list)
-    g0_range = range(n - n0, n)
-    roots: list[Weight] = []
-    for bi, blk in enumerate(blocks):
-        for s in blk:
-            # within the block only e_s + e_t leaves the gl(a_i) factor
-            for t in blk:
-                if t > s:
-                    roots.append(_vector(n, (s, 2), (t, 2)))
-            for later in blocks[bi + 1 :]:
-                for t in later:
-                    roots.append(_vector(n, (s, 2), (t, -2)))
-                    roots.append(_vector(n, (s, 2), (t, 2)))
-            for t in g0_range:
-                roots.append(_vector(n, (s, 2), (t, -2)))
-                roots.append(_vector(n, (s, 2), (t, 2)))
-            if kind == "Sp":
-                roots.append(_vector(n, (s, 4)))
-            elif kind == "SOodd":
-                roots.append(_vector(n, (s, 2)))
-    return roots
+    """Positive roots outside the Levi, in the fixed coordinate layout and
+    the order of ``positive_roots``."""
+    levi = set(_levi_roots(a_list, n0, kind, positive_roots))
+    g = ClassicalGroup(kind, sum(a_list) + n0).gside_type()
+    return [r for r in positive_roots(g) if r.doubled not in levi]
 
 
 def delta_u(a_list: tuple[int, ...], n0: int, kind: str) -> Weight:
@@ -602,10 +588,11 @@ def _decode_items(
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=256)
 def _delta_l1(a_list: tuple[int, ...]) -> tuple[int, ...]:
-    """Doubled delta_L1 on the unitary coordinates: (a-1)/2, ..., -(a-1)/2
-    on each block."""
-    return tuple((a - 1) - 2 * k for a in a_list for k in range(a))
+    """Doubled delta_L1 on the unitary coordinates: the half sum of the
+    positive roots of each gl(a_i), (a-1)/2, ..., -(a-1)/2."""
+    return tuple(v for a in a_list for v in half_sum_positive_roots(GroupType("A", a)).doubled)
 
 
 _SweepInfo = collections.namedtuple("_SweepInfo", "hits misses maxsize currsize")
@@ -664,12 +651,13 @@ def _layout_sweep(
 ) -> tuple[int, int, bool, int, _Digits, int, bytes]:
     """The dominant part of the monoid sweep of one layout, height and cap.
 
-    The packed rows hold the coordinates of each nilradical root, the
-    Levi-dominance functionals, then ``<delta_L1, r>``.  A dominant state
-    is a *suspect* when that pairing is negative or its unitary part is
-    zero.  No shift reaches the sweep: the pairing with the shifts is > 0
-    on every root for every parameter (``filtration_vanishing``), so every
-    parameter of the layout shares one entry.
+    The packed rows hold the coordinates of each nilradical root r, its
+    pairings with the Levi's simple roots, halved, and ``<delta_L1, r>``.
+    A dominant state is a *suspect* when that pairing is negative or its
+    unitary part is zero.  No shift reaches the sweep: the pairing with
+    the shifts is > 0 on every root for every parameter
+    (``filtration_vanishing``), so every parameter of the layout shares
+    one entry.
 
     Returns ``(enumerated, dominant_count, truncated, layers, digits, head,
     suspects)``: the counts and truncation flag of the sweep, the number
@@ -698,18 +686,9 @@ def _layout_sweep(
     n = n_u + n0
     roots = _layout_roots(a_list, n0, kind)[0]
 
-    # dominance for the Levi, as functionals that must be >= 0:
-    # non-increasing within each gl block and on the residual tail, whose
-    # root system then asks for mu[-1] >= 0 (B, C) or mu[-2] >= |mu[-1]| (D;
-    # the tail's span already holds mu[-2] >= mu[-1], so add mu[-2] >= -mu[-1])
-    spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n)]
-    dominance = [
-        _vector(n, (s, 1), (s + 1, -1)).doubled for lo, hi in spans for s in range(lo, hi - 1)
-    ]
-    if n0 >= 1 and kind != "SOeven":
-        dominance.append(_vector(n, (n - 1, 1)).doubled)
-    elif n0 >= 2:
-        dominance.append(_vector(n, (n - 2, 1), (n - 1, 1)).doubled)
+    # mu is dominant for the Levi when it pairs >= 0 with each simple root
+    # of each factor; halved, the doubled roots keep the digits narrow
+    dominance = [tuple(v // 2 for v in r) for r in _levi_roots(a_list, n0, kind, simple_roots)]
     functionals = dominance + [_delta_l1(a_list)]
     rows = tuple(r + tuple(sum(map(mul, f, r)) for f in functionals) for r in roots)
     layers, truncated, digits = _monoid_sums(rows, height, cap)

@@ -29,6 +29,7 @@ from .params import (
     block,
     canonical_offsets,
     component_group,
+    dimension,
     dominate,
     g_inf_char,
     good_parity,
@@ -248,15 +249,17 @@ def resolve_settings(args, options: dict) -> Settings:
         threshold=threshold,
         height_bound=height_bound,
         n=n,
-        weights=() if n is None else _weight_list(n, args.mu, args.max_entry),
+        weights=() if n is None else _weight_list(n, args.mu, args.max_entry, suite),
         endo_rank=getattr(args, "endo_rank", None),
     )
 
 
-def _weight_list(n: int, mu: str | None, max_entry: int) -> tuple[Weight, ...]:
+def _weight_list(n: int, mu: str | None, max_entry: int, suite: str) -> tuple[Weight, ...]:
     """``--mu``, or every theta-invariant dominant weight of GL(n) with
-    entries up to ``--max-entry``."""
+    entries up to ``--max-entry`` if ``suite`` reads weights, else none."""
     if not mu:
+        if suite not in ("twisted-trace", "kostant", "all"):
+            return ()
         return tuple(theta_invariant_dominant_weights(n, max_entry))
     w = weight([_parse_half(x, "--mu") for x in mu.split(",")])
     if len(w) != n:
@@ -355,7 +358,7 @@ def cmd_info(args, psi, s, pair) -> tuple[dict, list[dict]]:
     results = {
         "parameter": str(psi),
         "dual_dim": psi.group.dual_dim,
-        "dimension": sum(b.dim for b in psi.blocks),
+        "dimension": dimension(psi),
         "good_parity": parity.ok,
         "parity_blocks": _parity_rows(parity),
     }

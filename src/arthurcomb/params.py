@@ -267,7 +267,7 @@ class ArthurParameter:
         keys = [b.key for b in self.blocks]
         if len(set(keys)) != len(keys):
             raise ParameterError("duplicate blocks; merge multiplicities first")
-        if keys != sorted(keys, key=lambda k: (-k[0], -k[1], -k[2])):
+        if keys != sorted(keys, reverse=True):
             raise ParameterError("blocks not in canonical order")
 
     def __getstate__(self) -> dict:
@@ -304,7 +304,7 @@ def arthur_parameter(group: ClassicalGroup, blocks: Iterable[Block]) -> ArthurPa
     for b in blocks:
         merged[b.key] = merged.get(b.key, 0) + b.mult
     out = [Block(t2, a, eta, m) for (t2, a, eta), m in merged.items()]
-    out.sort(key=lambda b: (-b.t2, -b.a, -b.eta))
+    out.sort(key=lambda b: b.key, reverse=True)
     return ArthurParameter(group, tuple(out))
 
 
@@ -391,15 +391,20 @@ def g_inf_char(group_type: GroupType, w: Weight) -> InfChar:
     return InfChar("G", dom.doubled, group_type)
 
 
-def _gl_entries(psi: ArthurParameter) -> list[int]:
-    out: list[int] = []
-    for b in psi.blocks:
+def _nu_display_doubled(psi: ArthurParameter) -> tuple[int, ...]:
+    """The GL exponents t_i +- (a_i-1)/2, ... of the parameter, doubled, in
+    the block-aligned display order: discrete segments descending, the
+    unipotent multiset, then the mirrored negative segments."""
+    head: list[int] = []
+    for t2, a in psi.discrete:
+        head.extend(t2 + (a - 1) - 2 * k for k in range(a))
+    middle: list[int] = []
+    for b in psi.unipotent:
         for _ in range(b.mult):
-            seg = [b.t2 + (b.a - 1) - 2 * k for k in range(b.a)]
-            out.extend(seg)
-            if b.t2 > 0:
-                out.extend(-x for x in seg)
-    return out
+            middle.extend((b.a - 1) - 2 * k for k in range(b.a))
+    middle.sort(reverse=True)
+    tail = [-x for x in reversed(head)]
+    return tuple(head + middle + tail)
 
 
 def inf_char(psi: ArthurParameter, side: str = "GL") -> InfChar:
@@ -409,7 +414,7 @@ def inf_char(psi: ArthurParameter, side: str = "GL") -> InfChar:
     the mirrored negatives for t > 0 blocks.  G side: the dominant
     representative of the non-negative half, n entries.
     """
-    entries = sorted(_gl_entries(psi), reverse=True)
+    entries = sorted(_nu_display_doubled(psi), reverse=True)
     if side == "GL":
         return gl_inf_char(entries)
     if side != "G":
@@ -763,7 +768,7 @@ def _block_candidates(group: ClassicalGroup, t2_max: int, a_max: int) -> list[Bl
                 b = Block(t2, a, eta)
                 if _block_parity(group, b).ok:
                     out.append(b)
-    out.sort(key=lambda b: (-b.t2, -b.a, -b.eta))
+    out.sort(key=lambda b: b.key, reverse=True)
     return out
 
 

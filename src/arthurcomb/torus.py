@@ -22,6 +22,7 @@ from .params import (
     ClassicalGroup,
     InfChar,
     ParameterError,
+    _nu_display_doubled,
     domination_offsets,
     gl_inf_char,
     g_inf_char,
@@ -139,22 +140,6 @@ def translation_weight(psi: ArthurParameter, psi_plus: ArthurParameter) -> Trans
     lam = Weight(tuple(coords))
     lam_g = Weight(tuple(coords[: psi.group.rank]))
     return TranslationDatum(lam, lam_g, offs)
-
-
-def _nu_display_doubled(psi: ArthurParameter) -> tuple[int, ...]:
-    """GL-side infinitesimal character in the block-aligned display order:
-    discrete segments descending, the unipotent multiset, then the
-    mirrored negative segments."""
-    head: list[int] = []
-    for t2, a in psi.discrete:
-        head.extend(t2 + (a - 1) - 2 * k for k in range(a))
-    middle: list[int] = []
-    for b in psi.unipotent:
-        for _ in range(b.mult):
-            middle.extend((b.a - 1) - 2 * k for k in range(b.a))
-    middle.sort(reverse=True)
-    tail = [-x for x in reversed(head)]
-    return tuple(head + middle + tail)
 
 
 def _rearrangement_count(items: tuple[int, ...]) -> int:

@@ -210,16 +210,19 @@ def simple_roots(t: GroupType) -> list[Weight]:
 
 
 def positive_roots(t: GroupType) -> list[Weight]:
+    """The positive roots, grouped by first coordinate: for each i in
+    turn, e_i - e_j and (B, C, D) e_i + e_j for each j > i, then (B, C)
+    the root e_i or 2 e_i."""
     n = t.rank
+    single = {"B": 2, "C": 4}.get(t.family)
     roots = []
     for i in range(n):
         for j in range(i + 1, n):
             roots.append(_vector(n, (i, 2), (j, -2)))
             if t.family != "A":
                 roots.append(_vector(n, (i, 2), (j, 2)))
-    if t.family in ("B", "C"):
-        long = 2 if t.family == "B" else 4
-        roots += [_vector(n, (i, long)) for i in range(n)]
+        if single:
+            roots.append(_vector(n, (i, single)))
     return roots
 
 

@@ -5,9 +5,10 @@ The oracle functions below are the earlier implementations of
 ``aq._monoid_sums``, ``aq.range_check`` and ``aq.filtration_vanishing``,
 and of the per-entry packet path (``params.component_group``,
 ``params.quotient_map`` with ``QuotientMap.push_character``,
-``aq.aq_datum`` and ``aq.translate_packet``), unchanged apart from their
-names and the private helpers they used, which are inlined or copied
-here.  The package must give the same states, the same truncation point
+``aq.aq_datum`` and ``aq.translate_packet``), and of the hand-built root
+data of a layout (``aq.nilradical_roots``, the sweep's Levi-dominance
+functionals and ``aq._delta_l1``), unchanged apart from their names and
+the private helpers they used, which are inlined or copied here.  The package must give the same states, the same truncation point
 and equal reports on a seeded sample of the signed criterion-6 corpus,
 which includes sweeps stopped at the state cap, whether a layout's sweep
 is run afresh or read from the cache; and equal packets, vanishing
@@ -57,7 +58,7 @@ from arthurcomb.params import (
     inf_char,
     quotient_map,
 )
-from arthurcomb.weyl import GroupType, Weight, is_dominant, norm_sq, pairing
+from arthurcomb.weyl import GroupType, Weight, is_dominant, norm_sq, pairing, simple_roots
 
 SEED = 20260810
 PER_KIND = 4
@@ -754,6 +755,94 @@ def test_items_are_decoded_on_first_read(monkeypatch):
     assert rep.items is first
     assert len(calls) == 500
     assert first == old_filtration_vanishing(datum, psi, height_bound=height).items
+
+
+# --- root data of a layout against the hand-built oracle ----------------------
+
+
+def _vector(n, *entries):
+    d = [0] * n
+    for i, v in entries:
+        d[i] = v
+    return tuple(d)
+
+
+def old_nilradical_roots(a_list, n0, kind):
+    n = sum(a_list) + n0
+    blocks = _block_ranges(a_list)
+    g0_range = range(n - n0, n)
+    roots = []
+    for bi, blk in enumerate(blocks):
+        for s in blk:
+            for t in blk:
+                if t > s:
+                    roots.append(_vector(n, (s, 2), (t, 2)))
+            for later in blocks[bi + 1 :]:
+                for t in later:
+                    roots.append(_vector(n, (s, 2), (t, -2)))
+                    roots.append(_vector(n, (s, 2), (t, 2)))
+            for t in g0_range:
+                roots.append(_vector(n, (s, 2), (t, -2)))
+                roots.append(_vector(n, (s, 2), (t, 2)))
+            if kind == "Sp":
+                roots.append(_vector(n, (s, 4)))
+            elif kind == "SOodd":
+                roots.append(_vector(n, (s, 2)))
+    return roots
+
+
+def old_dominance(a_list, n0, kind):
+    n_u = sum(a_list)
+    n = n_u + n0
+    spans = [(r.start, r.stop) for r in _block_ranges(a_list)] + [(n_u, n)]
+    dominance = [_vector(n, (s, 1), (s + 1, -1)) for lo, hi in spans for s in range(lo, hi - 1)]
+    if n0 >= 1 and kind != "SOeven":
+        dominance.append(_vector(n, (n - 1, 1)))
+    elif n0 >= 2:
+        dominance.append(_vector(n, (n - 2, 1), (n - 1, 1)))
+    return dominance
+
+
+def old_delta_l1(a_list):
+    return tuple((a - 1) - 2 * k for a in a_list for k in range(a))
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first, *rest)
+
+
+def _positive_multiple(f, g):
+    """Whether g = c f for some c > 0."""
+    i = next((i for i, v in enumerate(f) if v), None)
+    if i is None or len(f) != len(g):
+        return False
+    return all(fv * g[i] == gv * f[i] for fv, gv in zip(f, g)) and f[i] * g[i] > 0
+
+
+def test_layout_root_data_match_oracle():
+    """On every layout of rank n <= 7 of each kind, the nilradical roots
+    are the oracle's in order (the order decides where a capped sweep
+    stops), each Levi simple root is a positive multiple of the oracle's
+    dominance functional, and delta_L1 is the oracle's."""
+    layouts = [
+        (a_list, n - n_u, kind)
+        for kind in ("Sp", "SOodd", "SOeven")
+        for n in range(8)
+        for n_u in range(n + 1)
+        for a_list in _compositions(n_u)
+    ]
+    assert len(layouts) == 765
+    for layout in layouts:
+        a_list = layout[0]
+        assert [r.doubled for r in nilradical_roots(*layout)] == old_nilradical_roots(*layout), layout
+        new = aq._levi_roots(*layout, simple_roots)
+        old = old_dominance(*layout)
+        assert len(new) == len(old) and all(map(_positive_multiple, old, new)), layout
+        assert aq._delta_l1(a_list) == old_delta_l1(a_list), layout
 
 
 # --- packet translation against the per-entry oracle ---------------------------

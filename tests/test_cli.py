@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from arthurcomb import aq
+from arthurcomb import aq, cli
 from arthurcomb.cli import main, parse_spec, parse_spec_data, SpecError
 
 EX1_SPEC = {
@@ -422,10 +422,24 @@ def test_malformed_offsets_flag_exits_two(ex1_path, capsys):
     assert "--offsets" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite", ["twisted-trace", "kostant"])
+@pytest.mark.parametrize("suite", ["twisted-trace", "kostant", "parity", "uniqueness"])
 def test_mu_length_must_match_n(capsys, suite):
     assert main(["verify", suite, "--n", "3", "--mu", "1,-1"]) == 2
     assert "--mu has 2 entries but --n is 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, calls",
+    [("parity", 0), ("uniqueness", 0), ("norms", 0), ("filtration", 0), ("kostant", 1)],
+)
+def test_weight_list_built_only_for_suites_that_read_it(ex1_path, monkeypatch, capsys, suite, calls):
+    made = []
+    enumerate_weights = cli.theta_invariant_dominant_weights
+    monkeypatch.setattr(
+        cli, "theta_invariant_dominant_weights", lambda n, m: made.append(n) or enumerate_weights(n, m)
+    )
+    assert main(["verify", suite, "--spec", ex1_path, "--n", "2", "--max-entry", "1"]) == 0
+    assert len(made) == calls
 
 
 def test_mu_with_zero_denominator_exits_two(capsys):

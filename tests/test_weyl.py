@@ -187,6 +187,36 @@ def test_half_sum_matches_explicit_sum():
         assert Weight(tuple(v // 2 for v in total)) == half_sum_positive_roots(t)
 
 
+def test_positive_roots_grouped_by_first_coordinate():
+    def e(n, *entries):
+        d = [0] * n
+        for i, v in entries:
+            d[i] = v
+        return Weight(tuple(d))
+
+    assert positive_roots(GroupType("C", 3)) == [
+        e(3, (0, 2), (1, -2)), e(3, (0, 2), (1, 2)), e(3, (0, 2), (2, -2)), e(3, (0, 2), (2, 2)), e(3, (0, 4)),
+        e(3, (1, 2), (2, -2)), e(3, (1, 2), (2, 2)), e(3, (1, 4)),
+        e(3, (2, 4)),
+    ]
+    assert positive_roots(A2) == [e(3, (0, 2), (1, -2)), e(3, (0, 2), (2, -2)), e(3, (1, 2), (2, -2))]
+    for family in "ABCD":
+        for n in range(6):
+            t = GroupType(family, n)
+            roots = positive_roots(t)
+            firsts = [next(i for i, v in enumerate(r.doubled) if v) for r in roots]
+            assert firsts == sorted(firsts), str(t)
+            # the set: e_i - e_j, e_i + e_j (B, C, D) for i < j, e_i or 2 e_i (B, C)
+            pairs = {e(n, (i, 2), (j, s)) for i in range(n) for j in range(i + 1, n) for s in (-2, 2)}
+            expected = {
+                "A": {r for r in pairs if sum(r.doubled) == 0},
+                "B": pairs | {e(n, (i, 2)) for i in range(n)},
+                "C": pairs | {e(n, (i, 4)) for i in range(n)},
+                "D": pairs,
+            }[family]
+            assert len(roots) == len(set(roots)) and set(roots) == expected, str(t)
+
+
 # --- kostant_reps ---------------------------------------------------------
 
 
