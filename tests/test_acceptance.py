@@ -188,7 +188,7 @@ def test_criterion_6_filtration_vanishing():
         f"{range_failures} range failures, {truncated} stopped at the "
         f"{FILTRATION_STATE_CAP}-state cap, {states} monoid states of which "
         f"{dominant} dominant, {sweeps.misses} layout sweeps run and "
-        f"{sweeps.hits} reused, {elapsed:.0f}s",
+        f"{sweeps.hits} reused, {elapsed:.1f}s",
     )
 
 

@@ -13,7 +13,10 @@ and equal reports on a seeded sample of the signed criterion-6 corpus,
 which includes sweeps stopped at the state cap, whether a layout's sweep
 is run afresh or read from the cache; and equal packets, vanishing
 entries, kernels and pushed characters on a seeded sample of the signed
-criterion-7 corpus.
+criterion-7 corpus.  ``plain_monoid_sums`` is the packed sweep that
+extended every state of a layer by every row; ``aq._monoid_sums`` must
+give its layers one by one, its flag and its digit layout, at the state
+cap, at caps around a sweep's size and at every small cap.
 """
 
 import functools
@@ -90,6 +93,35 @@ def old_monoid_sums(roots, max_height, cap):
                 break
         frontier = nxt
     return sorted(seen), truncated
+
+
+def plain_monoid_sums(rows, max_height, cap):
+    """The packed sweep that extends every state of a layer by every row."""
+    digits = aq._Digits(max(map(abs, col)) * max(max_height, 0) for col in zip(*rows))
+    packed = [sum(v << sh for v, sh in zip(r, digits.shifts)) for r in rows]
+    seen = {digits.zero}
+    layers = []
+    frontier = [digits.zero]
+    truncated = False
+    for _h in range(max_height):
+        if truncated or not frontier:
+            break
+        nxt = []
+        for x in frontier:
+            for r in packed:
+                y = x + r
+                if y not in seen:
+                    if len(seen) > cap:
+                        truncated = True
+                        break
+                    seen.add(y)
+                    nxt.append(y)
+            if truncated:
+                break
+        nxt.sort()
+        layers.append(nxt)
+        frontier = nxt
+    return layers, truncated, digits
 
 
 def old_range_check(d):
@@ -429,6 +461,17 @@ def _layer_union(layers, digits):
     return sorted([digits.zero, *states])
 
 
+def _plain_layers(rows, max_height, cap):
+    """Check that ``aq._monoid_sums`` gives the layers, flag and digit
+    layout of the plain sweep."""
+    layers, truncated, digits = aq._monoid_sums(tuple(rows), max_height, cap)
+    plain_layers, plain_truncated, plain_digits = plain_monoid_sums(rows, max_height, cap)
+    assert layers == plain_layers
+    assert truncated == plain_truncated
+    for field in aq._Digits.__slots__:
+        assert getattr(digits, field) == getattr(plain_digits, field), field
+
+
 def _new_monoid_sums(roots, max_height, cap):
     """The packed sweep's states, zero included, decoded to coordinate
     tuples in sorted order."""
@@ -446,6 +489,7 @@ def test_monoid_sums_match_oracle_on_corpus_sample():
         roots = _doubled_roots(datum)
         old = old_monoid_sums(roots, height, FILTRATION_STATE_CAP)
         assert _new_monoid_sums(roots, height, FILTRATION_STATE_CAP) == old
+        _plain_layers(roots, height, FILTRATION_STATE_CAP)
         capped += old[1]
     assert capped, "the sample must include sweeps stopped at the state cap"
 
@@ -457,6 +501,17 @@ def test_monoid_sums_truncate_at_the_same_point():
         states = len(old_monoid_sums(roots, height, 3000)[0])
         for cap in (states - 2, states - 1, states, states + 1):
             assert _new_monoid_sums(roots, height, cap) == old_monoid_sums(roots, height, cap)
+            _plain_layers(roots, height, cap)
+
+
+def test_monoid_sums_layers_at_every_small_cap():
+    # each cap falls in a layer of its own at some height, and at caps
+    # below the first layer's size the replayed layer starts from zero
+    layouts = {tuple(_doubled_roots(datum)) for _psi, _plus, datum, _height in _sample()}
+    for roots in sorted(layouts):
+        for height in range(6):
+            for cap in range(61):
+                _plain_layers(roots, height, cap)
 
 
 def test_monoid_sums_cap_boundary_flags():
@@ -480,6 +535,23 @@ def test_monoid_sums_cap_boundary_flags():
 )
 def test_monoid_sums_match_oracle_on_random_roots(roots, height, cap):
     assert _new_monoid_sums(roots, height, cap) == old_monoid_sums(roots, height, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=5)
+    ),
+    st.integers(-1, 6),
+    st.integers(0, 80),
+    st.data(),
+)
+def test_monoid_sums_layers_with_repeated_and_zero_rows(rows, height, cap, data):
+    rows, n = list(rows), len(rows[0])
+    for extra in (rows[data.draw(st.integers(0, len(rows) - 1))], (0,) * n):
+        rows.insert(data.draw(st.integers(0, len(rows))), extra)
+    _plain_layers(rows, height, cap)
+    assert _new_monoid_sums(rows, height, cap) == old_monoid_sums(rows, height, cap)
 
 
 @settings(max_examples=150, deadline=None)

@@ -472,12 +472,15 @@ _scalar = (
     | st.floats(-3, 8, allow_nan=False)
     | st.text("0123456789/-+ Sp", max_size=4)
 )
-_json = _scalar | st.recursive(
-    _scalar,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["t", "a", "nu", "kind", "rank", "x"]), inner, max_size=3),
-    max_leaves=6,
-)
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["t", "a", "nu", "kind", "rank", "x"]), inner, max_size=3
+    )
+
+
+_json = _scalar | st.recursive(_scalar, _containers, max_leaves=6)
 
 
 def _positions(doc, path=()):
