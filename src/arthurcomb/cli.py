@@ -605,7 +605,10 @@ def cmd_verify(args, psi, s, pair) -> tuple[dict, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args``
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="arthurcomb",
         description="Combinatorics of Arthur packet translation: computations and verifier sweeps.",

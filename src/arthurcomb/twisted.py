@@ -19,7 +19,8 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 from .weyl import GroupType, Weight, orbit, weyl_elements
 
@@ -196,21 +197,63 @@ def _power_table(entries: tuple[complex, ...], bound: int) -> list[complex]:
     return [e**p for e in entries for p in range(-bound, bound + 1)]
 
 
-def _monomial_values(table: list[complex], monomials: _Monomials) -> Iterator[complex]:
-    """Each monomial's value: the product of its table entries, left to
-    right, starting from 1.0+0.0j."""
+# For each power-table index, that entry's value in each trial of a block.
+_Columns = Sequence[Sequence[complex]]
+
+
+def _columns(tables: Iterable[list[complex]]) -> tuple[tuple[complex, ...], ...]:
+    """Per-trial power tables, transposed into one column per index."""
+    return tuple(zip(*tables))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Every distinct prefix of a list of monomials, once.
+
+    ``nodes`` holds (parent, table index) with parents first: node j + 1
+    is its parent's product times that table entry, and node 0 is
+    1.0+0.0j.  ``leaves`` holds each monomial's node, in monomial order.
+    """
+
+    nodes: tuple[tuple[int, int], ...]
+    leaves: tuple[int, ...]
+
+
+def _plan(monomials: _Monomials) -> _Plan:
+    ids: dict[tuple[int, int], int] = {}
+    nodes: list[tuple[int, int]] = []
+    leaves = []
     for idx in monomials:
-        value = 1.0 + 0.0j
+        node = 0
         for i in idx:
-            value *= table[i]
-        yield value
+            child = ids.get((node, i))
+            if child is None:
+                nodes.append((node, i))
+                child = ids[node, i] = len(nodes)
+            node = child
+        leaves.append(node)
+    return _Plan(tuple(nodes), tuple(leaves))
 
 
-def _extremal_sum(table: list[complex], monomials: _Monomials) -> complex:
-    total = 0.0 + 0.0j
-    for value in _monomial_values(table, monomials):
-        total += value
-    return total
+def _leaf_values(plan: _Plan, columns: _Columns, count: int) -> list[Sequence[complex]]:
+    """Each monomial's value in each of the ``count`` trials of a block:
+    the product of its table entries, left to right, starting from
+    1.0+0.0j.  A shared prefix is multiplied out once, with the same
+    operands in the same order, so every value is bit for bit that of
+    the direct product."""
+    values: list[Sequence[complex]] = [(1.0 + 0.0j,) * count]
+    for parent, i in plan.nodes:
+        values.append(list(map(mul, values[parent], columns[i])))
+    return [values[j] for j in plan.leaves]
+
+
+def _extremal_sums(plan: _Plan, columns: _Columns, count: int) -> list[complex]:
+    """Each trial's sum of the monomials, added with ``+`` from 0.0+0.0j
+    in monomial order."""
+    totals = [0.0 + 0.0j] * count
+    for values in _leaf_values(plan, columns, count):
+        totals = list(map(add, totals, values))
+    return totals
 
 
 def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
@@ -223,13 +266,15 @@ def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
     Evaluation order (shared with ``verify_transfer_identity``): each
     character is the product, left to right from 1.0+0.0j, of ``e**k``
     over the coordinates whose exponent k is non-zero, and the characters
-    are added with ``+=`` from 0.0+0.0j in coset order.
+    are added with ``+`` from 0.0+0.0j in coset order.
     """
     if t.n != rep.n:
         raise ValueError("torus element length mismatch")
     exponents = [tuple(d // 2 for d in w.doubled) for _rep, w in rep.extremal_cosets]
     bound = max((abs(k) for e in exponents for k in e), default=0)
-    return _extremal_sum(_power_table(t.entries, bound), _flat_monomials(exponents, bound))
+    columns = _columns([_power_table(t.entries, bound)])
+    (trace,) = _extremal_sums(_plan(_flat_monomials(exponents, bound)), columns, 1)
+    return trace
 
 
 def kostant_theta_invariance(n: int, mu: Weight) -> bool:
@@ -278,10 +323,11 @@ def verify_transfer_identity(
     directly: the trials are the first ``trials`` regular draws from
     ``random.Random(seed)``; each character is the product, left to right
     from 1.0+0.0j, of ``e**k`` (read from a per-trial table) over its
-    non-zero exponents k; the twisted side adds them with ``+=`` from
+    non-zero exponents k; the twisted side adds them with ``+`` from
     0.0+0.0j in coset order (``twisted_trace_extremal``), and the
-    endoscopic side with ``sum()`` in sorted orbit order.  Draws with
-    trials * n <= ``_DRAW_CACHE_ENTRIES`` are cached, larger ones redrawn.
+    endoscopic side with ``sum()`` in sorted orbit order.  The trials
+    are evaluated in blocks of at most ``_BLOCK_VALUES`` values, plan
+    and tables together, so memory stays flat in ``trials``.
     """
     n = len(mu)
     x = _check_twistable(n, mu)
@@ -293,30 +339,72 @@ def verify_transfer_identity(
     targets = _theta_fixed_targets(x)
     # in the principal case the targets' heads, ascending, are the C_m orbit
     heads = [t[:m] for t in reversed(targets)] if k == m else _signed_orbit(x[:m], k)
-    lhs_monomials = _flat_monomials(targets, bound)
-    rhs_monomials = _flat_monomials(heads, bound)
-    draws = (_draws if trials * n <= _DRAW_CACHE_ENTRIES else _draw_iter)(n, trials, seed)
+    lhs_plan = _plan(_flat_monomials(targets, bound))
+    rhs_plan = _plan(_flat_monomials(heads, bound))
+    # each plan holds its nodes and the empty product
+    per_trial = len(lhs_plan.nodes) + len(rhs_plan.nodes) + 2 + _table_values(n, 1, bound)
+    size = max(1, _BLOCK_VALUES // per_trial)
     worst = 0.0
-    for entries, nt in draws:
-        lhs = _extremal_sum(_power_table(entries, bound), lhs_monomials)
-        rhs = sum(_monomial_values(_power_table(nt, bound), rhs_monomials))
-        worst = max(worst, abs(lhs - rhs))
+    for count, lhs_columns, rhs_columns in _table_blocks(n, trials, seed, bound, size):
+        lhs = _extremal_sums(lhs_plan, lhs_columns, count)
+        rhs = map(sum, zip(*_leaf_values(rhs_plan, rhs_columns, count)))
+        for left, right in zip(lhs, rhs):
+            worst = max(worst, abs(left - right))
     return TransferIdentityReport(
         n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=worst
     )
 
 
-# the most trial entries (trials * n) that one key of _draws keeps
-_DRAW_CACHE_ENTRIES = 10_000
+# the most complex values (plan nodes and power tables) one block of
+# trials holds, about 1.3 MB
+_BLOCK_VALUES = 32_768
+# the most power-table values (``_table_values``) that one key of
+# ``_tables`` keeps: 8,400 at n = 8, max entry 3, 100 trials
+_TABLE_CACHE_VALUES = 12_000
 
 
-@functools.lru_cache(maxsize=8)
-def _draws(
-    n: int, trials: int, seed: int
-) -> tuple[tuple[tuple[complex, ...], tuple[complex, ...]], ...]:
-    """``_draw_iter``'s pairs, shared by every weight of one sweep: at most
-    8 keys, each of at most ``_DRAW_CACHE_ENTRIES`` trial entries."""
-    return tuple(_draw_iter(n, trials, seed))
+def _table_values(n: int, trials: int, bound: int) -> int:
+    """The size of both power tables of ``trials`` trials."""
+    return trials * (n + n // 2) * (2 * bound + 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _tables(n: int, trials: int, seed: int, bound: int) -> tuple[_Columns, _Columns]:
+    """The columns of every trial's two power tables, shared by every
+    weight of one sweep: at most 4 keys, each of at most
+    ``_TABLE_CACHE_VALUES`` values.  A sweep's weights come in
+    non-increasing bound order, so each of its keys serves one run of
+    weights; 4 keys hold a whole sweep up to max entry 3."""
+    return _draw_columns(tuple(_draw_iter(n, trials, seed)), bound)
+
+
+def _table_blocks(
+    n: int, trials: int, seed: int, bound: int, size: int
+) -> Iterator[tuple[int, _Columns, _Columns]]:
+    """The trials of ``verify_transfer_identity`` in order, in blocks of
+    at most ``size``: each block's size and the columns of its twisted
+    and endoscopic power tables.  The tables of a small run are kept
+    (``_tables``); a larger one is drawn and tabulated block by block."""
+    if _table_values(n, trials, bound) <= _TABLE_CACHE_VALUES:
+        lhs, rhs = _tables(n, trials, seed, bound)
+        for start in range(0, trials, size):
+            stop = min(start + size, trials)
+            yield stop - start, [c[start:stop] for c in lhs], [c[start:stop] for c in rhs]
+        return
+    draws = _draw_iter(n, trials, seed)
+    while block := list(itertools.islice(draws, size)):
+        yield (len(block), *_draw_columns(block, bound))
+
+
+def _draw_columns(
+    draws: Sequence[tuple[tuple[complex, ...], tuple[complex, ...]]], bound: int
+) -> tuple[_Columns, _Columns]:
+    """The columns of the draws' twisted (entries) and endoscopic (norm
+    map) power tables."""
+    return (
+        _columns(_power_table(entries, bound) for entries, _nt in draws),
+        _columns(_power_table(nt, bound) for _entries, nt in draws),
+    )
 
 
 def _draw_iter(

@@ -60,6 +60,13 @@ INVOCATIONS = {
         "verify", "twisted-trace", "--n", "4", "--mu", "2,0,0,-2", "--endo-rank", "1",
         "--trials", "20", "--seed", "7",
     ],
+    "twisted-trace n8": [
+        "verify", "twisted-trace", "--n", "8", "--max-entry", "3", "--trials", "100", "--seed", "7",
+    ],
+    "twisted-trace n7 endo": [
+        "verify", "twisted-trace", "--n", "7", "--max-entry", "3", "--endo-rank", "2",
+        "--trials", "37", "--seed", "3",
+    ],
     "filtration": ["verify", "filtration", "--spec", "{ex1}"],
     "filtration offsets": [
         "verify", "filtration", "--spec", "{ex1}", "--offsets", "5", "--height-bound", "4",
@@ -98,6 +105,8 @@ GOLDEN = {
     "twisted-trace mu": (0, "d617113a0882fa63"),
     "twisted-trace sweep": (0, "6d5db7d0e3ce3891"),
     "twisted-trace endo": (1, "ff5c381cf0692c9c"),
+    "twisted-trace n8": (0, "a676659683866461"),
+    "twisted-trace n7 endo": (1, "6455a935ba8e37fe"),
     "filtration": (0, "6f0e7c30456fd11f"),
     "filtration offsets": (0, "d22071a7f6ed237b"),
     "parity": (0, "da13ff18990aaa10"),

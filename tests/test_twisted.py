@@ -323,6 +323,61 @@ def test_theta_fixed_weyl_matches_full_group_oracle():
 # --- table evaluation against the direct per-coset loop -------------------------
 
 
+def _direct_product(table, idx):
+    """Oracle: one monomial's table entries multiplied left to right."""
+    value = 1.0 + 0.0j
+    for i in idx:
+        value *= table[i]
+    return value
+
+
+_unit = st.floats(0, 1).map(lambda a: cmath.exp(2j * cmath.pi * a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plan_values_equal_the_direct_products(data):
+    from arthurcomb.twisted import _columns, _extremal_sums, _leaf_values, _plan
+
+    size = data.draw(st.integers(1, 8))
+    count = data.draw(st.integers(1, 4))
+    tables = data.draw(
+        st.lists(st.lists(_unit, min_size=size, max_size=size), min_size=count, max_size=count)
+    )
+    # a small alphabet makes shared prefixes; some monomials come twice
+    monomial = st.lists(st.integers(0, size - 1), max_size=6).map(tuple)
+    monomials = data.draw(st.lists(monomial, max_size=10))
+    if monomials:
+        monomials += data.draw(st.lists(st.sampled_from(monomials), max_size=3))
+    plan = _plan(tuple(monomials))
+    columns = _columns(tables)
+    values = _leaf_values(plan, columns, count)
+    totals = _extremal_sums(plan, columns, count)
+    for trial, table in enumerate(tables):
+        direct = [_direct_product(table, idx) for idx in monomials]
+        assert [v[trial] for v in values] == direct
+        total = 0.0 + 0.0j
+        for value in direct:
+            total += value
+        assert repr(totals[trial]) == repr(total)
+    assert len(plan.nodes) == len({idx[:d] for idx in monomials for d in range(1, len(idx) + 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_twisted_trace_of_a_hand_built_rep_matches_oracle(data):
+    # any weights, repeated, zero or none: monomials of mixed lengths
+    from arthurcomb.twisted import ExtremalRep
+
+    n = data.draw(st.integers(1, 6))
+    exps = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=8))
+    exps += data.draw(st.lists(st.sampled_from(exps), max_size=2)) if exps else []
+    cosets = tuple((tuple(range(n)), Weight(tuple(2 * v for v in e))) for e in exps)
+    rep = ExtremalRep(n, Weight((0,) * n), cosets)
+    t = torus_element(data.draw(st.lists(_unit, min_size=n, max_size=n)))
+    assert repr(twisted_trace_extremal(rep, t)) == repr(_oracle_trace(rep, t))
+
+
 def _char_value(entries, exponents):
     """Oracle: a Laurent character evaluated coordinate by coordinate."""
     out = 1.0 + 0.0j
@@ -369,14 +424,30 @@ def test_transfer_identity_matches_oracle_on_every_small_weight():
         assert got == _oracle_residual(mu, len(mu) // 2, 100, 7), mu
 
 
+# (n, seed, trials); at n = 8 the largest plans take 37 trials in two blocks
+ENDO_RANK_CASES = [
+    (n, seed, trials) for n in range(7) for seed in (0, 3) for trials in (1, 37)
+] + [(7, 3, 37), (8, 3, 37)]
+
+
 def test_transfer_identity_matches_oracle_for_every_endo_rank():
-    for n in range(7):
+    for n, seed, trials in ENDO_RANK_CASES:
         for mu in theta_invariant_dominant_weights(n, 3):
             for k in range(n // 2 + 1):
-                for seed in (0, 3):
-                    for trials in (1, 37):
-                        got = verify_transfer_identity(mu, k, trials, seed).max_residual
-                        assert got == _oracle_residual(mu, k, trials, seed), (mu, k, seed, trials)
+                got = verify_transfer_identity(mu, k, trials, seed).max_residual
+                assert got == _oracle_residual(mu, k, trials, seed), (mu, k, seed, trials)
+
+
+@pytest.mark.parametrize("block_values", [1, 300])
+@pytest.mark.parametrize("cache_values", [0, 12_000])
+def test_transfer_identity_is_the_same_in_every_block_size(monkeypatch, block_values, cache_values):
+    from arthurcomb import twisted
+
+    monkeypatch.setattr(twisted, "_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(twisted, "_TABLE_CACHE_VALUES", cache_values)
+    for mu in theta_invariant_dominant_weights(6, 2):
+        got = verify_transfer_identity(mu, 1, trials=23, seed=5).max_residual
+        assert got == _oracle_residual(mu, 1, 23, 5), mu
 
 
 @settings(max_examples=200, deadline=None)
@@ -391,28 +462,33 @@ def test_twisted_trace_matches_oracle_on_random_elements(data):
 
 
 def test_shared_draws_give_the_same_reports_cold_and_warm():
-    from arthurcomb.twisted import _draws
+    from arthurcomb.twisted import _tables
 
     weights = list(theta_invariant_dominant_weights(6, 3))
     cold = []
     for mu in weights:
-        _draws.cache_clear()
+        _tables.cache_clear()
         cold.append(verify_transfer_identity(mu, trials=37, seed=3))
-    hits = _draws.cache_info().hits
+    # the sweep's weights have four bounds, so four keys; the first pass fills them
+    first = [verify_transfer_identity(mu, trials=37, seed=3) for mu in weights]
+    info = _tables.cache_info()
     warm = [verify_transfer_identity(mu, trials=37, seed=3) for mu in weights]
-    assert _draws.cache_info().hits == hits + len(weights)
-    assert warm == cold
+    assert _tables.cache_info().hits == info.hits + len(weights)
+    assert _tables.cache_info().misses == info.misses
+    assert warm == first == cold
 
 
 def test_draws_past_the_cache_bound_are_not_kept():
-    from arthurcomb.twisted import _DRAW_CACHE_ENTRIES, _draws
+    from arthurcomb.twisted import _TABLE_CACHE_VALUES, _tables
 
+    # n + n // 2 = 12 table entries of 2 * 1 + 1 powers each, per trial
     mu = weight([1, 0, 0, 0, 0, 0, 0, -1])
-    trials = _DRAW_CACHE_ENTRIES // 8 + 1
-    size = _draws.cache_info().currsize
-    got = verify_transfer_identity(mu, trials=trials, seed=5).max_residual
-    assert _draws.cache_info().currsize == size
-    assert got == _oracle_residual(mu, 4, trials, 5)
+    kept = _TABLE_CACHE_VALUES // 36
+    for trials, added in ((kept, 1), (kept + 1, 0)):
+        _tables.cache_clear()
+        got = verify_transfer_identity(mu, trials=trials, seed=5).max_residual
+        assert _tables.cache_info().currsize == _tables.cache_info().misses == added
+        assert got == _oracle_residual(mu, 4, trials, 5)
 
 
 @pytest.mark.parametrize("endo_rank, orbits", [(None, 1), (3, 1), (2, 2), (0, 2)])
