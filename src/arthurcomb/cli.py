@@ -39,7 +39,7 @@ from .torus import transfer_infchar, translation_weight, uniqueness_check
 from .twisted import (
     kostant_theta_invariance,
     theta_invariant_dominant_weights,
-    verify_transfer_identity,
+    verify_transfer_identities,
 )
 from .weyl import Weight, norm_sq, weight
 from .aq import (
@@ -549,11 +549,8 @@ def _suite_filtration(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, li
 
 
 def _suite_twisted(psi, s: Settings, pair) -> tuple[dict, list[dict]]:
-    rows = [
-        (str(mu), verify_transfer_identity(mu, s.endo_rank, s.trials, s.seed).max_residual)
-        for mu in s.weights
-    ]
-    rows.sort()
+    reports = verify_transfer_identities(s.weights, s.endo_rank, s.trials, s.seed)
+    rows = sorted((str(mu), r.max_residual) for mu, r in zip(s.weights, reports))
     worst = max((r for _m, r in rows), default=0.0)
     results = {
         "n": s.n,

@@ -289,11 +289,6 @@ class ArthurParameter:
     def unipotent(self) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.t2 == 0)
 
-    @property
-    def v(self) -> int:
-        """Number of t > 0 blocks counted with multiplicity."""
-        return len(self.discrete)
-
     def __str__(self) -> str:
         return f"{self.group}: " + " + ".join(str(b) for b in self.blocks)
 

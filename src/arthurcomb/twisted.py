@@ -15,7 +15,6 @@ theta-fixed.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ __all__ = [
     "kostant_theta_invariance",
     "TransferIdentityReport",
     "verify_transfer_identity",
+    "verify_transfer_identities",
     "theta_invariant_dominant_weights",
 ]
 
@@ -263,7 +263,7 @@ def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
     is the sum of the fixed extremal characters at t; non-fixed lines are
     permuted off the diagonal and contribute zero.
 
-    Evaluation order (shared with ``verify_transfer_identity``): each
+    Evaluation order (shared with ``verify_transfer_identities``): each
     character is the product, left to right from 1.0+0.0j, of ``e**k``
     over the coordinates whose exponent k is non-zero, and the characters
     are added with ``+`` from 0.0+0.0j in coset order.
@@ -317,100 +317,82 @@ def verify_transfer_identity(
     norm coordinates (the principal case takes all of them, and the
     identity is exact there).  Random trials draw unit-modulus regular
     torus elements from the given seed; the maximum absolute residual
-    over the trials is reported.
+    over the trials is reported.  A one-weight
+    ``verify_transfer_identities``.
+    """
+    (report,) = verify_transfer_identities([mu], endo_rank, trials, seed)
+    return report
 
-    The residual is bit-for-bit that of evaluating every character
+
+def verify_transfer_identities(
+    weights: Sequence[Weight],
+    endo_rank: int | None = None,
+    trials: int = 100,
+    seed: int = 0,
+) -> list[TransferIdentityReport]:
+    """``verify_transfer_identity`` for every weight of a sweep, in order,
+    over one draw of the trials; the weights share one length n.
+
+    Each residual is bit-for-bit that of evaluating every character
     directly: the trials are the first ``trials`` regular draws from
     ``random.Random(seed)``; each character is the product, left to right
     from 1.0+0.0j, of ``e**k`` (read from a per-trial table) over its
     non-zero exponents k; the twisted side adds them with ``+`` from
     0.0+0.0j in coset order (``twisted_trace_extremal``), and the
     endoscopic side with ``sum()`` in sorted orbit order.  The trials
-    are evaluated in blocks of at most ``_BLOCK_VALUES`` values, plan
-    and tables together, so memory stays flat in ``trials``.
+    are drawn and tabulated in blocks of at most ``_BLOCK_VALUES``
+    values, tables and the largest plan together, and every weight is
+    evaluated on a block before the next is drawn, so memory stays flat
+    in ``trials``.
     """
-    n = len(mu)
-    x = _check_twistable(n, mu)
+    if not weights:
+        return []
+    n = len(weights[0])
+    xs = [_check_twistable(n, mu) for mu in weights]
     m = n // 2
     k = m if endo_rank is None else endo_rank
     if not 0 <= k <= m:
         raise ValueError(f"endo_rank must be between 0 and {m}")
-    bound = max(map(abs, x), default=0)
-    targets = _theta_fixed_targets(x)
-    # in the principal case the targets' heads, ascending, are the C_m orbit
-    heads = [t[:m] for t in reversed(targets)] if k == m else _signed_orbit(x[:m], k)
-    lhs_plan = _plan(_flat_monomials(targets, bound))
-    rhs_plan = _plan(_flat_monomials(heads, bound))
+    bound = max((abs(v) for x in xs for v in x), default=0)
+    plans = []
+    for x in xs:
+        targets = _theta_fixed_targets(x)
+        # in the principal case the targets' heads, ascending, are the C_m orbit
+        heads = [t[:m] for t in reversed(targets)] if k == m else _signed_orbit(x[:m], k)
+        plans.append(
+            (_plan(_flat_monomials(targets, bound)), _plan(_flat_monomials(heads, bound)))
+        )
     # each plan holds its nodes and the empty product
-    per_trial = len(lhs_plan.nodes) + len(rhs_plan.nodes) + 2 + _table_values(n, 1, bound)
-    size = max(1, _BLOCK_VALUES // per_trial)
-    worst = 0.0
-    for count, lhs_columns, rhs_columns in _table_blocks(n, trials, seed, bound, size):
-        lhs = _extremal_sums(lhs_plan, lhs_columns, count)
-        rhs = map(sum, zip(*_leaf_values(rhs_plan, rhs_columns, count)))
-        for left, right in zip(lhs, rhs):
-            worst = max(worst, abs(left - right))
-    return TransferIdentityReport(
-        n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=worst
-    )
+    nodes = max(len(lhs.nodes) + len(rhs.nodes) + 2 for lhs, rhs in plans)
+    size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + nodes))
+    worst = [0.0] * len(plans)
+    draws = _draw_iter(n, trials, seed)
+    while block := list(itertools.islice(draws, size)):
+        count = len(block)
+        lhs_columns = _columns(_power_table(entries, bound) for entries, _nt in block)
+        rhs_columns = _columns(_power_table(nt, bound) for _entries, nt in block)
+        for j, (lhs_plan, rhs_plan) in enumerate(plans):
+            lhs = _extremal_sums(lhs_plan, lhs_columns, count)
+            rhs = map(sum, zip(*_leaf_values(rhs_plan, rhs_columns, count)))
+            for left, right in zip(lhs, rhs):
+                worst[j] = max(worst[j], abs(left - right))
+    return [
+        TransferIdentityReport(
+            n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=w
+        )
+        for w in worst
+    ]
 
 
 # the most complex values (plan nodes and power tables) one block of
 # trials holds, about 1.3 MB
 _BLOCK_VALUES = 32_768
-# the most power-table values (``_table_values``) that one key of
-# ``_tables`` keeps: 8,400 at n = 8, max entry 3, 100 trials
-_TABLE_CACHE_VALUES = 12_000
-
-
-def _table_values(n: int, trials: int, bound: int) -> int:
-    """The size of both power tables of ``trials`` trials."""
-    return trials * (n + n // 2) * (2 * bound + 1)
-
-
-@functools.lru_cache(maxsize=4)
-def _tables(n: int, trials: int, seed: int, bound: int) -> tuple[_Columns, _Columns]:
-    """The columns of every trial's two power tables, shared by every
-    weight of one sweep: at most 4 keys, each of at most
-    ``_TABLE_CACHE_VALUES`` values.  A sweep's weights come in
-    non-increasing bound order, so each of its keys serves one run of
-    weights; 4 keys hold a whole sweep up to max entry 3."""
-    return _draw_columns(tuple(_draw_iter(n, trials, seed)), bound)
-
-
-def _table_blocks(
-    n: int, trials: int, seed: int, bound: int, size: int
-) -> Iterator[tuple[int, _Columns, _Columns]]:
-    """The trials of ``verify_transfer_identity`` in order, in blocks of
-    at most ``size``: each block's size and the columns of its twisted
-    and endoscopic power tables.  The tables of a small run are kept
-    (``_tables``); a larger one is drawn and tabulated block by block."""
-    if _table_values(n, trials, bound) <= _TABLE_CACHE_VALUES:
-        lhs, rhs = _tables(n, trials, seed, bound)
-        for start in range(0, trials, size):
-            stop = min(start + size, trials)
-            yield stop - start, [c[start:stop] for c in lhs], [c[start:stop] for c in rhs]
-        return
-    draws = _draw_iter(n, trials, seed)
-    while block := list(itertools.islice(draws, size)):
-        yield (len(block), *_draw_columns(block, bound))
-
-
-def _draw_columns(
-    draws: Sequence[tuple[tuple[complex, ...], tuple[complex, ...]]], bound: int
-) -> tuple[_Columns, _Columns]:
-    """The columns of the draws' twisted (entries) and endoscopic (norm
-    map) power tables."""
-    return (
-        _columns(_power_table(entries, bound) for entries, _nt in draws),
-        _columns(_power_table(nt, bound) for _entries, nt in draws),
-    )
 
 
 def _draw_iter(
     n: int, trials: int, seed: int
 ) -> Iterator[tuple[tuple[complex, ...], tuple[complex, ...]]]:
-    """The trial elements of ``verify_transfer_identity``, as (entries,
+    """The trial elements of ``verify_transfer_identities``, as (entries,
     norm map) pairs: the first ``trials`` regular draws from
     ``random.Random(seed)``."""
     rng = random.Random(seed)

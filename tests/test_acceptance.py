@@ -36,7 +36,7 @@ from arthurcomb.torus import transfer_infchar, uniqueness_check
 from arthurcomb.twisted import (
     kostant_theta_invariance,
     theta_invariant_dominant_weights,
-    verify_transfer_identity,
+    verify_transfer_identities,
 )
 from arthurcomb.weyl import Weight, norm_sq, weight
 
@@ -75,8 +75,9 @@ def test_criterion_2_twisted_trace_identity():
     worst = 0.0
     count = 0
     for n in range(1, 7):
-        for mu in theta_invariant_dominant_weights(n, 3):
-            rep = verify_transfer_identity(mu, trials=100, seed=SEED)
+        for rep in verify_transfer_identities(
+            list(theta_invariant_dominant_weights(n, 3)), trials=100, seed=SEED
+        ):
             worst = max(worst, rep.max_residual)
             count += 1
     elapsed = time.time() - start

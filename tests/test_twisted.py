@@ -17,6 +17,7 @@ from arthurcomb.twisted import (
     theta_weight,
     torus_element,
     twisted_trace_extremal,
+    verify_transfer_identities,
     verify_transfer_identity,
 )
 from arthurcomb.weyl import Weight, weight
@@ -438,16 +439,26 @@ def test_transfer_identity_matches_oracle_for_every_endo_rank():
                 assert got == _oracle_residual(mu, k, trials, seed), (mu, k, seed, trials)
 
 
+# (n, max entry, endo rank, trials, seed); the n = 8 sweep spans many blocks
+BLOCK_CASES = [(6, 2, 1, 23, 5), (8, 2, 2, 334, 5)]
+
+
 @pytest.mark.parametrize("block_values", [1, 300])
-@pytest.mark.parametrize("cache_values", [0, 12_000])
-def test_transfer_identity_is_the_same_in_every_block_size(monkeypatch, block_values, cache_values):
+def test_transfer_identity_is_the_same_in_every_block_size(monkeypatch, block_values):
     from arthurcomb import twisted
 
     monkeypatch.setattr(twisted, "_BLOCK_VALUES", block_values)
-    monkeypatch.setattr(twisted, "_TABLE_CACHE_VALUES", cache_values)
-    for mu in theta_invariant_dominant_weights(6, 2):
-        got = verify_transfer_identity(mu, 1, trials=23, seed=5).max_residual
-        assert got == _oracle_residual(mu, 1, 23, 5), mu
+    for n, max_entry, k, trials, seed in BLOCK_CASES:
+        weights = list(theta_invariant_dominant_weights(n, max_entry))
+        sweep = verify_transfer_identities(weights, k, trials, seed)
+        assert sweep == [verify_transfer_identity(mu, k, trials, seed) for mu in weights]
+        for mu, rep in zip(weights, sweep):
+            assert rep.max_residual == _oracle_residual(mu, k, trials, seed), (mu, k)
+
+
+def test_transfer_identities_reject_mixed_lengths():
+    with pytest.raises(ValueError, match="weight length must equal n"):
+        verify_transfer_identities([weight([1, -1]), weight([1, 0, -1])])
 
 
 @settings(max_examples=200, deadline=None)
@@ -459,36 +470,6 @@ def test_twisted_trace_matches_oracle_on_random_elements(data):
     t = torus_element(cmath.exp(2j * cmath.pi * a) for a in angles)
     rep = extremal_rep(n, mu)
     assert twisted_trace_extremal(rep, t) == _oracle_trace(rep, t)
-
-
-def test_shared_draws_give_the_same_reports_cold_and_warm():
-    from arthurcomb.twisted import _tables
-
-    weights = list(theta_invariant_dominant_weights(6, 3))
-    cold = []
-    for mu in weights:
-        _tables.cache_clear()
-        cold.append(verify_transfer_identity(mu, trials=37, seed=3))
-    # the sweep's weights have four bounds, so four keys; the first pass fills them
-    first = [verify_transfer_identity(mu, trials=37, seed=3) for mu in weights]
-    info = _tables.cache_info()
-    warm = [verify_transfer_identity(mu, trials=37, seed=3) for mu in weights]
-    assert _tables.cache_info().hits == info.hits + len(weights)
-    assert _tables.cache_info().misses == info.misses
-    assert warm == first == cold
-
-
-def test_draws_past_the_cache_bound_are_not_kept():
-    from arthurcomb.twisted import _TABLE_CACHE_VALUES, _tables
-
-    # n + n // 2 = 12 table entries of 2 * 1 + 1 powers each, per trial
-    mu = weight([1, 0, 0, 0, 0, 0, 0, -1])
-    kept = _TABLE_CACHE_VALUES // 36
-    for trials, added in ((kept, 1), (kept + 1, 0)):
-        _tables.cache_clear()
-        got = verify_transfer_identity(mu, trials=trials, seed=5).max_residual
-        assert _tables.cache_info().currsize == _tables.cache_info().misses == added
-        assert got == _oracle_residual(mu, 4, trials, 5)
 
 
 @pytest.mark.parametrize("endo_rank, orbits", [(None, 1), (3, 1), (2, 2), (0, 2)])
