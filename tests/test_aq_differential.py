@@ -16,7 +16,8 @@ entries, kernels and pushed characters on a seeded sample of the signed
 criterion-7 corpus.  ``plain_monoid_sums`` is the packed sweep that
 extended every state of a layer by every row; ``aq._monoid_sums`` must
 give its layers one by one, its flag and its digit layout, at the state
-cap, at caps around a sweep's size and at every small cap.
+cap, at caps around a sweep's size and at every small cap, the last two
+also with the rows reversed and shuffled.
 """
 
 import functools
@@ -472,6 +473,15 @@ def _plain_layers(rows, max_height, cap):
         assert getattr(digits, field) == getattr(plain_digits, field), field
 
 
+def _row_orders(rows):
+    """``rows`` as given, reversed and in a seeded shuffle: the replay of
+    the layer where the cap falls keeps the given order, so its states
+    are checked under orders other than the ascending one."""
+    shuffled = list(rows)
+    random.Random(SEED).shuffle(shuffled)
+    return [list(rows), list(rows)[::-1], shuffled]
+
+
 def _new_monoid_sums(roots, max_height, cap):
     """The packed sweep's states, zero included, decoded to coordinate
     tuples in sorted order."""
@@ -501,7 +511,8 @@ def test_monoid_sums_truncate_at_the_same_point():
         states = len(old_monoid_sums(roots, height, 3000)[0])
         for cap in (states - 2, states - 1, states, states + 1):
             assert _new_monoid_sums(roots, height, cap) == old_monoid_sums(roots, height, cap)
-            _plain_layers(roots, height, cap)
+            for rows in _row_orders(roots):
+                _plain_layers(rows, height, cap)
 
 
 def test_monoid_sums_layers_at_every_small_cap():
@@ -509,9 +520,21 @@ def test_monoid_sums_layers_at_every_small_cap():
     # below the first layer's size the replayed layer starts from zero
     layouts = {tuple(_doubled_roots(datum)) for _psi, _plus, datum, _height in _sample()}
     for roots in sorted(layouts):
-        for height in range(6):
-            for cap in range(61):
-                _plain_layers(roots, height, cap)
+        for rows in _row_orders(roots):
+            for height in range(6):
+                for cap in range(61):
+                    _plain_layers(rows, height, cap)
+
+
+def test_monoid_sums_replay_keeps_rows_equal_to_the_last_row():
+    # layer 1 is (0,1), (1,0) and the cap falls in layer 2; the replay
+    # must extend (0,1) by the row at its own m, (0,1), and by both copies
+    # of (1,0): comparing with > in place of >= loses (0,2)
+    rows = [(1, 0), (1, 0), (0, 1)]
+    _plain_layers(rows, 2, 4)
+    layers, truncated, digits = aq._monoid_sums(tuple(rows), 2, 4)
+    assert truncated
+    assert [digits.decode(y, range(2)) for y in layers[1]] == [(0, 2), (1, 1)]
 
 
 def test_monoid_sums_cap_boundary_flags():
