@@ -18,7 +18,7 @@ import cmath
 import itertools
 import random
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .weyl import GroupType, Weight, orbit, weyl_elements
@@ -179,19 +179,6 @@ def extremal_rep(n: int, mu: Weight) -> ExtremalRep:
     return ExtremalRep(n, mu, cosets)
 
 
-# Laurent monomials, each as the power-table indices of its non-zero exponents.
-_Monomials = tuple[tuple[int, ...], ...]
-
-
-def _flat_monomials(exponents: Iterable[tuple[int, ...]], bound: int) -> _Monomials:
-    """Each Laurent monomial as the indices, into a ``_power_table`` of
-    the same bound, of its non-zero exponents in coordinate order."""
-    width = 2 * bound + 1
-    return tuple(
-        tuple(i * width + bound + k for i, k in enumerate(e) if k) for e in exponents
-    )
-
-
 def _power_table(entries: tuple[complex, ...], bound: int) -> list[complex]:
     """e**p for every entry e and every p in [-bound, bound], entry-major."""
     return [e**p for e in entries for p in range(-bound, bound + 1)]
@@ -206,53 +193,45 @@ def _columns(tables: Iterable[list[complex]]) -> tuple[tuple[complex, ...], ...]
     return tuple(zip(*tables))
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Every distinct prefix of a list of monomials, once.
-
-    ``nodes`` holds (parent, table index) with parents first: node j + 1
-    is its parent's product times that table entry, and node 0 is
-    1.0+0.0j.  ``leaves`` holds each monomial's node, in monomial order.
-    """
-
-    nodes: tuple[tuple[int, int], ...]
-    leaves: tuple[int, ...]
+# One step per Laurent monomial: the length of the prefix it shares with
+# the monomial before, its power-table indices after that prefix, and the
+# index of the sum it is added to.
+_Steps = list[tuple[int, tuple[int, ...], int]]
 
 
-def _plan(monomials: _Monomials) -> _Plan:
-    ids: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, int]] = []
-    leaves = []
-    for idx in monomials:
-        node = 0
-        for i in idx:
-            child = ids.get((node, i))
-            if child is None:
-                nodes.append((node, i))
-                child = ids[node, i] = len(nodes)
-            node = child
-        leaves.append(node)
-    return _Plan(tuple(nodes), tuple(leaves))
+def _steps(monomials: Iterable[tuple[tuple[int, ...], int]], bound: int) -> _Steps:
+    """Compile (exponents, owner) pairs, in the given order.  A monomial's
+    indices, into a ``_power_table`` of the same bound, are those of its
+    non-zero exponents in coordinate order; in a sorted list every shared
+    prefix is one run, so it is multiplied out once."""
+    width = 2 * bound + 1
+    steps = []
+    prev: tuple[int, ...] = ()
+    for e, owner in monomials:
+        idx = tuple(i * width + bound + k for i, k in enumerate(e) if k)
+        shared = 0
+        for a, b in zip(prev, idx):
+            if a != b:
+                break
+            shared += 1
+        steps.append((shared, idx[shared:], owner))
+        prev = idx
+    return steps
 
 
-def _leaf_values(plan: _Plan, columns: _Columns, count: int) -> list[Sequence[complex]]:
-    """Each monomial's value in each of the ``count`` trials of a block:
-    the product of its table entries, left to right, starting from
-    1.0+0.0j.  A shared prefix is multiplied out once, with the same
-    operands in the same order, so every value is bit for bit that of
-    the direct product."""
-    values: list[Sequence[complex]] = [(1.0 + 0.0j,) * count]
-    for parent, i in plan.nodes:
-        values.append(list(map(mul, values[parent], columns[i])))
-    return [values[j] for j in plan.leaves]
-
-
-def _extremal_sums(plan: _Plan, columns: _Columns, count: int) -> list[complex]:
-    """Each trial's sum of the monomials, added with ``+`` from 0.0+0.0j
-    in monomial order."""
-    totals = [0.0 + 0.0j] * count
-    for values in _leaf_values(plan, columns, count):
-        totals = list(map(add, totals, values))
+def _sums(steps: _Steps, columns: _Columns, count: int, owners: int) -> list[Sequence[complex]]:
+    """Each owner's sum of its monomials in each of the ``count`` trials
+    of a block.  ``stack[d]`` is the product, left to right from
+    1.0+0.0j, of the current monomial's first d table entries, so every
+    value is bit for bit its direct product, in any monomial order; each
+    owner adds its values with ``+`` from 0.0+0.0j, in step order."""
+    totals: list[Sequence[complex]] = [(0.0 + 0.0j,) * count] * owners
+    stack: list[Sequence[complex]] = [(1.0 + 0.0j,) * count]
+    for shared, rest, owner in steps:
+        del stack[shared + 1 :]
+        for i in rest:
+            stack.append(list(map(mul, stack[-1], columns[i])))
+        totals[owner] = list(map(add, totals[owner], stack[-1]))
     return totals
 
 
@@ -266,14 +245,15 @@ def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
     Evaluation order (shared with ``verify_transfer_identities``): each
     character is the product, left to right from 1.0+0.0j, of ``e**k``
     over the coordinates whose exponent k is non-zero, and the characters
-    are added with ``+`` from 0.0+0.0j in coset order.
+    are added with ``+`` from 0.0+0.0j in coset order: one owner's
+    ``_sums`` over the cosets, unsorted.
     """
     if t.n != rep.n:
         raise ValueError("torus element length mismatch")
     exponents = [tuple(d // 2 for d in w.doubled) for _rep, w in rep.extremal_cosets]
     bound = max((abs(k) for e in exponents for k in e), default=0)
     columns = _columns([_power_table(t.entries, bound)])
-    (trace,) = _extremal_sums(_plan(_flat_monomials(exponents, bound)), columns, 1)
+    ((trace,),) = _sums(_steps(((e, 0) for e in exponents), bound), columns, 1, 1)
     return trace
 
 
@@ -339,11 +319,14 @@ def verify_transfer_identities(
     from 1.0+0.0j, of ``e**k`` (read from a per-trial table) over its
     non-zero exponents k; the twisted side adds them with ``+`` from
     0.0+0.0j in coset order (``twisted_trace_extremal``), and the
-    endoscopic side with ``sum()`` in sorted orbit order.  The trials
-    are drawn and tabulated in blocks of at most ``_BLOCK_VALUES``
-    values, tables and the largest plan together, and every weight is
-    evaluated on a block before the next is drawn, so memory stays flat
-    in ``trials``.
+    endoscopic side likewise in sorted orbit order.  Every weight's
+    monomials of one side, tagged with the weight, are merged into one
+    sorted list (each weight's own order is sorted already, so the merge
+    keeps it) and evaluated in one pass over a stack of prefix products,
+    which multiplies every shared prefix once.  The trials are drawn and
+    tabulated in blocks of at most ``_BLOCK_VALUES`` values, and every
+    weight is evaluated on a block before the next is drawn, so memory
+    stays flat in ``trials``.
     """
     if not weights:
         return []
@@ -354,28 +337,28 @@ def verify_transfer_identities(
     if not 0 <= k <= m:
         raise ValueError(f"endo_rank must be between 0 and {m}")
     bound = max((abs(v) for x in xs for v in x), default=0)
-    plans = []
-    for x in xs:
+    lhs: list[tuple[tuple[int, ...], int]] = []
+    rhs: list[tuple[tuple[int, ...], int]] = []
+    for j, x in enumerate(xs):
         targets = _theta_fixed_targets(x)
         # in the principal case the targets' heads, ascending, are the C_m orbit
         heads = [t[:m] for t in reversed(targets)] if k == m else _signed_orbit(x[:m], k)
-        plans.append(
-            (_plan(_flat_monomials(targets, bound)), _plan(_flat_monomials(heads, bound)))
-        )
-    # each plan holds its nodes and the empty product
-    nodes = max(len(lhs.nodes) + len(rhs.nodes) + 2 for lhs, rhs in plans)
-    size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + nodes))
-    worst = [0.0] * len(plans)
+        lhs += ((t, j) for t in targets)
+        rhs += ((h, j) for h in heads)
+    sides = (_steps(sorted(lhs, reverse=True), bound), _steps(sorted(rhs), bound))
+    # per trial: both power tables, the prefix stack and two sums per weight
+    size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + n + 1 + 2 * len(xs)))
+    worst = [0.0] * len(xs)
     draws = _draw_iter(n, trials, seed)
     while block := list(itertools.islice(draws, size)):
-        count = len(block)
-        lhs_columns = _columns(_power_table(entries, bound) for entries, _nt in block)
-        rhs_columns = _columns(_power_table(nt, bound) for _entries, nt in block)
-        for j, (lhs_plan, rhs_plan) in enumerate(plans):
-            lhs = _extremal_sums(lhs_plan, lhs_columns, count)
-            rhs = map(sum, zip(*_leaf_values(rhs_plan, rhs_columns, count)))
-            for left, right in zip(lhs, rhs):
-                worst[j] = max(worst[j], abs(left - right))
+        # a trial is (entries, norm map), the twisted and the endoscopic
+        # side's; one side's tables are held at a time
+        left, right = (
+            _sums(steps, _columns(_power_table(d[side], bound) for d in block), len(block), len(xs))
+            for side, steps in enumerate(sides)
+        )
+        worst = [max(w, *map(abs, map(sub, a, b))) for w, a, b in zip(worst, left, right)]
+        del left, right  # before the next block is drawn
     return [
         TransferIdentityReport(
             n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=w
@@ -384,8 +367,8 @@ def verify_transfer_identities(
     ]
 
 
-# the most complex values (plan nodes and power tables) one block of
-# trials holds, about 1.3 MB
+# the most complex values (power tables, prefix stack and sums) one block
+# of trials holds, about 1.3 MB
 _BLOCK_VALUES = 32_768
 
 

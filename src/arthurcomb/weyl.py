@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -279,6 +280,18 @@ def _closure(start, moves: list[Callable]) -> set:
     return seen
 
 
+def _move(g: WeylElement) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """``g.apply_doubled`` as a gather of the source positions, times the
+    signs when any is -1; rank 1 keeps ``apply_doubled``, as itemgetter of
+    one index returns the entry, not a 1-tuple."""
+    if g.n == 1:
+        return g.apply_doubled
+    gather = itemgetter(*g.src)
+    if -1 not in g.signs:
+        return gather
+    return lambda x: tuple(map(mul, g.signs, gather(x)))
+
+
 def orbit(t: GroupType, w: Weight) -> tuple[frozenset[Weight], int]:
     """Full orbit of ``w`` under the acting group, plus stabilizer order.
 
@@ -287,7 +300,7 @@ def orbit(t: GroupType, w: Weight) -> tuple[frozenset[Weight], int]:
     than the group for singular weights.
     """
     _check_length(t, w)
-    seen = _closure(w.doubled, [g.apply_doubled for g in generators(t)])
+    seen = _closure(w.doubled, [_move(g) for g in generators(t)])
     orb = frozenset(Weight(x) for x in seen)
     return orb, weyl_order(t) // len(orb)
 

@@ -335,33 +335,46 @@ def _direct_product(table, idx):
 _unit = st.floats(0, 1).map(lambda a: cmath.exp(2j * cmath.pi * a))
 
 
+def _nonzero(exponents):
+    """A monomial's non-zero exponents, with their coordinates."""
+    return tuple((i, k) for i, k in enumerate(exponents) if k)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_plan_values_equal_the_direct_products(data):
-    from arthurcomb.twisted import _columns, _extremal_sums, _leaf_values, _plan
+    from arthurcomb.twisted import _columns, _steps, _sums
 
-    size = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 4))
+    bound = data.draw(st.integers(0, 2))
+    owners = data.draw(st.integers(1, 3))
     count = data.draw(st.integers(1, 4))
-    tables = data.draw(
-        st.lists(st.lists(_unit, min_size=size, max_size=size), min_size=count, max_size=count)
-    )
-    # a small alphabet makes shared prefixes; some monomials come twice
-    monomial = st.lists(st.integers(0, size - 1), max_size=6).map(tuple)
-    monomials = data.draw(st.lists(monomial, max_size=10))
+    width = 2 * bound + 1
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    tables = [
+        [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n * width)] for _ in range(count)
+    ]
+    # few exponents make shared prefixes; some monomials come twice, in any order
+    exponents = st.lists(st.integers(-bound, bound), min_size=n, max_size=n).map(tuple)
+    monomials = data.draw(st.lists(st.tuples(exponents, st.integers(0, owners - 1)), max_size=10))
     if monomials:
         monomials += data.draw(st.lists(st.sampled_from(monomials), max_size=3))
-    plan = _plan(tuple(monomials))
-    columns = _columns(tables)
-    values = _leaf_values(plan, columns, count)
-    totals = _extremal_sums(plan, columns, count)
-    for trial, table in enumerate(tables):
-        direct = [_direct_product(table, idx) for idx in monomials]
-        assert [v[trial] for v in values] == direct
-        total = 0.0 + 0.0j
-        for value in direct:
-            total += value
-        assert repr(totals[trial]) == repr(total)
-    assert len(plan.nodes) == len({idx[:d] for idx in monomials for d in range(1, len(idx) + 1)})
+    monomials = data.draw(st.permutations(monomials))
+    for order in (monomials, sorted(monomials, reverse=data.draw(st.booleans()))):
+        steps = _steps(order, bound)
+        totals = _sums(steps, _columns(tables), count, owners)
+        for trial, table in enumerate(tables):
+            for owner in range(owners):
+                total = 0.0 + 0.0j
+                for e, j in order:
+                    if j == owner:
+                        total += _direct_product(
+                            table, [i * width + bound + k for i, k in _nonzero(e)]
+                        )
+                assert repr(totals[owner][trial]) == repr(total)
+    # sorted, every distinct non-empty prefix is multiplied once
+    prefixes = {_nonzero(e)[:d] for e, _j in order for d in range(1, len(_nonzero(e)) + 1)}
+    assert sum(len(rest) for _shared, rest, _owner in steps) == len(prefixes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,7 +438,8 @@ def test_transfer_identity_matches_oracle_on_every_small_weight():
         assert got == _oracle_residual(mu, len(mu) // 2, 100, 7), mu
 
 
-# (n, seed, trials); at n = 8 the largest plans take 37 trials in two blocks
+# (n, seed, trials); each one-weight call here fits in one block at the
+# default budget, so the block edges are covered by BLOCK_CASES
 ENDO_RANK_CASES = [
     (n, seed, trials) for n in range(7) for seed in (0, 3) for trials in (1, 37)
 ] + [(7, 3, 37), (8, 3, 37)]
@@ -439,22 +453,71 @@ def test_transfer_identity_matches_oracle_for_every_endo_rank():
                 assert got == _oracle_residual(mu, k, trials, seed), (mu, k, seed, trials)
 
 
-# (n, max entry, endo rank, trials); the n = 8 sweep spans many blocks
+# (n, max entry, endo rank, trials); the n = 8 sweep spans many blocks at
+# 1 and 300 values, and two at the default budget
 BLOCK_CASES = [(6, 2, 1, 23), (8, 2, 2, 334)]
 
 
-@pytest.mark.parametrize("block_values", [1, 300])
+@pytest.mark.parametrize("block_values", [1, 300, None])
 @pytest.mark.parametrize("seed", [0, 12_000])
 def test_transfer_identity_is_the_same_in_every_block_size(monkeypatch, block_values, seed):
     from arthurcomb import twisted
 
-    monkeypatch.setattr(twisted, "_BLOCK_VALUES", block_values)
+    if block_values is not None:
+        monkeypatch.setattr(twisted, "_BLOCK_VALUES", block_values)
     for n, max_entry, k, trials in BLOCK_CASES:
         weights = list(theta_invariant_dominant_weights(n, max_entry))
         sweep = verify_transfer_identities(weights, k, trials, seed)
         assert sweep == [verify_transfer_identity(mu, k, trials, seed) for mu in weights]
         for mu, rep in zip(weights, sweep):
             assert rep.max_residual == _oracle_residual(mu, k, trials, seed), (mu, k)
+
+
+def test_block_cases_span_two_blocks_at_the_default_budget(monkeypatch):
+    from arthurcomb import twisted
+
+    tables = []
+    real = twisted._columns
+    monkeypatch.setattr(twisted, "_columns", lambda t: tables.append(None) or real(t))
+    n, max_entry, k, trials = BLOCK_CASES[-1]
+    verify_transfer_identities(list(theta_invariant_dominant_weights(n, max_entry)), k, trials)
+    # two sides per block
+    assert len(tables) >= 4
+
+
+@pytest.mark.parametrize("endo_rank", [None, 1])
+def test_sweep_order_cannot_leak_into_a_residual(endo_rank):
+    weights = list(theta_invariant_dominant_weights(6, 3))
+    weights += weights[::7]
+    random.Random(2).shuffle(weights)
+    sweep = verify_transfer_identities(weights, endo_rank, trials=37, seed=4)
+    assert sweep == [verify_transfer_identity(mu, endo_rank, 37, 4) for mu in weights]
+
+
+def test_sweep_multiplies_each_shared_prefix_once(monkeypatch):
+    from arthurcomb import twisted
+
+    calls = []
+    monkeypatch.setattr(twisted, "mul", lambda a, b: calls.append(None) or a * b)
+    verify_transfer_identities(list(theta_invariant_dominant_weights(8, 3)), trials=1)
+    # 10,632 on the twisted side and 2,400 on the endoscopic side
+    assert len(calls) == 13_032
+
+
+def test_sweep_memory_stays_flat_in_trials():
+    import tracemalloc
+
+    weights = list(theta_invariant_dominant_weights(6, 3))
+    verify_transfer_identities(weights, trials=1)
+    peaks = []
+    # one block at the default budget holds 297 trials: 32,768 values over
+    # 63 table values, a 7-row prefix stack and 2 sums for each of 20 weights
+    for trials in (297, 2000):
+        tracemalloc.start()
+        verify_transfer_identities(weights, trials=trials)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def test_transfer_identities_reject_mixed_lengths():
