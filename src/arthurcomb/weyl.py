@@ -125,7 +125,11 @@ class WeylElement:
         return self.src == tuple(range(self.n)) and all(s == 1 for s in self.signs)
 
     def apply_doubled(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.signs[i] * x[self.src[i]] for i in range(len(x)))
+        # itemgetter of one index returns the entry, not a 1-tuple, and of
+        # none raises
+        src = self.src
+        moved = itemgetter(*src)(x) if len(src) > 1 else tuple(map(x.__getitem__, src))
+        return tuple(map(mul, self.signs, moved)) if -1 in self.signs else moved
 
     def apply(self, w: Weight) -> Weight:
         if len(w) != self.n:
@@ -280,18 +284,6 @@ def _closure(start, moves: list[Callable]) -> set:
     return seen
 
 
-def _move(g: WeylElement) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """``g.apply_doubled`` as a gather of the source positions, times the
-    signs when any is -1; rank 1 keeps ``apply_doubled``, as itemgetter of
-    one index returns the entry, not a 1-tuple."""
-    if g.n == 1:
-        return g.apply_doubled
-    gather = itemgetter(*g.src)
-    if -1 not in g.signs:
-        return gather
-    return lambda x: tuple(map(mul, g.signs, gather(x)))
-
-
 def orbit(t: GroupType, w: Weight) -> tuple[frozenset[Weight], int]:
     """Full orbit of ``w`` under the acting group, plus stabilizer order.
 
@@ -300,7 +292,7 @@ def orbit(t: GroupType, w: Weight) -> tuple[frozenset[Weight], int]:
     than the group for singular weights.
     """
     _check_length(t, w)
-    seen = _closure(w.doubled, [_move(g) for g in generators(t)])
+    seen = _closure(w.doubled, [g.apply_doubled for g in generators(t)])
     orb = frozenset(Weight(x) for x in seen)
     return orb, weyl_order(t) // len(orb)
 

@@ -504,20 +504,26 @@ def test_sweep_multiplies_each_shared_prefix_once(monkeypatch):
     assert len(calls) == 13_032
 
 
-def test_sweep_memory_stays_flat_in_trials():
+def test_sweep_memory_stays_flat_in_trials(monkeypatch):
     import tracemalloc
 
-    weights = list(theta_invariant_dominant_weights(6, 3))
-    verify_transfer_identities(weights, trials=1)
+    from arthurcomb import twisted
+
+    weights = list(theta_invariant_dominant_weights(4, 3))
+    # one block holds 100 trials: 67 values per trial are 42 table values,
+    # a 5-row prefix stack and 2 sums for each of 10 weights
+    monkeypatch.setattr(twisted, "_BLOCK_VALUES", 67 * 100)
+    # a first pass fills the interpreter's tuple free lists, which would
+    # otherwise read as growth in the traced peak
+    verify_transfer_identities(weights, trials=1000)
     peaks = []
-    # one block at the default budget holds 297 trials: 32,768 values over
-    # 63 table values, a 7-row prefix stack and 2 sums for each of 20 weights
-    for trials in (297, 2000):
+    for trials in (100, 1000):
         tracemalloc.start()
         verify_transfer_identities(weights, trials=trials)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peaks[1] < 1.2 * peaks[0], peaks
+    # measured 1.32 under Python 3.10-3.13; one block of 1,000 trials reads 9.2
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_transfer_identities_reject_mixed_lengths():

@@ -102,24 +102,6 @@ def test_orbit_stabilizer_product_and_w_invariance():
             assert orb2 == orb
 
 
-def test_compiled_moves_equal_apply_doubled():
-    from arthurcomb.weyl import _move, generators
-
-    rng = random.Random(5)
-    for rank in range(1, 7):
-        types = [GroupType(f, rank) for f in "ABCD"] + [GroupType("D", rank, extended=True)]
-        # distinct non-zero entries, so a wrong source or sign shows
-        xs = [tuple(range(1, rank + 1))] + [
-            tuple(rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(rank)) for _ in range(5)
-        ]
-        for t in types:
-            for g in generators(t):
-                move = _move(g)
-                for x in xs:
-                    assert move(x) == g.apply_doubled(x), (t, g, x)
-                    assert type(move(x)) is tuple
-
-
 # --- dominant_rep ---------------------------------------------------------
 
 
