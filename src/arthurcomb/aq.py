@@ -498,61 +498,28 @@ def _monoid_sums(
     """Packed sums of at most ``max_height`` rows, layer by layer.
 
     Breadth first: layer h holds the states first reached as a sum of h
-    rows, sorted.  The sweep stops at the first new state found while more
-    than ``cap`` states are known (the zero state included), in the plain
-    order: the states of layer h - 1 in increasing order, each extended by
-    the rows in order.  The flag reports that stop, and the layer being
-    built then ends there.  The returned list holds layers 1, 2, ...: the
-    zero state (layer 0) is left out.  The layers are pairwise disjoint,
-    and the zero state and their union are exactly the states a ``seen``
-    set of the sweep would hold.
+    rows, sorted.  The plain order walks layer h - 1 in increasing order
+    and extends each state by every row, in the given order.  The sweep
+    stops at the first new state found in that order while more than
+    ``cap`` states are known (the zero state included).  The flag reports
+    that stop, and the layer being built then ends there.  The returned
+    list holds layers 1, 2, ...: the zero state (layer 0) is left out.
+    The layers are pairwise disjoint, and the zero state and their union
+    are exactly the states a ``seen`` set of the plain order would hold.
 
-    Last row.  The row-by-row pass takes the rows in ascending order of
-    their packed values, and j below is a row's index in that order.  A
-    packed row is the state it reaches from zero, less the zero state, so
-    this is the order of the rows' coordinate tuples (see below).  A
-    state y of layer h has a least index m(y) such that y is a sum of h
-    rows whose largest index is m(y); every row extends the zero state.
-    Layer h is built row by row, j = 0, 1, ...: row j is added to each
-    state x of layer h - 1 with m(x) <= j, and a sum not yet seen joins
-    layer h with m = j.  This finds layer h, whatever the fixed order of
-    the rows: write a state y of it as r_i1 + ... + r_ih with i1 <= ...
-    <= ih = m(y).  Then y - r_ih is a sum of h - 1 rows and of no fewer
-    (else y would be reached with fewer than h), so it is in layer h - 1
-    with m at most i(h-1) <= ih, and y is found by the time row ih is
-    added.  Conversely a sum found at row j is a new sum of h rows whose
-    largest index is j, so it is in layer h and is first found at j =
-    m(y).  So each layer is the same set as in the plain order, and so is
-    its sorted list, while only the sums written with their rows in index
-    order are tried: on the criterion-6 corpus 22% of the (state, row)
-    pairs of the plain order, against 37% with the rows in their given
-    order.
-
-    The cap.  Where the sweep stops depends on the order in which a layer
-    is found, but whether it stops in that layer does not: it stops there
-    exactly when the layer has more than cap + 1 - len(seen) new states,
-    ``seen`` as the layer starts.  A layer that fits adds the same set to
-    ``seen`` in either order.  When the row-by-row pass finds one new
-    state too many, the layer's states are taken out of ``seen`` again,
-    which then holds what the plain order starts the layer with, and the
-    layer is replayed in the plain order from its sorted predecessor, with
-    the rows in their given order, so it stops at the same state.  The
-    kept states depend on that order, so the replay keeps it, but it
-    extends each state x only by the rows r >= r_m, r_m being the row at
-    index m(x) in the ascending order.  The pairs it skips add nothing:
-    take a row r < r_m.  Then x' = x - r_m + r is a sum of h - 1 rows of
-    index at most m(x), and x' < x.  If x' is a sum of fewer rows, so is
-    y = x + r = x' + r_m, which is then in an earlier layer.  Otherwise x'
-    is in layer h - 1 with m(x') <= m(x), so it comes before x and is
-    extended by r_m, as r_m >= the row at m(x'): y was tried there and is
-    in ``seen``, or the replay stopped before x.  Either way the plain
-    order passes y over at x without adding it or stopping, so the replay
-    finds the same new states in the same order and stops at the same
-    state, with 22% of the pairs of the full replay on the criterion-6
-    corpus.  A row equal in value to r_m gives x' = x, which no earlier
-    pair covers, so every such row stays (>=, not >): r_m may appear more
-    than once, and the first copy in the given order is the one that adds
-    y in the plain order.
+    The sweep walks the plain order but extends each state x only by the
+    rows >= its key k(x), the row that first reached it (the zero state's
+    key is the least row); ``seen`` maps x to those rows, in the given
+    order.  A skipped pair adds nothing.  Let x be in layer h - 1, r <
+    k(x), and y = x + r a sum of no fewer than h rows (else y is known).
+    Then y - k(x) = (x - k(x)) + r is a sum of h - 1 rows and of no fewer,
+    so it is in layer h - 1, the largest row r* with y - r* in layer h - 1
+    is >= k(x) > r, and x' = y - r* < x comes before x.  Also k(x') <= r*,
+    as y - k(x') = (x' - k(x')) + r* is in layer h - 1 too.  So the pair
+    (x', r*) comes first: it added y, found y known, or stopped the sweep.
+    By induction the sweep finds the same new states in the same order as
+    the plain order, and stops at the same state.  A row equal in value to
+    k(x) gives x' = x, so it stays (>=, not >).
 
     Each state is one int holding one digit per column, most significant
     first.  Column i has the offset off_i = max|entry_i| * max(max_height, 0)
@@ -566,57 +533,34 @@ def _monoid_sums(
     (coordinate) columns; a sum then carries their values along.  Integer
     order is lexicographic order of the digits, and two states that agree
     on the coordinates agree on every column, so integer order is
-    coordinate-tuple order and the states are in bijection with the
-    coordinate sums: the sweep visits and truncates exactly as it would on
-    coordinate tuples.  Nothing is decoded here; ``_Digits`` reads the
-    columns of the states a caller needs.
+    coordinate-tuple order, for the rows as for the states, and the states
+    are in bijection with the coordinate sums: the sweep visits and
+    truncates exactly as it would on coordinate tuples.  Nothing is
+    decoded here; ``_Digits`` reads the columns of the states a caller
+    needs.
     """
     digits = _Digits(max(map(abs, col)) * max(max_height, 0) for col in zip(*rows))
     packed = [sum(v << sh for v, sh in zip(r, digits.shifts)) for r in rows]
-    ascending = sorted(packed)
-    seen = {digits.zero}
+    at_or_above = {low: [r for r in packed if r >= low] for low in packed}
+    seen = {digits.zero: packed}
     layers: list[list[int]] = []
-    # the last layer sorted, and as found: by_last[:ends[j]] has m <= j
-    frontier = by_last = [digits.zero]
-    ends = [1] * len(packed)
+    frontier = [digits.zero]
     truncated = False
     for _h in range(max_height):
         if truncated or not frontier:
             break
         nxt = []
-        nxt_ends = []
-        for r, end in zip(ascending, ends):
-            for x in itertools.islice(by_last, end):
+        for x in frontier:
+            for r in seen[x]:
                 y = x + r
                 if y not in seen:
                     if len(seen) > cap:
                         truncated = True
                         break
-                    seen.add(y)
+                    seen[y] = at_or_above[r]
                     nxt.append(y)
             if truncated:
                 break
-            nxt_ends.append(len(nxt))
-        if truncated:
-            seen.difference_update(nxt)
-            nxt = []
-            # each state of the last layer maps to the rows, in the given
-            # order, that are >= the ascending row at its m
-            tails = [[r for r in packed if r >= low] for low in ascending]
-            counts = map(sub, ends, [0, *ends])
-            repeats = itertools.chain.from_iterable(map(itertools.repeat, tails, counts))
-            extend = dict(zip(by_last, repeats))
-            for x in frontier:
-                for r in extend[x]:
-                    y = x + r
-                    if y not in seen:
-                        if len(seen) > cap:
-                            break
-                        seen.add(y)
-                        nxt.append(y)
-                if len(seen) > cap:
-                    break
-        by_last, ends = nxt, nxt_ends
         frontier = sorted(nxt)
         layers.append(frontier)
     return layers, truncated, digits
@@ -677,8 +621,9 @@ class _SweepCache:
 
     A sweep that did not stop at the cap is kept under its whole key.  A
     sweep that stopped at the cap is kept under the key without its height
-    and answers every height at or above its stop layer (the argument is
-    in ``_layout_sweep``); a call at a lower height has a key of its own.
+    and answers every height at or above its stop layer, since the height
+    does not change the order in which the sweep finds its states
+    (``_layout_sweep``); a call at a lower height has a key of its own.
     A call answered from an entry counts as a hit, a sweep run as a miss.
     """
 
@@ -746,16 +691,10 @@ def _layout_sweep(
     stops at the same state.  The height enters only through the digit
     widths and the number of layers allowed, and the states of the two
     sweeps correspond one to one through their coordinates
-    (``_monoid_sums``).  Integer order is coordinate-tuple order whatever
-    the widths, for the packed rows as for the states.  So the row-by-row
-    pass takes the rows in one ascending order at both heights, and each
-    of its layers is a set of sums and overflows the cap by its size
-    alone: both sweeps build the same first L - 1 layers and replay layer
-    L.  The replay walks the sorted layer L - 1, in one order at both
-    heights, and extends each state by the rows, in their given order, at
-    or above the row at its m in the ascending order.  That order and its
-    m are the same at both heights, so both replays extend the same states
-    by the same rows in the same order and stop at the same state.  Their
+    (``_monoid_sums``).  Both sweeps find their new states in the plain
+    order: each layer in increasing order, which is coordinate-tuple order
+    whatever the widths, and the rows in their given order.  So they find
+    the same states in the same order and stop at the same state.  Their
     counts, flag, head and suspects are then equal, and the entry's own
     ``digits`` decode its ``head`` and ``suspects``.  So ``_SweepCache``
     keeps one entry for every height >= L.  A height below L builds fewer
@@ -852,9 +791,10 @@ def filtration_vanishing(
     cap, so ``_layout_sweep`` caches one sweep per key ``(layout, height,
     cap)`` and every parameter that shares the key reads it.  A sweep that
     stops at the cap in its L-th layer is the same sweep at every height
-    >= L (``_layout_sweep`` shows why), so it is run once and read at all
-    those heights; a lower height, or a sweep that did not stop at the
-    cap, keeps a key of its own.
+    >= L, as it finds its states in an order that no height changes
+    (``_layout_sweep``), so it is run once and read at all those heights;
+    a lower height, or a sweep that did not stop at the cap, keeps a key
+    of its own.
 
     ``_decode_items`` turns a state into a ``FiltrationItem``, computing the
     two pairings and the norm in 4x integers; the violations are the

@@ -241,6 +241,9 @@ def resolve_settings(args, options: dict) -> Settings:
         raise SpecError(f"--n must be at least 1, got {n}")
     if n is None and suite == "all":
         n = 4
+    endo_rank = getattr(args, "endo_rank", None)
+    if endo_rank is not None and suite in ("twisted-trace", "all") and not 0 <= endo_rank <= n // 2:
+        raise SpecError(f"--endo-rank must be between 0 and {n // 2} for --n {n}, got {endo_rank}")
     return Settings(
         seed=option("seed", 0),
         trials=trials,
@@ -250,7 +253,7 @@ def resolve_settings(args, options: dict) -> Settings:
         height_bound=height_bound,
         n=n,
         weights=() if n is None else _weight_list(n, args.mu, args.max_entry, suite),
-        endo_rank=getattr(args, "endo_rank", None),
+        endo_rank=endo_rank,
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .weyl import GroupType, Weight, orbit, weyl_elements
+from .weyl import GroupType, Weight, _closure, generators, weyl_elements
 
 __all__ = [
     "TwistedTorusElement",
@@ -267,10 +267,10 @@ def kostant_theta_invariance(n: int, mu: Weight) -> bool:
 def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     """Orbit of nu under signed permutations of the first k coordinates,
     sorted.  The group acts linearly, so the C_k orbit of the integer head
-    is taken as is, without doubling."""
+    is closed under the generators as is, without doubling."""
     head, tail = nu[:k], nu[k:]
-    orb, _stab = orbit(GroupType("C", k), Weight(head))
-    return sorted(w.doubled + tail for w in orb)
+    orb = _closure(head, [g.apply_doubled for g in generators(GroupType("C", k))])
+    return sorted(h + tail for h in orb)
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,8 @@ def test_criterion_6_filtration_vanishing():
         f"{dominant} dominant, {sweeps.misses} layout sweeps run and "
         f"{sweeps.hits} reused, {elapsed:.1f}s",
     )
+    assert (truncated, states, dominant) == (421, 25_780_366, 12_931_459)
+    assert (sweeps.misses, sweeps.hits) == (151, 787)
 
 
 def test_criterion_7_translation_round_trip(full_packet):

@@ -8,16 +8,20 @@ and of the per-entry packet path (``params.component_group``,
 ``aq.aq_datum`` and ``aq.translate_packet``), and of the hand-built root
 data of a layout (``aq.nilradical_roots``, the sweep's Levi-dominance
 functionals and ``aq._delta_l1``), unchanged apart from their names and
-the private helpers they used, which are inlined or copied here.  The package must give the same states, the same truncation point
-and equal reports on a seeded sample of the signed criterion-6 corpus,
-which includes sweeps stopped at the state cap, whether a layout's sweep
-is run afresh or read from the cache; and equal packets, vanishing
+the private helpers they used, which are inlined or copied here.  The
+package must give the same states, the same truncation point and equal
+reports on a seeded sample of the signed criterion-6 corpus, which
+includes sweeps stopped at the state cap, whether a layout's sweep is
+run afresh or read from the cache; and equal packets, vanishing
 entries, kernels and pushed characters on a seeded sample of the signed
 criterion-7 corpus.  ``plain_monoid_sums`` is the packed sweep that
-extended every state of a layer by every row; ``aq._monoid_sums`` must
-give its layers one by one, its flag and its digit layout, at the state
-cap, at caps around a sweep's size and at every small cap, the last two
-also with the rows reversed and shuffled.
+extends every state of a layer by every row, in the given order;
+``aq._monoid_sums`` extends each state only by the rows at or above the
+row that first reached it, and must give the plain sweep's layers one
+by one, its flag and its digit layout: at the state cap, at caps around
+a sweep's size and at every small cap, the last two also with the rows
+reversed and shuffled, on random rows with repeated and zero rows, and
+with no rows at all.
 """
 
 import functools
@@ -474,9 +478,10 @@ def _plain_layers(rows, max_height, cap):
 
 
 def _row_orders(rows):
-    """``rows`` as given, reversed and in a seeded shuffle: the replay of
-    the layer where the cap falls keeps the given order, so its states
-    are checked under orders other than the ascending one."""
+    """``rows`` as given, reversed and in a seeded shuffle: the sweep
+    extends each state by the rows in their given order, and the cap
+    keeps the states found first, so the kept states are checked under
+    orders other than the ascending one."""
     shuffled = list(rows)
     random.Random(SEED).shuffle(shuffled)
     return [list(rows), list(rows)[::-1], shuffled]
@@ -517,19 +522,23 @@ def test_monoid_sums_truncate_at_the_same_point():
 
 def test_monoid_sums_layers_at_every_small_cap():
     # each cap falls in a layer of its own at some height, and at caps
-    # below the first layer's size the replayed layer starts from zero
+    # below the first layer's size the sweep stops in layer 1
     layouts = {tuple(_doubled_roots(datum)) for _psi, _plus, datum, _height in _sample()}
     for roots in sorted(layouts):
         for rows in _row_orders(roots):
             for height in range(6):
                 for cap in range(61):
                     _plain_layers(rows, height, cap)
+    # no rows: the zero state is extended by nothing
+    for height in (-1, 0, 3):
+        for cap in (0, 5):
+            _plain_layers((), height, cap)
 
 
-def test_monoid_sums_replay_keeps_rows_equal_to_the_last_row():
-    # layer 1 is (0,1), (1,0) and the cap falls in layer 2; the replay
-    # must extend (0,1) by the row at its own m, (0,1), and by both copies
-    # of (1,0): comparing with > in place of >= loses (0,2)
+def test_monoid_sums_keep_rows_equal_to_the_key():
+    # layer 1 is (0,1), (1,0) and the cap falls in layer 2; the sweep
+    # must extend (0,1) by its own key, (0,1), and by both copies of
+    # (1,0): comparing with > in place of >= loses (0,2)
     rows = [(1, 0), (1, 0), (0, 1)]
     _plain_layers(rows, 2, 4)
     layers, truncated, digits = aq._monoid_sums(tuple(rows), 2, 4)

@@ -390,6 +390,14 @@ LARGE_SPECS = {"{sp1000}": {"group": {"kind": "Sp", "rank": 500}, "blocks": [{"t
         (["info", "--spec", "{deep_spec}"], "deep_spec.json: arrays or objects are nested too deeply"),
         (["verify", "uniqueness", "--spec", "{sp1000}"], "too large for this command"),
         (["verify", "all", "--spec", "{sp1000}"], "too large for this command"),
+        (
+            ["verify", "twisted-trace", "--n", "2", "--endo-rank", "-1"],
+            "--endo-rank must be between 0 and 1 for --n 2",
+        ),
+        (
+            ["verify", "all", "--spec", "{ex1}", "--n", "3", "--endo-rank", "5"],
+            "--endo-rank must be between 0 and 1 for --n 3",
+        ),
     ],
 )
 def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
