@@ -294,7 +294,7 @@ def _layout(levi: LeviDatum) -> tuple[tuple[int, ...], int, str]:
 
 
 def _levi_roots(a_list: tuple[int, ...], n0: int, kind: str, roots: Callable) -> list[tuple[int, ...]]:
-    """``roots`` (``positive_roots`` or ``simple_roots``) of each Levi
+    """``roots`` (such as ``simple_roots``) of each Levi
     factor in turn, gl(a_i) as type A and then G_0, as doubled vectors in
     the fixed coordinate layout."""
     n = sum(a_list) + n0
@@ -308,10 +308,9 @@ def _levi_roots(a_list: tuple[int, ...], n0: int, kind: str, roots: Callable) ->
 
 def nilradical_roots(a_list: tuple[int, ...], n0: int, kind: str) -> list[Weight]:
     """Positive roots outside the Levi, in the fixed coordinate layout and
-    the order of ``positive_roots``."""
-    levi = set(_levi_roots(a_list, n0, kind, positive_roots))
-    g = ClassicalGroup(kind, sum(a_list) + n0).gside_type()
-    return [r for r in positive_roots(g) if r.doubled not in levi]
+    the order of ``positive_roots``: those whose first coordinate lies in
+    a unitary block, without each gl(a_i)'s own roots."""
+    return positive_roots(ClassicalGroup(kind, sum(a_list) + n0).gside_type(), a_list)
 
 
 def delta_u(a_list: tuple[int, ...], n0: int, kind: str) -> Weight:

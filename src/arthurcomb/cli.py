@@ -5,7 +5,8 @@ Every command runs one pipeline in ``main``: parse the spec once, resolve
 each setting once (flag, then the spec's ``options``, then the default)
 and emit the handler's ``(results, verdicts)`` as one report.
 
-Exit codes: 0 all verdicts pass, 1 at least one violation, 2 input error.
+Exit codes: 0 all verdicts pass, 1 at least one violation, 2 input error
+or stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import random
 import re
 import sys
@@ -242,8 +244,11 @@ def resolve_settings(args, options: dict) -> Settings:
     if n is None and suite == "all":
         n = 4
     endo_rank = getattr(args, "endo_rank", None)
-    if endo_rank is not None and suite in ("twisted-trace", "all") and not 0 <= endo_rank <= n // 2:
-        raise SpecError(f"--endo-rank must be between 0 and {n // 2} for --n {n}, got {endo_rank}")
+    if endo_rank is not None:
+        if suite not in ("twisted-trace", "all"):
+            raise SpecError("--endo-rank applies only to twisted-trace and all")
+        if not 0 <= endo_rank <= n // 2:
+            raise SpecError(f"--endo-rank must be between 0 and {n // 2} for --n {n}, got {endo_rank}")
     return Settings(
         seed=option("seed", 0),
         trials=trials,
@@ -312,6 +317,7 @@ def emit_report(report: dict, fmt: str = "json") -> None:
     if fmt == "json":
         out.write(json.dumps(report, sort_keys=True, indent=1))
         out.write("\n")
+        out.flush()
         return
     out.write(f"# {report['command']}\n")
     out.write(f"version: {report['version']}  seed: {report['seed']}\n")
@@ -322,6 +328,7 @@ def emit_report(report: dict, fmt: str = "json") -> None:
         out.write(f"[{v['status'].upper():9s}] {v['check']}: {v['detail']}\n")
     overall = "pass" if _all_pass(report["verdicts"]) else "violation"
     out.write(f"overall: {overall}\n")
+    out.flush()
 
 
 def _all_pass(verdicts: list[dict]) -> bool:
@@ -679,10 +686,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # the uniqueness search recurses once per GL coordinate, so a valid
-        # parameter with about 1000 of them exceeds the interpreter's limit
-        print("error: the parameter is too large for this command", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader closed stdout early; what is left unwritten, and the
+        # flush at exit, go to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
         return 2
 
 

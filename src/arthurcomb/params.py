@@ -332,7 +332,8 @@ def _block_parity(group: ClassicalGroup, b: Block) -> BlockParity:
         want_odd = group.kind == "SOodd"
         ok = (val2 % 2 == 1) if want_odd else (val2 % 2 == 0)
         kindname = "half-odd" if want_odd else "integral"
-        return BlockParity(b, ok, f"t+(a-1)/2 = {Fraction(val2, 2)} {'is' if ok else 'is not'} {kindname}")
+        half = str(val2 // 2) if val2 % 2 == 0 else f"{val2}/2"
+        return BlockParity(b, ok, f"t+(a-1)/2 = {half} {'is' if ok else 'is not'} {kindname}")
     # t = 0: R[a] is orthogonal iff a is odd; the block must match the dual type
     if group.dual_symplectic:
         ok = b.a % 2 == 0
@@ -446,12 +447,14 @@ def dominate(
         )
     ts: list[int] = []
     for T in offs:
-        f = Fraction(T)
-        if f.denominator != 1:
-            raise DominationError(f"offset {T!r} is not an integer")
-        if f < 0:
+        if type(T) is not int:
+            f = Fraction(T)
+            if f.denominator != 1:
+                raise DominationError(f"offset {T!r} is not an integer")
+            T = int(f)
+        if T < 0:
             raise DominationError("offsets must be >= 0")
-        ts.append(int(f))
+        ts.append(T)
     if any(ts[i] < ts[i + 1] for i in range(len(ts) - 1)):
         raise DominationError("offsets must be non-increasing")
     th2 = 2 * (very_regular_threshold(psi) if threshold is None else threshold)
@@ -463,9 +466,11 @@ def dominate(
             )
     if tp2 and tp2[-1] < th2:
         raise DominationError(f"t'_v = {Fraction(tp2[-1], 2)} below threshold")
-    new_blocks = [Block(t2p, a) for t2p, (_t2, a) in zip(tp2, disc)]
-    new_blocks.extend(psi.unipotent)
-    return arthur_parameter(psi.group, new_blocks)
+    # already canonical: the t'_i strictly decrease by the gap check, and
+    # the unipotent part follows in its own order
+    return ArthurParameter(
+        psi.group, tuple(Block(t2p, a) for t2p, (_t2, a) in zip(tp2, disc)) + psi.unipotent
+    )
 
 
 def canonical_offsets(psi: ArthurParameter, threshold: int | None = None) -> tuple[int, ...]:

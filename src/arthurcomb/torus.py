@@ -12,7 +12,6 @@ from the group to the GL side.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -27,7 +26,6 @@ from .params import (
     gl_inf_char,
     g_inf_char,
     good_parity,
-    inf_char,
 )
 from .weyl import GroupType, Weight, dominant_rep, norm_sq, orbit
 
@@ -142,10 +140,17 @@ def translation_weight(psi: ArthurParameter, psi_plus: ArthurParameter) -> Trans
     return TranslationDatum(lam, lam_g, offs)
 
 
+def _counts(items: tuple[int, ...]) -> dict[int, int]:
+    """The multiplicity of each value of ``items``."""
+    counts: dict[int, int] = {}
+    for x in items:
+        counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
 def _rearrangement_count(items: tuple[int, ...]) -> int:
-    counts = Counter(items)
     total = math.factorial(len(items))
-    for c in counts.values():
+    for c in _counts(items).values():
         total //= math.factorial(c)
     return total
 
@@ -181,33 +186,49 @@ def _orbit_matches(
     match is cut off, so the result is the set of matching rearrangements
     in descending lexicographic order.  Each value taken at a position is
     one node, so a search without dead ends visits len(nu_plus) nodes.
+
+    The search keeps no call stack: ``cursor[i]`` is the index, among the
+    descending distinct values, of the next value to try at position i,
+    and ``i`` is the position being filled, so any length runs.
     """
     n = len(nu_plus)
-    unused = Counter(lam_items)
+    unused = _counts(lam_items)
     keys = sorted(unused, reverse=True)
-    missing = Counter(target)
+    missing = _counts(target)
+    m = len(keys)
     mu = [0] * n
+    cursor = [0] * n
     matches: list[tuple[int, ...]] = []
     nodes = 0
-
-    def rec(i: int) -> None:
-        nonlocal nodes
+    i = 0
+    while True:
         if i == n:
             matches.append(tuple(mu))
-            return
-        base = nu_plus[i]
-        for k in keys:
-            s = base + k
-            if unused[k] and missing[s]:
+        else:
+            base = nu_plus[i]
+            for c in range(cursor[i], m):
+                k = keys[c]
+                s = base + k
+                if unused[k] and missing.get(s):
+                    break
+            else:
+                c = -1
+            if c >= 0:
+                cursor[i] = c + 1
                 nodes += 1
                 unused[k] -= 1
                 missing[s] -= 1
                 mu[i] = k
-                rec(i + 1)
-                missing[s] += 1
-                unused[k] += 1
-
-    rec(0)
+                i += 1
+                continue
+            cursor[i] = 0
+        # every value at position i is tried: give back the one at i - 1
+        if i == 0:
+            break
+        i -= 1
+        k = mu[i]
+        unused[k] += 1
+        missing[nu_plus[i] + k] += 1
     return matches, nodes
 
 
@@ -216,7 +237,8 @@ def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> Uniquen
         raise ParameterError("uniqueness check requires good parity")
     datum = translation_weight(psi, psi_plus)
     nu_plus = _nu_display_doubled(psi_plus)
-    target = inf_char(psi, "GL").doubled
+    # the GL infinitesimal character of psi, as a multiset
+    target = _nu_display_doubled(psi)
     lam_items = datum.lambda_GL.doubled
     aligned = tuple(-x for x in lam_items)
     matches, nodes = _orbit_matches(nu_plus, lam_items, target)

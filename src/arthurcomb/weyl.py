@@ -214,16 +214,29 @@ def simple_roots(t: GroupType) -> list[Weight]:
     return roots
 
 
-def positive_roots(t: GroupType) -> list[Weight]:
+def positive_roots(t: GroupType, blocks: tuple[int, ...] | None = None) -> list[Weight]:
     """The positive roots, grouped by first coordinate: for each i in
     turn, e_i - e_j and (B, C, D) e_i + e_j for each j > i, then (B, C)
-    the root e_i or 2 e_i."""
+    the root e_i or 2 e_i.
+
+    Given ``blocks`` (a_1, ..., a_k), only the roots outside the standard
+    Levi gl(a_1) x ... x gl(a_k) x G_0, with G_0 of the family of t on the
+    last n - sum(a_i) coordinates: the roots above with first coordinate
+    i < sum(a_i), which come first, without e_i - e_j for i and j in one
+    block.
+    """
     n = t.rank
     single = {"B": 2, "C": 4}.get(t.family)
+    # ends[i]: the first j > i for which e_i - e_j is listed
+    if blocks is None:
+        ends = range(1, n + 1)
+    else:
+        ends = [end for a, end in zip(blocks, itertools.accumulate(blocks)) for _ in range(a)]
     roots = []
-    for i in range(n):
+    for i, end in enumerate(ends):
         for j in range(i + 1, n):
-            roots.append(_vector(n, (i, 2), (j, -2)))
+            if j >= end:
+                roots.append(_vector(n, (i, 2), (j, -2)))
             if t.family != "A":
                 roots.append(_vector(n, (i, 2), (j, 2)))
         if single:

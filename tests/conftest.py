@@ -40,13 +40,18 @@ def full_packet():
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _run_python(args):
-    """`python args` in a child process that imports the package from this
-    checkout's src/, ahead of any installed copy; its stdout and stderr
-    are kept as bytes."""
+def _child_env():
+    """The environment of a child process that imports the package from
+    this checkout's src/, ahead of any installed copy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+    return env
+
+
+def _run_python(args):
+    """`python args` in a child process that sees this checkout; its stdout
+    and stderr are kept as bytes."""
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_child_env())
 
 
 def _run_cli(args):
@@ -57,6 +62,12 @@ def _run_cli(args):
 def run_cli():
     """Runs the CLI of this checkout in a child process."""
     return _run_cli
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child process that sees this checkout."""
+    return _child_env()
 
 
 @pytest.fixture

@@ -2,6 +2,9 @@ import ast
 import contextlib
 import io
 import json
+import os
+import shlex
+import subprocess
 import sys
 
 import pytest
@@ -350,8 +353,8 @@ RAW_JSON_FILES = {
     + '}}, "character": [1, 1]}]}',
     "{deep_spec}": "[" * 100_000 + "]" * 100_000,
 }
-# a valid Sp(1000,R) spec: the uniqueness search recurses once per GL
-# coordinate, 1001 of them, past the interpreter's recursion limit
+# a valid Sp(1000,R) spec with 1001 GL coordinates, more than the
+# interpreter's recursion limit: no search may recurse once per coordinate
 LARGE_SPECS = {"{sp1000}": {"group": {"kind": "Sp", "rank": 500}, "blocks": [{"t": "0", "a": 1001}]}}
 
 
@@ -388,8 +391,8 @@ LARGE_SPECS = {"{sp1000}": {"group": {"kind": "Sp", "rank": 500}, "blocks": [{"t
             "long_int_packet.json: an integer literal is too long",
         ),
         (["info", "--spec", "{deep_spec}"], "deep_spec.json: arrays or objects are nested too deeply"),
-        (["verify", "uniqueness", "--spec", "{sp1000}"], "too large for this command"),
-        (["verify", "all", "--spec", "{sp1000}"], "too large for this command"),
+        (["verify", "kostant", "--n", "2", "--endo-rank", "1"], "--endo-rank applies only to twisted-trace and all"),
+        (["verify", "uniqueness", "--spec", "{ex1}", "--endo-rank", "0"], "--endo-rank applies only"),
         (
             ["verify", "twisted-trace", "--n", "2", "--endo-rank", "-1"],
             "--endo-rank must be between 0 and 1 for --n 2",
@@ -402,7 +405,7 @@ LARGE_SPECS = {"{sp1000}": {"group": {"kind": "Sp", "rank": 500}, "blocks": [{"t
 )
 def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
     paths = {"{ex1}": ex1_path}
-    for name, spec in {**BOOLEAN_COUNT_SPECS, **MALFORMED_HALF_SPECS, **LARGE_SPECS}.items():
+    for name, spec in {**BOOLEAN_COUNT_SPECS, **MALFORMED_HALF_SPECS}.items():
         paths[name] = str(tmp_path / f"{name.strip('{}')}.json")
         with open(paths[name], "w") as f:
             json.dump(spec, f)
@@ -414,6 +417,37 @@ def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["uniqueness", "all"])
+def test_large_spec_runs_to_a_verdict(tmp_path, capsys, suite):
+    path = tmp_path / "sp1000.json"
+    path.write_text(json.dumps(LARGE_SPECS["{sp1000}"]))
+    assert main(["verify", suite, "--spec", str(path)]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts and all(v["status"] == "pass" for v in verdicts)
+
+
+def test_closed_stdout_exits_two_without_a_traceback(child_env):
+    command = [sys.executable, "-m", "arthurcomb.cli", "verify", "kostant", "--n", "4", "--max-entry", "3"]
+    # a reader that stops after 100 bytes: the first write or the flush may
+    # fail, depending on when head exits
+    piped = subprocess.run(
+        " ".join(map(shlex.quote, command)) + " | head -c 100",
+        shell=True, capture_output=True, env=child_env,
+    )
+    assert piped.stdout == subprocess.run(command, capture_output=True, env=child_env).stdout[:100]
+    assert b"Traceback" not in piped.stderr
+    # a pipe whose read end is closed before the command starts: the
+    # report's first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=child_env)
+    finally:
+        os.close(write_end)
+    assert closed.returncode == 2
+    assert closed.stderr == b"error: stdout was closed before the report was written\n"
 
 
 def test_filtration_levi_rows_share_one_sweep(ex1_path, capsys):

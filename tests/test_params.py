@@ -6,10 +6,12 @@ import pytest
 
 from arthurcomb.params import (
     ArthurParameter,
+    Block,
     ClassicalGroup,
     DimensionError,
     DominationError,
     ParityError,
+    _block_parity,
     _kept,
     arthur_parameter,
     block,
@@ -111,6 +113,31 @@ def test_good_parity_so_odd_discrete():
     assert not good_parity(psi_bad).ok
 
 
+def old_block_parity_reason(group, b):
+    """The reason text as it was built, through ``Fraction``."""
+    if b.t2 > 0:
+        val2 = b.t2 + (b.a - 1)
+        want_odd = group.kind == "SOodd"
+        ok = (val2 % 2 == 1) if want_odd else (val2 % 2 == 0)
+        kindname = "half-odd" if want_odd else "integral"
+        return f"t+(a-1)/2 = {Fraction(val2, 2)} {'is' if ok else 'is not'} {kindname}"
+    if group.dual_symplectic:
+        return f"a = {b.a} {'is' if b.a % 2 == 0 else 'is not'} even (symplectic dual)"
+    return f"a = {b.a} {'is' if b.a % 2 == 1 else 'is not'} odd (orthogonal dual)"
+
+
+def test_block_parity_reasons_equal_fraction_text():
+    cases = [(psi.group, b) for psi in corpus() for b in psi.blocks]
+    cases += [
+        (ClassicalGroup(kind, 2), Block(t2, a))
+        for kind in ("Sp", "SOodd", "SOeven")
+        for t2 in range(16)
+        for a in range(1, 9)
+    ]
+    for group, b in cases:
+        assert _block_parity(group, b).reason == old_block_parity_reason(group, b), (group, b)
+
+
 # --- infinitesimal characters -----------------------------------------------
 
 
@@ -168,6 +195,69 @@ def test_dominate_requires_descending_offsets():
     )
     with pytest.raises(DominationError):
         dominate(psi, [4, 6])
+
+
+def old_dominate(psi, offsets, threshold=None):
+    """``dominate`` as it was: every offset through ``Fraction``, and psi_+
+    re-merged by ``arthur_parameter``."""
+    if not good_parity(psi).ok:
+        raise ParityError("dominate requires a good-parity parameter")
+    disc = psi.discrete
+    offs = list(offsets)
+    if len(offs) != len(disc):
+        raise DominationError(
+            f"expected {len(disc)} offsets (one per discrete block), got {len(offs)}"
+        )
+    ts = []
+    for T in offs:
+        f = Fraction(T)
+        if f.denominator != 1:
+            raise DominationError(f"offset {T!r} is not an integer")
+        if f < 0:
+            raise DominationError("offsets must be >= 0")
+        ts.append(int(f))
+    if any(ts[i] < ts[i + 1] for i in range(len(ts) - 1)):
+        raise DominationError("offsets must be non-increasing")
+    th2 = 2 * (very_regular_threshold(psi) if threshold is None else threshold)
+    tp2 = [t2 + 2 * T for (t2, _a), T in zip(disc, ts)]
+    for i in range(len(tp2) - 1):
+        if tp2[i] - tp2[i + 1] < max(th2, 1):
+            raise DominationError(
+                f"t'_{i + 1} gap {Fraction(tp2[i] - tp2[i + 1], 2)} below threshold"
+            )
+    if tp2 and tp2[-1] < th2:
+        raise DominationError(f"t'_v = {Fraction(tp2[-1], 2)} below threshold")
+    new_blocks = [Block(t2p, a) for t2p, (_t2, a) in zip(tp2, disc)]
+    new_blocks.extend(psi.unipotent)
+    return arthur_parameter(psi.group, new_blocks)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DominationError as exc:
+        return str(exc)
+
+
+def test_dominate_equals_fraction_oracle_on_corpus():
+    """psi_+ or the error message, for int and Fraction offsets: at the
+    canonical offsets, at threshold 0, and with one offset moved by -1 or +1."""
+    errors = 0
+    for psi in corpus():
+        for threshold in (None, 0):
+            offs = list(canonical_offsets(psi, threshold))
+            trials = [offs]
+            for i in range(len(offs)):
+                for step in (-1, 1):
+                    trials.append(offs[:i] + [offs[i] + step] + offs[i + 1 :])
+            trials.append(offs + [0])
+            for trial in trials:
+                want = _outcome(old_dominate, psi, trial, threshold)
+                errors += isinstance(want, str)
+                assert _outcome(dominate, psi, trial, threshold) == want, (str(psi), trial)
+                as_fractions = [Fraction(T) for T in trial]
+                assert _outcome(dominate, psi, as_fractions, threshold) == want, (str(psi), trial)
+    assert errors > 1000
 
 
 def test_canonical_offsets_through_corpus():

@@ -1,7 +1,7 @@
 """Differential tests: the backtracking orbit-uniqueness search against the
 enumerator it replaced.
 
-The oracle below is the earlier ``torus.uniqueness_check``: it builds
+The first oracle below is the earlier ``torus.uniqueness_check``: it builds
 every distinct rearrangement of the translation weight with
 ``_distinct_permutations`` (kept here unchanged), sorts nu_+ + mu and
 compares it with the sorted GL target.  It counts the rearrangements
@@ -10,6 +10,10 @@ search nodes independently, on the unpruned tree: a node is a non-empty
 prefix of some rearrangement whose sums with nu_+ still fit inside the
 target multiset.  The package
 must give an equal ``UniquenessReport``, field for field.
+
+The second oracle is the recursive ``torus._orbit_matches`` that the
+iterative search replaced, kept unchanged: both must find the same
+matches, in the same order, with the same node count.
 """
 
 import random
@@ -21,6 +25,9 @@ from hypothesis import strategies as st
 
 from arthurcomb import torus
 from arthurcomb.params import (
+    ClassicalGroup,
+    arthur_parameter,
+    block,
     canonical_offsets,
     corpus,
     dominate,
@@ -111,6 +118,37 @@ def old_uniqueness_check(psi, psi_plus):
     )
 
 
+def recursive_orbit_matches(nu_plus, lam_items, target):
+    """The search as it was written before, one call per position."""
+    n = len(nu_plus)
+    unused = Counter(lam_items)
+    keys = sorted(unused, reverse=True)
+    missing = Counter(target)
+    mu = [0] * n
+    matches = []
+    nodes = 0
+
+    def rec(i):
+        nonlocal nodes
+        if i == n:
+            matches.append(tuple(mu))
+            return
+        base = nu_plus[i]
+        for k in keys:
+            s = base + k
+            if unused[k] and missing[s]:
+                nodes += 1
+                unused[k] -= 1
+                missing[s] -= 1
+                mu[i] = k
+                rec(i + 1)
+                missing[s] += 1
+                unused[k] += 1
+
+    rec(0)
+    return matches, nodes
+
+
 # --- the cases -------------------------------------------------------------------
 
 
@@ -189,3 +227,45 @@ def test_search_matches_oracle_on_random_tuples(args):
     matches, nodes = torus._orbit_matches(nu_plus, lam, target)
     assert matches == old_matches(nu_plus, lam, target)[0]
     assert nodes == old_nodes(nu_plus, lam, target)
+
+
+def _search_input(psi, plus):
+    lam_items = translation_weight(psi, plus).lambda_GL.doubled
+    return torus._nu_display_doubled(plus), lam_items, inf_char(psi, "GL").doubled
+
+
+def test_search_equals_recursive_oracle_on_corpus():
+    for threshold in (None, 0):
+        for psi in corpus():
+            plus = dominate(psi, canonical_offsets(psi, threshold), threshold)
+            args = _search_input(psi, plus)
+            assert torus._orbit_matches(*args) == recursive_orbit_matches(*args), (str(psi), threshold)
+
+
+def test_search_equals_recursive_oracle_on_random_multisets():
+    rng = random.Random(SEED)
+    with_matches = 0
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        nu_plus = tuple(rng.randint(-3, 3) for _ in range(n))
+        lam = tuple(rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(n))
+        if rng.random() < 0.6:
+            mu = rng.sample(lam, n)
+            target = [a + b for a, b in zip(nu_plus, mu)]
+        else:
+            target = [rng.randint(-4, 4) for _ in range(n)]
+        rng.shuffle(target)
+        new = torus._orbit_matches(nu_plus, lam, tuple(target))
+        assert new == recursive_orbit_matches(nu_plus, lam, tuple(target)), (nu_plus, lam, target)
+        with_matches += len(new[0]) > 1
+    assert with_matches > 100
+
+
+def test_search_runs_past_the_recursion_limit():
+    # 1601 GL coordinates: the recursive search needed one frame per
+    # coordinate, more than the interpreter's default limit of 1000
+    psi = arthur_parameter(ClassicalGroup("Sp", 800), [block(1, 1), block(0, 1599)])
+    plus = dominate(psi, canonical_offsets(psi))
+    rep = uniqueness_check(psi, plus)
+    assert psi.group.dual_dim == 1601
+    assert rep.unique and rep.nodes == 1601
