@@ -657,6 +657,32 @@ class _SweepCache:
         return entry
 
 
+def _layout_rows(
+    a_list: tuple[int, ...], n0: int, kind: str
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows of ``_layout_sweep``: each nilradical root's coordinates,
+    then its pairings with the Levi-dominance functionals and with
+    delta_L1; and the index of the delta_L1 column."""
+    n = sum(a_list) + n0
+    # mu is dominant for the Levi when it pairs >= 0 with each simple root
+    # of each factor; halved, the doubled roots keep the digits narrow
+    dominance = [tuple(v // 2 for v in r) for r in _levi_roots(a_list, n0, kind, simple_roots)]
+    roots = _layout_roots(a_list, n0, kind)[0]
+    # one column per functional f: <f, r> for every root r at once, summed
+    # over f's non-zero entries alone (at most two for a dominance
+    # functional; delta_L1 has the unitary coordinates only); at_coord[i]
+    # holds the roots' i-th coordinates
+    at_coord = list(zip(*roots)) or [()] * n
+    columns = []
+    for f in dominance + [_delta_l1(a_list)]:
+        column = [0] * len(roots)
+        for i, v in enumerate(f):
+            if v:
+                column = list(map(add, column, map(v.__mul__, at_coord[i])))
+        columns.append(column)
+    return tuple(map(tuple.__add__, roots, zip(*columns))), n + len(dominance)
+
+
 @_SweepCache
 def _layout_sweep(
     a_list: tuple[int, ...],
@@ -703,16 +729,9 @@ def _layout_sweep(
     """
     n_u = sum(a_list)
     n = n_u + n0
-    roots = _layout_roots(a_list, n0, kind)[0]
-
-    # mu is dominant for the Levi when it pairs >= 0 with each simple root
-    # of each factor; halved, the doubled roots keep the digits narrow
-    dominance = [tuple(v // 2 for v in r) for r in _levi_roots(a_list, n0, kind, simple_roots)]
-    functionals = dominance + [_delta_l1(a_list)]
-    rows = tuple(r + tuple(sum(map(mul, f, r)) for f in functionals) for r in roots)
+    rows, k = _layout_rows(a_list, n0, kind)
     layers, truncated, digits = _monoid_sums(rows, height, cap)
 
-    k = n + len(dominance)
     dom_c, dom_h = digits.nonneg(range(n, k))
     pair_c, pair_h = digits.nonneg((k,))
     u_mask, u_zero = digits.zeros(range(n_u))

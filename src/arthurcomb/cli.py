@@ -26,6 +26,7 @@ from . import __version__
 from .params import (
     ArthurParameter,
     ClassicalGroup,
+    InfChar,
     ParameterError,
     arthur_parameter,
     block,
@@ -43,7 +44,7 @@ from .twisted import (
     theta_invariant_dominant_weights,
     verify_transfer_identities,
 )
-from .weyl import Weight, norm_sq, weight
+from .weyl import Weight, weight
 from .aq import (
     LeviDatum,
     Sigma,
@@ -515,6 +516,13 @@ def _suite_uniqueness(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, li
     ]
 
 
+def _norm_doubles(nu: InfChar, group: ClassicalGroup) -> bool:
+    """|transfer(nu)|^2 == 2 |nu|^2, compared on the doubled coordinates
+    (both sides carry the same factor 1/4)."""
+    gl = transfer_infchar(nu, group).doubled
+    return sum(d * d for d in gl) == 2 * sum(d * d for d in nu.doubled)
+
+
 def _suite_norms(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
     rng = random.Random(s.seed)
     gt = psi.group.gside_type()
@@ -523,12 +531,9 @@ def _suite_norms(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[di
     for _ in range(trials):
         w = Weight(tuple(rng.randint(-14, 14) for _ in range(psi.group.rank)))
         nu = g_inf_char(gt, w)
-        glside = transfer_infchar(nu, psi.group)
-        if norm_sq(Weight(glside.doubled)) != 2 * norm_sq(nu.weight):
+        if not _norm_doubles(nu, psi.group):
             failures += 1
-    nu_psi = inf_char(psi, "G")
-    gl = transfer_infchar(nu_psi, psi.group)
-    exact = norm_sq(Weight(gl.doubled)) == 2 * norm_sq(nu_psi.weight)
+    exact = _norm_doubles(inf_char(psi, "G"), psi.group)
     results = {"trials": trials, "failures": failures, "nu_psi_doubles": exact}
     ok = failures == 0 and exact
     return results, [_verdict("norm-doubling", ok, f"{failures} failures in {trials} trials")]

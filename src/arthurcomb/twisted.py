@@ -18,7 +18,7 @@ import cmath
 import itertools
 import random
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .weyl import GroupType, Weight, _closure, generators, weyl_elements
@@ -83,13 +83,12 @@ def norm_map(t: TwistedTorusElement) -> tuple[complex, ...]:
 
 
 def theta_weight(x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-v for v in reversed(x))
+    return tuple(map(neg, reversed(x)))
 
 
 def theta_perm(p: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugation by the longest element: the theta-action on S_n."""
-    n = len(p)
-    return tuple(n - 1 - p[n - 1 - i] for i in range(n))
+    return tuple(map((len(p) - 1).__sub__, reversed(p)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _kostant_rep(target: tuple[int, ...]) -> tuple[int, ...]:
     """The minimal-length w with target[w[i]] = x[i], x the dominant
     rearrangement of target: as x is non-increasing, w lists target's
     positions in a stable descending sort."""
-    return tuple(sorted(range(len(target)), key=lambda j: -target[j]))
+    return tuple(sorted(range(len(target)), key=target.__getitem__, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -199,24 +198,96 @@ def _columns(tables: Iterable[list[complex]]) -> tuple[tuple[complex, ...], ...]
 _Steps = list[tuple[int, tuple[int, ...], int]]
 
 
+def _shared(idxs: list[tuple[int, ...]]) -> list[int]:
+    """For each index list, the length of the prefix it shares with the
+    one before (0 for the first)."""
+    out = [0]
+    for prev, idx in zip(idxs, idxs[1:]):
+        shared = 0
+        for a, b in zip(prev, idx):
+            if a != b:
+                break
+            shared += 1
+        out.append(shared)
+    return out
+
+
 def _steps(monomials: Iterable[tuple[tuple[int, ...], int]], bound: int) -> _Steps:
     """Compile (exponents, owner) pairs, in the given order.  A monomial's
     indices, into a ``_power_table`` of the same bound, are those of its
     non-zero exponents in coordinate order; in a sorted list every shared
     prefix is one run, so it is multiplied out once."""
     width = 2 * bound + 1
-    steps = []
-    prev: tuple[int, ...] = ()
-    for e, owner in monomials:
-        idx = tuple(i * width + bound + k for i, k in enumerate(e) if k)
-        shared = 0
-        for a, b in zip(prev, idx):
-            if a != b:
-                break
-            shared += 1
-        steps.append((shared, idx[shared:], owner))
-        prev = idx
-    return steps
+    monomials = list(monomials)
+    idxs = [tuple(i * width + bound + k for i, k in enumerate(e) if k) for e, _owner in monomials]
+    return [(s, idx[s:], owner) for (_e, owner), idx, s in zip(monomials, idxs, _shared(idxs))]
+
+
+def _orbit_owners(xs: Sequence[tuple[int, ...]], k: int) -> dict[tuple[int, ...], list[int]]:
+    """Every element of the C_k orbits (signed permutations of the first
+    k entries) of the weights' heads x[:m], m = floor(n/2), mapped to the
+    positions in xs of the weights whose orbit holds it, ascending.
+    Distinct weights have disjoint orbits."""
+    owners: dict[tuple[int, ...], list[int]] = {}
+    for j, x in enumerate(xs):
+        owners.setdefault(x, []).append(j)
+    m = len(xs[0]) // 2
+    heads: dict[tuple[int, ...], list[int]] = {}
+    for x, js in owners.items():
+        heads.update(dict.fromkeys(_signed_orbit(x[:m], k), js))
+    return heads
+
+
+def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_Steps, _Steps]:
+    """The twisted and the endoscopic side's steps of a sweep over the
+    theta-invariant dominant xs, each owned by its position in xs: what
+    ``_steps`` compiles from every weight's (target, position) pairs,
+    sorted descending, and from its (endoscopic head, position) pairs,
+    ascending.
+
+    Both compile from heads.  A target is h + mid + theta(h), h its
+    first m = floor(n/2) entries and mid the same for every weight, so
+    the targets descend as their heads do.  Its index list is the head's
+    followed by theta(h)'s, whose coordinates lie past the head's; so
+    when two heads' lists differ, the targets' lists share just the
+    heads' shared prefix.  In the principal case (k = m) the endoscopic
+    heads are the same heads, ascending."""
+    n = len(xs[0])
+    m = n // 2
+    width = 2 * bound + 1
+    base = range(bound, m * width, width)  # head coordinate i's index at exponent 0
+    # theta sends (coordinate i, exponent v), index a, to (n-1-i, -v), index top - a
+    top = (n - 1) * width + 2 * bound
+
+    def indexed(heads: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
+        idxs = [tuple(itertools.compress(map(add, base, h), h)) for h in heads]
+        return idxs, _shared(idxs)
+
+    owners = _orbit_owners(xs, m)
+    desc = sorted(owners, reverse=True)
+    idxs, shared = indexed(desc)
+    twisted: _Steps = []
+    for h, idx, s in zip(desc, idxs, shared):
+        rest = idx[s:] + tuple(map(top.__sub__, reversed(idx)))
+        *again, j = owners[h]
+        twisted.append((s, rest, j))
+        # a repeated weight: the same target again
+        twisted += [(s + len(rest), (), other) for other in reversed(again)]
+
+    if k == m:
+        # ascending, each list shares with the one before what it shared,
+        # descending, with the one after
+        asc, idxs, shared = desc[::-1], idxs[::-1], [0] + shared[:0:-1]
+    else:
+        owners = _orbit_owners(xs, k)
+        asc = sorted(owners)
+        idxs, shared = indexed(asc)
+    endoscopic: _Steps = []
+    for h, idx, s in zip(asc, idxs, shared):
+        j, *again = owners[h]
+        endoscopic.append((s, idx[s:], j))
+        endoscopic += [(len(idx), (), other) for other in again]
+    return twisted, endoscopic
 
 
 def _sums(steps: _Steps, columns: _Columns, count: int, owners: int) -> list[Sequence[complex]]:
@@ -266,11 +337,16 @@ def kostant_theta_invariance(n: int, mu: Weight) -> bool:
 
 def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     """Orbit of nu under signed permutations of the first k coordinates,
-    sorted.  The group acts linearly, so the C_k orbit of the integer head
-    is closed under the generators as is, without doubling."""
+    sorted.  An element is a distinct rearrangement of the head's
+    absolute values, reached from the sorted one by adjacent swaps (so
+    the work is bounded by the orbit, never k!), with a sign chosen for
+    each non-zero entry."""
     head, tail = nu[:k], nu[k:]
-    orb = _closure(head, [g.apply_doubled for g in generators(GroupType("C", k))])
-    return sorted(h + tail for h in orb)
+    swaps = [g.apply_doubled for g in generators(GroupType("A", k))]
+    perms = _closure(tuple(sorted(map(abs, head))), swaps)
+    signed = (itertools.product(*[(v, -v) if v else (0,) for v in p]) for p in perms)
+    heads = sorted(itertools.chain.from_iterable(signed))
+    return [h + tail for h in heads] if tail else heads
 
 
 @dataclass(frozen=True)
@@ -322,8 +398,9 @@ def verify_transfer_identities(
     endoscopic side likewise in sorted orbit order.  Every weight's
     monomials of one side, tagged with the weight, are merged into one
     sorted list (each weight's own order is sorted already, so the merge
-    keeps it) and evaluated in one pass over a stack of prefix products,
-    which multiplies every shared prefix once.  The trials are drawn and
+    keeps it), compiled from the heads (``_sweep_steps``) and evaluated
+    in one pass over a stack of prefix products, which multiplies every
+    shared prefix once.  The trials are drawn and
     tabulated in blocks of at most ``_BLOCK_VALUES`` values, and every
     weight is evaluated on a block before the next is drawn, so memory
     stays flat in ``trials``.
@@ -337,15 +414,7 @@ def verify_transfer_identities(
     if not 0 <= k <= m:
         raise ValueError(f"endo_rank must be between 0 and {m}")
     bound = max((abs(v) for x in xs for v in x), default=0)
-    lhs: list[tuple[tuple[int, ...], int]] = []
-    rhs: list[tuple[tuple[int, ...], int]] = []
-    for j, x in enumerate(xs):
-        targets = _theta_fixed_targets(x)
-        # in the principal case the targets' heads, ascending, are the C_m orbit
-        heads = [t[:m] for t in reversed(targets)] if k == m else _signed_orbit(x[:m], k)
-        lhs += ((t, j) for t in targets)
-        rhs += ((h, j) for h in heads)
-    sides = (_steps(sorted(lhs, reverse=True), bound), _steps(sorted(rhs), bound))
+    sides = _sweep_steps(xs, k, bound)
     # per trial: both power tables, the prefix stack and two sums per weight
     size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + n + 1 + 2 * len(xs)))
     worst = [0.0] * len(xs)

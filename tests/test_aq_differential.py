@@ -919,6 +919,16 @@ def _compositions(total):
             yield (first, *rest)
 
 
+def _layouts(max_rank):
+    return [
+        (a_list, n - n_u, kind)
+        for kind in ("Sp", "SOodd", "SOeven")
+        for n in range(max_rank + 1)
+        for n_u in range(n + 1)
+        for a_list in _compositions(n_u)
+    ]
+
+
 def _positive_multiple(f, g):
     """Whether g = c f for some c > 0."""
     i = next((i for i, v in enumerate(f) if v), None)
@@ -932,13 +942,7 @@ def test_layout_root_data_match_oracle():
     are the oracle's in order (the order decides where a capped sweep
     stops), each Levi simple root is a positive multiple of the oracle's
     dominance functional, and delta_L1 is the oracle's."""
-    layouts = [
-        (a_list, n - n_u, kind)
-        for kind in ("Sp", "SOodd", "SOeven")
-        for n in range(8)
-        for n_u in range(n + 1)
-        for a_list in _compositions(n_u)
-    ]
+    layouts = _layouts(7)
     assert len(layouts) == 765
     for layout in layouts:
         a_list = layout[0]
@@ -947,6 +951,25 @@ def test_layout_root_data_match_oracle():
         old = old_dominance(*layout)
         assert len(new) == len(old) and all(map(_positive_multiple, old, new)), layout
         assert aq._delta_l1(a_list) == old_delta_l1(a_list), layout
+
+
+def test_layout_rows_match_dense_pairings():
+    """The sweep's rows, whose columns are summed over each functional's
+    non-zero entries, equal the dense dot products of every root with
+    every functional (delta_L1 on the unitary coordinates alone) on every
+    layout of rank n <= 7."""
+    layouts = _layouts(7)
+    assert len(layouts) == 765
+    for a_list, n0, kind in layouts:
+        dominance = [
+            tuple(v // 2 for v in r) for r in aq._levi_roots(a_list, n0, kind, simple_roots)
+        ]
+        functionals = dominance + [aq._delta_l1(a_list)]
+        roots = aq._layout_roots(a_list, n0, kind)[0]
+        dense = tuple(r + tuple(sum(map(mul, f, r)) for f in functionals) for r in roots)
+        rows, k = aq._layout_rows(a_list, n0, kind)
+        assert rows == dense, (a_list, n0, kind)
+        assert k == sum(a_list) + n0 + len(dominance)
 
 
 # --- packet translation against the per-entry oracle ---------------------------

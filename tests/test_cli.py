@@ -484,6 +484,37 @@ def test_weight_list_built_only_for_suites_that_read_it(ex1_path, monkeypatch, c
     assert len(made) == calls
 
 
+def test_integer_norm_check_agrees_with_fraction_norms(monkeypatch):
+    # the suite's own draws on Sp, SO odd and SO even, then the same draws
+    # through a transfer that appends +-1, which breaks the doubling
+    import random
+
+    from arthurcomb.params import ClassicalGroup, g_inf_char, gl_inf_char
+    from arthurcomb.weyl import Weight, norm_sq
+
+    def fraction_verdict(nu, group):
+        gl = cli.transfer_infchar(nu, group)
+        return norm_sq(Weight(gl.doubled)) == 2 * norm_sq(nu.weight)
+
+    def draws():
+        rng = random.Random(5)
+        for kind in ("Sp", "SOodd", "SOeven"):
+            for rank in range(6):
+                group = ClassicalGroup(kind, rank)
+                for _ in range(20):
+                    w = Weight(tuple(rng.randint(-14, 14) for _ in range(rank)))
+                    yield g_inf_char(group.gside_type(), w), group
+
+    verdicts = [(cli._norm_doubles(*d), fraction_verdict(*d)) for d in draws()]
+    assert len(verdicts) == 360 and all(a is b is True for a, b in verdicts)
+    transfer = cli.transfer_infchar
+    monkeypatch.setattr(
+        cli, "transfer_infchar", lambda nu, g: gl_inf_char(transfer(nu, g).doubled + (2, -2))
+    )
+    verdicts = [(cli._norm_doubles(*d), fraction_verdict(*d)) for d in draws()]
+    assert all(a is b is False for a, b in verdicts)
+
+
 def test_mu_with_zero_denominator_exits_two(capsys):
     assert main(["verify", "kostant", "--n", "2", "--mu", "1/0,-1"]) == 2
     assert "--mu" in capsys.readouterr().err

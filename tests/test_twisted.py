@@ -232,9 +232,38 @@ def test_signed_orbit_matches_brute_force():
     from arthurcomb.twisted import _signed_orbit
 
     for length in range(5):
-        for nu in itertools.product(range(4), repeat=length):
+        # negative entries in the head and in the fixed tail
+        for nu in itertools.product(range(-2, 4), repeat=length):
             for k in range(length + 1):
                 assert _signed_orbit(nu, k) == _signed_orbit_oracle(nu, k), (nu, k)
+
+
+def test_signed_orbit_of_equal_entries_is_every_sign_choice():
+    # one rearrangement, 2**12 sign choices; the oracle's 12! orderings
+    # would take hours
+    from arthurcomb.twisted import _signed_orbit
+
+    heads = sorted(itertools.product((2, -2), repeat=12))
+    assert len(heads) == 4096
+    assert _signed_orbit((2,) * 12, 12) == heads
+    assert _signed_orbit((-2,) * 12 + (0, -5), 12) == [h + (0, -5) for h in heads]
+
+
+def _old_kostant_rep(target):
+    return tuple(sorted(range(len(target)), key=lambda j: -target[j]))
+
+
+def test_kostant_rep_matches_the_negated_key_sort():
+    from arthurcomb.twisted import _kostant_rep, _theta_fixed_targets
+
+    count = 0
+    for n in range(9):
+        for mu in theta_invariant_dominant_weights(n, 3):
+            for target in _theta_fixed_targets(tuple(d // 2 for d in mu.doubled)):
+                assert _kostant_rep(target) == _old_kostant_rep(target), target
+                count += 1
+    # every head with entries in [-3, 3]: 7**(n // 2) targets per n
+    assert count == 3_201
 
 
 def test_theta_invariant_weight_generator():
@@ -375,6 +404,59 @@ def test_plan_values_equal_the_direct_products(data):
     # sorted, every distinct non-empty prefix is multiplied once
     prefixes = {_nonzero(e)[:d] for e, _j in order for d in range(1, len(_nonzero(e)) + 1)}
     assert sum(len(rest) for _shared, rest, _owner in steps) == len(prefixes)
+
+
+def _old_steps(monomials, bound):
+    """Oracle: the step compiler that reads each monomial's full index
+    list and compares it with the one before."""
+    width = 2 * bound + 1
+    steps = []
+    prev = ()
+    for e, owner in monomials:
+        idx = tuple(i * width + bound + k for i, k in enumerate(e) if k)
+        shared = 0
+        for a, b in zip(prev, idx):
+            if a != b:
+                break
+            shared += 1
+        steps.append((shared, idx[shared:], owner))
+        prev = idx
+    return steps
+
+
+def _old_sweep_steps(xs, endo_rank, bound):
+    """Oracle: every weight's targets, tagged with its position and sorted
+    descending, and its endoscopic heads, tagged and sorted ascending."""
+    n = len(xs[0])
+    m = n // 2
+    k = m if endo_rank is None else endo_rank
+    lhs, rhs = [], []
+    for j, x in enumerate(xs):
+        lhs += ((h + x[m : n - m] + theta_weight(h), j) for h in _signed_orbit_oracle(x[:m], m))
+        rhs += ((h, j) for h in _signed_orbit_oracle(x[:m], k))
+    return _old_steps(sorted(lhs, reverse=True), bound), _old_steps(sorted(rhs), bound)
+
+
+def test_sweep_steps_match_the_target_compiler():
+    from arthurcomb.twisted import _sweep_steps
+
+    cases = 0
+    for n in range(1, 9):
+        m = n // 2
+        for max_entry in range(4):
+            weights = theta_invariant_dominant_weights(n, max_entry)
+            xs = [tuple(d // 2 for d in mu.doubled) for mu in weights]
+            # repeated weights, in any order, own the same monomials twice
+            repeated = xs + xs[::2]
+            random.Random(n * 4 + max_entry).shuffle(repeated)
+            for sweep in (xs, repeated):
+                bound = max((abs(v) for x in sweep for v in x), default=0)
+                for endo_rank in {None, 0, max(m - 1, 0), m}:
+                    k = m if endo_rank is None else endo_rank
+                    want = _old_sweep_steps(sweep, endo_rank, bound)
+                    assert _sweep_steps(sweep, k, bound) == want, (n, max_entry, endo_rank)
+                    cases += 1
+    assert cases == 224
 
 
 @settings(max_examples=200, deadline=None)
