@@ -5,16 +5,12 @@ from .weyl import (
     Weight,
     WeylElement,
     weight,
-    weyl_order,
-    weyl_elements,
     simple_roots,
     positive_roots,
-    orbit,
     dominant_rep,
     pairing,
     norm_sq,
     half_sum_positive_roots,
-    kostant_reps,
 )
 from .params import (
     ArthurParameter,
@@ -42,27 +38,15 @@ from .params import (
     very_regular_threshold,
 )
 from .torus import (
-    CharacterCombination,
     TranslationDatum,
-    character_combination,
-    symmetrize,
-    tensor_infchar_support,
     transfer_infchar,
     translation_weight,
     uniqueness_check,
-    weak_unipotence_norm_test,
 )
 from .twisted import (
-    ExtremalRep,
-    TwistedTorusElement,
-    extremal_rep,
     kostant_theta_invariance,
     norm_map,
-    theta_fixed_weyl,
-    torus_element,
-    twisted_trace_extremal,
     verify_transfer_identities,
-    verify_transfer_identity,
 )
 from .aq import (
     AqDatum,
@@ -71,7 +55,6 @@ from .aq import (
     Sigma,
     aq_datum,
     enumerate_levis,
-    evaluate_at,
     filtration_vanishing,
     lambda_tilde,
     packet_data,

@@ -56,7 +56,6 @@ __all__ = [
     "lambda_tilde",
     "lambda_tilde_fractions",
     "nilradical_roots",
-    "delta_u",
     "RangeResult",
     "range_check",
     "FiltrationItem",
@@ -64,7 +63,6 @@ __all__ = [
     "filtration_vanishing",
     "TranslatedPacket",
     "translate_packet",
-    "evaluate_at",
     "FILTRATION_STATE_CAP",
 ]
 
@@ -311,12 +309,6 @@ def nilradical_roots(a_list: tuple[int, ...], n0: int, kind: str) -> list[Weight
     the order of ``positive_roots``: those whose first coordinate lies in
     a unitary block, without each gl(a_i)'s own roots."""
     return positive_roots(ClassicalGroup(kind, sum(a_list) + n0).gside_type(), a_list)
-
-
-def delta_u(a_list: tuple[int, ...], n0: int, kind: str) -> Weight:
-    """Half sum of the nilradical roots; constant on each unitary block,
-    zero on the residual coordinates."""
-    return Weight(_layout_roots(tuple(a_list), n0, kind)[1])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -930,15 +922,3 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
             entries.append((new_datum, pushed))
     return TranslatedPacket(PacketData(psi, tuple(entries)), tuple(dropped), qm)
 
-
-def evaluate_at(packet: PacketData, s: Iterable[int]) -> dict[str, int]:
-    """Evaluate the packet's characters at s: sum of eps(s) * label."""
-    group = component_group(packet.psi)
-    s = tuple(s)
-    if s not in group:
-        raise ParameterError(f"{s} is not an element of A(psi)")
-    out: dict[str, int] = {}
-    for datum, values in packet.entries:
-        label = datum.label()
-        out[label] = out.get(label, 0) + group.evaluate(values, s)
-    return dict(sorted(out.items()))

@@ -146,26 +146,12 @@ class ClassicalGroup:
         return self.kind in ("Sp", "SOeven")
 
     @property
-    def dual_has_center(self) -> bool:
-        # Sp(2n,C) and SO(2n,C) have center {+-1}; SO(2n+1,C) is adjoint
-        return self.kind != "Sp"
-
-    @property
     def epsilon_g(self) -> Fraction:
         if self.kind == "SOeven":
             return Fraction(0)
         if self.kind == "SOodd":
             return Fraction(1, 2)
         return Fraction(1)
-
-    @property
-    def quasi_split(self) -> bool | None:
-        if self.kind == "Sp":
-            return True
-        if self.signature is None:
-            return None
-        p, q = self.signature
-        return abs(p - q) == 1 if self.kind == "SOodd" else abs(p - q) <= 2
 
     def gside_type(self) -> GroupType:
         if self.kind == "Sp":
@@ -529,7 +515,6 @@ class ComponentGroup:
     basis: tuple[Block, ...]
     dims: tuple[int, ...]
     det_relation: bool
-    dual_has_center: bool
     elements: tuple[tuple[int, ...], ...]
     s_psi: tuple[int, ...]
 
@@ -573,23 +558,6 @@ class ComponentGroup:
         raw = itertools.product((1, -1), repeat=len(self.basis))
         return tuple(sorted({self.canonical_character(v) for v in raw}, reverse=True))
 
-    @staticmethod
-    def evaluate(values: tuple[int, ...], s: tuple[int, ...]) -> int:
-        """Value at s of the character with the given generator values."""
-        out = 1
-        for v, x in zip(values, s):
-            if x == -1:
-                out *= v
-        return out
-
-    def center_image(self) -> tuple[int, ...]:
-        """Image in A(psi) of the nontrivial central element of the dual group."""
-        if not self.dual_has_center:
-            return self.identity
-        return (-1,) * len(self.basis)
-
-    def character_trivial_on_center(self, values: tuple[int, ...]) -> bool:
-        return self.evaluate(values, self.center_image()) == 1
 
 
 @_kept
@@ -618,7 +586,6 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
         basis=basis,
         dims=dims,
         det_relation=det_relation,
-        dual_has_center=psi.group.dual_has_center,
         elements=tuple(sorted(elements, reverse=True)),
         s_psi=s_psi,
     )

@@ -1,20 +1,15 @@
-"""Weyl-invariant combinations of torus characters and translation data.
+"""Translation data and the orbit-uniqueness check behind translation.
 
-Combinations are stored orbit-by-orbit: each dominant weight stands for
-its full orbit and the recorded multiplicity applies to every orbit
-element, so invariance is structural.  The module also computes the
-translation weight attached to a domination pair, runs the
-orbit-uniqueness check behind the translation argument as a pruned
-search over all rearrangements, and transfers infinitesimal characters
-from the group to the GL side.
+The module computes the translation weight attached to a domination
+pair, runs the orbit-uniqueness check behind the translation argument as
+a pruned search over all rearrangements, and transfers infinitesimal
+characters from the group to the GL side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
 
 from .params import (
     ArthurParameter,
@@ -24,91 +19,17 @@ from .params import (
     _nu_display_doubled,
     domination_offsets,
     gl_inf_char,
-    g_inf_char,
     good_parity,
 )
-from .weyl import GroupType, Weight, dominant_rep, norm_sq, orbit
+from .weyl import Weight
 
 __all__ = [
-    "CharacterCombination",
-    "character_combination",
-    "trivial_combination",
-    "symmetrize",
-    "tensor_infchar_support",
     "TranslationDatum",
     "translation_weight",
     "UniquenessReport",
     "uniqueness_check",
     "transfer_infchar",
-    "WeakUnipotenceReport",
-    "weak_unipotence_norm_test",
 ]
-
-
-@dataclass(frozen=True)
-class CharacterCombination:
-    """Integer combination of torus characters, invariant under the group."""
-
-    group_type: GroupType
-    terms: tuple[tuple[Weight, int], ...]
-
-    def iter_weights(self) -> Iterator[tuple[Weight, int]]:
-        """All orbit elements with their multiplicities."""
-        for w, m in self.terms:
-            orb, _ = orbit(self.group_type, w)
-            for x in sorted(orb):
-                yield x, m
-
-    @property
-    def total_terms(self) -> int:
-        """Number of characters counted with multiplicity."""
-        total = 0
-        for w, m in self.terms:
-            orb, _ = orbit(self.group_type, w)
-            total += abs(m) * len(orb)
-        return total
-
-
-def character_combination(group_type: GroupType, terms: dict[Weight, int]) -> CharacterCombination:
-    out = []
-    for w, m in terms.items():
-        if m == 0:
-            continue
-        if dominant_rep(group_type, w) != w:
-            raise ParameterError(f"{w} is not dominant for {group_type}")
-        out.append((w, m))
-    out.sort(key=lambda wm: wm[0].doubled, reverse=True)
-    return CharacterCombination(group_type, tuple(out))
-
-
-def trivial_combination(group_type: GroupType) -> CharacterCombination:
-    return character_combination(group_type, {Weight((0,) * group_type.rank): 1})
-
-
-def symmetrize(t: GroupType, lam: Weight) -> CharacterCombination:
-    """Sum of e^{-w.lam} over the whole group, stored orbit-wise.
-
-    Every element of the orbit of -lam carries the stabilizer order as
-    multiplicity, so the total term count is always the group order.
-    """
-    _orb, stab = orbit(t, lam)
-    dom = dominant_rep(t, -lam)
-    return character_combination(t, {dom: stab})
-
-
-def tensor_infchar_support(nu: InfChar, combo: CharacterCombination) -> frozenset[InfChar]:
-    """Infinitesimal characters hit when tensoring by the combination."""
-    if nu.side != "G" or nu.group_type is None:
-        raise ParameterError("expected a G-side infinitesimal character")
-    if nu.group_type != combo.group_type:
-        raise ParameterError(f"group mismatch: {nu.group_type} vs {combo.group_type}")
-    base = nu.weight
-    out = set()
-    for w, _m in combo.terms:
-        orb, _ = orbit(combo.group_type, w)
-        for mu in orb:
-            out.add(g_inf_char(combo.group_type, base + mu))
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -268,25 +189,3 @@ def transfer_infchar(nu: InfChar, group: ClassicalGroup) -> InfChar:
         entries.append(0)
     return gl_inf_char(entries)
 
-
-@dataclass(frozen=True)
-class WeakUnipotenceReport:
-    """Norms in the tensor support that drop below the starting norm."""
-
-    nu_pi: InfChar
-    base_norm: Fraction
-    forbidden: tuple[tuple[InfChar, Fraction], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.forbidden
-
-
-def weak_unipotence_norm_test(nu_pi: InfChar, combo: CharacterCombination) -> WeakUnipotenceReport:
-    base = norm_sq(nu_pi.weight)
-    bad = []
-    for nu in sorted(tensor_infchar_support(nu_pi, combo), key=lambda c: c.doubled, reverse=True):
-        nrm = norm_sq(nu.weight)
-        if nrm < base:
-            bad.append((nu, nrm))
-    return WeakUnipotenceReport(nu_pi, base, tuple(bad))

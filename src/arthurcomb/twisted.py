@@ -4,12 +4,15 @@ The pinned outer automorphism acts on the torus by theta(t)_i =
 1/t_{n+1-i}; the norm map projects onto the theta-coinvariants, which is
 a maximal torus of the endoscopic group.  A theta-invariant dominant
 weight mu gives a twisted action on the sum of its extremal weight
-lines, normalized so theta fixes the highest-weight line, and the
-twisted trace of that action matches the symmetrized character of the
+lines, normalized so theta fixes the highest-weight line.  Theta acts
+trivially on every theta-fixed extremal line and permutes the others off
+the diagonal, so the twisted trace is the sum of the theta-fixed
+extremal characters, and it matches the symmetrized character of the
 endoscopic side evaluated through the norm map.  The checks here verify
-this numerically on random regular elements of the unit torus, and
-verify exactly that Kostant representatives of theta-stable cosets are
-theta-fixed.
+this numerically on random regular elements of the unit torus, a sweep
+of weights at a time, and verify exactly that Kostant representatives
+of theta-stable cosets are theta-fixed.  Both read the theta-fixed
+extremal weights of mu from one C_m orbit of its head.
 """
 
 from __future__ import annotations
@@ -21,48 +24,22 @@ from dataclasses import dataclass
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
-from .weyl import GroupType, Weight, _closure, generators, weyl_elements
+from .weyl import GroupType, Weight, _closure, generators
 
 __all__ = [
-    "TwistedTorusElement",
-    "torus_element",
     "theta_weight",
     "theta_perm",
-    "ThetaFixedWeyl",
-    "theta_fixed_weyl",
     "norm_map",
-    "ExtremalRep",
-    "extremal_rep",
-    "twisted_trace_extremal",
     "kostant_theta_invariance",
     "TransferIdentityReport",
-    "verify_transfer_identity",
     "verify_transfer_identities",
     "theta_invariant_dominant_weights",
 ]
 
 
-@dataclass(frozen=True)
-class TwistedTorusElement:
-    """Diagonal torus element t; the twisted element is t x theta."""
-
-    entries: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if any(e == 0 for e in self.entries):
-            raise ValueError("torus entries must be nonzero")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def is_regular(self, tol: float = 1e-8) -> bool:
-        """Sufficient desk-scale regularity: the norm coordinates are
-        pairwise distinct and different from +-1."""
-        return _regular_norm(norm_map(self), tol)
-
-
 def _regular_norm(vals: tuple[complex, ...], tol: float) -> bool:
+    """Sufficient desk-scale regularity of a trial, read off its norm
+    coordinates: pairwise distinct and different from +-1."""
     for i, v in enumerate(vals):
         if abs(v - 1) < tol or abs(v + 1) < tol:
             return False
@@ -72,14 +49,11 @@ def _regular_norm(vals: tuple[complex, ...], tol: float) -> bool:
     return True
 
 
-def torus_element(entries: Iterable[complex]) -> TwistedTorusElement:
-    return TwistedTorusElement(tuple(complex(e) for e in entries))
-
-
-def norm_map(t: TwistedTorusElement) -> tuple[complex, ...]:
-    """N(t)_i = t_i / t_{n+1-i} for i up to floor(n/2)."""
-    n = t.n
-    return tuple(t.entries[i] / t.entries[n - 1 - i] for i in range(n // 2))
+def norm_map(t: tuple[complex, ...]) -> tuple[complex, ...]:
+    """N(t)_i = t_i / t_{n+1-i} for i up to floor(n/2), t the diagonal
+    entries of a torus element."""
+    n = len(t)
+    return tuple(t[i] / t[n - 1 - i] for i in range(n // 2))
 
 
 def theta_weight(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -89,42 +63,6 @@ def theta_weight(x: tuple[int, ...]) -> tuple[int, ...]:
 def theta_perm(p: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugation by the longest element: the theta-action on S_n."""
     return tuple(map((len(p) - 1).__sub__, reversed(p)))
-
-
-@dataclass(frozen=True)
-class ThetaFixedWeyl:
-    """The subgroup of S_n fixed by theta, with its signed-permutation model.
-
-    ``signed_images`` maps each fixed permutation to a signed permutation
-    of the first floor(n/2) letters; this exhibits the isomorphism with
-    the hyperoctahedral group of that rank.
-    """
-
-    n: int
-    elements: tuple[tuple[int, ...], ...]
-    signed_images: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def theta_fixed_weyl(n: int) -> ThetaFixedWeyl:
-    """Built from the signed images: a theta-fixed p is set by p[i] for
-    i < floor(n/2), which is perm[i] (sign +1) or n-1-perm[i] (sign -1),
-    and p[n-1-i] = n-1-p[i]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = n // 2
-    pairs = []
-    for w in weyl_elements(GroupType("C", m)):
-        p = list(range(n))
-        for i in range(m):
-            p[i] = w.src[i] if w.signs[i] == 1 else n - 1 - w.src[i]
-            p[n - 1 - i] = n - 1 - p[i]
-        pairs.append((tuple(p), (w.src, w.signs)))
-    pairs.sort()
-    return ThetaFixedWeyl(n, tuple(p for p, _image in pairs), tuple(pairs))
 
 
 def _check_twistable(n: int, mu: Weight) -> tuple[int, ...]:
@@ -154,28 +92,6 @@ def _kostant_rep(target: tuple[int, ...]) -> tuple[int, ...]:
     rearrangement of target: as x is non-increasing, w lists target's
     positions in a stable descending sort."""
     return tuple(sorted(range(len(target)), key=target.__getitem__, reverse=True))
-
-
-@dataclass(frozen=True)
-class ExtremalRep:
-    """Extremal-weight twisted representation data for a dominant mu.
-
-    ``extremal_cosets`` holds the theta-fixed cosets of W/W_mu as pairs
-    (Kostant representative, extremal weight); only these lines carry a
-    nonzero twisted trace.
-    """
-
-    n: int
-    mu: Weight
-    extremal_cosets: tuple[tuple[tuple[int, ...], Weight], ...]
-
-
-def extremal_rep(n: int, mu: Weight) -> ExtremalRep:
-    x = _check_twistable(n, mu)
-    cosets = tuple(
-        (_kostant_rep(t), Weight(tuple(2 * v for v in t))) for t in _theta_fixed_targets(x)
-    )
-    return ExtremalRep(n, mu, cosets)
 
 
 def _power_table(entries: tuple[complex, ...], bound: int) -> list[complex]:
@@ -212,17 +128,6 @@ def _shared(idxs: list[tuple[int, ...]]) -> list[int]:
     return out
 
 
-def _steps(monomials: Iterable[tuple[tuple[int, ...], int]], bound: int) -> _Steps:
-    """Compile (exponents, owner) pairs, in the given order.  A monomial's
-    indices, into a ``_power_table`` of the same bound, are those of its
-    non-zero exponents in coordinate order; in a sorted list every shared
-    prefix is one run, so it is multiplied out once."""
-    width = 2 * bound + 1
-    monomials = list(monomials)
-    idxs = [tuple(i * width + bound + k for i, k in enumerate(e) if k) for e, _owner in monomials]
-    return [(s, idx[s:], owner) for (_e, owner), idx, s in zip(monomials, idxs, _shared(idxs))]
-
-
 def _orbit_owners(xs: Sequence[tuple[int, ...]], k: int) -> dict[tuple[int, ...], list[int]]:
     """Every element of the C_k orbits (signed permutations of the first
     k entries) of the weights' heads x[:m], m = floor(n/2), mapped to the
@@ -240,10 +145,13 @@ def _orbit_owners(xs: Sequence[tuple[int, ...]], k: int) -> dict[tuple[int, ...]
 
 def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_Steps, _Steps]:
     """The twisted and the endoscopic side's steps of a sweep over the
-    theta-invariant dominant xs, each owned by its position in xs: what
-    ``_steps`` compiles from every weight's (target, position) pairs,
-    sorted descending, and from its (endoscopic head, position) pairs,
-    ascending.
+    theta-invariant dominant xs, each owned by its position in xs: one
+    step per monomial, over every weight's (target, position) pairs,
+    sorted descending, and over its (endoscopic head, position) pairs,
+    ascending.  A monomial's indices, into a ``_power_table`` of the
+    same bound, are those of its non-zero exponents in coordinate order;
+    in a sorted list every shared prefix is one run, so it is multiplied
+    out once.
 
     Both compile from heads.  A target is h + mid + theta(h), h its
     first m = floor(n/2) entries and mid the same for every weight, so
@@ -306,28 +214,6 @@ def _sums(steps: _Steps, columns: _Columns, count: int, owners: int) -> list[Seq
     return totals
 
 
-def twisted_trace_extremal(rep: ExtremalRep, t: TwistedTorusElement) -> complex:
-    """Twisted trace on the sum of extremal weight lines.
-
-    Theta acts trivially on every theta-fixed extremal line, so the trace
-    is the sum of the fixed extremal characters at t; non-fixed lines are
-    permuted off the diagonal and contribute zero.
-
-    Evaluation order (shared with ``verify_transfer_identities``): each
-    character is the product, left to right from 1.0+0.0j, of ``e**k``
-    over the coordinates whose exponent k is non-zero, and the characters
-    are added with ``+`` from 0.0+0.0j in coset order: one owner's
-    ``_sums`` over the cosets, unsorted.
-    """
-    if t.n != rep.n:
-        raise ValueError("torus element length mismatch")
-    exponents = [tuple(d // 2 for d in w.doubled) for _rep, w in rep.extremal_cosets]
-    bound = max((abs(k) for e in exponents for k in e), default=0)
-    columns = _columns([_power_table(t.entries, bound)])
-    ((trace,),) = _sums(_steps(((e, 0) for e in exponents), bound), columns, 1, 1)
-    return trace
-
-
 def kostant_theta_invariance(n: int, mu: Weight) -> bool:
     """Check theta(w) = w for the Kostant representative of every
     theta-stable coset of W/W_mu.  Exact; returns True iff all pass."""
@@ -359,42 +245,31 @@ class TransferIdentityReport:
     max_residual: float
 
 
-def verify_transfer_identity(
-    mu: Weight,
-    endo_rank: int | None = None,
-    trials: int = 100,
-    seed: int = 0,
-) -> TransferIdentityReport:
-    """Numerically compare the twisted extremal trace with the symmetrized
-    endoscopic character through the norm map.
-
-    nu is the first floor(n/2) coordinates of mu; the declared endoscopic
-    Weyl group is the signed permutations of the first ``endo_rank``
-    norm coordinates (the principal case takes all of them, and the
-    identity is exact there).  Random trials draw unit-modulus regular
-    torus elements from the given seed; the maximum absolute residual
-    over the trials is reported.  A one-weight
-    ``verify_transfer_identities``.
-    """
-    (report,) = verify_transfer_identities([mu], endo_rank, trials, seed)
-    return report
-
-
 def verify_transfer_identities(
     weights: Sequence[Weight],
     endo_rank: int | None = None,
     trials: int = 100,
     seed: int = 0,
 ) -> list[TransferIdentityReport]:
-    """``verify_transfer_identity`` for every weight of a sweep, in order,
-    over one draw of the trials; the weights share one length n.
+    """Numerically compare the twisted extremal trace with the symmetrized
+    endoscopic character through the norm map, for every weight of a
+    sweep, in order, over one draw of the trials; the weights share one
+    length n.
+
+    nu is the first floor(n/2) coordinates of mu; the declared endoscopic
+    Weyl group is the signed permutations of the first ``endo_rank``
+    norm coordinates (the principal case takes all of them, and the
+    identity is exact there).  Random trials draw unit-modulus regular
+    torus elements from the given seed; each weight's report holds the
+    maximum absolute residual over the trials.
 
     Each residual is bit-for-bit that of evaluating every character
     directly: the trials are the first ``trials`` regular draws from
     ``random.Random(seed)``; each character is the product, left to right
     from 1.0+0.0j, of ``e**k`` (read from a per-trial table) over its
     non-zero exponents k; the twisted side adds them with ``+`` from
-    0.0+0.0j in coset order (``twisted_trace_extremal``), and the
+    0.0+0.0j in coset order (its theta-fixed extremal weights,
+    descending), and the
     endoscopic side likewise in sorted orbit order.  Every weight's
     monomials of one side, tagged with the weight, are merged into one
     sorted list (each weight's own order is sorted already, so the merge
@@ -450,12 +325,10 @@ def _draw_iter(
     rng = random.Random(seed)
     for _ in range(trials):
         for _attempt in range(1000):
-            t = TwistedTorusElement(
-                tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
-            )
+            t = tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
             nt = norm_map(t)
             if _regular_norm(nt, 1e-6):
-                yield t.entries, nt
+                yield t, nt
                 break
         else:
             raise RuntimeError("could not sample a regular torus element")

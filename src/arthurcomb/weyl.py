@@ -1,40 +1,37 @@
-"""Exact root system and Weyl group machinery for the classical families.
+"""Exact root data and Weyl group actions for the classical families.
 
 Weight coordinates are half-integers stored as doubled integers, so every
-orbit, dominance and pairing computation here is exact.  Family A with
+dominance, pairing and root computation here is exact.  Family A with
 rank n is the symmetric group S_n permuting n coordinates (Cartan label
 A_{n-1}); families B, C, D are signed permutation groups on n coordinates
 with the usual sign constraints.  For family D the ``extended`` flag
 adjoins the outer automorphism (a single sign flip), which gives the full
-hyperoctahedral group acting on D-type data.
+hyperoctahedral group acting on D-type data.  The module lists simple
+and positive roots and half sums, maps a weight to its dominant
+representative, and builds the simple reflections as signed
+permutations; ``twisted`` builds its orbits by closure under them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "GroupType",
     "Weight",
     "WeylElement",
     "weight",
-    "weyl_order",
-    "weyl_elements",
     "simple_roots",
     "positive_roots",
     "reflection",
-    "orbit",
     "dominant_rep",
-    "is_dominant",
     "pairing",
     "norm_sq",
     "half_sum_positive_roots",
-    "kostant_reps",
 ]
 
 _FAMILIES = ("A", "B", "C", "D")
@@ -81,9 +78,6 @@ class Weight:
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(d, 2) for d in self.doubled)
 
-    def is_zero(self) -> bool:
-        return not any(self.doubled)
-
     def __add__(self, other: "Weight") -> "Weight":
         if len(self) != len(other):
             raise ValueError("length mismatch")
@@ -113,70 +107,12 @@ class WeylElement:
     src: tuple[int, ...]
     signs: tuple[int, ...]
 
-    @staticmethod
-    def identity(n: int) -> "WeylElement":
-        return WeylElement(tuple(range(n)), (1,) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.src)
-
-    def is_identity(self) -> bool:
-        return self.src == tuple(range(self.n)) and all(s == 1 for s in self.signs)
-
     def apply_doubled(self, x: tuple[int, ...]) -> tuple[int, ...]:
         # itemgetter of one index returns the entry, not a 1-tuple, and of
         # none raises
         src = self.src
         moved = itemgetter(*src)(x) if len(src) > 1 else tuple(map(x.__getitem__, src))
         return tuple(map(mul, self.signs, moved)) if -1 in self.signs else moved
-
-    def apply(self, w: Weight) -> Weight:
-        if len(w) != self.n:
-            raise ValueError("length mismatch")
-        return Weight(self.apply_doubled(w.doubled))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        # (self*other).x = self(other(x))
-        src = tuple(other.src[self.src[i]] for i in range(self.n))
-        signs = tuple(self.signs[i] * other.signs[self.src[i]] for i in range(self.n))
-        return WeylElement(src, signs)
-
-    def inverse(self) -> "WeylElement":
-        inv_src = [0] * self.n
-        inv_signs = [1] * self.n
-        for i, j in enumerate(self.src):
-            inv_src[j] = i
-            inv_signs[j] = self.signs[i]
-        return WeylElement(tuple(inv_src), tuple(inv_signs))
-
-    def neg_count(self) -> int:
-        return self.signs.count(-1)
-
-
-def weyl_order(t: GroupType) -> int:
-    """Order of the acting group (2^n n! for B/C and extended D, etc.)."""
-    n = t.rank
-    if t.family == "A":
-        return math.factorial(n)
-    if t.family in ("B", "C"):
-        return 2**n * math.factorial(n)
-    if t.extended:
-        return 2**n * math.factorial(n)
-    return 2 ** max(n - 1, 0) * math.factorial(n)
-
-
-def weyl_elements(t: GroupType) -> Iterator[WeylElement]:
-    """Enumerate the full acting group.  Intended for small ranks."""
-    n = t.rank
-    for perm in itertools.permutations(range(n)):
-        if t.family == "A":
-            yield WeylElement(perm, (1,) * n)
-            continue
-        for signs in itertools.product((1, -1), repeat=n):
-            if t.family == "D" and not t.extended and signs.count(-1) % 2:
-                continue
-            yield WeylElement(perm, signs)
 
 
 def _flip(n: int, i: int) -> WeylElement:
@@ -244,14 +180,6 @@ def positive_roots(t: GroupType, blocks: tuple[int, ...] | None = None) -> list[
     return roots
 
 
-def is_positive_root_vector(x: tuple[int, ...]) -> bool:
-    """Positivity of a root image: first nonzero coordinate is positive."""
-    for v in x:
-        if v:
-            return v > 0
-    return False
-
-
 def reflection(t: GroupType, root: Weight) -> WeylElement:
     """The reflection in a (positive) root of t, as a signed permutation."""
     n = t.rank
@@ -297,19 +225,6 @@ def _closure(start, moves: list[Callable]) -> set:
     return seen
 
 
-def orbit(t: GroupType, w: Weight) -> tuple[frozenset[Weight], int]:
-    """Full orbit of ``w`` under the acting group, plus stabilizer order.
-
-    Enumerated by breadth-first closure under the simple reflections (and
-    the outer flip for extended D); the orbit is usually much smaller
-    than the group for singular weights.
-    """
-    _check_length(t, w)
-    seen = _closure(w.doubled, [g.apply_doubled for g in generators(t)])
-    orb = frozenset(Weight(x) for x in seen)
-    return orb, weyl_order(t) // len(orb)
-
-
 def dominant_rep(t: GroupType, w: Weight) -> Weight:
     """Canonical orbit representative in the closed dominant chamber.
 
@@ -329,21 +244,6 @@ def dominant_rep(t: GroupType, w: Weight) -> Weight:
     if mags and negs % 2 and mags[-1] != 0:
         mags[-1] = -mags[-1]
     return Weight(tuple(mags))
-
-
-def is_dominant(t: GroupType, w: Weight) -> bool:
-    _check_length(t, w)
-    c = w.doubled
-    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
-        return False
-    if t.family == "A":
-        return True
-    if not c:
-        return True
-    if t.family in ("B", "C") or t.extended:
-        return c[-1] >= 0
-    # non-extended D: last entry may be negative, dominated by the one before
-    return len(c) < 2 or c[-2] >= abs(c[-1])
 
 
 def pairing(a: Weight, b: Weight) -> Fraction:
@@ -367,33 +267,3 @@ def half_sum_positive_roots(t: GroupType) -> Weight:
         return Weight(tuple(2 * (n - i) for i in range(n)))
     return Weight(tuple(2 * (n - 1 - i) for i in range(n)))
 
-
-def levi_subgroup(t: GroupType, levi_simple_roots: Iterable[Weight]) -> set[WeylElement]:
-    """The reflection subgroup generated by a subset of the simple roots."""
-    simples = set(simple_roots(t))
-    levi = list(levi_simple_roots)
-    for a in levi:
-        if a not in simples:
-            raise ValueError(f"{a} is not a simple root of {t}")
-    return _closure(WeylElement.identity(t.rank), [reflection(t, a).__mul__ for a in levi])
-
-
-def kostant_reps(t: GroupType, levi_simple_roots: Iterable[Weight]) -> list[WeylElement]:
-    """Minimal coset representatives for W / W_L.
-
-    Each representative w maps every positive root of the Levi subsystem
-    to a positive root, and every group element factors uniquely as
-    (representative) * (element of W_L).
-    """
-    levi = list(levi_simple_roots)
-    w_l = levi_subgroup(t, levi)
-    levi_doubled = [a.doubled for a in levi]
-    reps = [
-        w
-        for w in weyl_elements(t)
-        if all(is_positive_root_vector(w.apply_doubled(a)) for a in levi_doubled)
-    ]
-    if len(reps) * len(w_l) != weyl_order(t):
-        raise RuntimeError("coset representative count mismatch")
-    reps.sort(key=lambda e: (e.neg_count(), e.src, e.signs))
-    return reps

@@ -43,7 +43,6 @@ from arthurcomb.aq import (
     RangeResult,
     Sigma,
     aq_datum,
-    delta_u,
     enumerate_levis,
     lambda_tilde,
     nilradical_roots,
@@ -66,7 +65,8 @@ from arthurcomb.params import (
     inf_char,
     quotient_map,
 )
-from arthurcomb.weyl import GroupType, Weight, is_dominant, norm_sq, pairing, simple_roots
+from arthurcomb.weyl import GroupType, Weight, norm_sq, pairing, simple_roots
+from oracles import delta_u, is_dominant
 
 SEED = 20260810
 PER_KIND = 4
@@ -285,7 +285,6 @@ def old_component_group(psi):
         basis=basis,
         dims=dims,
         det_relation=det_relation,
-        dual_has_center=psi.group.dual_has_center,
         elements=tuple(sorted(elements, reverse=True)),
         s_psi=s_psi,
     )

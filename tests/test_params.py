@@ -28,6 +28,7 @@ from arthurcomb.params import (
     quotient_map,
     very_regular_threshold,
 )
+from oracles import quasi_split
 
 SP2 = ClassicalGroup("Sp", 2)
 SO_ODD2 = ClassicalGroup("SOodd", 2)
@@ -47,11 +48,11 @@ def test_dual_dimensions():
 
 
 def test_quasi_split():
-    assert SP2.quasi_split is True
-    assert so_odd(2, (3, 2)).quasi_split is True
-    assert so_odd(2, (5, 0)).quasi_split is False
-    assert ClassicalGroup("SOeven", 2, (2, 2)).quasi_split is True
-    assert so_odd(2).quasi_split is None
+    assert quasi_split(SP2) is True
+    assert quasi_split(so_odd(2, (3, 2))) is True
+    assert quasi_split(so_odd(2, (5, 0))) is False
+    assert quasi_split(ClassicalGroup("SOeven", 2, (2, 2))) is True
+    assert quasi_split(so_odd(2)) is None
 
 
 def test_dimension_ex1(ex1):
@@ -314,29 +315,6 @@ def test_component_group_order_formula():
             assert len(grp.characters()) == grp.order
 
 
-def test_characters_evaluate_to_signs(ex1):
-    grp = component_group(ex1)
-    for eps in grp.characters():
-        for s in grp.elements:
-            assert grp.evaluate(eps, s) in (1, -1)
-
-
-def test_center_restriction_predicate():
-    # Sp has an adjoint dual: every character is trivial on the center
-    grp_sp = component_group(
-        arthur_parameter(SP2, [block(Fraction(3, 2), 2), block(0, 1)])
-    )
-    assert grp_sp.center_image() == grp_sp.identity
-    assert all(grp_sp.character_trivial_on_center(e) for e in grp_sp.characters())
-    # symplectic dual: -1 maps to the all-minus vector and cuts characters in half
-    grp_so = component_group(
-        arthur_parameter(SO_ODD2, [block(Fraction(1, 2), 1), block(Fraction(3, 2), 1)])
-    )
-    assert grp_so.center_image() == (-1, -1)
-    flags = [grp_so.character_trivial_on_center(e) for e in grp_so.characters()]
-    assert flags.count(True) == 2 and flags.count(False) == 2
-
-
 # --- quotient map --------------------------------------------------------------
 
 
@@ -496,5 +474,5 @@ def test_corpus_modes_share_their_parameters():
         (p.group.kind, p.group.rank, p.blocks) for p in signed
     ]
     assert all(p.group.signature is None for p in bare)
-    assert all(p.group.quasi_split for p in signed)
+    assert all(quasi_split(p.group) for p in signed)
     assert [k for k, _ in itertools.groupby(p.group.kind for p in bare)] == ["Sp", "SOodd", "SOeven"]

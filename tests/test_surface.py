@@ -1,0 +1,120 @@
+"""The package's public surface is what its entry points reach, and
+README's quick start runs as documented.
+
+The entry points are ``cli.main`` (the ``arthurcomb`` command), the
+benchmark workloads (``perfbench/workloads.py``), the acceptance suite
+and README's python blocks.  Reachability is by name, with the standard
+library's ``ast`` alone: a top-level definition of a ``src`` module is
+reached when its name is read, as a name or as an attribute, by an entry
+point or by a reached definition.  A name that only its own definition,
+an ``__all__`` list, an import or unreached code reads is not reached.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "arthurcomb"
+
+
+def _readme_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Every name and attribute that a tree reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def _definitions(tree: ast.Module) -> dict[str, list[ast.AST]]:
+    """A module's top-level definitions by name: functions, classes and
+    assignments, without ``__all__``."""
+    out: dict[str, list[ast.AST]] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        for name in names:
+            if name != "__all__":
+                out.setdefault(name, []).append(stmt)
+    return out
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return list(ast.literal_eval(stmt.value))
+    return []
+
+
+def unreached_exports() -> list[str]:
+    """``module.name`` for every ``__all__`` name that no entry point reaches."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    defs: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for name, nodes in _definitions(tree).items():
+            defs.setdefault(name, []).extend(nodes)
+    entries = [
+        ast.parse((ROOT / "perfbench" / "workloads.py").read_text()),
+        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
+        *map(ast.parse, _readme_blocks()),
+        *_definitions(trees["cli"])["main"],
+    ]
+    todo = set().union(*map(_reads, entries))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in defs.get(name, ()):
+            todo |= _reads(node) - reached
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _exports(tree)
+        if name not in reached
+    ]
+
+
+def test_every_exported_name_is_reached_from_an_entry_point():
+    unreached = unreached_exports()
+    assert not unreached, "exported, but no entry point reaches: " + ", ".join(unreached)
+
+
+def _run_readme() -> dict[str, object]:
+    """Run README's python blocks in order, in one namespace, and return
+    the value of each expression statement, keyed by its source."""
+    ns: dict[str, object] = {}
+    values: dict[str, object] = {}
+    for src in _readme_blocks():
+        for stmt in ast.parse(src).body:
+            if isinstance(stmt, ast.Expr):
+                code = compile(ast.Expression(stmt.value), "README.md", "eval")
+                values[ast.get_source_segment(src, stmt)] = eval(code, ns)
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+    return values
+
+
+def test_readme_quick_start_gives_the_values_its_comments_state():
+    assert len(_readme_blocks()) == 2
+    values = _run_readme()
+    assert values["good_parity(psi).ok"] is True
+    assert values['inf_char(psi, "GL").entries'] == (2, 1, 0, -1, -2)
+    assert values['inf_char(psi, "G").entries'] == (2, 1)
+    assert str(values["translation_weight(psi, plus).lambda_GL"]) == "(5,5,0,-5,-5)"
+    assert values["uniqueness_check(psi, plus).unique"] is True
+    assert values["d_plus.t_tilde, range_check(d_plus).verdict"] == ((8,), "good")

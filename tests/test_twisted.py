@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import random
 
@@ -7,65 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arthurcomb.twisted import (
-    TwistedTorusElement,
-    extremal_rep,
     kostant_theta_invariance,
     norm_map,
-    theta_fixed_weyl,
     theta_invariant_dominant_weights,
     theta_perm,
     theta_weight,
-    torus_element,
-    twisted_trace_extremal,
     verify_transfer_identities,
-    verify_transfer_identity,
 )
-from arthurcomb.weyl import Weight, weight
+from arthurcomb.weyl import weight
 
 
-# --- theta-fixed Weyl group ---------------------------------------------------
-
-
-def test_theta_fixed_s3():
-    tf = theta_fixed_weyl(3)
-    assert set(tf.elements) == {(0, 1, 2), (2, 1, 0)}
-    assert tf.order == 2
-
-
-def test_theta_fixed_s2():
-    tf = theta_fixed_weyl(2)
-    assert tf.order == 2
-    assert set(tf.elements) == {(0, 1), (1, 0)}
-
-
-def test_theta_fixed_s4():
-    assert theta_fixed_weyl(4).order == 8
-
-
-def test_theta_fixed_orders_are_hyperoctahedral():
-    import math
-
-    for n in range(1, 7):
-        m = n // 2
-        assert theta_fixed_weyl(n).order == 2**m * math.factorial(m)
-
-
-def test_theta_fixed_iso_is_bijective_homomorphism():
-    for n in (3, 4, 5):
-        tf = theta_fixed_weyl(n)
-        iso = dict(tf.signed_images)
-        images = set(iso.values())
-        assert len(images) == tf.order
-        # homomorphism: compose in S_n, compare with signed composition
-        for p in tf.elements:
-            for q in tf.elements:
-                pq = tuple(p[q[i]] for i in range(n))
-                perm_p, signs_p = iso[p]
-                perm_q, signs_q = iso[q]
-                m = n // 2
-                perm = tuple(perm_p[perm_q[i]] for i in range(m))
-                signs = tuple(signs_q[i] * signs_p[perm_q[i]] for i in range(m))
-                assert iso[pq] == (perm, signs)
+# --- theta on S_n ---------------------------------------------------------------
 
 
 def test_theta_perm_is_involution():
@@ -77,15 +30,13 @@ def test_theta_perm_is_involution():
 
 
 def test_norm_map_example():
-    t = torus_element([2, 1, 3])
-    (v,) = norm_map(t)
+    (v,) = norm_map((2, 1, 3))
     assert abs(v - 2 / 3) < 1e-15
 
 
 def test_norm_map_theta_fixed_points():
     # entries with t_i * t_{n+1-i}^{-1} = 1 map to the identity
-    t = torus_element([2, 5, 5, 2])
-    assert all(abs(v - 1) < 1e-15 for v in norm_map(t))
+    assert all(abs(v - 1) < 1e-15 for v in norm_map((2, 5, 5, 2)))
 
 
 def test_norm_map_invariant_under_twisted_conjugation():
@@ -93,109 +44,111 @@ def test_norm_map_invariant_under_twisted_conjugation():
     rng = random.Random(23)
     for n in (3, 4, 5, 6):
         for _ in range(25):
-            t = torus_element(
-                [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
-            )
+            t = tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
             x = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
-            twisted = torus_element(
-                [x[i] * x[n - 1 - i] * t.entries[i] for i in range(n)]
-            )
+            twisted = tuple(x[i] * x[n - 1 - i] * t[i] for i in range(n))
             for a, b in zip(norm_map(t), norm_map(twisted)):
                 assert abs(a - b) < 1e-12
-
-
-def test_torus_element_rejects_zero():
-    with pytest.raises(ValueError):
-        torus_element([1, 0, 2])
 
 
 # --- twisted traces -------------------------------------------------------------
 
 
+def _twisted_trace(x, t):
+    """The twisted side of a one-weight sweep over the theta-invariant
+    dominant x, at the torus element with entries t: the sum of the
+    theta-fixed extremal characters, in the sweep's order."""
+    from arthurcomb.twisted import _columns, _power_table, _sums, _sweep_steps
+
+    bound = max(map(abs, x), default=0)
+    twisted, _endoscopic = _sweep_steps([x], len(x) // 2, bound)
+    ((trace,),) = _sums(twisted, _columns([_power_table(t, bound)]), 1, 1)
+    return trace
+
+
 def test_twisted_trace_n3():
-    rep = extremal_rep(3, weight([1, 0, -1]))
-    assert len(rep.extremal_cosets) == 2
-    val = twisted_trace_extremal(rep, torus_element([2, 1, 3]))
+    val = _twisted_trace((1, 0, -1), (2, 1, 3))
     assert abs(val - (2 / 3 + 3 / 2)) < 1e-12
 
 
 def test_twisted_trace_trivial_weight():
-    rep = extremal_rep(4, weight([0, 0, 0, 0]))
-    for entries in ([2, 3, 4, 5], [1j, 2, 3, -1j]):
-        assert abs(twisted_trace_extremal(rep, torus_element(entries)) - 1) < 1e-15
+    for entries in ((2, 3, 4, 5), (1j, 2, 3, -1j)):
+        assert abs(_twisted_trace((0, 0, 0, 0), entries) - 1) < 1e-15
 
 
 def test_twisted_trace_n2_closed_form():
-    rep = extremal_rep(2, weight([1, -1]))
     rng = random.Random(4)
     for _ in range(20):
         a = cmath.exp(2j * cmath.pi * rng.random())
         b = cmath.exp(2j * cmath.pi * rng.random())
-        val = twisted_trace_extremal(rep, torus_element([a, b]))
+        val = _twisted_trace((1, -1), (a, b))
         assert abs(val - (a / b + b / a)) < 1e-12
 
 
 def test_twisted_trace_invariant_under_fixed_weyl():
     # conjugating t by a theta-fixed permutation leaves the trace unchanged
     rng = random.Random(31)
-    for n, mu in ((3, weight([1, 0, -1])), (4, weight([2, 1, -1, -2]))):
-        rep = extremal_rep(n, mu)
-        tf = theta_fixed_weyl(n)
+    for x in ((1, 0, -1), (2, 1, -1, -2)):
+        n = len(x)
+        fixed = [p for p in itertools.permutations(range(n)) if theta_perm(p) == p]
         for _ in range(10):
-            t = torus_element(
-                [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
-            )
-            base = twisted_trace_extremal(rep, t)
-            for p in tf.elements:
-                moved = torus_element(tuple(t.entries[p[i]] for i in range(n)))
-                assert abs(twisted_trace_extremal(rep, moved) - base) < 1e-12
+            t = tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
+            base = _twisted_trace(x, t)
+            for p in fixed:
+                moved = tuple(t[p[i]] for i in range(n))
+                assert abs(_twisted_trace(x, moved) - base) < 1e-12
 
 
 def test_extremal_rep_validation():
-    with pytest.raises(ValueError):
-        extremal_rep(3, weight([1, 0, 0]))  # not theta-invariant
-    with pytest.raises(ValueError):
-        extremal_rep(3, weight([-1, 0, 1]))  # not dominant
-    with pytest.raises(ValueError):
-        extremal_rep(2, weight(["1/2", "-1/2"]))  # not integral
+    # an extremal-weight representation needs an integral, dominant,
+    # theta-invariant weight; both verifiers check it
+    for n, mu in (
+        (3, weight([1, 0, 0])),  # not theta-invariant
+        (3, weight([-1, 0, 1])),  # not dominant
+        (2, weight(["1/2", "-1/2"])),  # not integral
+    ):
+        with pytest.raises(ValueError):
+            kostant_theta_invariance(n, mu)
+        with pytest.raises(ValueError):
+            verify_transfer_identities([mu])
 
 
 # --- transfer identity ----------------------------------------------------------
 
 
 def test_transfer_identity_n3_principal():
-    rep = verify_transfer_identity(weight([1, 0, -1]), trials=100, seed=7)
+    (rep,) = verify_transfer_identities([weight([1, 0, -1])], trials=100, seed=7)
     assert rep.principal
     assert rep.max_residual <= 1e-9
 
 
 def test_transfer_identity_n4_principal():
-    rep = verify_transfer_identity(weight([2, 1, -1, -2]), trials=100, seed=7)
+    (rep,) = verify_transfer_identities([weight([2, 1, -1, -2])], trials=100, seed=7)
     assert rep.max_residual <= 1e-9
 
 
 def test_transfer_identity_singular_weight():
     # stabilizer multiplicities must not double-count the extremal lines
-    rep = verify_transfer_identity(weight([1, 1, -1, -1]), trials=100, seed=7)
+    (rep,) = verify_transfer_identities([weight([1, 1, -1, -1])], trials=100, seed=7)
     assert rep.max_residual <= 1e-9
 
 
 def test_transfer_identity_trivial_weight_is_exact():
-    rep = verify_transfer_identity(weight([0, 0, 0]), trials=10, seed=1)
+    (rep,) = verify_transfer_identities([weight([0, 0, 0])], trials=10, seed=1)
     assert rep.max_residual == 0.0
 
 
 def test_transfer_identity_nonprincipal_is_reported_not_asserted():
     # restricting the symmetrization group leaves a genuine deficit; the
     # residual surfaces it instead of being forced to zero
-    rep = verify_transfer_identity(weight([2, 0, 0, -2]), endo_rank=1, trials=20, seed=7)
+    (rep,) = verify_transfer_identities([weight([2, 0, 0, -2])], endo_rank=1, trials=20, seed=7)
     assert not rep.principal
     assert rep.max_residual > 1e-6
 
 
 def test_transfer_identity_rejects_bad_rank():
     with pytest.raises(ValueError):
-        verify_transfer_identity(weight([1, 0, -1]), endo_rank=2)
+        verify_transfer_identities([weight([1, 0, -1])], endo_rank=2)
 
 
 # --- Kostant theta-invariance ------------------------------------------------------
@@ -205,17 +158,6 @@ def test_kostant_examples():
     assert kostant_theta_invariance(3, weight([1, 0, -1]))
     assert kostant_theta_invariance(4, weight([1, 1, -1, -1]))
     assert kostant_theta_invariance(2, weight([1, -1]))
-
-
-def test_extremal_coset_count_matches_restricted_orbit():
-    # |theta-fixed cosets| equals the hyperoctahedral orbit of the head
-    from arthurcomb.twisted import _signed_orbit
-
-    for n in (2, 3, 4, 5, 6):
-        for mu in theta_invariant_dominant_weights(n, 2):
-            rep = extremal_rep(n, mu)
-            head = tuple(d // 2 for d in mu.doubled[: n // 2])
-            assert len(rep.extremal_cosets) == len(_signed_orbit(head, n // 2))
 
 
 def _signed_orbit_oracle(nu, k):
@@ -279,15 +221,6 @@ def test_theta_invariant_weight_generator():
 # --- theta-fixed cosets against the full-orbit enumerator -------------------------
 
 
-def _extremal_weights(mu):
-    """Oracle: every distinct rearrangement of mu, by walking all n! orders."""
-    seen = set()
-    for p in itertools.permutations(mu):
-        if p not in seen:
-            seen.add(p)
-            yield p
-
-
 def _coset_rep_for_weight(mu, target):
     """Oracle: minimal-length w with w.mu = target; positions of equal
     values are matched in increasing order."""
@@ -304,50 +237,28 @@ def _coset_rep_for_weight(mu, target):
     return tuple(w)
 
 
+@functools.cache
 def _oracle_cosets(x):
-    return [
+    """Oracle: every theta-fixed rearrangement of x, descending, by
+    walking all n! orders, with its minimal-length coset representative."""
+    return tuple(
         (_coset_rep_for_weight(x, target), target)
-        for target in _extremal_weights(x)
+        for target in sorted(set(itertools.permutations(x)), reverse=True)
         if theta_weight(target) == target
-    ]
+    )
 
 
 def test_theta_fixed_cosets_match_full_orbit_oracle():
+    from arthurcomb.twisted import _kostant_rep, _theta_fixed_targets
+
     weights = [mu for n in range(1, 9) for mu in theta_invariant_dominant_weights(n, 3)]
     assert len(weights) == 104
     for mu in weights:
         n = len(mu)
         x = tuple(d // 2 for d in mu.doubled)
         cosets = _oracle_cosets(x)
-        expected = sorted(
-            ((rep, Weight(tuple(2 * v for v in t))) for rep, t in cosets),
-            key=lambda rw: rw[1].doubled,
-            reverse=True,
-        )
-        assert list(extremal_rep(n, mu).extremal_cosets) == expected
+        assert [(_kostant_rep(t), t) for t in _theta_fixed_targets(x)] == list(cosets), x
         assert kostant_theta_invariance(n, mu) == all(theta_perm(r) == r for r, _t in cosets)
-
-
-def _signed_image(p, n):
-    m = n // 2
-    perm = [0] * m
-    signs = [1] * m
-    for i in range(m):
-        j = p[i]
-        if j < m:
-            perm[i] = j
-        else:
-            perm[i] = n - 1 - j
-            signs[i] = -1
-    return tuple(perm), tuple(signs)
-
-
-def test_theta_fixed_weyl_matches_full_group_oracle():
-    for n in range(1, 8):
-        fixed = sorted(p for p in itertools.permutations(range(n)) if theta_perm(p) == p)
-        tf = theta_fixed_weyl(n)
-        assert list(tf.elements) == fixed
-        assert list(tf.signed_images) == [(p, _signed_image(p, n)) for p in fixed]
 
 
 # --- table evaluation against the direct per-coset loop -------------------------
@@ -361,9 +272,6 @@ def _direct_product(table, idx):
     return value
 
 
-_unit = st.floats(0, 1).map(lambda a: cmath.exp(2j * cmath.pi * a))
-
-
 def _nonzero(exponents):
     """A monomial's non-zero exponents, with their coordinates."""
     return tuple((i, k) for i, k in enumerate(exponents) if k)
@@ -372,7 +280,7 @@ def _nonzero(exponents):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_plan_values_equal_the_direct_products(data):
-    from arthurcomb.twisted import _columns, _steps, _sums
+    from arthurcomb.twisted import _columns, _sums
 
     n = data.draw(st.integers(1, 4))
     bound = data.draw(st.integers(0, 2))
@@ -390,7 +298,7 @@ def test_plan_values_equal_the_direct_products(data):
         monomials += data.draw(st.lists(st.sampled_from(monomials), max_size=3))
     monomials = data.draw(st.permutations(monomials))
     for order in (monomials, sorted(monomials, reverse=data.draw(st.booleans()))):
-        steps = _steps(order, bound)
+        steps = _old_steps(order, bound)
         totals = _sums(steps, _columns(tables), count, owners)
         for trial, table in enumerate(tables):
             for owner in range(owners):
@@ -407,8 +315,9 @@ def test_plan_values_equal_the_direct_products(data):
 
 
 def _old_steps(monomials, bound):
-    """Oracle: the step compiler that reads each monomial's full index
-    list and compares it with the one before."""
+    """Oracle: compile (exponents, owner) pairs, in the given order, into
+    steps, reading each monomial's full index list and comparing it with
+    the one before."""
     width = 2 * bound + 1
     steps = []
     prev = ()
@@ -459,21 +368,6 @@ def test_sweep_steps_match_the_target_compiler():
     assert cases == 224
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_twisted_trace_of_a_hand_built_rep_matches_oracle(data):
-    # any weights, repeated, zero or none: monomials of mixed lengths
-    from arthurcomb.twisted import ExtremalRep
-
-    n = data.draw(st.integers(1, 6))
-    exps = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=8))
-    exps += data.draw(st.lists(st.sampled_from(exps), max_size=2)) if exps else []
-    cosets = tuple((tuple(range(n)), Weight(tuple(2 * v for v in e))) for e in exps)
-    rep = ExtremalRep(n, Weight((0,) * n), cosets)
-    t = torus_element(data.draw(st.lists(_unit, min_size=n, max_size=n)))
-    assert repr(twisted_trace_extremal(rep, t)) == repr(_oracle_trace(rep, t))
-
-
 def _char_value(entries, exponents):
     """Oracle: a Laurent character evaluated coordinate by coordinate."""
     out = 1.0 + 0.0j
@@ -483,11 +377,25 @@ def _char_value(entries, exponents):
     return out
 
 
-def _oracle_trace(rep, t):
+def _oracle_trace(x, t):
+    """Oracle: the theta-fixed extremal characters of x at t, added in
+    coset order."""
     total = 0.0 + 0.0j
-    for _rep, w in rep.extremal_cosets:
-        total += _char_value(t.entries, tuple(d // 2 for d in w.doubled))
+    for _rep, target in _oracle_cosets(x):
+        total += _char_value(t, target)
     return total
+
+
+def _oracle_regular(vals, tol):
+    """Oracle: the norm coordinates are pairwise distinct and differ
+    from +-1."""
+    for i, v in enumerate(vals):
+        if abs(v - 1) < tol or abs(v + 1) < tol:
+            return False
+        for w in vals[i + 1 :]:
+            if abs(v - w) < tol:
+                return False
+    return True
 
 
 def _oracle_residual(mu, endo_rank, trials, seed):
@@ -495,20 +403,17 @@ def _oracle_residual(mu, endo_rank, trials, seed):
     n = len(mu)
     m = n // 2
     x = tuple(d // 2 for d in mu.doubled)
-    rep = extremal_rep(n, mu)
     orbit_exps = _signed_orbit_oracle(x[:m], endo_rank)
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
         while True:
-            t = TwistedTorusElement(
-                tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
-            )
-            if n < 2 or t.is_regular(tol=1e-6):
+            t = tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n))
+            nt = norm_map(t)
+            if _oracle_regular(nt, 1e-6):
                 break
-        nt = norm_map(t)
         rhs = sum(_char_value(nt, e) for e in orbit_exps)
-        worst = max(worst, abs(_oracle_trace(rep, t) - rhs))
+        worst = max(worst, abs(_oracle_trace(x, t) - rhs))
     return worst
 
 
@@ -516,7 +421,8 @@ def test_transfer_identity_matches_oracle_on_every_small_weight():
     weights = [mu for n in range(9) for mu in theta_invariant_dominant_weights(n, 3)]
     assert len(weights) == 105
     for mu in weights:
-        got = verify_transfer_identity(mu, trials=100, seed=7).max_residual
+        (rep,) = verify_transfer_identities([mu], trials=100, seed=7)
+        got = rep.max_residual
         assert got == _oracle_residual(mu, len(mu) // 2, 100, 7), mu
 
 
@@ -531,7 +437,8 @@ def test_transfer_identity_matches_oracle_for_every_endo_rank():
     for n, seed, trials in ENDO_RANK_CASES:
         for mu in theta_invariant_dominant_weights(n, 3):
             for k in range(n // 2 + 1):
-                got = verify_transfer_identity(mu, k, trials, seed).max_residual
+                (rep,) = verify_transfer_identities([mu], k, trials, seed)
+                got = rep.max_residual
                 assert got == _oracle_residual(mu, k, trials, seed), (mu, k, seed, trials)
 
 
@@ -550,7 +457,7 @@ def test_transfer_identity_is_the_same_in_every_block_size(monkeypatch, block_va
     for n, max_entry, k, trials in BLOCK_CASES:
         weights = list(theta_invariant_dominant_weights(n, max_entry))
         sweep = verify_transfer_identities(weights, k, trials, seed)
-        assert sweep == [verify_transfer_identity(mu, k, trials, seed) for mu in weights]
+        assert sweep == [verify_transfer_identities([mu], k, trials, seed)[0] for mu in weights]
         for mu, rep in zip(weights, sweep):
             assert rep.max_residual == _oracle_residual(mu, k, trials, seed), (mu, k)
 
@@ -573,7 +480,7 @@ def test_sweep_order_cannot_leak_into_a_residual(endo_rank):
     weights += weights[::7]
     random.Random(2).shuffle(weights)
     sweep = verify_transfer_identities(weights, endo_rank, trials=37, seed=4)
-    assert sweep == [verify_transfer_identity(mu, endo_rank, 37, 4) for mu in weights]
+    assert sweep == [verify_transfer_identities([mu], endo_rank, 37, 4)[0] for mu in weights]
 
 
 def test_sweep_multiplies_each_shared_prefix_once(monkeypatch):
@@ -619,9 +526,9 @@ def test_twisted_trace_matches_oracle_on_random_elements(data):
     n = data.draw(st.integers(1, 8))
     mu = data.draw(st.sampled_from(list(theta_invariant_dominant_weights(n, 3))))
     angles = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
-    t = torus_element(cmath.exp(2j * cmath.pi * a) for a in angles)
-    rep = extremal_rep(n, mu)
-    assert twisted_trace_extremal(rep, t) == _oracle_trace(rep, t)
+    t = tuple(cmath.exp(2j * cmath.pi * a) for a in angles)
+    x = tuple(d // 2 for d in mu.doubled)
+    assert _twisted_trace(x, t) == _oracle_trace(x, t)
 
 
 @pytest.mark.parametrize("endo_rank, orbits", [(None, 1), (3, 1), (2, 2), (0, 2)])
@@ -633,5 +540,5 @@ def test_transfer_identity_builds_a_second_orbit_only_off_principal(
     calls = []
     real = twisted._signed_orbit
     monkeypatch.setattr(twisted, "_signed_orbit", lambda *a: calls.append(a) or real(*a))
-    verify_transfer_identity(weight([2, 1, 0, 0, -1, -2]), endo_rank, trials=3)
+    verify_transfer_identities([weight([2, 1, 0, 0, -1, -2])], endo_rank, trials=3)
     assert len(calls) == orbits
