@@ -170,6 +170,17 @@ def _signed_orbit_oracle(nu, k):
     return sorted(out)
 
 
+def test_extremal_coset_count_matches_restricted_orbit():
+    # |theta-fixed cosets| equals the hyperoctahedral orbit of the head
+    from arthurcomb.twisted import _theta_fixed_targets
+
+    for n in (2, 3, 4, 5, 6):
+        for mu in theta_invariant_dominant_weights(n, 2):
+            x = tuple(d // 2 for d in mu.doubled)
+            head = x[: n // 2]
+            assert len(_theta_fixed_targets(x)) == len(_signed_orbit_oracle(head, n // 2))
+
+
 def test_signed_orbit_matches_brute_force():
     from arthurcomb.twisted import _signed_orbit
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from arthurcomb.weyl import (
     GroupType,
     Weight,
+    _closure,
     dominant_rep,
+    generators,
     half_sum_positive_roots,
     norm_sq,
     pairing,
@@ -28,6 +30,82 @@ A2 = GroupType("A", 3)  # Cartan label A_2: S_3 on three coordinates
 def chamber_elements(t, w):
     """Oracle: the orbit elements lying in the closed dominant chamber."""
     return [x for x in brute_orbit(t, w) if is_dominant(t, x)]
+
+
+def orbit(t, w):
+    """The orbit of w by closure under generators(t), the path the package's
+    signed orbits take."""
+    return {Weight(x) for x in _closure(w.doubled, [g.apply_doubled for g in generators(t)])}
+
+
+def order(t):
+    """The order of the group generators(t) generates: the orbit of a weight
+    with distinct non-zero entries, whose stabilizer is trivial."""
+    return len(orbit(t, weight(range(1, t.rank + 1))))
+
+
+def stabilizer(t, w):
+    """Oracle: the number of group elements fixing w."""
+    return sum(1 for g in weyl_elements(t) if apply(g, w) == w)
+
+
+# --- group order ----------------------------------------------------------
+
+
+def test_weyl_order_examples():
+    assert order(C2) == 8
+    assert order(A2) == 6
+    assert order(D4) == 192
+    assert order(GroupType("D", 4, extended=True)) == 384
+    assert order(B2) == 8
+
+
+def test_weyl_elements_count_matches_order():
+    for t in (A2, B2, C2, D3, D3X, D4):
+        assert sum(1 for _ in weyl_elements(t)) == order(t)
+
+
+# --- orbit ----------------------------------------------------------------
+
+
+def test_orbit_b2_short_vector():
+    orb = orbit(B2, weight([1, 0]))
+    assert orb == brute_orbit(B2, weight([1, 0]))
+    assert orb == {weight([1, 0]), weight([-1, 0]), weight([0, 1]), weight([0, -1])}
+    assert stabilizer(B2, weight([1, 0])) == 2
+
+
+def test_orbit_c2_regular():
+    orb = orbit(C2, weight([2, 1]))
+    assert orb == brute_orbit(C2, weight([2, 1]))
+    assert len(orb) == 8
+    assert stabilizer(C2, weight([2, 1])) == 1
+
+
+def test_orbit_zero_weight_is_fixed():
+    for t in (A2, B2, C2, D3, D3X):
+        z = weight([0] * t.rank)
+        assert orbit(t, z) == {z}
+        assert stabilizer(t, z) == order(t)
+
+
+def test_orbit_length_mismatch():
+    # the orbit representative rejects a weight of the wrong length
+    with pytest.raises(ValueError):
+        dominant_rep(B2, weight([1, 0, 0]))
+
+
+def test_orbit_stabilizer_product_and_w_invariance():
+    rng = random.Random(11)
+    for t in (A2, B2, C2, D3, D3X, D4):
+        elements = list(weyl_elements(t))
+        for _ in range(5):
+            w = weight([rng.randint(-2, 2) for _ in range(t.rank)])
+            orb = orbit(t, w)
+            assert orb == brute_orbit(t, w)
+            assert len(orb) * stabilizer(t, w) == order(t)
+            g = rng.choice(elements)
+            assert orbit(t, apply(g, w)) == orb
 
 
 # --- dominant_rep ---------------------------------------------------------
@@ -154,10 +232,12 @@ def test_positive_roots_grouped_by_first_coordinate():
     st.booleans(),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
 )
-def test_dominant_rep_lies_in_the_orbit(family, rank, extended, coords):
+def test_orbit_stabilizer_identity(family, rank, extended, coords):
     if family != "D":
         extended = False
     t = GroupType(family, rank, extended)
     w = Weight(tuple(2 * c for c in (coords * rank)[: t.rank]))
-    assert dominant_rep(t, w) in brute_orbit(t, w)
+    orb = orbit(t, w)
+    assert len(orb) * stabilizer(t, w) == order(t)
+    assert dominant_rep(t, w) in orb
 
