@@ -3,7 +3,6 @@
 from .weyl import (
     GroupType,
     Weight,
-    WeylElement,
     weight,
     simple_roots,
     positive_roots,

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .params import (
     ArthurParameter,
@@ -291,15 +291,14 @@ def _layout(levi: LeviDatum) -> tuple[tuple[int, ...], int, str]:
     return levi.a_list, levi.g0.rank, levi.g0.kind
 
 
-def _levi_roots(a_list: tuple[int, ...], n0: int, kind: str, roots: Callable) -> list[tuple[int, ...]]:
-    """``roots`` (such as ``simple_roots``) of each Levi
-    factor in turn, gl(a_i) as type A and then G_0, as doubled vectors in
-    the fixed coordinate layout."""
+def _levi_roots(a_list: tuple[int, ...], n0: int, kind: str) -> list[tuple[int, ...]]:
+    """The simple roots of each Levi factor in turn, gl(a_i) as type A and
+    then G_0, as doubled vectors in the fixed coordinate layout."""
     n = sum(a_list) + n0
     out = []
     start = 0
     for t in [GroupType("A", a) for a in a_list] + [ClassicalGroup(kind, n0).gside_type()]:
-        out += [(0,) * start + r.doubled + (0,) * (n - start - t.rank) for r in roots(t)]
+        out += [(0,) * start + r.doubled + (0,) * (n - start - t.rank) for r in simple_roots(t)]
         start += t.rank
     return out
 
@@ -658,7 +657,7 @@ def _layout_rows(
     n = sum(a_list) + n0
     # mu is dominant for the Levi when it pairs >= 0 with each simple root
     # of each factor; halved, the doubled roots keep the digits narrow
-    dominance = [tuple(v // 2 for v in r) for r in _levi_roots(a_list, n0, kind, simple_roots)]
+    dominance = [tuple(v // 2 for v in r) for r in _levi_roots(a_list, n0, kind)]
     roots = _layout_roots(a_list, n0, kind)[0]
     # one column per functional f: <f, r> for every root r at once, summed
     # over f's non-zero entries alone (at most two for a dominance

@@ -510,17 +510,26 @@ class ComponentGroup:
     ``dims`` holds the full isotypic dimensions; when the dual group is
     special orthogonal the vectors are cut down by the determinant
     condition (product of signs weighted by those dimensions equals 1).
+    The order is read off the basis; the elements are listed only when
+    read.
     """
 
     basis: tuple[Block, ...]
     dims: tuple[int, ...]
     det_relation: bool
-    elements: tuple[tuple[int, ...], ...]
     s_psi: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return 2 ** (len(self.basis) - self.relation_nontrivial)
+
+    @property
+    @_kept
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """Every element, descending; listed on the first read and kept."""
+        odd = [i for i, d in enumerate(self.dims) if d % 2] if self.det_relation else []
+        raw = itertools.product((1, -1), repeat=len(self.basis))
+        return tuple(s for s in raw if sum(s[i] < 0 for i in odd) % 2 == 0)
 
     @property
     @_kept
@@ -565,29 +574,15 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
     """Component group of the centralizer, with s_psi = image of -1 in SL(2).
 
     Built once per parameter and kept on it, so every caller of one
-    parameter shares the group, its element set and its characters."""
+    parameter shares the group, its elements and its characters."""
     if not good_parity(psi).ok:
         raise ParityError("component group requires good parity")
     basis = tuple(Block(b.t2, b.a, b.eta) for b in psi.blocks)
-    dims = tuple(b.dim for b in psi.blocks)
-    det_relation = psi.group.dual_special_orthogonal
-    elements = []
-    for signs in itertools.product((1, -1), repeat=len(basis)):
-        if det_relation:
-            det = 1
-            for s, d in zip(signs, dims):
-                if s == -1 and d % 2:
-                    det = -det
-            if det != 1:
-                continue
-        elements.append(signs)
-    s_psi = tuple(-1 if b.a % 2 == 0 else 1 for b in basis)
     return ComponentGroup(
         basis=basis,
-        dims=dims,
-        det_relation=det_relation,
-        elements=tuple(sorted(elements, reverse=True)),
-        s_psi=s_psi,
+        dims=tuple(b.dim for b in psi.blocks),
+        det_relation=psi.group.dual_special_orthogonal,
+        s_psi=tuple(-1 if b.a % 2 == 0 else 1 for b in basis),
     )
 
 

@@ -22,9 +22,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .weyl import GroupType, Weight, _closure, generators
+from .weyl import Weight
 
 __all__ = [
     "theta_weight",
@@ -128,27 +128,24 @@ def _shared(idxs: list[tuple[int, ...]]) -> list[int]:
     return out
 
 
-def _orbit_owners(xs: Sequence[tuple[int, ...]], k: int) -> dict[tuple[int, ...], list[int]]:
+def _orbit_owners(xs: Sequence[tuple[int, ...]], k: int) -> dict[tuple[int, ...], int]:
     """Every element of the C_k orbits (signed permutations of the first
-    k entries) of the weights' heads x[:m], m = floor(n/2), mapped to the
-    positions in xs of the weights whose orbit holds it, ascending.
+    k entries) of the distinct weights' heads x[:m], m = floor(n/2),
+    mapped to the position in xs of the weight whose orbit holds it.
     Distinct weights have disjoint orbits."""
-    owners: dict[tuple[int, ...], list[int]] = {}
-    for j, x in enumerate(xs):
-        owners.setdefault(x, []).append(j)
     m = len(xs[0]) // 2
-    heads: dict[tuple[int, ...], list[int]] = {}
-    for x, js in owners.items():
-        heads.update(dict.fromkeys(_signed_orbit(x[:m], k), js))
+    heads: dict[tuple[int, ...], int] = {}
+    for j, x in enumerate(xs):
+        heads.update(dict.fromkeys(_signed_orbit(x[:m], k), j))
     return heads
 
 
 def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_Steps, _Steps]:
     """The twisted and the endoscopic side's steps of a sweep over the
-    theta-invariant dominant xs, each owned by its position in xs: one
-    step per monomial, over every weight's (target, position) pairs,
-    sorted descending, and over its (endoscopic head, position) pairs,
-    ascending.  A monomial's indices, into a ``_power_table`` of the
+    distinct theta-invariant dominant xs, each owned by its position in
+    xs: one step per monomial, over every weight's (target, position)
+    pairs, sorted descending, and over its (endoscopic head, position)
+    pairs, ascending.  A monomial's indices, into a ``_power_table`` of the
     same bound, are those of its non-zero exponents in coordinate order;
     in a sorted list every shared prefix is one run, so it is multiplied
     out once.
@@ -174,13 +171,10 @@ def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_St
     owners = _orbit_owners(xs, m)
     desc = sorted(owners, reverse=True)
     idxs, shared = indexed(desc)
-    twisted: _Steps = []
-    for h, idx, s in zip(desc, idxs, shared):
-        rest = idx[s:] + tuple(map(top.__sub__, reversed(idx)))
-        *again, j = owners[h]
-        twisted.append((s, rest, j))
-        # a repeated weight: the same target again
-        twisted += [(s + len(rest), (), other) for other in reversed(again)]
+    twisted: _Steps = [
+        (s, idx[s:] + tuple(map(top.__sub__, reversed(idx))), owners[h])
+        for h, idx, s in zip(desc, idxs, shared)
+    ]
 
     if k == m:
         # ascending, each list shares with the one before what it shared,
@@ -190,11 +184,7 @@ def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_St
         owners = _orbit_owners(xs, k)
         asc = sorted(owners)
         idxs, shared = indexed(asc)
-    endoscopic: _Steps = []
-    for h, idx, s in zip(asc, idxs, shared):
-        j, *again = owners[h]
-        endoscopic.append((s, idx[s:], j))
-        endoscopic += [(len(idx), (), other) for other in again]
+    endoscopic: _Steps = [(s, idx[s:], owners[h]) for h, idx, s in zip(asc, idxs, shared)]
     return twisted, endoscopic
 
 
@@ -221,14 +211,31 @@ def kostant_theta_invariance(n: int, mu: Weight) -> bool:
     return all(theta_perm(w) == w for w in map(_kostant_rep, _theta_fixed_targets(x)))
 
 
+def _closure(start, moves: list[Callable]) -> set:
+    """Everything reached from ``start`` by applying ``moves`` repeatedly,
+    breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     """Orbit of nu under signed permutations of the first k coordinates,
     sorted.  An element is a distinct rearrangement of the head's
-    absolute values, reached from the sorted one by adjacent swaps (so
-    the work is bounded by the orbit, never k!), with a sign chosen for
-    each non-zero entry."""
+    absolute values, reached from the sorted one by the k - 1 adjacent
+    swaps (so the work is bounded by the orbit, never k!), with a sign
+    chosen for each non-zero entry."""
     head, tail = nu[:k], nu[k:]
-    swaps = [g.apply_doubled for g in generators(GroupType("A", k))]
+    swaps = [lambda p, i=i: p[:i] + (p[i + 1], p[i]) + p[i + 2 :] for i in range(k - 1)]
     perms = _closure(tuple(sorted(map(abs, head))), swaps)
     signed = (itertools.product(*[(v, -v) if v else (0,) for v in p]) for p in perms)
     heads = sorted(itertools.chain.from_iterable(signed))
@@ -270,8 +277,8 @@ def verify_transfer_identities(
     non-zero exponents k; the twisted side adds them with ``+`` from
     0.0+0.0j in coset order (its theta-fixed extremal weights,
     descending), and the
-    endoscopic side likewise in sorted orbit order.  Every weight's
-    monomials of one side, tagged with the weight, are merged into one
+    endoscopic side likewise in sorted orbit order.  Every distinct
+    weight's monomials of one side, tagged with the weight, are merged into one
     sorted list (each weight's own order is sorted already, so the merge
     keeps it), compiled from the heads (``_sweep_steps``) and evaluated
     in one pass over a stack of prefix products, which multiplies every
@@ -288,26 +295,31 @@ def verify_transfer_identities(
     k = m if endo_rank is None else endo_rank
     if not 0 <= k <= m:
         raise ValueError(f"endo_rank must be between 0 and {m}")
-    bound = max((abs(v) for x in xs for v in x), default=0)
-    sides = _sweep_steps(xs, k, bound)
+    # a repeated weight is swept once: its monomials, their order and the
+    # trials are its first copy's, and so is its residual
+    distinct = list(dict.fromkeys(xs))
+    bound = max((abs(v) for x in distinct for v in x), default=0)
+    sides = _sweep_steps(distinct, k, bound)
     # per trial: both power tables, the prefix stack and two sums per weight
-    size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + n + 1 + 2 * len(xs)))
-    worst = [0.0] * len(xs)
+    size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + n + 1 + 2 * len(distinct)))
+    owners = len(distinct)
+    worst = [0.0] * owners
     draws = _draw_iter(n, trials, seed)
     while block := list(itertools.islice(draws, size)):
         # a trial is (entries, norm map), the twisted and the endoscopic
         # side's; one side's tables are held at a time
         left, right = (
-            _sums(steps, _columns(_power_table(d[side], bound) for d in block), len(block), len(xs))
+            _sums(steps, _columns(_power_table(d[side], bound) for d in block), len(block), owners)
             for side, steps in enumerate(sides)
         )
         worst = [max(w, *map(abs, map(sub, a, b))) for w, a, b in zip(worst, left, right)]
         del left, right  # before the next block is drawn
+    residual = dict(zip(distinct, worst))
     return [
         TransferIdentityReport(
-            n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=w
+            n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=residual[x]
         )
-        for w in worst
+        for x in xs
     ]
 
 

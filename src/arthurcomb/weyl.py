@@ -1,4 +1,4 @@
-"""Exact root data and Weyl group actions for the classical families.
+"""Exact root data for the classical Weyl groups.
 
 Weight coordinates are half-integers stored as doubled integers, so every
 dominance, pairing and root computation here is exact.  Family A with
@@ -6,10 +6,9 @@ rank n is the symmetric group S_n permuting n coordinates (Cartan label
 A_{n-1}); families B, C, D are signed permutation groups on n coordinates
 with the usual sign constraints.  For family D the ``extended`` flag
 adjoins the outer automorphism (a single sign flip), which gives the full
-hyperoctahedral group acting on D-type data.  The module lists simple
-and positive roots and half sums, maps a weight to its dominant
-representative, and builds the simple reflections as signed
-permutations; ``twisted`` builds its orbits by closure under them.
+hyperoctahedral group acting on D-type data.  The module holds root
+data only: it lists simple and positive roots and half sums, maps a
+weight to its dominant representative and pairs weights.
 """
 
 from __future__ import annotations
@@ -17,17 +16,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
-from typing import Callable, Iterable
+from typing import Iterable
 
 __all__ = [
     "GroupType",
     "Weight",
-    "WeylElement",
     "weight",
     "simple_roots",
     "positive_roots",
-    "reflection",
     "dominant_rep",
     "pairing",
     "norm_sq",
@@ -100,27 +96,6 @@ def weight(values: Iterable) -> Weight:
     return Weight(tuple(_coerce_doubled(v) for v in values))
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Signed permutation; acts by ``(w.x)[i] = signs[i] * x[src[i]]``."""
-
-    src: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def apply_doubled(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        # itemgetter of one index returns the entry, not a 1-tuple, and of
-        # none raises
-        src = self.src
-        moved = itemgetter(*src)(x) if len(src) > 1 else tuple(map(x.__getitem__, src))
-        return tuple(map(mul, self.signs, moved)) if -1 in self.signs else moved
-
-
-def _flip(n: int, i: int) -> WeylElement:
-    signs = [1] * n
-    signs[i] = -1
-    return WeylElement(tuple(range(n)), tuple(signs))
-
-
 def _vector(n: int, *entries: tuple[int, int]) -> Weight:
     """The length-n vector with the given (index, doubled value) entries
     and zeros elsewhere."""
@@ -128,14 +103,6 @@ def _vector(n: int, *entries: tuple[int, int]) -> Weight:
     for i, v in entries:
         d[i] = v
     return Weight(tuple(d))
-
-
-def generators(t: GroupType) -> list[WeylElement]:
-    """Simple reflections, plus the outer flip for extended D."""
-    gens = [reflection(t, a) for a in simple_roots(t)]
-    if t.extended and t.rank >= 1:
-        gens.append(_flip(t.rank, t.rank - 1))
-    return gens
 
 
 def simple_roots(t: GroupType) -> list[Weight]:
@@ -180,49 +147,9 @@ def positive_roots(t: GroupType, blocks: tuple[int, ...] | None = None) -> list[
     return roots
 
 
-def reflection(t: GroupType, root: Weight) -> WeylElement:
-    """The reflection in a (positive) root of t, as a signed permutation."""
-    n = t.rank
-    support = [i for i, v in enumerate(root.doubled) if v]
-    if len(support) == 1:
-        i = support[0]
-        if t.family == "A":
-            raise ValueError(f"{root} is not a root of {t}")
-        return _flip(n, i)
-    if len(support) == 2:
-        i, j = support
-        a, b = root.doubled[i], root.doubled[j]
-        if abs(a) != abs(b):
-            raise ValueError(f"{root} is not a root of {t}")
-        src = list(range(n))
-        src[i], src[j] = j, i
-        signs = [1] * n
-        if a * b > 0:
-            signs[i] = signs[j] = -1
-        return WeylElement(tuple(src), tuple(signs))
-    raise ValueError(f"{root} is not a root of {t}")
-
-
 def _check_length(t: GroupType, w: Weight) -> None:
     if len(w) != t.rank:
         raise ValueError(f"weight of length {len(w)} does not match {t}")
-
-
-def _closure(start, moves: list[Callable]) -> set:
-    """Everything reached from ``start`` by applying ``moves`` repeatedly,
-    breadth first."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for move in moves:
-                y = move(x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def dominant_rep(t: GroupType, w: Weight) -> Weight:

@@ -9,30 +9,39 @@ None of them is part of the package.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterator
 
 from arthurcomb.aq import _layout_roots
 from arthurcomb.params import ClassicalGroup
-from arthurcomb.weyl import GroupType, Weight, WeylElement, _check_length
+from arthurcomb.weyl import GroupType, Weight, _check_length
 
 
-def weyl_elements(t: GroupType) -> Iterator[WeylElement]:
+@dataclass(frozen=True)
+class SignedPermutation:
+    """A Weyl group element; acts by ``(w.x)[i] = signs[i] * x[src[i]]``."""
+
+    src: tuple[int, ...]
+    signs: tuple[int, ...]
+
+
+def weyl_elements(t: GroupType) -> Iterator[SignedPermutation]:
     """Enumerate the full acting group.  Intended for small ranks."""
     n = t.rank
     for perm in itertools.permutations(range(n)):
         if t.family == "A":
-            yield WeylElement(perm, (1,) * n)
+            yield SignedPermutation(perm, (1,) * n)
             continue
         for signs in itertools.product((1, -1), repeat=n):
             if t.family == "D" and not t.extended and signs.count(-1) % 2:
                 continue
-            yield WeylElement(perm, signs)
+            yield SignedPermutation(perm, signs)
 
 
-def apply(g: WeylElement, w: Weight) -> Weight:
+def apply(g: SignedPermutation, w: Weight) -> Weight:
     if len(w) != len(g.src):
         raise ValueError("length mismatch")
-    return Weight(g.apply_doubled(w.doubled))
+    return Weight(tuple(s * w.doubled[i] for s, i in zip(g.signs, g.src)))
 
 
 def brute_orbit(t: GroupType, w: Weight) -> set[Weight]:

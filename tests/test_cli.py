@@ -428,6 +428,31 @@ def test_large_spec_runs_to_a_verdict(tmp_path, capsys, suite):
     assert verdicts and all(v["status"] == "pass" for v in verdicts)
 
 
+# Sp(96,R), I[24]*R[1] + ... + I[1]*R[1] + triv*R[49]: A(psi) has 2**24
+# elements, too many to list in 1 GB
+SP96_SPEC = {
+    "group": {"kind": "Sp", "rank": 48},
+    "blocks": [{"t": str(t), "a": 1} for t in range(24, 0, -1)] + [{"t": "0", "a": 49}],
+}
+
+
+def test_info_reports_a_large_component_group_without_listing_it(tmp_path, child_env):
+    path = tmp_path / "sp96.json"
+    path.write_text(json.dumps(SP96_SPEC))
+    # the child caps its address space at 1 GB before the command runs
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from arthurcomb.cli import main\n"
+        "sys.exit(main(['info', '--spec', sys.argv[1]]))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, env=child_env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert json.loads(child.stdout)["results"]["component_group_order"] == 16_777_216
+
+
 def test_closed_stdout_exits_two_without_a_traceback(child_env):
     command = [sys.executable, "-m", "arthurcomb.cli", "verify", "kostant", "--n", "4", "--max-entry", "3"]
     # a reader that stops after 100 bytes: the first write or the flush may

@@ -315,6 +315,14 @@ def test_component_group_order_formula():
             assert len(grp.characters()) == grp.order
 
 
+def test_component_group_order_counts_its_elements_over_corpus():
+    for psi in corpus():
+        for p in (psi, dominate(psi, canonical_offsets(psi))):
+            grp = component_group(p)
+            assert grp.order == len(grp.elements) == len(set(grp.elements)), str(p)
+            assert list(grp.elements) == sorted(grp.elements, reverse=True), str(p)
+
+
 # --- quotient map --------------------------------------------------------------
 
 

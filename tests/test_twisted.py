@@ -1,5 +1,6 @@
 import cmath
 import functools
+import hashlib
 import itertools
 import random
 
@@ -364,19 +365,38 @@ def test_sweep_steps_match_the_target_compiler():
     for n in range(1, 9):
         m = n // 2
         for max_entry in range(4):
-            weights = theta_invariant_dominant_weights(n, max_entry)
+            weights = list(theta_invariant_dominant_weights(n, max_entry))
+            random.Random(n * 4 + max_entry).shuffle(weights)
             xs = [tuple(d // 2 for d in mu.doubled) for mu in weights]
-            # repeated weights, in any order, own the same monomials twice
-            repeated = xs + xs[::2]
+            bound = max((abs(v) for x in xs for v in x), default=0)
+            for endo_rank in {None, 0, max(m - 1, 0), m}:
+                k = m if endo_rank is None else endo_rank
+                want = _old_sweep_steps(xs, endo_rank, bound)
+                assert _sweep_steps(xs, k, bound) == want, (n, max_entry, endo_rank)
+                cases += 1
+    assert cases == 112
+
+
+def test_repeated_weights_keep_their_residuals():
+    """Shuffled sweeps with repeated weights, at three endo ranks each:
+    every residual, by ``float.hex``, is the one a compiler that gave each
+    repeat its own steps produced (the digest of all 834 was recorded
+    with it), and a repeat's residual is its first copy's."""
+    hexes = []
+    for n in range(1, 9):
+        m = n // 2
+        for max_entry in range(4):
+            weights = list(theta_invariant_dominant_weights(n, max_entry))
+            repeated = weights + weights[::2]
             random.Random(n * 4 + max_entry).shuffle(repeated)
-            for sweep in (xs, repeated):
-                bound = max((abs(v) for x in sweep for v in x), default=0)
-                for endo_rank in {None, 0, max(m - 1, 0), m}:
-                    k = m if endo_rank is None else endo_rank
-                    want = _old_sweep_steps(sweep, endo_rank, bound)
-                    assert _sweep_steps(sweep, k, bound) == want, (n, max_entry, endo_rank)
-                    cases += 1
-    assert cases == 224
+            for endo_rank in sorted({m, 0, max(m - 1, 0)}):
+                reports = verify_transfer_identities(repeated, endo_rank, trials=100, seed=n)
+                first = dict(zip(reversed(repeated), reversed(reports)))
+                assert reports == [first[mu] for mu in repeated], (n, max_entry, endo_rank)
+                hexes += [r.max_residual.hex() for r in reports]
+    digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
+    assert len(hexes) == 834
+    assert digest == "a01e6150bc989ca9c4e50b6baa460556517794a13b594e2e5f0d028e42926316"
 
 
 def _char_value(entries, exponents):
