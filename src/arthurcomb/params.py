@@ -13,8 +13,7 @@ endoscopic splittings.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -503,6 +502,32 @@ def domination_offsets(psi: ArthurParameter, psi_plus: ArthurParameter) -> tuple
     return tuple(offs)
 
 
+def _mask(values: tuple[int, ...], k: int, error: str | None = None) -> int | None:
+    """The mask of a sign vector of length k (bit k-1-i set when sign i is
+    -1); if it is none, a ParameterError with ``error``, or None."""
+    mask = 0
+    if len(values) == k:
+        for x in values:
+            if x == 1:
+                mask <<= 1
+            elif x == -1:
+                mask = mask << 1 | 1
+            else:
+                break
+        else:
+            return mask
+    if error is None:
+        return None
+    raise ParameterError(error)
+
+
+def _signs(mask: int, k: int) -> tuple[int, ...]:
+    return tuple([-1 if mask >> b & 1 else 1 for b in range(k - 1, -1, -1)])
+
+
+_CHARACTER_ERROR = "character values must be +-1 per basis block"
+
+
 @dataclass(frozen=True)
 class ComponentGroup:
     """A(psi) as sign vectors on the distinct blocks.
@@ -510,34 +535,44 @@ class ComponentGroup:
     ``dims`` holds the full isotypic dimensions; when the dual group is
     special orthogonal the vectors are cut down by the determinant
     condition (product of signs weighted by those dimensions equals 1).
-    The order is read off the basis; the elements are listed only when
-    read.
+    Inside, A(psi) is an F_2 vector space of int masks, bit k-1-i set when
+    sign i is -1, so ascending masks are descending sign tuples; tuples
+    appear only at the public methods.  ``odd`` marks the odd-dimensional
+    blocks under the determinant condition (else 0): an element is a mask
+    m with ``m & odd`` of even popcount, and a character is a mask modulo
+    ``odd``.  The order is read off the basis; elements and characters
+    are listed only when read.
     """
 
     basis: tuple[Block, ...]
     dims: tuple[int, ...]
     det_relation: bool
     s_psi: tuple[int, ...]
+    odd: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        odd = sum(1 << b for b, d in enumerate(reversed(self.dims)) if d % 2)
+        object.__setattr__(self, "odd", odd if self.det_relation else 0)
 
     @property
     def order(self) -> int:
-        return 2 ** (len(self.basis) - self.relation_nontrivial)
+        return 1 << (len(self.basis) - self.relation_nontrivial)
+
+    def _masks(self) -> Iterator[int]:
+        """The elements as masks, ascending."""
+        odd = self.odd
+        return (m for m in range(1 << len(self.basis)) if not (m & odd).bit_count() & 1)
 
     @property
     @_kept
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """Every element, descending; listed on the first read and kept."""
-        odd = [i for i, d in enumerate(self.dims) if d % 2] if self.det_relation else []
-        raw = itertools.product((1, -1), repeat=len(self.basis))
-        return tuple(s for s in raw if sum(s[i] < 0 for i in odd) % 2 == 0)
+        k = len(self.basis)
+        return tuple(_signs(m, k) for m in self._masks())
 
-    @property
-    @_kept
-    def _element_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.elements)
-
-    def __contains__(self, s: tuple[int, ...]) -> bool:
-        return tuple(s) in self._element_set
+    def __contains__(self, s: Iterable[int]) -> bool:
+        m = _mask(tuple(s), len(self.basis))
+        return m is not None and not (m & self.odd).bit_count() & 1
 
     @property
     def identity(self) -> tuple[int, ...]:
@@ -545,28 +580,25 @@ class ComponentGroup:
 
     @property
     def relation_nontrivial(self) -> bool:
-        return self.det_relation and any(d % 2 for d in self.dims)
+        return self.odd != 0
 
     @_kept
     def canonical_character(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of a character given by generator
-        values; each value vector is canonicalized once and kept on the
+        values: of the two masks that agree on A(psi), c and c ^ odd, the
+        smaller.  Each value vector is canonicalized once and kept on the
         group."""
-        if len(values) != len(self.basis) or any(x not in (1, -1) for x in values):
-            raise ParameterError("character values must be +-1 per basis block")
-        if not self.relation_nontrivial:
-            return values
-        mask = tuple(-1 if d % 2 else 1 for d in self.dims)
-        w = tuple(a * b for a, b in zip(values, mask))
-        return min(values, w, key=lambda u: tuple(0 if x == 1 else 1 for x in u))
+        c = _mask(values, len(self.basis), _CHARACTER_ERROR)
+        return _signs(min(c, c ^ self.odd), len(self.basis))
 
     @_kept
     def characters(self) -> tuple[tuple[int, ...], ...]:
-        """All characters, as canonical generator-value vectors; computed
-        once per group and kept on it."""
-        raw = itertools.product((1, -1), repeat=len(self.basis))
-        return tuple(sorted({self.canonical_character(v) for v in raw}, reverse=True))
-
+        """All characters, as canonical generator-value vectors, descending:
+        the masks with the top bit of ``odd`` clear.  Listed on the first
+        call and kept on the group."""
+        k, odd = len(self.basis), self.odd
+        top = 1 << (odd.bit_length() - 1) if odd else 0
+        return tuple(_signs(c, k) for c in range(1 << k) if not c & top)
 
 
 @_kept
@@ -590,45 +622,82 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
 class QuotientMap:
     """The surjection A(psi_+) -> A(psi) that merges separated copies.
 
-    Each character pushed is pushed once and its image (or None) kept on
-    the map."""
+    ``fibers[j]`` is the mask of the source blocks over target block j.
+    A source mask pushes to the mask whose bit j is the parity of its
+    fiber; a character of A(psi_+) descends when it is constant on every
+    fiber, and its image takes that constant on each.  Each character
+    pushed is pushed once and its image (or None) kept on the map."""
 
     source: ComponentGroup
     target: ComponentGroup
     index_map: tuple[int, ...]
+    fibers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        k = len(self.source.basis)
+        fibers = [0] * len(self.target.basis)
+        for i, j in enumerate(self.index_map):
+            fibers[j] |= 1 << (k - 1 - i)
+        object.__setattr__(self, "fibers", tuple(fibers))
+
+    def _push(self, m: int) -> int:
+        out = 0
+        for f in self.fibers:
+            out = out << 1 | (m & f).bit_count() & 1
+        return out
+
+    def _onto(self) -> bool:
+        """True iff the push maps the source group onto the target group
+        (see ``_quotient_map``).  The source basis: the unit masks off
+        ``odd``, and each other unit mask on ``odd`` plus the lowest one."""
+        odd, low = self.source.odd, self.source.odd & -self.source.odd
+        pivots: dict[int, int] = {}
+        for b in range(len(self.source.basis)):
+            unit = 1 << b
+            if unit == low:
+                continue
+            image = self._push(unit | low if unit & odd else unit)
+            if (image & self.target.odd).bit_count() & 1:
+                return False
+            while image:
+                top = image.bit_length()
+                if top not in pivots:
+                    pivots[top] = image
+                    break
+                image ^= pivots[top]
+        return len(pivots) == len(self.target.basis) - self.target.relation_nontrivial
 
     def push(self, s_plus: tuple[int, ...]) -> tuple[int, ...]:
-        if tuple(s_plus) not in self.source:
+        s_plus = tuple(s_plus)
+        if s_plus not in self.source:
             raise ParameterError("element not in the source group")
-        out = [1] * len(self.target.basis)
-        for i, j in enumerate(self.index_map):
-            out[j] *= s_plus[i]
-        return tuple(out)
+        return _signs(self._push(_mask(s_plus, len(self.source.basis))), len(self.fibers))
 
     @property
     def kernel_order(self) -> int:
         return self.source.order // self.target.order
 
     def kernel(self) -> tuple[tuple[int, ...], ...]:
-        ident = self.target.identity
-        return tuple(s for s in self.source.elements if self.push(s) == ident)
+        """The elements pushed to the identity, descending."""
+        k = len(self.source.basis)
+        return tuple(_signs(m, k) for m in self.source._masks() if not self._push(m))
 
     def character_descends(self, values_plus: tuple[int, ...]) -> bool:
         """True iff the character is trivial on the kernel of the surjection."""
-        fibers: dict[int, set[int]] = {}
-        for i, j in enumerate(self.index_map):
-            fibers.setdefault(j, set()).add(values_plus[i])
-        return all(len(vals) == 1 for vals in fibers.values())
+        return self.push_character(values_plus) is not None
 
     @_kept
     def push_character(self, values_plus: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Descend a character to A(psi); None flags a vanishing coefficient."""
-        if not self.character_descends(values_plus):
-            return None
-        out = [1] * len(self.target.basis)
-        for i, j in enumerate(self.index_map):
-            out[j] = values_plus[i]
-        return self.target.canonical_character(tuple(out))
+        """Descend a character to A(psi), as its canonical values; None
+        flags a vanishing coefficient: one not constant on every fiber."""
+        c = _mask(values_plus, len(self.source.basis), _CHARACTER_ERROR)
+        out = 0
+        for f in self.fibers:
+            part = c & f
+            if part and part != f:
+                return None
+            out = out << 1 | (part != 0)
+        return _signs(min(out, out ^ self.target.odd), len(self.fibers))
 
 
 def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
@@ -649,6 +718,13 @@ def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap
 
 
 def _quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
+    """Each block of psi_+ maps to the block of psi it came from.
+
+    Surjectivity is an F_2 rank check in O(k^2) bit operations on k
+    blocks, without listing A(psi_+) (``QuotientMap._onto``): the push is
+    linear, so its image is the span of the images of a basis of A(psi_+).
+    That span is all of A(psi) when each image lies in A(psi) and the
+    images have rank dim A(psi)."""
     domination_offsets(psi, psi_plus)
     source = component_group(psi_plus)
     target = component_group(psi)
@@ -665,7 +741,7 @@ def _quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMa
         else:
             index_map.append(target_index[b.key])
     qm = QuotientMap(source, target, tuple(index_map))
-    if {qm.push(s) for s in source.elements} != set(target.elements):
+    if not qm._onto():
         raise RuntimeError("quotient map is not surjective")
     return qm
 

@@ -14,14 +14,18 @@ reports on a seeded sample of the signed criterion-6 corpus, which
 includes sweeps stopped at the state cap, whether a layout's sweep is
 run afresh or read from the cache; and equal packets, vanishing
 entries, kernels and pushed characters on a seeded sample of the signed
-criterion-7 corpus.  ``plain_monoid_sums`` is the packed sweep that
-extends every state of a layer by every row, in the given order;
-``aq._monoid_sums`` extends each state only by the rows at or above the
-row that first reached it, and must give the plain sweep's layers one
-by one, its flag and its digit layout: at the state cap, at caps around
-a sweep's size and at every small cap, the last two also with the rows
-reversed and shuffled, on random rows with repeated and zero rows, and
-with no rows at all.
+criterion-7 corpus.  The tuple-based component group and quotient map,
+with their element listing and listing surjectivity check
+(``old_elements``, ``old_onto``), are the oracle for the bit-mask ones
+on every signed-corpus parameter and its psi_+, and for the rank check
+on seeded random maps, onto or not.  ``plain_monoid_sums`` is the
+packed sweep that extends every state of a layer by every row, in the
+given order; ``aq._monoid_sums`` extends each state only by the rows at
+or above the row that first reached it, and must give the plain sweep's
+layers one by one, its flag and its digit layout: at the state cap, at
+caps around a sweep's size and at every small cap, the last two also
+with the rows reversed and shuffled, on random rows with repeated and
+zero rows, and with no rows at all.
 """
 
 import functools
@@ -53,8 +57,10 @@ from arthurcomb.aq import (
 from arthurcomb.params import (
     Block,
     ClassicalGroup,
+    ComponentGroup,
     ParameterError,
     ParityError,
+    QuotientMap,
     arthur_parameter,
     canonical_offsets,
     component_group,
@@ -283,14 +289,9 @@ def _group_fields(group):
     return group.basis, group.dims, group.det_relation, group.elements, group.s_psi
 
 
-def old_component_group(psi):
-    if not good_parity(psi).ok:
-        raise ParityError("component group requires good parity")
-    basis = tuple(Block(b.t2, b.a, b.eta) for b in psi.blocks)
-    dims = tuple(b.dim for b in psi.blocks)
-    det_relation = psi.group.dual_special_orthogonal
+def old_elements(dims, det_relation):
     elements = []
-    for signs in itertools.product((1, -1), repeat=len(basis)):
+    for signs in itertools.product((1, -1), repeat=len(dims)):
         if det_relation:
             det = 1
             for s, d in zip(signs, dims):
@@ -299,12 +300,21 @@ def old_component_group(psi):
             if det != 1:
                 continue
         elements.append(signs)
+    return tuple(sorted(elements, reverse=True))
+
+
+def old_component_group(psi):
+    if not good_parity(psi).ok:
+        raise ParityError("component group requires good parity")
+    basis = tuple(Block(b.t2, b.a, b.eta) for b in psi.blocks)
+    dims = tuple(b.dim for b in psi.blocks)
+    det_relation = psi.group.dual_special_orthogonal
     s_psi = tuple(-1 if b.a % 2 == 0 else 1 for b in basis)
     return OldComponentGroup(
         basis=basis,
         dims=dims,
         det_relation=det_relation,
-        elements=tuple(sorted(elements, reverse=True)),
+        elements=old_elements(dims, det_relation),
         s_psi=s_psi,
     )
 
@@ -355,9 +365,13 @@ def old_quotient_map(psi_plus, psi):
         else:
             index_map.append(target_index[b.key])
     qm = OldQuotientMap(source, target, tuple(index_map))
-    if {qm.push(s) for s in source.elements} != set(target.elements):
+    if not old_onto(qm):
         raise RuntimeError("quotient map is not surjective")
     return qm
+
+
+def old_onto(qm):
+    return {qm.push(s) for s in qm.source.elements} == set(qm.target.elements)
 
 
 def old_lambda_tilde(psi):
@@ -1045,3 +1059,80 @@ def test_packet_translation_matches_per_entry_oracle():
         refused += outcome[0] is ParameterError
     assert vanishing, "the sample must hold characters that do not descend"
     assert refused, "the sample must hold packets refused for their range"
+
+
+# --- component groups and quotient maps against the tuple oracle ---------------
+
+
+def _check_map(qm, old_qm, label):
+    """Every public value of a quotient map, on every sign vector of its
+    source, against the oracle's."""
+    assert qm.kernel_order == len(old_qm.source.elements) // len(old_qm.target.elements), label
+    assert qm.kernel() == old_qm.kernel(), label
+    for values in itertools.product((1, -1), repeat=len(qm.source.basis)):
+        assert qm.character_descends(values) == old_qm.character_descends(values), (label, values)
+        assert qm.push_character(values) == old_qm.push_character(values), (label, values)
+        if values in old_qm.source.elements:
+            assert qm.push(values) == old_qm.push(values), (label, values)
+
+
+def test_component_groups_and_quotient_maps_match_tuple_oracle_over_corpus():
+    """On every signed-corpus parameter psi and its psi_+: each group's
+    fields, elements and characters, and the membership and canonical
+    form of every sign vector; and for (psi_+, psi), (psi_+, psi_+) and
+    (psi, psi), the push of every element, and the descent and push of
+    every character, and the kernel, equal the tuple-based oracle's."""
+    maps = 0
+    for psi in corpus(signed=True):
+        plus = dominate(psi, canonical_offsets(psi))
+        for p in (psi, plus):
+            grp, old = component_group(p), old_component_group(p)
+            assert _group_fields(grp) == _group_fields(old), str(p)
+            assert grp.characters() == old_characters(old), str(p)
+            for values in itertools.product((1, -1), repeat=len(grp.basis)):
+                assert (values in grp) == (values in old.elements), (str(p), values)
+                assert grp.canonical_character(values) == old_canonical_character(old, values), (str(p), values)
+        for source, target in ((plus, psi), (plus, plus), (psi, psi)):
+            _check_map(quotient_map(source, target), old_quotient_map(source, target), str(source))
+            maps += 1
+    assert maps == 3 * 1072
+
+
+def _random_map(rng):
+    """A quotient map between random groups: 1-6 source blocks, each sent
+    to one of 1-4 target blocks (so a target block may get none), with
+    random dimensions, with or without the determinant relation."""
+
+    def group(k):
+        dims = tuple(rng.randint(1, 4) for _ in range(k))
+        basis = tuple(Block(2 * (k - i), 1) for i in range(k))
+        return ComponentGroup(basis, dims, rng.random() < 0.7, (1,) * k)
+
+    source, target = group(rng.randint(1, 6)), group(rng.randint(1, 4))
+    index_map = tuple(rng.randrange(len(target.basis)) for _ in source.basis)
+    return QuotientMap(source, target, index_map)
+
+
+def test_rank_check_matches_the_listing_on_random_maps():
+    """The rank check says onto exactly when the pushes of the listed
+    source elements make up the listed target, on seeded random groups
+    and index maps; among them maps that miss a target block, maps whose
+    image breaks the target's determinant relation, and onto maps.  On
+    each, push, descent and kernel agree with the oracle too."""
+    rng = random.Random(SEED)
+    seen = {"onto": 0, "empty fiber": 0, "relation broken": 0}
+    for n in range(600):
+        qm = _random_map(rng)
+        src, tgt = qm.source, qm.target
+        old_qm = OldQuotientMap(
+            OldComponentGroup(src.basis, src.dims, src.det_relation, old_elements(src.dims, src.det_relation), src.s_psi),
+            OldComponentGroup(tgt.basis, tgt.dims, tgt.det_relation, old_elements(tgt.dims, tgt.det_relation), tgt.s_psi),
+            qm.index_map,
+        )
+        onto = old_onto(old_qm)
+        assert qm._onto() == onto, (qm, n)
+        seen["onto"] += onto
+        seen["empty fiber"] += len(set(qm.index_map)) < len(tgt.basis)
+        seen["relation broken"] += any(old_qm.push(s) not in old_qm.target.elements for s in old_qm.source.elements)
+        _check_map(qm, old_qm, (qm, n))
+    assert all(seen.values()) and seen["onto"] < 600, seen

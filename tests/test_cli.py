@@ -453,6 +453,34 @@ def test_info_reports_a_large_component_group_without_listing_it(tmp_path, child
     assert json.loads(child.stdout)["results"]["component_group_order"] == 16_777_216
 
 
+def test_packet_on_a_large_component_group_lists_none_of_it(tmp_path, child_env):
+    """``packet`` on the 25-block spec, and an endoscopic split there,
+    within 1 GB: membership, surjectivity and the push of a character are
+    read off the masks, not off a list of the 2**24 elements."""
+    spec, packet = tmp_path / "sp96.json", tmp_path / "sp96_packet.json"
+    spec.write_text(json.dumps(SP96_SPEC))
+    levi = {"unitary": [[1, 0]] * 24, "g0": {"kind": "Sp", "rank": 24}}
+    packet.write_text(json.dumps({"entries": [{"levi": levi, "character": [1] * 25}]}))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from arthurcomb.cli import main\n"
+        "from arthurcomb.params import ClassicalGroup, arthur_parameter, block, endoscopic_split\n"
+        "blocks = [block(t, 1) for t in range(24, 0, -1)] + [block(0, 49)]\n"
+        "psi = arthur_parameter(ClassicalGroup('Sp', 48), blocks)\n"
+        "split = endoscopic_split(psi, (-1,) * 24 + (1,))\n"
+        "assert (split.n_minus, split.n_plus) == (48, 49), split\n"
+        "sys.exit(main(['packet', '--spec', sys.argv[1], '--plus-packet', sys.argv[2]]))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(spec), str(packet)], capture_output=True, env=child_env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    report = json.loads(child.stdout)
+    assert report["results"]["kernel_order"] == 1
+    assert [v["status"] for v in report["verdicts"]] == ["pass"]
+
+
 def test_closed_stdout_exits_two_without_a_traceback(child_env):
     command = [sys.executable, "-m", "arthurcomb.cli", "verify", "kostant", "--n", "4", "--max-entry", "3"]
     # a reader that stops after 100 bytes: the first write or the flush may

@@ -10,6 +10,7 @@ from arthurcomb.params import (
     ClassicalGroup,
     DimensionError,
     DominationError,
+    ParameterError,
     ParityError,
     _block_parity,
     _kept,
@@ -287,6 +288,25 @@ def test_component_group_ex1(ex1):
     # s_psi is an involution: squaring gives the identity sign vector
     sq = tuple(a * a for a in grp.s_psi)
     assert sq == grp.identity
+
+
+def test_component_group_and_quotient_map_take_only_sign_vectors(ex1):
+    """Membership is False, and the other methods raise ParameterError, for
+    what is not a sign vector of the right length; push also refuses a
+    vector that breaks the determinant relation."""
+    grp = component_group(ex1)
+    assert [-1, 1] in grp
+    for bad in [(1,), (1, 1, 1), (1, 2), (1, 0), (1, -1)]:
+        assert bad not in grp, bad
+    qm = quotient_map(dominate(ex1, [5]), ex1)
+    for bad in [(1,), (1, 1, 1), (1, 2), (0, 1)]:
+        for method in (grp.canonical_character, qm.character_descends, qm.push_character):
+            with pytest.raises(ParameterError, match="character values must be"):
+                method(bad)
+        with pytest.raises(ParameterError, match="not in the source group"):
+            qm.push(bad)
+    with pytest.raises(ParameterError, match="not in the source group"):
+        qm.push((1, -1))
 
 
 def test_component_group_single_odd_block():
