@@ -117,14 +117,12 @@ class AqDatum:
     """Bookkeeping datum for one cohomologically induced module.
 
     ``t_tilde`` lists the integer character exponents on the unitary
-    factors; ``lambda_L`` concatenates those exponents (each repeated by
-    the factor size) with the residual infinitesimal character.
+    factors and ``sigma`` labels the module on the residual factor G_0.
     """
 
     levi: LeviDatum
     t_tilde: tuple[int, ...]
     sigma: Sigma
-    lambda_L: Weight
 
     def label(self) -> str:
         shifts = ",".join(str(t) for t in self.t_tilde)
@@ -132,17 +130,6 @@ class AqDatum:
 
     def __str__(self) -> str:
         return self.label()
-
-
-def _lambda_l(levi: LeviDatum, t_tilde: Iterable[int], sigma: Sigma) -> Weight:
-    coords: list[int] = []
-    for t, a in zip(t_tilde, levi.a_list):
-        coords.extend([2 * t] * a)
-    if sigma.nu_sigma is not None:
-        coords.extend(sigma.nu_sigma.doubled)
-    else:
-        coords.extend([0] * levi.g0.rank)
-    return Weight(tuple(coords))
 
 
 def _residual_signature(g: ClassicalGroup, factors: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -199,7 +186,7 @@ def _aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None) -> AqD
     _check_levi(psi, levi)
     if sigma is None:
         sigma = default_sigma(psi, levi.g0)
-    return AqDatum(levi, shifts, sigma, _lambda_l(levi, shifts, sigma))
+    return AqDatum(levi, shifts, sigma)
 
 
 @dataclass(frozen=True)
@@ -325,8 +312,10 @@ def _layout_roots(
 
 @dataclass(frozen=True)
 class RangeResult:
-    verdict: str  # good | weakly_fair | neither
-    min_pairing: Fraction | None
+    """The range verdict of an A_q datum: ``good``, ``weakly_fair`` or
+    ``neither``."""
+
+    verdict: str
 
     def __str__(self) -> str:
         return self.verdict
@@ -353,7 +342,7 @@ def _range_verdict(
     """``range_check`` of a layout and shifts."""
     roots, du = _layout_roots(a_list, n0, kind)
     if not roots:
-        return RangeResult("good", None)
+        return RangeResult("good")
     # doubled coordinates on the unitary factors; the residual ones are
     # zero, so the pairings stop where x does
     x = list(map(sub, [2 * t for t, a in zip(t_tilde, a_list) for _ in range(a)], du))
@@ -364,7 +353,7 @@ def _range_verdict(
         verdict = "weakly_fair"
     else:
         verdict = "neither"
-    return RangeResult(verdict, Fraction(worst4, 4))
+    return RangeResult(verdict)
 
 
 @dataclass(frozen=True)
@@ -748,19 +737,19 @@ def _layout_sweep(
 def filtration_vanishing(
     d_plus: AqDatum,
     psi: ArthurParameter,
-    height_bound: int | None = None,
+    height_bound: int,
     state_cap: int = FILTRATION_STATE_CAP,
 ) -> FiltrationReport:
     """Verify the norm-increase behind the filtration vanishing argument.
 
     Enumerates non-negative integer combinations mu of nilradical roots
-    (height = number of roots summed) up to the bound, keeps those
+    (height = number of roots summed) up to ``height_bound``, keeps those
     dominant for the Levi, and checks for every mu with nonzero unitary
     part mu_1 that |lambda + mu_1 + delta_L1|^2 strictly exceeds
     |lambda + delta_L1|^2, reporting the two pairing terms of the
     expansion separately.  lambda is the translated character for psi.
-    The default bound is the largest coordinate of the good-range
-    character (weights appearing in its restriction cannot exceed it).
+    The acceptance sweep passes 2 * max(T), and so does ``verify
+    filtration`` unless ``--height-bound`` is given.
 
     The difference of the two norms is 2<lambda, mu_1> + 2<delta_L1, mu_1>
     + |mu_1|^2, and the certificates bound it at every height at once:
@@ -815,8 +804,6 @@ def filtration_vanishing(
     a_list, n0, kind = _layout(d_plus.levi)
     shifts = lambda_tilde(psi)
     _check_levi(psi, d_plus.levi)
-    if height_bound is None:
-        height_bound = max(d_plus.t_tilde, default=0)
 
     # all vectors in doubled-integer coordinates, so products are 4x the
     # values; lam_d, delta_d and grade cover the unitary coordinates only,
@@ -908,12 +895,7 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
                 )
             if range_check(datum).verdict != "good":
                 raise ParameterError(f"{datum.label()} is not in the good range")
-            new_datum = moved[id(datum)] = AqDatum(
-                levi=datum.levi,
-                t_tilde=shifts,
-                sigma=datum.sigma,
-                lambda_L=_lambda_l(datum.levi, shifts, datum.sigma),
-            )
+            new_datum = moved[id(datum)] = AqDatum(datum.levi, shifts, datum.sigma)
         pushed = qm.push_character(values)
         if pushed is None:
             dropped.append((new_datum, values))

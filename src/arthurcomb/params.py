@@ -158,8 +158,8 @@ class ClassicalGroup:
         if self.kind == "SOodd":
             return GroupType("B", self.rank)
         # on the even orthogonal side we always work modulo the outer
-        # automorphism, so orbits use the extended group
-        return GroupType("D", self.rank, extended=True)
+        # automorphism, so family D is the full signed-permutation group
+        return GroupType("D", self.rank)
 
     def __str__(self) -> str:
         if self.kind == "Sp":
@@ -337,11 +337,13 @@ def good_parity(psi: ArthurParameter) -> GoodParityReport:
 @dataclass(frozen=True)
 class InfChar:
     """Infinitesimal character: a Weyl orbit (G side, stored dominant) or a
-    negation-symmetric multiset (GL side, stored sorted descending)."""
+    negation-symmetric multiset (GL side, stored sorted descending).
+
+    The Weyl group is not stored: two G-side characters are equal when
+    their dominant representatives are."""
 
     side: str
     doubled: tuple[int, ...]
-    group_type: GroupType | None = None
 
     def __post_init__(self) -> None:
         if self.side not in ("G", "GL"):
@@ -369,7 +371,7 @@ def gl_inf_char(doubled: Iterable[int]) -> InfChar:
 
 def g_inf_char(group_type: GroupType, w: Weight) -> InfChar:
     dom = dominant_rep(group_type, w)
-    return InfChar("G", dom.doubled, group_type)
+    return InfChar("G", dom.doubled)
 
 
 def _nu_display_doubled(psi: ArthurParameter) -> tuple[int, ...]:
@@ -575,10 +577,6 @@ class ComponentGroup:
         return m is not None and not (m & self.odd).bit_count() & 1
 
     @property
-    def identity(self) -> tuple[int, ...]:
-        return (1,) * len(self.basis)
-
-    @property
     def relation_nontrivial(self) -> bool:
         return self.odd != 0
 
@@ -681,10 +679,6 @@ class QuotientMap:
         """The elements pushed to the identity, descending."""
         k = len(self.source.basis)
         return tuple(_signs(m, k) for m in self.source._masks() if not self._push(m))
-
-    def character_descends(self, values_plus: tuple[int, ...]) -> bool:
-        """True iff the character is trivial on the kernel of the surjection."""
-        return self.push_character(values_plus) is not None
 
     @_kept
     def push_character(self, values_plus: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -38,7 +38,6 @@ class TranslationDatum:
 
     lambda_GL: Weight
     lambda_G: Weight
-    offsets: tuple[int, ...]
 
 
 def translation_weight(psi: ArthurParameter, psi_plus: ArthurParameter) -> TranslationDatum:
@@ -58,7 +57,7 @@ def translation_weight(psi: ArthurParameter, psi_plus: ArthurParameter) -> Trans
     coords = head + [0] * zeros + [-x for x in reversed(head)]
     lam = Weight(tuple(coords))
     lam_g = Weight(tuple(coords[: psi.group.rank]))
-    return TranslationDatum(lam, lam_g, offs)
+    return TranslationDatum(lam, lam_g)
 
 
 def _counts(items: tuple[int, ...]) -> dict[int, int]:

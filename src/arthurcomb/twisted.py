@@ -246,7 +246,6 @@ def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 class TransferIdentityReport:
     n: int
     endo_rank: int
-    principal: bool
     trials: int
     seed: int
     max_residual: float
@@ -316,9 +315,7 @@ def verify_transfer_identities(
         del left, right  # before the next block is drawn
     residual = dict(zip(distinct, worst))
     return [
-        TransferIdentityReport(
-            n=n, endo_rank=k, principal=(k == m), trials=trials, seed=seed, max_residual=residual[x]
-        )
+        TransferIdentityReport(n=n, endo_rank=k, trials=trials, seed=seed, max_residual=residual[x])
         for x in xs
     ]
 

@@ -3,10 +3,11 @@
 Weight coordinates are half-integers stored as doubled integers, so every
 dominance, pairing and root computation here is exact.  Family A with
 rank n is the symmetric group S_n permuting n coordinates (Cartan label
-A_{n-1}); families B, C, D are signed permutation groups on n coordinates
-with the usual sign constraints.  For family D the ``extended`` flag
-adjoins the outer automorphism (a single sign flip), which gives the full
-hyperoctahedral group acting on D-type data.  The module holds root
+A_{n-1}); families B, C and D act on n coordinates by the full signed
+permutation (hyperoctahedral) group.  For D that is the Weyl group with
+the outer automorphism (a single sign flip) adjoined, as D-type data are
+taken modulo it, so the D roots are those of D_n but a dominant
+representative has every coordinate >= 0.  The module holds root
 data only: it lists simple and positive roots and half sums, maps a
 weight to its dominant representative and pairs weights.
 """
@@ -39,19 +40,15 @@ class GroupType:
 
     family: str
     rank: int
-    extended: bool = False
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.rank < 0:
             raise ValueError("rank must be >= 0")
-        if self.extended and self.family != "D":
-            raise ValueError("extended flag only applies to family D")
 
     def __str__(self) -> str:
-        tag = f"{self.family}{self.rank}"
-        return tag + "~" if self.extended else tag
+        return f"{self.family}{self.rank}"
 
 
 def _coerce_doubled(value) -> int:
@@ -69,10 +66,6 @@ class Weight:
 
     def __len__(self) -> int:
         return len(self.doubled)
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(d, 2) for d in self.doubled)
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self) != len(other):
@@ -155,22 +148,14 @@ def _check_length(t: GroupType, w: Weight) -> None:
 def dominant_rep(t: GroupType, w: Weight) -> Weight:
     """Canonical orbit representative in the closed dominant chamber.
 
-    B/C and extended D: coordinates sorted non-increasing, all >= 0.
-    Non-extended D: all but the last >= 0, the last carries the residual
-    sign (negative exactly when the entries are all nonzero and an odd
-    number of them were negative).  Family A: sorted non-increasing.
+    B, C and D: absolute values sorted non-increasing.  Family A: sorted
+    non-increasing.
     """
     _check_length(t, w)
     c = w.doubled
     if t.family == "A":
         return Weight(tuple(sorted(c, reverse=True)))
-    mags = sorted((abs(v) for v in c), reverse=True)
-    if t.family in ("B", "C") or t.extended:
-        return Weight(tuple(mags))
-    negs = sum(1 for v in c if v < 0)
-    if mags and negs % 2 and mags[-1] != 0:
-        mags[-1] = -mags[-1]
-    return Weight(tuple(mags))
+    return Weight(tuple(sorted((abs(v) for v in c), reverse=True)))
 
 
 def pairing(a: Weight, b: Weight) -> Fraction:

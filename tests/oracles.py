@@ -26,15 +26,14 @@ class SignedPermutation:
 
 
 def weyl_elements(t: GroupType) -> Iterator[SignedPermutation]:
-    """Enumerate the full acting group.  Intended for small ranks."""
+    """Enumerate the full acting group: S_n for A, every signed
+    permutation for B, C and D.  Intended for small ranks."""
     n = t.rank
     for perm in itertools.permutations(range(n)):
         if t.family == "A":
             yield SignedPermutation(perm, (1,) * n)
             continue
         for signs in itertools.product((1, -1), repeat=n):
-            if t.family == "D" and not t.extended and signs.count(-1) % 2:
-                continue
             yield SignedPermutation(perm, signs)
 
 
@@ -50,17 +49,18 @@ def brute_orbit(t: GroupType, w: Weight) -> set[Weight]:
 
 
 def is_dominant(t: GroupType, w: Weight) -> bool:
+    """w pairs >= 0 with every simple root of t.  For D the acting group
+    also flips one sign, so each of its orbits meets this chamber twice
+    when no entry is zero."""
     _check_length(t, w)
     c = w.doubled
     if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
         return False
-    if t.family == "A":
+    if t.family == "A" or not c:
         return True
-    if not c:
-        return True
-    if t.family in ("B", "C") or t.extended:
+    if t.family in ("B", "C"):
         return c[-1] >= 0
-    # non-extended D: last entry may be negative, dominated by the one before
+    # D: the last entry may be negative, dominated by the one before
     return len(c) < 2 or c[-2] >= abs(c[-1])
 
 

@@ -176,7 +176,7 @@ def test_delta_u_matches_shift_formula():
     ]
     for a_list, n0, kind in cases:
         du = delta_u(a_list, n0, kind)
-        coords = du.coords
+        coords = [Fraction(d, 2) for d in du.doubled]
         pos = 0
         for i, a in enumerate(a_list):
             expected = Fraction(a - 1, 2) + eps[kind] + sum(a_list[i + 1 :]) + n0
@@ -222,7 +222,7 @@ def test_range_check_weakly_fair_on_equal_shifts():
 
 def test_range_check_negative_shift_is_neither(ex1):
     d = aq_datum(ex1, enumerate_levis(ex1)[1])
-    mutated = AqDatum(d.levi, (-3,), d.sigma, d.lambda_L)
+    mutated = AqDatum(d.levi, (-3,), d.sigma)
     assert range_check(mutated).verdict == "neither"
 
 
@@ -277,9 +277,9 @@ def test_filtration_certificates(ex1):
 
 def test_filtration_requires_good_range(ex1):
     d = aq_datum(ex1, enumerate_levis(ex1)[1])
-    bad = AqDatum(d.levi, (-3,), d.sigma, d.lambda_L)
+    bad = AqDatum(d.levi, (-3,), d.sigma)
     with pytest.raises(ParameterError):
-        filtration_vanishing(bad, ex1)
+        filtration_vanishing(bad, ex1, height_bound=max(d.t_tilde))
 
 
 def test_filtration_rejects_parameter_not_fitting_the_levi():
@@ -294,10 +294,10 @@ def test_filtration_rejects_parameter_not_fitting_the_levi():
         filtration_vanishing(d_plus, psi, height_bound=4)
 
 
-def test_filtration_default_height_bound(ex1):
+def test_filtration_at_height_max_t_tilde(ex1):
     plus = dominate(ex1, [5])
     d_plus = aq_datum(plus, enumerate_levis(plus)[0])
-    report = filtration_vanishing(d_plus, ex1)
+    report = filtration_vanishing(d_plus, ex1, height_bound=max(d_plus.t_tilde))
     assert report.height_bound == max(d_plus.t_tilde)
     assert report.passed
 
@@ -365,7 +365,7 @@ def test_translate_packet_kernel_vanishing(full_packet):
 def test_translate_packet_rejects_mismatched_shifts(ex1):
     plus = dominate(ex1, [5])
     d = aq_datum(plus, enumerate_levis(plus)[0])
-    wrong = AqDatum(d.levi, (4,), d.sigma, d.lambda_L)
+    wrong = AqDatum(d.levi, (4,), d.sigma)
     pk = packet_data(plus, [(wrong, (1, 1))])
     with pytest.raises(ParameterError):
         translate_packet(pk, ex1)

@@ -139,7 +139,7 @@ def old_range_check(d):
     a_list, n0, kind = d.levi.a_list, d.levi.g0.rank, d.levi.g0.kind
     roots = nilradical_roots(a_list, n0, kind)
     if not roots:
-        return RangeResult("good", None)
+        return RangeResult("good")
     du = delta_u(a_list, n0, kind)
     coords = []
     pos = 0
@@ -156,7 +156,7 @@ def old_range_check(d):
         verdict = "weakly_fair"
     else:
         verdict = "neither"
-    return RangeResult(verdict, worst)
+    return RangeResult(verdict)
 
 
 _G0_FAMILY = {"Sp": "C", "SOodd": "B", "SOeven": "D"}
@@ -387,17 +387,6 @@ def old_lambda_tilde(psi):
     return out
 
 
-def old_lambda_l(levi, t_tilde, sigma):
-    coords = []
-    for t, a in zip(t_tilde, levi.a_list):
-        coords.extend([2 * t] * a)
-    if sigma.nu_sigma is not None:
-        coords.extend(sigma.nu_sigma.doubled)
-    else:
-        coords.extend([0] * levi.g0.rank)
-    return Weight(tuple(coords))
-
-
 def old_aq_datum(psi, levi):
     shifts = old_lambda_tilde(psi)
     aq._check_levi(psi, levi)
@@ -407,7 +396,7 @@ def old_aq_datum(psi, levi):
     else:
         psi_u = arthur_parameter(ClassicalGroup(g0.kind, g0.rank), psi.unipotent)
         sigma = Sigma("sigma", inf_char(psi_u, "G"))
-    return AqDatum(levi, tuple(shifts), sigma, old_lambda_l(levi, shifts, sigma))
+    return AqDatum(levi, tuple(shifts), sigma)
 
 
 def old_packet_data(psi, entries):
@@ -431,12 +420,7 @@ def old_translate_packet(packet_plus, psi):
         if old_range_check(datum).verdict != "good":
             raise ParameterError(f"{datum.label()} is not in the good range")
         pushed = qm.push_character(values)
-        new_datum = AqDatum(
-            levi=datum.levi,
-            t_tilde=tuple(shifts),
-            sigma=datum.sigma,
-            lambda_L=old_lambda_l(datum.levi, shifts, datum.sigma),
-        )
+        new_datum = AqDatum(datum.levi, tuple(shifts), datum.sigma)
         if pushed is None:
             dropped.append((new_datum, values))
         else:
@@ -1070,7 +1054,6 @@ def _check_map(qm, old_qm, label):
     assert qm.kernel_order == len(old_qm.source.elements) // len(old_qm.target.elements), label
     assert qm.kernel() == old_qm.kernel(), label
     for values in itertools.product((1, -1), repeat=len(qm.source.basis)):
-        assert qm.character_descends(values) == old_qm.character_descends(values), (label, values)
         assert qm.push_character(values) == old_qm.push_character(values), (label, values)
         if values in old_qm.source.elements:
             assert qm.push(values) == old_qm.push(values), (label, values)

@@ -8,6 +8,9 @@ library's ``ast`` alone: a top-level definition of a ``src`` module is
 reached when its name is read, as a name or as an attribute, by an entry
 point or by a reached definition.  A name that only its own definition,
 an ``__all__`` list, an import or unreached code reads is not reached.
+A dataclass field or public method of a reached class is read when an
+entry point or a reached definition reads an attribute of that name; a
+keyword argument to a constructor is not a read.
 """
 
 import ast
@@ -61,8 +64,9 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
-def unreached_exports() -> list[str]:
-    """``module.name`` for every ``__all__`` name that no entry point reaches."""
+def _reach() -> tuple[dict[str, ast.Module], list[ast.AST], set[str]]:
+    """The ``src`` modules' trees, the entry points and every definition
+    they reach, and the names of those definitions."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     defs: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
@@ -81,6 +85,12 @@ def unreached_exports() -> list[str]:
         reached.add(name)
         for node in defs.get(name, ()):
             todo |= _reads(node) - reached
+    return trees, entries + [n for name in reached for n in defs.get(name, ())], reached
+
+
+def unreached_exports() -> list[str]:
+    """``module.name`` for every ``__all__`` name that no entry point reaches."""
+    trees, _nodes, reached = _reach()
     return [
         f"{module}.{name}"
         for module, tree in trees.items()
@@ -92,6 +102,55 @@ def unreached_exports() -> list[str]:
 def test_every_exported_name_is_reached_from_an_entry_point():
     unreached = unreached_exports()
     assert not unreached, "exported, but no entry point reaches: " + ", ".join(unreached)
+
+
+# Members that no reached code reads as an attribute, kept for a reason.
+MEMBERS_KEPT = {
+    "Sigma.weakly_unipotent": "packet-file input, and part of a datum's equality",
+    "FiltrationItem.mu1": "a field of the reported item",
+    "EndoscopicSplit.s": "a documented result in README",
+    "EndoscopicSplit.psi_minus": "a documented result in README",
+    "EndoscopicSplit.psi_plus": "a documented result in README",
+    "EndoscopicSplit.n_minus": "the dual dimension n' that the split documents",
+    "EndoscopicSplit.n_plus": "the dual dimension n'' that the split documents",
+}
+
+
+def unread_members() -> list[str]:
+    """``Class.member`` for every dataclass field and public method of a
+    reached class that neither an entry point nor a reached definition
+    reads as an attribute (``obj.member``), outside ``MEMBERS_KEPT``.
+
+    Reads are by name, as in ``unreached_exports``: a member counts as read
+    when any reached code reads an attribute of that name, whatever the
+    object.  A keyword argument of a constructor is not a read."""
+    trees, nodes, reached = _reach()
+    attrs = {
+        node.attr
+        for tree in nodes
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    out = []
+    for tree in trees.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in reached:
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    name = stmt.name
+                else:
+                    continue
+                if name not in attrs and f"{cls.name}.{name}" not in MEMBERS_KEPT:
+                    out.append(f"{cls.name}.{name}")
+    return out
+
+
+def test_every_member_of_a_reached_class_is_read():
+    unread = unread_members()
+    assert not unread, "a member that no entry point reads: " + ", ".join(unread)
 
 
 def _run_readme() -> dict[str, object]:

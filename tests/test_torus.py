@@ -27,7 +27,6 @@ def test_translation_weight_ex1(ex1):
     datum = translation_weight(ex1, plus)
     assert datum.lambda_GL == weight([5, 5, 0, -5, -5])
     assert datum.lambda_G == weight([5, 5])
-    assert datum.offsets == (5,)
 
 
 def test_translation_weight_two_blocks():

