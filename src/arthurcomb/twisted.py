@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
-from dataclasses import dataclass
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,7 +30,6 @@ __all__ = [
     "theta_perm",
     "norm_map",
     "kostant_theta_invariance",
-    "TransferIdentityReport",
     "verify_transfer_identities",
     "theta_invariant_dominant_weights",
 ]
@@ -84,7 +82,7 @@ def _theta_fixed_targets(x: tuple[int, ...]) -> list[tuple[int, ...]]:
     rearrangement of x's head (the middle entry of odd n is 0): the C_m
     orbit of the head, in reverse of ``_signed_orbit``'s sorted order."""
     m = len(x) // 2
-    return [h + x[m : len(x) - m] + theta_weight(h) for h in reversed(_signed_orbit(x[:m], m))]
+    return [h + x[m : len(x) - m] + theta_weight(h) for h in reversed(_signed_orbit(x[:m]))]
 
 
 def _kostant_rep(target: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,19 +126,7 @@ def _shared(idxs: list[tuple[int, ...]]) -> list[int]:
     return out
 
 
-def _orbit_owners(xs: Sequence[tuple[int, ...]], k: int) -> dict[tuple[int, ...], int]:
-    """Every element of the C_k orbits (signed permutations of the first
-    k entries) of the distinct weights' heads x[:m], m = floor(n/2),
-    mapped to the position in xs of the weight whose orbit holds it.
-    Distinct weights have disjoint orbits."""
-    m = len(xs[0]) // 2
-    heads: dict[tuple[int, ...], int] = {}
-    for j, x in enumerate(xs):
-        heads.update(dict.fromkeys(_signed_orbit(x[:m], k), j))
-    return heads
-
-
-def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_Steps, _Steps]:
+def _sweep_steps(xs: Sequence[tuple[int, ...]], bound: int) -> tuple[_Steps, _Steps]:
     """The twisted and the endoscopic side's steps of a sweep over the
     distinct theta-invariant dominant xs, each owned by its position in
     xs: one step per monomial, over every weight's (target, position)
@@ -155,8 +141,8 @@ def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_St
     the targets descend as their heads do.  Its index list is the head's
     followed by theta(h)'s, whose coordinates lie past the head's; so
     when two heads' lists differ, the targets' lists share just the
-    heads' shared prefix.  In the principal case (k = m) the endoscopic
-    heads are the same heads, ascending."""
+    heads' shared prefix.  The endoscopic heads are the same heads,
+    ascending."""
     n = len(xs[0])
     m = n // 2
     width = 2 * bound + 1
@@ -164,27 +150,21 @@ def _sweep_steps(xs: Sequence[tuple[int, ...]], k: int, bound: int) -> tuple[_St
     # theta sends (coordinate i, exponent v), index a, to (n-1-i, -v), index top - a
     top = (n - 1) * width + 2 * bound
 
-    def indexed(heads: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
-        idxs = [tuple(itertools.compress(map(add, base, h), h)) for h in heads]
-        return idxs, _shared(idxs)
-
-    owners = _orbit_owners(xs, m)
+    # every element of the C_m orbits of the weights' heads, mapped to its
+    # weight's position in xs; distinct weights have disjoint orbits
+    owners = {h: j for j, x in enumerate(xs) for h in _signed_orbit(x[:m])}
     desc = sorted(owners, reverse=True)
-    idxs, shared = indexed(desc)
+    idxs = [tuple(itertools.compress(map(add, base, h), h)) for h in desc]
+    shared = _shared(idxs)
     twisted: _Steps = [
         (s, idx[s:] + tuple(map(top.__sub__, reversed(idx))), owners[h])
         for h, idx, s in zip(desc, idxs, shared)
     ]
-
-    if k == m:
-        # ascending, each list shares with the one before what it shared,
-        # descending, with the one after
-        asc, idxs, shared = desc[::-1], idxs[::-1], [0] + shared[:0:-1]
-    else:
-        owners = _orbit_owners(xs, k)
-        asc = sorted(owners)
-        idxs, shared = indexed(asc)
-    endoscopic: _Steps = [(s, idx[s:], owners[h]) for h, idx, s in zip(asc, idxs, shared)]
+    # ascending, each list shares with the one before what it shared,
+    # descending, with the one after
+    endoscopic: _Steps = [
+        (s, idx[s:], owners[h]) for h, idx, s in zip(desc[::-1], idxs[::-1], [0] + shared[:0:-1])
+    ]
     return twisted, endoscopic
 
 
@@ -228,46 +208,29 @@ def _closure(start, moves: list[Callable]) -> set:
     return seen
 
 
-def _signed_orbit(nu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """Orbit of nu under signed permutations of the first k coordinates,
-    sorted.  An element is a distinct rearrangement of the head's
-    absolute values, reached from the sorted one by the k - 1 adjacent
-    swaps (so the work is bounded by the orbit, never k!), with a sign
-    chosen for each non-zero entry."""
-    head, tail = nu[:k], nu[k:]
-    swaps = [lambda p, i=i: p[:i] + (p[i + 1], p[i]) + p[i + 2 :] for i in range(k - 1)]
+def _signed_orbit(head: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Orbit of head under signed permutations, sorted.  An element is a
+    distinct rearrangement of head's absolute values, reached from the
+    sorted one by the k - 1 adjacent swaps, k = len(head) (so the work is
+    bounded by the orbit, never k!), with a sign chosen for each non-zero
+    entry."""
+    swaps = [lambda p, i=i: p[:i] + (p[i + 1], p[i]) + p[i + 2 :] for i in range(len(head) - 1)]
     perms = _closure(tuple(sorted(map(abs, head))), swaps)
     signed = (itertools.product(*[(v, -v) if v else (0,) for v in p]) for p in perms)
-    heads = sorted(itertools.chain.from_iterable(signed))
-    return [h + tail for h in heads] if tail else heads
+    return sorted(itertools.chain.from_iterable(signed))
 
 
-@dataclass(frozen=True)
-class TransferIdentityReport:
-    n: int
-    endo_rank: int
-    trials: int
-    seed: int
-    max_residual: float
-
-
-def verify_transfer_identities(
-    weights: Sequence[Weight],
-    endo_rank: int | None = None,
-    trials: int = 100,
-    seed: int = 0,
-) -> list[TransferIdentityReport]:
+def verify_transfer_identities(weights: Sequence[Weight], trials: int = 100, seed: int = 0) -> list[float]:
     """Numerically compare the twisted extremal trace with the symmetrized
     endoscopic character through the norm map, for every weight of a
     sweep, in order, over one draw of the trials; the weights share one
     length n.
 
-    nu is the first floor(n/2) coordinates of mu; the declared endoscopic
-    Weyl group is the signed permutations of the first ``endo_rank``
-    norm coordinates (the principal case takes all of them, and the
-    identity is exact there).  Random trials draw unit-modulus regular
-    torus elements from the given seed; each weight's report holds the
-    maximum absolute residual over the trials.
+    nu is the first m = floor(n/2) coordinates of mu; the endoscopic
+    Weyl group is the signed permutations of all m norm coordinates, and
+    the identity is exact.  Random trials draw unit-modulus regular torus
+    elements from the given seed; the result is each weight's maximum
+    absolute residual over the trials, one float per weight, in order.
 
     Each residual is bit-for-bit that of evaluating every character
     directly: the trials are the first ``trials`` regular draws from
@@ -291,14 +254,11 @@ def verify_transfer_identities(
     n = len(weights[0])
     xs = [_check_twistable(n, mu) for mu in weights]
     m = n // 2
-    k = m if endo_rank is None else endo_rank
-    if not 0 <= k <= m:
-        raise ValueError(f"endo_rank must be between 0 and {m}")
     # a repeated weight is swept once: its monomials, their order and the
     # trials are its first copy's, and so is its residual
     distinct = list(dict.fromkeys(xs))
     bound = max((abs(v) for x in distinct for v in x), default=0)
-    sides = _sweep_steps(distinct, k, bound)
+    sides = _sweep_steps(distinct, bound)
     # per trial: both power tables, the prefix stack and two sums per weight
     size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + n + 1 + 2 * len(distinct)))
     owners = len(distinct)
@@ -314,10 +274,7 @@ def verify_transfer_identities(
         worst = [max(w, *map(abs, map(sub, a, b))) for w, a, b in zip(worst, left, right)]
         del left, right  # before the next block is drawn
     residual = dict(zip(distinct, worst))
-    return [
-        TransferIdentityReport(n=n, endo_rank=k, trials=trials, seed=seed, max_residual=residual[x])
-        for x in xs
-    ]
+    return [residual[x] for x in xs]
 
 
 # the most complex values (power tables, prefix stack and sums) one block

@@ -62,7 +62,7 @@ def _twisted_trace(x, t):
     from arthurcomb.twisted import _columns, _power_table, _sums, _sweep_steps
 
     bound = max(map(abs, x), default=0)
-    twisted, _endoscopic = _sweep_steps([x], len(x) // 2, bound)
+    twisted, _endoscopic = _sweep_steps([x], bound)
     ((trace,),) = _sums(twisted, _columns([_power_table(t, bound)]), 1, 1)
     return trace
 
@@ -118,38 +118,24 @@ def test_extremal_rep_validation():
 
 
 def test_transfer_identity_n3_principal():
-    (rep,) = verify_transfer_identities([weight([1, 0, -1])], trials=100, seed=7)
-    assert rep.endo_rank == 3 // 2
-    assert rep.max_residual <= 1e-9
+    (residual,) = verify_transfer_identities([weight([1, 0, -1])], trials=100, seed=7)
+    assert residual <= 1e-9
 
 
 def test_transfer_identity_n4_principal():
-    (rep,) = verify_transfer_identities([weight([2, 1, -1, -2])], trials=100, seed=7)
-    assert rep.max_residual <= 1e-9
+    (residual,) = verify_transfer_identities([weight([2, 1, -1, -2])], trials=100, seed=7)
+    assert residual <= 1e-9
 
 
 def test_transfer_identity_singular_weight():
     # stabilizer multiplicities must not double-count the extremal lines
-    (rep,) = verify_transfer_identities([weight([1, 1, -1, -1])], trials=100, seed=7)
-    assert rep.max_residual <= 1e-9
+    (residual,) = verify_transfer_identities([weight([1, 1, -1, -1])], trials=100, seed=7)
+    assert residual <= 1e-9
 
 
 def test_transfer_identity_trivial_weight_is_exact():
-    (rep,) = verify_transfer_identities([weight([0, 0, 0])], trials=10, seed=1)
-    assert rep.max_residual == 0.0
-
-
-def test_transfer_identity_nonprincipal_is_reported_not_asserted():
-    # restricting the symmetrization group leaves a genuine deficit; the
-    # residual surfaces it instead of being forced to zero
-    (rep,) = verify_transfer_identities([weight([2, 0, 0, -2])], endo_rank=1, trials=20, seed=7)
-    assert rep.endo_rank < rep.n // 2
-    assert rep.max_residual > 1e-6
-
-
-def test_transfer_identity_rejects_bad_rank():
-    with pytest.raises(ValueError):
-        verify_transfer_identities([weight([1, 0, -1])], endo_rank=2)
+    (residual,) = verify_transfer_identities([weight([0, 0, 0])], trials=10, seed=1)
+    assert residual == 0.0
 
 
 # --- Kostant theta-invariance ------------------------------------------------------
@@ -161,13 +147,12 @@ def test_kostant_examples():
     assert kostant_theta_invariance(2, weight([1, -1]))
 
 
-def _signed_orbit_oracle(nu, k):
-    """Every sign pattern on every rearrangement of the first k entries."""
-    head, tail = nu[:k], nu[k:]
+def _signed_orbit_oracle(head):
+    """Every sign pattern on every rearrangement of head."""
     out = set()
     for p in itertools.permutations(head):
-        for signs in itertools.product((1, -1), repeat=k):
-            out.add(tuple(s * v for s, v in zip(signs, p)) + tail)
+        for signs in itertools.product((1, -1), repeat=len(head)):
+            out.add(tuple(s * v for s, v in zip(signs, p)))
     return sorted(out)
 
 
@@ -179,17 +164,16 @@ def test_extremal_coset_count_matches_restricted_orbit():
         for mu in theta_invariant_dominant_weights(n, 2):
             x = tuple(d // 2 for d in mu.doubled)
             head = x[: n // 2]
-            assert len(_theta_fixed_targets(x)) == len(_signed_orbit_oracle(head, n // 2))
+            assert len(_theta_fixed_targets(x)) == len(_signed_orbit_oracle(head))
 
 
 def test_signed_orbit_matches_brute_force():
     from arthurcomb.twisted import _signed_orbit
 
     for length in range(5):
-        # negative entries in the head and in the fixed tail
-        for nu in itertools.product(range(-2, 4), repeat=length):
-            for k in range(length + 1):
-                assert _signed_orbit(nu, k) == _signed_orbit_oracle(nu, k), (nu, k)
+        # negative entries too
+        for head in itertools.product(range(-2, 4), repeat=length):
+            assert _signed_orbit(head) == _signed_orbit_oracle(head), head
 
 
 def test_signed_orbit_of_equal_entries_is_every_sign_choice():
@@ -199,8 +183,8 @@ def test_signed_orbit_of_equal_entries_is_every_sign_choice():
 
     heads = sorted(itertools.product((2, -2), repeat=12))
     assert len(heads) == 4096
-    assert _signed_orbit((2,) * 12, 12) == heads
-    assert _signed_orbit((-2,) * 12 + (0, -5), 12) == [h + (0, -5) for h in heads]
+    assert _signed_orbit((2,) * 12) == heads
+    assert _signed_orbit((-2,) * 12) == heads
 
 
 def _old_kostant_rep(target):
@@ -345,16 +329,15 @@ def _old_steps(monomials, bound):
     return steps
 
 
-def _old_sweep_steps(xs, endo_rank, bound):
+def _old_sweep_steps(xs, bound):
     """Oracle: every weight's targets, tagged with its position and sorted
     descending, and its endoscopic heads, tagged and sorted ascending."""
     n = len(xs[0])
     m = n // 2
-    k = m if endo_rank is None else endo_rank
     lhs, rhs = [], []
     for j, x in enumerate(xs):
-        lhs += ((h + x[m : n - m] + theta_weight(h), j) for h in _signed_orbit_oracle(x[:m], m))
-        rhs += ((h, j) for h in _signed_orbit_oracle(x[:m], k))
+        lhs += ((h + x[m : n - m] + theta_weight(h), j) for h in _signed_orbit_oracle(x[:m]))
+        rhs += ((h, j) for h in _signed_orbit_oracle(x[:m]))
     return _old_steps(sorted(lhs, reverse=True), bound), _old_steps(sorted(rhs), bound)
 
 
@@ -363,40 +346,34 @@ def test_sweep_steps_match_the_target_compiler():
 
     cases = 0
     for n in range(1, 9):
-        m = n // 2
         for max_entry in range(4):
             weights = list(theta_invariant_dominant_weights(n, max_entry))
             random.Random(n * 4 + max_entry).shuffle(weights)
             xs = [tuple(d // 2 for d in mu.doubled) for mu in weights]
             bound = max((abs(v) for x in xs for v in x), default=0)
-            for endo_rank in {None, 0, max(m - 1, 0), m}:
-                k = m if endo_rank is None else endo_rank
-                want = _old_sweep_steps(xs, endo_rank, bound)
-                assert _sweep_steps(xs, k, bound) == want, (n, max_entry, endo_rank)
-                cases += 1
-    assert cases == 112
+            assert _sweep_steps(xs, bound) == _old_sweep_steps(xs, bound), (n, max_entry)
+            cases += 1
+    assert cases == 32
 
 
 def test_repeated_weights_keep_their_residuals():
-    """Shuffled sweeps with repeated weights, at three endo ranks each:
-    every residual, by ``float.hex``, is the one a compiler that gave each
-    repeat its own steps produced (the digest of all 834 was recorded
-    with it), and a repeat's residual is its first copy's."""
+    """Shuffled sweeps with repeated weights: every residual, by
+    ``float.hex``, is the one a compiler that gave each repeat its own
+    steps produced (the digest of all 294 was recorded with it), and a
+    repeat's residual is its first copy's."""
     hexes = []
     for n in range(1, 9):
-        m = n // 2
         for max_entry in range(4):
             weights = list(theta_invariant_dominant_weights(n, max_entry))
             repeated = weights + weights[::2]
             random.Random(n * 4 + max_entry).shuffle(repeated)
-            for endo_rank in sorted({m, 0, max(m - 1, 0)}):
-                reports = verify_transfer_identities(repeated, endo_rank, trials=100, seed=n)
-                first = dict(zip(reversed(repeated), reversed(reports)))
-                assert reports == [first[mu] for mu in repeated], (n, max_entry, endo_rank)
-                hexes += [r.max_residual.hex() for r in reports]
+            residuals = verify_transfer_identities(repeated, trials=100, seed=n)
+            first = dict(zip(reversed(repeated), reversed(residuals)))
+            assert residuals == [first[mu] for mu in repeated], (n, max_entry)
+            hexes += [r.hex() for r in residuals]
     digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
-    assert len(hexes) == 834
-    assert digest == "a01e6150bc989ca9c4e50b6baa460556517794a13b594e2e5f0d028e42926316"
+    assert len(hexes) == 294
+    assert digest == "8549ec884199505d5298fe7bfe398f94f91fa6b6ed483a4102d99f5ddffb492b"
 
 
 def _char_value(entries, exponents):
@@ -429,12 +406,11 @@ def _oracle_regular(vals, tol):
     return True
 
 
-def _oracle_residual(mu, endo_rank, trials, seed):
+def _oracle_residual(mu, trials, seed):
     """Oracle: a fresh draw per trial and every character evaluated directly."""
     n = len(mu)
-    m = n // 2
     x = tuple(d // 2 for d in mu.doubled)
-    orbit_exps = _signed_orbit_oracle(x[:m], endo_rank)
+    orbit_exps = _signed_orbit_oracle(x[: n // 2])
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
@@ -452,13 +428,13 @@ def test_transfer_identity_matches_oracle_on_every_small_weight():
     weights = [mu for n in range(9) for mu in theta_invariant_dominant_weights(n, 3)]
     assert len(weights) == 105
     for mu in weights:
-        (rep,) = verify_transfer_identities([mu], trials=100, seed=7)
-        got = rep.max_residual
-        assert got == _oracle_residual(mu, len(mu) // 2, 100, 7), mu
+        (residual,) = verify_transfer_identities([mu], trials=100, seed=7)
+        assert residual == _oracle_residual(mu, 100, 7), mu
 
 
-# (n, seed, trials); each one-weight call here fits in one block at the
-# default budget, so the block edges are covered by BLOCK_CASES
+# (n, seed, trials), at the one endoscopic rank n // 2; each one-weight
+# call here fits in one block at the default budget, so the block edges
+# are covered by BLOCK_CASES
 ENDO_RANK_CASES = [
     (n, seed, trials) for n in range(7) for seed in (0, 3) for trials in (1, 37)
 ] + [(7, 3, 37), (8, 3, 37)]
@@ -467,15 +443,13 @@ ENDO_RANK_CASES = [
 def test_transfer_identity_matches_oracle_for_every_endo_rank():
     for n, seed, trials in ENDO_RANK_CASES:
         for mu in theta_invariant_dominant_weights(n, 3):
-            for k in range(n // 2 + 1):
-                (rep,) = verify_transfer_identities([mu], k, trials, seed)
-                got = rep.max_residual
-                assert got == _oracle_residual(mu, k, trials, seed), (mu, k, seed, trials)
+            (residual,) = verify_transfer_identities([mu], trials, seed)
+            assert residual == _oracle_residual(mu, trials, seed), (mu, seed, trials)
 
 
-# (n, max entry, endo rank, trials); the n = 8 sweep spans many blocks at
-# 1 and 300 values, and two at the default budget
-BLOCK_CASES = [(6, 2, 1, 23), (8, 2, 2, 334)]
+# (n, max entry, trials); the n = 8 sweep spans many blocks at 1 and 300
+# values, and two at the default budget
+BLOCK_CASES = [(6, 2, 23), (8, 2, 334)]
 
 
 @pytest.mark.parametrize("block_values", [1, 300, None])
@@ -485,12 +459,12 @@ def test_transfer_identity_is_the_same_in_every_block_size(monkeypatch, block_va
 
     if block_values is not None:
         monkeypatch.setattr(twisted, "_BLOCK_VALUES", block_values)
-    for n, max_entry, k, trials in BLOCK_CASES:
+    for n, max_entry, trials in BLOCK_CASES:
         weights = list(theta_invariant_dominant_weights(n, max_entry))
-        sweep = verify_transfer_identities(weights, k, trials, seed)
-        assert sweep == [verify_transfer_identities([mu], k, trials, seed)[0] for mu in weights]
-        for mu, rep in zip(weights, sweep):
-            assert rep.max_residual == _oracle_residual(mu, k, trials, seed), (mu, k)
+        sweep = verify_transfer_identities(weights, trials, seed)
+        assert sweep == [verify_transfer_identities([mu], trials, seed)[0] for mu in weights]
+        for mu, residual in zip(weights, sweep):
+            assert residual == _oracle_residual(mu, trials, seed), mu
 
 
 def test_block_cases_span_two_blocks_at_the_default_budget(monkeypatch):
@@ -499,19 +473,18 @@ def test_block_cases_span_two_blocks_at_the_default_budget(monkeypatch):
     tables = []
     real = twisted._columns
     monkeypatch.setattr(twisted, "_columns", lambda t: tables.append(None) or real(t))
-    n, max_entry, k, trials = BLOCK_CASES[-1]
-    verify_transfer_identities(list(theta_invariant_dominant_weights(n, max_entry)), k, trials)
+    n, max_entry, trials = BLOCK_CASES[-1]
+    verify_transfer_identities(list(theta_invariant_dominant_weights(n, max_entry)), trials)
     # two sides per block
     assert len(tables) >= 4
 
 
-@pytest.mark.parametrize("endo_rank", [None, 1])
-def test_sweep_order_cannot_leak_into_a_residual(endo_rank):
+def test_sweep_order_cannot_leak_into_a_residual():
     weights = list(theta_invariant_dominant_weights(6, 3))
     weights += weights[::7]
     random.Random(2).shuffle(weights)
-    sweep = verify_transfer_identities(weights, endo_rank, trials=37, seed=4)
-    assert sweep == [verify_transfer_identities([mu], endo_rank, 37, 4)[0] for mu in weights]
+    sweep = verify_transfer_identities(weights, trials=37, seed=4)
+    assert sweep == [verify_transfer_identities([mu], 37, 4)[0] for mu in weights]
 
 
 def test_sweep_multiplies_each_shared_prefix_once(monkeypatch):
@@ -562,14 +535,13 @@ def test_twisted_trace_matches_oracle_on_random_elements(data):
     assert _twisted_trace(x, t) == _oracle_trace(x, t)
 
 
-@pytest.mark.parametrize("endo_rank, orbits", [(None, 1), (3, 1), (2, 2), (0, 2)])
-def test_transfer_identity_builds_a_second_orbit_only_off_principal(
-    monkeypatch, endo_rank, orbits
-):
+def test_transfer_identity_builds_one_orbit_per_distinct_weight(monkeypatch):
     from arthurcomb import twisted
 
     calls = []
     real = twisted._signed_orbit
     monkeypatch.setattr(twisted, "_signed_orbit", lambda *a: calls.append(a) or real(*a))
-    verify_transfer_identities([weight([2, 1, 0, 0, -1, -2])], endo_rank, trials=3)
-    assert len(calls) == orbits
+    a, b = weight([2, 1, 0, 0, -1, -2]), weight([1, 1, 0, 0, -1, -1])
+    verify_transfer_identities([a, b, a], trials=3)
+    # the whole head, once per weight, for both sides
+    assert calls == [((2, 1, 0),), ((1, 1, 0),)]
