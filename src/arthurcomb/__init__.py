@@ -51,7 +51,6 @@ from .aq import (
     AqDatum,
     LeviDatum,
     PacketData,
-    Sigma,
     aq_datum,
     enumerate_levis,
     filtration_vanishing,

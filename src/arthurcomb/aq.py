@@ -4,12 +4,12 @@ A Levi datum is a product of unitary groups U(p_i, q_i), one per
 discrete block counted with multiplicity, times a smaller group of the
 same kind.  The inducing character on the unitary factors is det^{t_i~}
 with the shifts t_i~ determined by the parameter; the opaque label sigma
-stands for the weakly unipotent representation on the residual factor
-and only carries its infinitesimal character.  The module enumerates the
-data allowed by a real form, evaluates good/weakly-fair range tests
-against the nilradical, runs the filtration-vanishing verifier behind
-the translation theorem, and translates packets entry by entry with
-characters transported through the component-group quotient.
+names the weakly unipotent representation on the residual factor and
+carries nothing else.  The module enumerates the data allowed by a real
+form, evaluates good/weakly-fair range tests against the nilradical,
+runs the filtration-vanishing verifier behind the translation theorem,
+and translates packets entry by entry with characters transported
+through the component-group quotient.
 
 Coordinate layout is fixed once and for all: unitary-factor coordinates
 first, in block order, then the residual-factor coordinates; the
@@ -31,23 +31,18 @@ from typing import Iterable
 from .params import (
     ArthurParameter,
     ClassicalGroup,
-    InfChar,
     ParameterError,
     ParityError,
     QuotientMap,
     _kept,
-    arthur_parameter,
     component_group,
     good_parity,
-    inf_char,
     quotient_map,
 )
 from .weyl import GroupType, Weight, half_sum_positive_roots, positive_roots, simple_roots
 
 __all__ = [
     "LeviDatum",
-    "Sigma",
-    "default_sigma",
     "AqDatum",
     "aq_datum",
     "PacketData",
@@ -89,44 +84,21 @@ class LeviDatum:
 
 
 @dataclass(frozen=True)
-class Sigma:
-    """Opaque label for the representation on the residual factor."""
-
-    label: str
-    nu_sigma: InfChar | None = None
-    weakly_unipotent: bool = True
-
-
-def default_sigma(psi: ArthurParameter, g0: ClassicalGroup) -> Sigma:
-    """Sigma attached to the unipotent part of the parameter."""
-    return _unipotent_sigma(psi.unipotent, g0.kind, g0.rank)
-
-
-@functools.lru_cache(maxsize=256)
-def _unipotent_sigma(unip: tuple, kind: str, rank: int) -> Sigma:
-    """Sigma of a unipotent part on a G_0 of this kind and rank; it depends
-    on nothing else, so parameters that share the pair share one value."""
-    if rank == 0 and not unip:
-        return Sigma("sigma", None)
-    psi_u = arthur_parameter(ClassicalGroup(kind, rank), unip)
-    return Sigma("sigma", inf_char(psi_u, "G"))
-
-
-@dataclass(frozen=True)
 class AqDatum:
     """Bookkeeping datum for one cohomologically induced module.
 
     ``t_tilde`` lists the integer character exponents on the unitary
-    factors and ``sigma`` labels the module on the residual factor G_0.
+    factors and ``sigma`` is the label of the module on the residual
+    factor G_0.
     """
 
     levi: LeviDatum
     t_tilde: tuple[int, ...]
-    sigma: Sigma
+    sigma: str
 
     def label(self) -> str:
         shifts = ",".join(str(t) for t in self.t_tilde)
-        return f"Aq[{self.levi}; t~=({shifts}); {self.sigma.label}]"
+        return f"Aq[{self.levi}; t~=({shifts}); {self.sigma}]"
 
     def __str__(self) -> str:
         return self.label()
@@ -170,9 +142,10 @@ def _check_levi(psi: ArthurParameter, levi: LeviDatum) -> None:
             raise ParameterError(f"G_0 signature {g0.signature} != ({p0}, {q0}) for {g}")
 
 
-def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None = None) -> AqDatum:
-    """The A_q datum of ``levi`` for psi; a Levi datum that does not fit
-    the parameter (factor sizes, G_0 kind, rank or signature) raises
+def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: str = "sigma") -> AqDatum:
+    """The A_q datum of ``levi`` for psi, with psi's shifts and the label
+    ``sigma`` for the module on G_0; a Levi datum that does not fit the
+    parameter (factor sizes, G_0 kind, rank or signature) raises
     ParameterError.
 
     Each datum is built once per (levi, sigma) and kept on psi, so repeated
@@ -181,11 +154,9 @@ def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None = None) 
 
 
 @_kept
-def _aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: Sigma | None) -> AqDatum:
-    shifts = _shifts(psi)
+def _aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: str) -> AqDatum:
+    shifts = lambda_tilde(psi)
     _check_levi(psi, levi)
-    if sigma is None:
-        sigma = default_sigma(psi, levi.g0)
     return AqDatum(levi, shifts, sigma)
 
 
@@ -254,18 +225,14 @@ def lambda_tilde_fractions(psi: ArthurParameter) -> list[Fraction]:
     return [Fraction(d, 2) for d in _lambda_tilde_doubled(psi)]
 
 
-def lambda_tilde(psi: ArthurParameter) -> list[int]:
-    """t_i~ = t_i + (a_i - 1)/2 + eps_G + sum_{j>i} a_j + n_0, all integers.
+@_kept
+def lambda_tilde(psi: ArthurParameter) -> tuple[int, ...]:
+    """t_i~ = t_i + (a_i - 1)/2 + eps_G + sum_{j>i} a_j + n_0, all integers,
+    kept on the parameter.
 
     Integrality of every shift is exactly the good-parity criterion; a
     fractional value raises ParityError.
     """
-    return list(_shifts(psi))
-
-
-@_kept
-def _shifts(psi: ArthurParameter) -> tuple[int, ...]:
-    """``lambda_tilde`` as a tuple, kept on the parameter."""
     out = []
     for i, d in enumerate(_lambda_tilde_doubled(psi)):
         if d % 2:
@@ -359,7 +326,6 @@ def _range_verdict(
 @dataclass(frozen=True)
 class FiltrationItem:
     mu: Weight
-    mu1: Weight
     norm_with: Fraction
     norm_without: Fraction
     pairing_lambda: Fraction
@@ -573,7 +539,6 @@ def _decode_items(
         out.append(
             FiltrationItem(
                 mu=Weight(mu_d),
-                mu1=Weight(mu1_d),
                 norm_with=Fraction(with4, 4),
                 norm_without=Fraction(base4, 4),
                 pairing_lambda=Fraction(pl4, 4),
@@ -879,8 +844,8 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     """
     psi_plus = packet_plus.psi
     qm = quotient_map(psi_plus, psi)
-    shifts_plus = _shifts(psi_plus)
-    shifts = _shifts(psi)
+    shifts_plus = lambda_tilde(psi_plus)
+    shifts = lambda_tilde(psi)
     # keyed by id: ``aq_datum`` returns one object per (psi_+, levi, sigma),
     # so equal data share it, and every datum stays alive in packet_plus
     moved: dict[int, AqDatum] = {}

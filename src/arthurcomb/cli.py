@@ -47,7 +47,6 @@ from .twisted import (
 from .weyl import Weight, weight
 from .aq import (
     LeviDatum,
-    Sigma,
     aq_datum,
     enumerate_levis,
     filtration_vanishing,
@@ -403,7 +402,7 @@ def cmd_translate(args, psi, s, pair) -> tuple[dict, list[dict]]:
     return results, [_verdict("translate", True, f"lambda = {datum.lambda_GL}")]
 
 
-_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _field(obj: dict, key: str, kind: type, context: str, default=None):
@@ -437,16 +436,8 @@ def _parse_packet_file(path: str, psi_plus: ArthurParameter):
         g0 = _parse_group(_field(ld, "g0", dict, f"entries[{i}].levi"), f"entries[{i}].levi.g0")
         levi = LeviDatum(tuple(map(tuple, unitary)), g0)
         sd = _field(ed, "sigma", dict, f"entries[{i}]", {})
-        _require_keys(sd, {"label", "nu", "weakly_unipotent"}, f"entries[{i}].sigma")
-        label = _field(sd, "label", str, f"entries[{i}].sigma", "sigma")
-        unipotent = _field(sd, "weakly_unipotent", bool, f"entries[{i}].sigma", True)
-        datum = aq_datum(psi_plus, levi)
-        if sd:
-            nu = datum.sigma.nu_sigma
-            if "nu" in sd:
-                nu_data = _field(sd, "nu", list, f"entries[{i}].sigma")
-                nu = g_inf_char(g0.gside_type(), weight([_parse_half(x, f"entries[{i}].sigma.nu") for x in nu_data]))
-            datum = aq_datum(psi_plus, levi, Sigma(label, nu, unipotent))
+        _require_keys(sd, {"label"}, f"entries[{i}].sigma")
+        datum = aq_datum(psi_plus, levi, _field(sd, "label", str, f"entries[{i}].sigma", "sigma"))
         values = ed.get("character")
         if not isinstance(values, list) or not all(type(v) is int and v in (1, -1) for v in values):
             raise SpecError(f"entries[{i}].character must be a list of +-1")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from arthurcomb.aq import (
     AqDatum,
     LeviDatum,
-    Sigma,
     aq_datum,
     enumerate_levis,
     filtration_vanishing,
@@ -122,7 +121,7 @@ def test_aq_datum_rejects_levi_not_fitting_parameter(group, factors, g0, message
 
 def test_lambda_tilde_ex1(ex1):
     # t~ = 3/2 + 1/2 + 1 + 0 + 0
-    assert lambda_tilde(ex1) == [3]
+    assert lambda_tilde(ex1) == (3,)
 
 
 def test_lambda_tilde_bad_parity_raises():
@@ -136,7 +135,7 @@ def test_lambda_tilde_so_odd_case():
     # t = 1/2, a = 1, n_0 = 1, no later blocks: 1/2 + 0 + 1/2 + 0 + 1 = 2
     g = ClassicalGroup("SOodd", 2)
     psi = arthur_parameter(g, [block(Fraction(1, 2), 1), block(0, 2, "-")])
-    assert lambda_tilde(psi) == [2]
+    assert lambda_tilde(psi) == (2,)
 
 
 def test_lambda_tilde_integrality_iff_good_parity():
@@ -257,7 +256,7 @@ def test_filtration_ex1_specific_layer(ex1):
     assert not report.truncated
     assert report.violations == ()
     # the mu_1 = (1,1) layer: |lambda + mu_1 + delta|^2 = 32.5 > 18.5
-    layer = [i for i in report.items if i.mu1 == weight([1, 1])]
+    layer = [i for i in report.items if i.mu.doubled[:2] == weight([1, 1]).doubled]
     assert layer
     item = layer[0]
     assert item.norm_without == Fraction(37, 2)

@@ -46,7 +46,6 @@ from arthurcomb.aq import (
     FiltrationReport,
     PacketData,
     RangeResult,
-    Sigma,
     aq_datum,
     enumerate_levis,
     lambda_tilde,
@@ -56,19 +55,16 @@ from arthurcomb.aq import (
 )
 from arthurcomb.params import (
     Block,
-    ClassicalGroup,
     ComponentGroup,
     ParameterError,
     ParityError,
     QuotientMap,
-    arthur_parameter,
     canonical_offsets,
     component_group,
     corpus,
     dominate,
     domination_offsets,
     good_parity,
-    inf_char,
     quotient_map,
 )
 from arthurcomb.weyl import GroupType, Weight, norm_sq, pairing
@@ -229,7 +225,6 @@ def old_filtration_vanishing(d_plus, psi, height_bound=None, state_cap=FILTRATIO
             if not ok or len(items) < 500:
                 item = FiltrationItem(
                     mu=Weight(mu_d),
-                    mu1=Weight(mu1_d),
                     norm_with=Fraction(with4, 4),
                     norm_without=base_norm,
                     pairing_lambda=Fraction(pl4, 4),
@@ -390,13 +385,7 @@ def old_lambda_tilde(psi):
 def old_aq_datum(psi, levi):
     shifts = old_lambda_tilde(psi)
     aq._check_levi(psi, levi)
-    g0 = levi.g0
-    if g0.rank == 0 and not psi.unipotent:
-        sigma = Sigma("sigma", None)
-    else:
-        psi_u = arthur_parameter(ClassicalGroup(g0.kind, g0.rank), psi.unipotent)
-        sigma = Sigma("sigma", inf_char(psi_u, "G"))
-    return AqDatum(levi, tuple(shifts), sigma)
+    return AqDatum(levi, tuple(shifts), "sigma")
 
 
 def old_packet_data(psi, entries):
@@ -846,7 +835,6 @@ def test_suspects_in_the_head_are_found(monkeypatch):
             items = [
                 FiltrationItem(
                     mu=Weight(mu),
-                    mu1=Weight(mu[:n_u]),
                     norm_with=Fraction(sum((b + m) ** 2 for b, m in zip(base, mu)), 4),
                     norm_without=Fraction(sum(b * b for b in base), 4),
                     pairing_lambda=Fraction(sum(map(mul, lam, mu)), 4),

@@ -8,6 +8,8 @@ library's ``ast`` alone: a top-level definition of a ``src`` module is
 reached when its name is read, as a name or as an attribute, by an entry
 point or by a reached definition.  A name that only its own definition,
 an ``__all__`` list, an import or unreached code reads is not reached.
+A reached class brings in its decorators, bases, fields and dunder
+methods; any other method of it is reached only when its name is read.
 A dataclass field or public method of a reached class is read when an
 entry point or a reached definition reads an attribute of that name; a
 keyword argument to a constructor is not a read.  A name that two reached
@@ -67,32 +69,67 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
+def _split_class(cls: ast.ClassDef) -> tuple[list[ast.AST], list[ast.AST]]:
+    """The parts a class brings in when it is reached (decorators, bases,
+    fields and other statements, dunder methods), and its other methods."""
+    methods = [
+        stmt
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+    ]
+    core = [*cls.decorator_list, *cls.bases, *cls.keywords]
+    return core + [stmt for stmt in cls.body if stmt not in methods], methods
+
+
 def _reach(extra: str = "") -> tuple[dict[str, ast.Module], list[ast.AST], set[str]]:
     """The ``src`` modules' trees, the entry points and every definition
     they reach, and the names of those definitions.  A non-empty ``extra``
-    is one more module, which is an entry point too."""
+    is one more module, whose top-level statements outside its definitions
+    are an entry point too.  A method other than a dunder is reached once
+    both its class and its name are."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    extra_stmts: list[ast.stmt] = []
     if extra:
         trees["extra"] = ast.parse(extra)
+        defined = [n for nodes in _definitions(trees["extra"]).values() for n in nodes]
+        extra_stmts = [stmt for stmt in trees["extra"].body if stmt not in defined]
     defs: dict[str, list[ast.AST]] = {}
+    methods: dict[str, list[tuple[str, ast.AST]]] = {}  # by method name
+    own: dict[str, list[ast.AST]] = {}  # by class name
     for tree in trees.values():
         for name, nodes in _definitions(tree).items():
-            defs.setdefault(name, []).extend(nodes)
+            for node in nodes:
+                if isinstance(node, ast.ClassDef):
+                    core, meths = _split_class(node)
+                    defs.setdefault(name, []).extend(core)
+                    own.setdefault(name, []).extend(meths)
+                    for m in meths:
+                        methods.setdefault(m.name, []).append((name, m))
+                else:
+                    defs.setdefault(name, []).append(node)
     entries = [
         ast.parse((ROOT / "perfbench" / "workloads.py").read_text()),
         ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
         *map(ast.parse, _readme_blocks()),
         *_definitions(trees["cli"])["main"],
-        *([trees["extra"]] if extra else []),
+        *extra_stmts,
     ]
     todo = set().union(*map(_reads, entries))
     reached: set[str] = set()
+    found: list[ast.AST] = []
     while todo:
         name = todo.pop()
         reached.add(name)
-        for node in defs.get(name, ()):
+        new = [
+            *defs.get(name, ()),
+            *(m for cls, m in methods.get(name, ()) if cls in reached),
+            *(m for m in own.get(name, ()) if m.name in reached),
+        ]
+        for node in new:
             todo |= _reads(node) - reached
-    return trees, entries + [n for name in reached for n in defs.get(name, ())], reached
+        found += new
+    return trees, entries + found, reached
 
 
 def unreached_exports() -> list[str]:
@@ -113,8 +150,6 @@ def test_every_exported_name_is_reached_from_an_entry_point():
 
 # Members that no reached code reads as an attribute, kept for a reason.
 MEMBERS_KEPT = {
-    "Sigma.weakly_unipotent": "packet-file input, and part of a datum's equality",
-    "FiltrationItem.mu1": "a field of the reported item",
     "EndoscopicSplit.s": "a documented result in README",
     "EndoscopicSplit.psi_minus": "a documented result in README",
     "EndoscopicSplit.psi_plus": "a documented result in README",
@@ -132,7 +167,6 @@ SHARED_MEMBERS = {
     "entries": ("InfChar", "PacketData"),
     "height_bound": ("FiltrationReport", "Settings"),
     "kernel_order": ("QuotientMap", "TranslatedPacket"),
-    "label": ("AqDatum", "Sigma"),
     "ok": ("BlockParity", "FiltrationItem", "GoodParityReport"),
     "rank": ("ClassicalGroup", "GroupType"),
 }
@@ -206,6 +240,27 @@ Shadow(seed=0)
 
 def test_a_member_that_shares_its_name_with_another_class_is_flagged():
     assert "Shadow.seed" in unread_members(_SHADOW)
+
+
+# A reached class whose field only an uncalled method of its own reads.
+_BLIND = """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Blind:
+    zzz_only_here: int
+
+    def _never_called(self):
+        return self.zzz_only_here
+
+
+Blind(zzz_only_here=0)
+"""
+
+
+def test_a_field_read_only_by_an_uncalled_method_is_flagged():
+    assert "Blind.zzz_only_here" in unread_members(_BLIND)
 
 
 def unused_imports() -> list[str]:
