@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .params import (
     ArthurParameter,
@@ -66,8 +66,7 @@ __all__ = [
 FILTRATION_STATE_CAP = 50_000
 
 
-@dataclass(frozen=True)
-class LeviDatum:
+class LeviDatum(NamedTuple):
     """x U(p_i, q_i) x G_0 with G_0 of the same kind as the ambient group."""
 
     unitary_factors: tuple[tuple[int, int], ...]
@@ -83,8 +82,7 @@ class LeviDatum:
         return "x".join(factors)
 
 
-@dataclass(frozen=True)
-class AqDatum:
+class AqDatum(NamedTuple):
     """Bookkeeping datum for one cohomologically induced module.
 
     ``t_tilde`` lists the integer character exponents on the unitary
@@ -160,8 +158,7 @@ def _aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: str) -> AqDatum:
     return AqDatum(levi, shifts, sigma)
 
 
-@dataclass(frozen=True)
-class PacketData:
+class PacketData(NamedTuple):
     """Packet bookkeeping: pairs (datum, character of A(psi))."""
 
     psi: ArthurParameter
@@ -277,8 +274,7 @@ def _layout_roots(
     return roots, tuple(v // 2 for v in total)
 
 
-@dataclass(frozen=True)
-class RangeResult:
+class RangeResult(NamedTuple):
     """The range verdict of an A_q datum: ``good``, ``weakly_fair`` or
     ``neither``."""
 
@@ -323,8 +319,7 @@ def _range_verdict(
     return RangeResult(verdict)
 
 
-@dataclass(frozen=True)
-class FiltrationItem:
+class FiltrationItem(NamedTuple):
     mu: Weight
     norm_with: Fraction
     norm_without: Fraction

@@ -19,8 +19,8 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .params import (
@@ -180,8 +180,7 @@ def parse_spec(path: str) -> tuple[ArthurParameter, dict]:
 # settings
 
 
-@dataclass(frozen=True)
-class Settings:
+class Settings(NamedTuple):
     """The settings of one invocation, each resolved and type-checked once."""
 
     seed: int

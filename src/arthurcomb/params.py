@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .weyl import GroupType, Weight, dominant_rep
 
@@ -250,9 +250,10 @@ class ArthurParameter:
                 f"blocks have total dimension {total}, expected {self.group.dual_dim}"
             )
         keys = [b.key for b in self.blocks]
-        if len(set(keys)) != len(keys):
-            raise ParameterError("duplicate blocks; merge multiplicities first")
-        if keys != sorted(keys, reverse=True):
+        # canonical: strictly descending keys, so each key once
+        if keys != sorted(set(keys), reverse=True):
+            if len(set(keys)) != len(keys):
+                raise ParameterError("duplicate blocks; merge multiplicities first")
             raise ParameterError("blocks not in canonical order")
 
     def __getstate__(self) -> dict:
@@ -279,13 +280,16 @@ class ArthurParameter:
 
 
 def arthur_parameter(group: ClassicalGroup, blocks: Iterable[Block]) -> ArthurParameter:
-    """Merge equal blocks, sort canonically, and validate the dimension."""
-    merged: dict[tuple[int, int, int], int] = {}
+    """Merge equal blocks, sort canonically, and validate the dimension.
+
+    A block is rebuilt only where it merges with another of the same key,
+    so each block of canonical input is kept as it is."""
+    merged: dict[tuple[int, int, int], Block] = {}
     for b in blocks:
-        merged[b.key] = merged.get(b.key, 0) + b.mult
-    out = [Block(t2, a, eta, m) for (t2, a, eta), m in merged.items()]
-    out.sort(key=lambda b: b.key, reverse=True)
-    return ArthurParameter(group, tuple(out))
+        key = b.key
+        seen = merged.get(key)
+        merged[key] = b if seen is None else Block(b.t2, b.a, b.eta, seen.mult + b.mult)
+    return ArthurParameter(group, tuple(sorted(merged.values(), key=lambda b: b.key, reverse=True)))
 
 
 def dimension(psi: ArthurParameter) -> int:
@@ -293,15 +297,13 @@ def dimension(psi: ArthurParameter) -> int:
     return sum(b.dim for b in psi.blocks)
 
 
-@dataclass(frozen=True)
-class BlockParity:
+class BlockParity(NamedTuple):
     block: Block
     ok: bool
     reason: str
 
 
-@dataclass(frozen=True)
-class GoodParityReport:
+class GoodParityReport(NamedTuple):
     ok: bool
     blocks: tuple[BlockParity, ...]
 
@@ -740,8 +742,7 @@ def _quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMa
     return qm
 
 
-@dataclass(frozen=True)
-class EndoscopicSplit:
+class EndoscopicSplit(NamedTuple):
     """Elliptic endoscopic datum attached to an involution s in A(psi).
 
     The minus factor collects the blocks where s acts by -1 (dual
@@ -809,23 +810,27 @@ def enumerate_parameters(
 ) -> Iterator[ArthurParameter]:
     """All good-parity parameters for the group with bounded block data."""
     t2_max = int(Fraction(t_max) * 2)
-    cands = _block_candidates(group, t2_max, a_max)
     target = group.dual_dim
+    # each candidate with its unit dimension and its block at every
+    # multiplicity that fits, built once for the whole search
+    cands = []
+    for b in _block_candidates(group, t2_max, a_max):
+        unit = b.rho_dim * b.a
+        cands.append((unit, [b] + [Block(b.t2, b.a, b.eta, m) for m in range(2, target // unit + 1)]))
 
-    def rec(idx: int, remaining: int, chosen: list[Block]) -> Iterator[ArthurParameter]:
+    # one level per block taken; the loop skips candidates, so the order is
+    # that of a search that takes candidate idx (at each multiplicity, the
+    # highest first) before it skips it
+    def rec(start: int, remaining: int, chosen: list[Block]) -> Iterator[ArthurParameter]:
         if remaining == 0:
             yield ArthurParameter(group, tuple(chosen))
             return
-        if idx == len(cands):
-            return
-        b = cands[idx]
-        unit = b.rho_dim * b.a
-        max_mult = remaining // unit
-        for m in range(max_mult, 0, -1):
-            chosen.append(Block(b.t2, b.a, b.eta, m))
-            yield from rec(idx + 1, remaining - unit * m, chosen)
-            chosen.pop()
-        yield from rec(idx + 1, remaining, chosen)
+        for idx in range(start, len(cands)):
+            unit, by_mult = cands[idx]
+            for m in range(remaining // unit, 0, -1):
+                chosen.append(by_mult[m - 1])
+                yield from rec(idx + 1, remaining - unit * m, chosen)
+                chosen.pop()
 
     yield from rec(0, target, [])
 

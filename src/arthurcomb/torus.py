@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import (
     ArthurParameter,
@@ -32,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TranslationDatum:
+class TranslationDatum(NamedTuple):
     """The translation weight lambda(psi_+, psi) on the GL and G sides."""
 
     lambda_GL: Weight

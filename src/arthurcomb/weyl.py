@@ -58,7 +58,7 @@ def _coerce_doubled(value) -> int:
     return int(d)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Weight:
     """Vector of half-integers; ``doubled`` holds twice each coordinate."""
 

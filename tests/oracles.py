@@ -2,18 +2,20 @@
 
 Each is a plain, slow or direct form of something the package computes
 another way: the whole Weyl group and its orbits, the dominant-chamber
-test, delta(u) of a Levi layout and the quasi-split test of a real form.
-None of them is part of the package.
+test, delta(u) of a Levi layout, the quasi-split test of a real form, and
+parameter merging and enumeration with a new block for every block and
+every search node.  None of them is part of the package.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterable, Iterator
 
 from arthurcomb.aq import _layout_roots
-from arthurcomb.params import ClassicalGroup
+from arthurcomb.params import ArthurParameter, Block, ClassicalGroup, _block_candidates
 from arthurcomb.weyl import GroupType, Weight, _check_length
 
 
@@ -77,3 +79,38 @@ def quasi_split(g: ClassicalGroup) -> bool | None:
         return None
     p, q = g.signature
     return abs(p - q) == 1 if g.kind == "SOodd" else abs(p - q) <= 2
+
+
+def arthur_parameter(group: ClassicalGroup, blocks: Iterable[Block]) -> ArthurParameter:
+    """Merge equal blocks by summing multiplicities per key, then build
+    every block anew and sort canonically."""
+    merged: dict[tuple[int, int, int], int] = {}
+    for b in blocks:
+        merged[b.key] = merged.get(b.key, 0) + b.mult
+    out = [Block(t2, a, eta, m) for (t2, a, eta), m in merged.items()]
+    out.sort(key=lambda b: b.key, reverse=True)
+    return ArthurParameter(group, tuple(out))
+
+
+def enumerate_parameters(
+    group: ClassicalGroup, t_max=Fraction(7, 2), a_max: int = 4
+) -> Iterator[ArthurParameter]:
+    """Every good-parity parameter with bounded block data, by recursion
+    over the candidate blocks with a new block at each search node."""
+    cands = _block_candidates(group, int(Fraction(t_max) * 2), a_max)
+
+    def rec(idx: int, remaining: int, chosen: list[Block]) -> Iterator[ArthurParameter]:
+        if remaining == 0:
+            yield ArthurParameter(group, tuple(chosen))
+            return
+        if idx == len(cands):
+            return
+        b = cands[idx]
+        unit = b.rho_dim * b.a
+        for m in range(remaining // unit, 0, -1):
+            chosen.append(Block(b.t2, b.a, b.eta, m))
+            yield from rec(idx + 1, remaining - unit * m, chosen)
+            chosen.pop()
+        yield from rec(idx + 1, remaining, chosen)
+
+    yield from rec(0, group.dual_dim, [])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from arthurcomb.params import (
     DominationError,
     ParameterError,
     ParityError,
+    _CORPUS_RANKS,
     _block_parity,
     _kept,
+    _quasi_split_form,
     arthur_parameter,
     block,
     canonical_offsets,
@@ -29,6 +32,7 @@ from arthurcomb.params import (
     quotient_map,
     very_regular_threshold,
 )
+import oracles
 from oracles import quasi_split
 
 SP2 = ClassicalGroup("Sp", 2)
@@ -79,6 +83,17 @@ def test_blocks_merge_and_sort():
     assert len(psi.blocks) == 1
     assert psi.blocks[0].mult == 2
     assert psi.discrete == ((1, 1), (1, 1))
+
+
+def test_parameter_rejects_repeated_keys_before_their_order():
+    one, half, triv = block(1, 1), block(Fraction(1, 2), 1), block(0, 1)
+    assert ArthurParameter(so_odd(2), (one, half)).blocks == (one, half)
+    with pytest.raises(ParameterError, match="duplicate blocks"):
+        ArthurParameter(so_odd(2), (half, half))
+    with pytest.raises(ParameterError, match="duplicate blocks"):
+        ArthurParameter(SP2, (triv, one, triv, triv))
+    with pytest.raises(ParameterError, match="canonical order"):
+        ArthurParameter(so_odd(2), (half, one))
 
 
 # --- good parity -------------------------------------------------------------
@@ -503,3 +518,48 @@ def test_corpus_modes_share_their_parameters():
     assert all(p.group.signature is None for p in bare)
     assert all(quasi_split(p.group) for p in signed)
     assert [k for k, _ in itertools.groupby(p.group.kind for p in bare)] == ["Sp", "SOodd", "SOeven"]
+
+
+# --- the corpus against the plain merge and enumeration ---------------------------
+
+
+def test_enumeration_equals_the_plain_oracle_up_to_dual_dimension_12():
+    groups = [
+        ClassicalGroup(kind, rank)
+        for kind in ("Sp", "SOodd", "SOeven")
+        for rank in range(7)
+        if ClassicalGroup(kind, rank).dual_dim <= 12
+    ]
+    new = [repr(psi) for g in groups for psi in enumerate_parameters(g)]
+    assert new == [repr(psi) for g in groups for psi in oracles.enumerate_parameters(g)]
+    assert len(new) == 8634  # 8,630 of rank >= 1 and four of rank 0
+
+
+def _oracle_corpus(signed: bool):
+    for kind, ranks in _CORPUS_RANKS:
+        for rank in ranks:
+            target = _quasi_split_form(kind, rank)
+            for psi in oracles.enumerate_parameters(ClassicalGroup(kind, rank)):
+                yield oracles.arthur_parameter(target, psi.blocks) if signed else psi
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_corpus_equals_the_plain_oracle(signed):
+    assert list(map(repr, corpus(signed))) == list(map(repr, _oracle_corpus(signed)))
+
+
+def test_merging_equals_the_plain_oracle_on_split_and_shuffled_blocks():
+    rng = random.Random(5)
+    for psi in corpus(signed=True):
+        g = psi.group
+        assert all(new is old for new, old in zip(arthur_parameter(g, psi.blocks).blocks, psi.blocks))
+        pieces = []
+        for b in psi.blocks:
+            left = b.mult
+            while left:
+                m = rng.randint(1, left)
+                # eta is read only at t = 0, so a -1 there is the same block
+                pieces.append(Block(b.t2, b.a, rng.choice((1, -1)) if b.t2 else b.eta, m))
+                left -= m
+        rng.shuffle(pieces)
+        assert repr(arthur_parameter(g, pieces)) == repr(oracles.arthur_parameter(g, pieces)) == repr(psi)

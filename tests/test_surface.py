@@ -10,7 +10,8 @@ point or by a reached definition.  A name that only its own definition,
 an ``__all__`` list, an import or unreached code reads is not reached.
 A reached class brings in its decorators, bases, fields and dunder
 methods; any other method of it is reached only when its name is read.
-A dataclass field or public method of a reached class is read when an
+A record field (of a dataclass or a named tuple) or public method of a
+reached class is read when an
 entry point or a reached definition reads an attribute of that name; a
 keyword argument to a constructor is not a read.  A name that two reached
 classes define is listed with its classes in ``SHARED_MEMBERS``, whose
@@ -18,9 +19,16 @@ reads were checked by hand.  Every name a ``src`` module imports is read
 in that module or listed in its ``__all__``.
 """
 
+import argparse
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from arthurcomb import aq, cli, params, torus
+from arthurcomb.weyl import weight
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "arthurcomb"
@@ -173,7 +181,7 @@ SHARED_MEMBERS = {
 
 
 def unread_members(extra: str = "") -> list[str]:
-    """``Class.member`` for every dataclass field and public method of a
+    """``Class.member`` for every record field and public method of a
     reached class that neither an entry point nor a reached definition
     reads as an attribute (``obj.member``), outside ``MEMBERS_KEPT``; and
     for every member whose name another reached class defines too, unless
@@ -261,6 +269,105 @@ Blind(zzz_only_here=0)
 
 def test_a_field_read_only_by_an_uncalled_method_is_flagged():
     assert "Blind.zzz_only_here" in unread_members(_BLIND)
+
+
+# The same as a named tuple, the other record idiom.
+_BLIND_TUPLE = """
+from typing import NamedTuple
+
+
+class BlindTuple(NamedTuple):
+    zzz_only_here: int
+
+    def _never_called(self):
+        return self.zzz_only_here
+
+
+BlindTuple(zzz_only_here=0)
+"""
+
+
+def test_an_unread_named_tuple_field_is_flagged():
+    assert "BlindTuple.zzz_only_here" in unread_members(_BLIND_TUPLE)
+
+
+# The record rule: a value record is a ``typing.NamedTuple``, cheap to
+# define at import and to build.  These are the frozen dataclasses kept,
+# each with its reason.
+DATACLASSES_KEPT = {
+    "ClassicalGroup": "validates in __post_init__",
+    "Block": "validates in __post_init__ and normalizes eta there",
+    "ArthurParameter": "validates in __post_init__ and keeps memos in __dict__",
+    "InfChar": "validates in __post_init__",
+    "ComponentGroup": "computes odd, a field(init=False)",
+    "QuotientMap": "computes fibers, a field(init=False)",
+    "FiltrationReport": "items is an _OnFirstRead field, decoded on its first read",
+    "TranslatedPacket": "perfbench/selftest.py perturbs it with dataclasses.replace",
+    "UniquenessReport": "perfbench/selftest.py perturbs it with dataclasses.replace",
+    "GroupType": "validates in __post_init__",
+    "Weight": "overrides __len__ and +, which a tuple subclass must not",
+}
+
+
+def _src_classes() -> list[ast.ClassDef]:
+    return [
+        cls
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+    ]
+
+
+def _names(nodes: list[ast.expr]) -> set[str]:
+    """The names of decorators or bases, a call's or an attribute's included."""
+    nodes = [n.func if isinstance(n, ast.Call) else n for n in nodes]
+    return {n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", "") for n in nodes}
+
+
+DATACLASSES = [cls.name for cls in _src_classes() if "dataclass" in _names(cls.decorator_list)]
+NAMED_TUPLES = [cls.name for cls in _src_classes() if "NamedTuple" in _names(cls.bases)]
+
+
+def test_every_dataclass_is_kept_for_a_listed_reason():
+    assert sorted(DATACLASSES) == sorted(DATACLASSES_KEPT), (
+        "a dataclass outside DATACLASSES_KEPT (make it a NamedTuple, or list "
+        "its reason), or a listed one that is gone: "
+        + ", ".join(sorted(set(DATACLASSES) ^ set(DATACLASSES_KEPT)))
+    )
+
+
+def _records() -> dict[str, tuple]:
+    """One instance of each named-tuple record of ``src``, by class name."""
+    sp4 = params.ClassicalGroup("Sp", 2)
+    psi = params.arthur_parameter(sp4, [params.block(Fraction(3, 2), 2), params.block(0, 1)])
+    plus = params.dominate(psi, params.canonical_offsets(psi))
+    levi = aq.enumerate_levis(plus)[0]
+    datum = aq.aq_datum(plus, levi)
+    parity = params.good_parity(psi)
+    out = [
+        levi,
+        datum,
+        aq.packet_data(plus, [(datum, (1, 1))]),
+        aq.range_check(datum),
+        aq.FiltrationItem(weight((1, 0)), Fraction(2), Fraction(1), Fraction(0), Fraction(1, 2)),
+        parity,
+        parity.blocks[0],
+        params.endoscopic_split(psi, (1, 1)),
+        torus.translation_weight(psi, plus),
+        cli.resolve_settings(argparse.Namespace(), {}),
+    ]
+    return {type(r).__name__: r for r in out}
+
+
+@pytest.mark.parametrize("name", NAMED_TUPLES)
+def test_a_record_is_frozen_hashable_and_equal_by_its_fields(name):
+    rec = _records()[name]
+    first = rec._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, first, None)
+    rebuilt = type(rec)(*(getattr(rec, f) for f in rec._fields))
+    assert rebuilt == rec and hash(rebuilt) == hash(rec)
+    assert rec._replace(**{first: None}) != rec
 
 
 def unused_imports() -> list[str]:
