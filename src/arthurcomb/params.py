@@ -13,11 +13,10 @@ endoscopic splittings.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .weyl import GroupType, Weight, dominant_rep
+from .weyl import GroupType, Weight, _Value, dominant_rep
 
 __all__ = [
     "ParameterError",
@@ -92,8 +91,7 @@ def _kept(fn):
 _KINDS = ("Sp", "SOodd", "SOeven")
 
 
-@dataclass(frozen=True)
-class ClassicalGroup:
+class ClassicalGroup(_Value):
     """Sp(2n,R) or a real form SO(p,q) of an orthogonal group.
 
     The signature is optional for the SO kinds; operations that depend on
@@ -101,26 +99,27 @@ class ClassicalGroup:
     operations do not.
     """
 
-    kind: str
-    rank: int
-    signature: tuple[int, int] | None = None
+    __slots__ = ("kind", "rank", "signature")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown kind {self.kind!r}")
-        if self.rank < 0:
+    def __init__(self, kind: str, rank: int, signature: tuple[int, int] | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "signature", signature)
+        if kind not in _KINDS:
+            raise ParameterError(f"unknown kind {kind!r}")
+        if rank < 0:
             raise ParameterError("rank must be >= 0")
-        if self.kind == "Sp":
-            if self.signature is not None:
+        if kind == "Sp":
+            if signature is not None:
                 raise ParameterError("Sp takes no signature")
             return
-        if self.signature is not None:
-            p, q = self.signature
+        if signature is not None:
+            p, q = signature
             if p < 0 or q < 0:
                 raise ParameterError("negative signature")
             if p + q != self.space_dim:
                 raise ParameterError(
-                    f"signature {p}+{q} != {self.space_dim} for {self.kind} rank {self.rank}"
+                    f"signature {p}+{q} != {self.space_dim} for {kind} rank {rank}"
                 )
 
     @property
@@ -169,28 +168,33 @@ class ClassicalGroup:
         return f"{self.kind}[{self.space_dim}]"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Value):
     """One summand rho (x) R[a] with multiplicity.
 
     ``t2`` is twice the parameter of rho; ``eta`` distinguishes the two
-    quadratic characters and is meaningful only when t = 0.
+    quadratic characters and is meaningful only when t = 0.  The
+    dimension ``dim`` and the sort key ``key`` (t2, a, eta) are derived
+    once, on construction.
     """
 
-    t2: int
-    a: int
-    eta: int = 1
-    mult: int = 1
+    __slots__ = ("t2", "a", "eta", "mult", "dim", "key")
+    _derived = ("dim", "key")
 
-    def __post_init__(self) -> None:
-        if self.t2 < 0:
+    def __init__(self, t2: int, a: int, eta: int = 1, mult: int = 1) -> None:
+        if t2 < 0:
             raise ParameterError("t must be >= 0")
-        if self.a < 1 or self.mult < 1:
+        if a < 1 or mult < 1:
             raise ParameterError("a and mult must be >= 1")
-        if self.eta not in (1, -1):
+        if eta not in (1, -1):
             raise ParameterError("eta must be +1 or -1")
-        if self.t2 > 0 and self.eta != 1:
-            object.__setattr__(self, "eta", 1)
+        if t2 > 0 and eta != 1:
+            eta = 1
+        object.__setattr__(self, "t2", t2)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "dim", (1 if t2 == 0 else 2) * a * mult)
+        object.__setattr__(self, "key", (t2, a, eta))
 
     @property
     def t(self) -> Fraction:
@@ -199,14 +203,6 @@ class Block:
     @property
     def rho_dim(self) -> int:
         return 1 if self.t2 == 0 else 2
-
-    @property
-    def dim(self) -> int:
-        return self.rho_dim * self.a * self.mult
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.t2, self.a, self.eta)
 
     def __str__(self) -> str:
         if self.t2 == 0:
@@ -229,8 +225,7 @@ def block(t, a: int, eta=1, mult: int = 1) -> Block:
     return Block(int(t2), a, eta, mult)
 
 
-@dataclass(frozen=True)
-class ArthurParameter:
+class ArthurParameter(_Value):
     """A parameter: group plus canonically sorted multiset of blocks.
 
     Values derived from the parameter alone (its discrete and unipotent
@@ -240,25 +235,26 @@ class ArthurParameter:
     pickling, and are freed with it.
     """
 
-    group: ClassicalGroup
-    blocks: tuple[Block, ...]
+    __slots__ = ("group", "blocks", "__dict__", "__weakref__")
 
-    def __post_init__(self) -> None:
-        total = sum(b.dim for b in self.blocks)
-        if total != self.group.dual_dim:
-            raise DimensionError(
-                f"blocks have total dimension {total}, expected {self.group.dual_dim}"
-            )
-        keys = [b.key for b in self.blocks]
-        # canonical: strictly descending keys, so each key once
-        if keys != sorted(set(keys), reverse=True):
+    def __init__(self, group: ClassicalGroup, blocks: tuple[Block, ...]) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "blocks", blocks)
+        # one pass for the total dimension and the canonical order:
+        # strictly descending keys, so each key once
+        total, canonical, last = 0, True, None
+        for b in blocks:
+            total += b.dim
+            if last is not None and b.key >= last:
+                canonical = False
+            last = b.key
+        if total != group.dual_dim:
+            raise DimensionError(f"blocks have total dimension {total}, expected {group.dual_dim}")
+        if not canonical:
+            keys = [b.key for b in blocks]
             if len(set(keys)) != len(keys):
                 raise ParameterError("duplicate blocks; merge multiplicities first")
             raise ParameterError("blocks not in canonical order")
-
-    def __getstate__(self) -> dict:
-        # the kept values are left out of a pickle and recomputed on use
-        return {"group": self.group, "blocks": self.blocks}
 
     @property
     @_kept
@@ -336,20 +332,20 @@ def good_parity(psi: ArthurParameter) -> GoodParityReport:
     return GoodParityReport(all(r.ok for r in reports), reports)
 
 
-@dataclass(frozen=True)
-class InfChar:
+class InfChar(_Value):
     """Infinitesimal character: a Weyl orbit (G side, stored dominant) or a
     negation-symmetric multiset (GL side, stored sorted descending).
 
     The Weyl group is not stored: two G-side characters are equal when
     their dominant representatives are."""
 
-    side: str
-    doubled: tuple[int, ...]
+    __slots__ = ("side", "doubled")
 
-    def __post_init__(self) -> None:
-        if self.side not in ("G", "GL"):
+    def __init__(self, side: str, doubled: tuple[int, ...]) -> None:
+        if side not in ("G", "GL"):
             raise ParameterError("side must be 'G' or 'GL'")
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "doubled", doubled)
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -532,8 +528,7 @@ def _signs(mask: int, k: int) -> tuple[int, ...]:
 _CHARACTER_ERROR = "character values must be +-1 per basis block"
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(_Value):
     """A(psi) as sign vectors on the distinct blocks.
 
     ``dims`` holds the full isotypic dimensions; when the dual group is
@@ -548,13 +543,20 @@ class ComponentGroup:
     are listed only when read.
     """
 
-    basis: tuple[Block, ...]
-    dims: tuple[int, ...]
-    det_relation: bool
-    s_psi: tuple[int, ...]
-    odd: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("basis", "dims", "det_relation", "s_psi", "odd", "__dict__")
+    _derived = ("odd",)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        basis: tuple[Block, ...],
+        dims: tuple[int, ...],
+        det_relation: bool,
+        s_psi: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "det_relation", det_relation)
+        object.__setattr__(self, "s_psi", s_psi)
         odd = sum(1 << b for b, d in enumerate(reversed(self.dims)) if d % 2)
         object.__setattr__(self, "odd", odd if self.det_relation else 0)
 
@@ -618,8 +620,7 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
     )
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(_Value):
     """The surjection A(psi_+) -> A(psi) that merges separated copies.
 
     ``fibers[j]`` is the mask of the source blocks over target block j.
@@ -628,12 +629,15 @@ class QuotientMap:
     fiber, and its image takes that constant on each.  Each character
     pushed is pushed once and its image (or None) kept on the map."""
 
-    source: ComponentGroup
-    target: ComponentGroup
-    index_map: tuple[int, ...]
-    fibers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "index_map", "fibers", "__dict__")
+    _derived = ("fibers",)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, source: ComponentGroup, target: ComponentGroup, index_map: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "index_map", index_map)
         k = len(self.source.basis)
         fibers = [0] * len(self.target.basis)
         for i, j in enumerate(self.index_map):

@@ -15,8 +15,8 @@ weight to its dominant representative and pairs weights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 __all__ = [
@@ -34,18 +34,66 @@ __all__ = [
 _FAMILIES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class GroupType:
+class _Value:
+    """Base of the package's frozen value classes: each compares, hashes,
+    prints, pickles and copies as a frozen dataclass of the same fields,
+    without the methods that a dataclass compiles at every import.
+
+    A subclass lists in ``__slots__`` its fields, in constructor order,
+    then any attributes its ``__init__`` derives from them (named again in
+    ``_derived``), and ``"__dict__"`` if it keeps memos; ``_fields``, as on
+    a named tuple, names the fields.  Its ``__init__`` checks and sets them
+    with ``object.__setattr__``; after it, assigning or deleting an
+    attribute raises ``AttributeError``.  Two values are equal when they
+    have one class and equal fields, the hash is that of the tuple of
+    fields, and ``repr`` is ``Class(field=value, ...)``.  Derived
+    attributes and memos take no part: a pickle or a copy calls the
+    constructor on the fields, which derives them again, with no memos.
+    """
+
+    __slots__ = ()
+    _derived: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(s for s in cls.__slots__ if s not in cls._derived and not s.startswith("__"))
+        get = attrgetter(*fields)
+        cls._fields = fields
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class GroupType(_Value):
     """A classical Weyl group acting on ``rank`` coordinates."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 0:
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < 0:
             raise ValueError("rank must be >= 0")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -58,11 +106,13 @@ def _coerce_doubled(value) -> int:
     return int(d)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """Vector of half-integers; ``doubled`` holds twice each coordinate."""
 
-    doubled: tuple[int, ...]
+    __slots__ = ("doubled",)
+
+    def __init__(self, doubled: tuple[int, ...]) -> None:
+        object.__setattr__(self, "doubled", doubled)
 
     def __len__(self) -> int:
         return len(self.doubled)

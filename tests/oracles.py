@@ -2,21 +2,27 @@
 
 Each is a plain, slow or direct form of something the package computes
 another way: the whole Weyl group and its orbits, the dominant-chamber
-test, delta(u) of a Levi layout, the quasi-split test of a real form, and
+test, delta(u) of a Levi layout, the quasi-split test of a real form,
 parameter merging and enumeration with a new block for every block and
-every search node.  None of them is part of the package.
+every search node, and the frozen dataclasses that the value classes of
+``weyl`` and ``params`` replaced.  None of them is part of the package.
+
+The dataclasses carry the package's class names, so that their ``repr``
+is comparable; the package's own classes are named through their
+modules here (``params.Block``, ``weyl.Weight``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from arthurcomb import params, weyl
 from arthurcomb.aq import _layout_roots
-from arthurcomb.params import ArthurParameter, Block, ClassicalGroup, _block_candidates
-from arthurcomb.weyl import GroupType, Weight, _check_length
+from arthurcomb.params import DimensionError, ParameterError, _block_candidates
 
 
 @dataclass(frozen=True)
@@ -27,7 +33,7 @@ class SignedPermutation:
     signs: tuple[int, ...]
 
 
-def weyl_elements(t: GroupType) -> Iterator[SignedPermutation]:
+def weyl_elements(t: weyl.GroupType) -> Iterator[SignedPermutation]:
     """Enumerate the full acting group: S_n for A, every signed
     permutation for B, C and D.  Intended for small ranks."""
     n = t.rank
@@ -39,22 +45,22 @@ def weyl_elements(t: GroupType) -> Iterator[SignedPermutation]:
             yield SignedPermutation(perm, signs)
 
 
-def apply(g: SignedPermutation, w: Weight) -> Weight:
+def apply(g: SignedPermutation, w: weyl.Weight) -> weyl.Weight:
     if len(w) != len(g.src):
         raise ValueError("length mismatch")
-    return Weight(tuple(s * w.doubled[i] for s, i in zip(g.signs, g.src)))
+    return weyl.Weight(tuple(s * w.doubled[i] for s, i in zip(g.signs, g.src)))
 
 
-def brute_orbit(t: GroupType, w: Weight) -> set[Weight]:
+def brute_orbit(t: weyl.GroupType, w: weyl.Weight) -> set[weyl.Weight]:
     """Apply every group element."""
     return {apply(g, w) for g in weyl_elements(t)}
 
 
-def is_dominant(t: GroupType, w: Weight) -> bool:
+def is_dominant(t: weyl.GroupType, w: weyl.Weight) -> bool:
     """w pairs >= 0 with every simple root of t.  For D the acting group
     also flips one sign, so each of its orbits meets this chamber twice
     when no entry is zero."""
-    _check_length(t, w)
+    weyl._check_length(t, w)
     c = w.doubled
     if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
         return False
@@ -66,13 +72,13 @@ def is_dominant(t: GroupType, w: Weight) -> bool:
     return len(c) < 2 or c[-2] >= abs(c[-1])
 
 
-def delta_u(a_list: tuple[int, ...], n0: int, kind: str) -> Weight:
+def delta_u(a_list: tuple[int, ...], n0: int, kind: str) -> weyl.Weight:
     """Half sum of the nilradical roots; constant on each unitary block,
     zero on the residual coordinates."""
-    return Weight(_layout_roots(tuple(a_list), n0, kind)[1])
+    return weyl.Weight(_layout_roots(tuple(a_list), n0, kind)[1])
 
 
-def quasi_split(g: ClassicalGroup) -> bool | None:
+def quasi_split(g: params.ClassicalGroup) -> bool | None:
     if g.kind == "Sp":
         return True
     if g.signature is None:
@@ -81,36 +87,225 @@ def quasi_split(g: ClassicalGroup) -> bool | None:
     return abs(p - q) == 1 if g.kind == "SOodd" else abs(p - q) <= 2
 
 
-def arthur_parameter(group: ClassicalGroup, blocks: Iterable[Block]) -> ArthurParameter:
+def arthur_parameter(
+    group: params.ClassicalGroup, blocks: Iterable[params.Block]
+) -> params.ArthurParameter:
     """Merge equal blocks by summing multiplicities per key, then build
     every block anew and sort canonically."""
     merged: dict[tuple[int, int, int], int] = {}
     for b in blocks:
         merged[b.key] = merged.get(b.key, 0) + b.mult
-    out = [Block(t2, a, eta, m) for (t2, a, eta), m in merged.items()]
+    out = [params.Block(t2, a, eta, m) for (t2, a, eta), m in merged.items()]
     out.sort(key=lambda b: b.key, reverse=True)
-    return ArthurParameter(group, tuple(out))
+    return params.ArthurParameter(group, tuple(out))
 
 
 def enumerate_parameters(
-    group: ClassicalGroup, t_max=Fraction(7, 2), a_max: int = 4
-) -> Iterator[ArthurParameter]:
+    group: params.ClassicalGroup, t_max=Fraction(7, 2), a_max: int = 4
+) -> Iterator[params.ArthurParameter]:
     """Every good-parity parameter with bounded block data, by recursion
     over the candidate blocks with a new block at each search node."""
     cands = _block_candidates(group, int(Fraction(t_max) * 2), a_max)
 
-    def rec(idx: int, remaining: int, chosen: list[Block]) -> Iterator[ArthurParameter]:
+    def rec(idx: int, remaining: int, chosen: list[params.Block]) -> Iterator[params.ArthurParameter]:
         if remaining == 0:
-            yield ArthurParameter(group, tuple(chosen))
+            yield params.ArthurParameter(group, tuple(chosen))
             return
         if idx == len(cands):
             return
         b = cands[idx]
         unit = b.rho_dim * b.a
         for m in range(remaining // unit, 0, -1):
-            chosen.append(Block(b.t2, b.a, b.eta, m))
+            chosen.append(params.Block(b.t2, b.a, b.eta, m))
             yield from rec(idx + 1, remaining - unit * m, chosen)
             chosen.pop()
         yield from rec(idx + 1, remaining, chosen)
 
     yield from rec(0, group.dual_dim, [])
+
+
+# --- the frozen dataclasses the value classes replaced -----------------------
+#
+# Fields, checks, derived fields and ``__str__`` as the package defined
+# them before; a check reads the properties it needs (``dim``, ``key``,
+# ``dual_dim``, ``space_dim``), and nothing else is kept.
+
+
+@dataclass(frozen=True)
+class GroupType:
+    family: str
+    rank: int
+
+    def __post_init__(self) -> None:
+        if self.family not in ("A", "B", "C", "D"):
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.rank < 0:
+            raise ValueError("rank must be >= 0")
+
+    def __str__(self) -> str:
+        return f"{self.family}{self.rank}"
+
+
+@dataclass(frozen=True)
+class Weight:
+    doubled: tuple[int, ...]
+
+    def __str__(self) -> str:
+        return "(" + ",".join(str(Fraction(d, 2)) for d in self.doubled) + ")"
+
+
+@dataclass(frozen=True)
+class ClassicalGroup:
+    kind: str
+    rank: int
+    signature: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("Sp", "SOodd", "SOeven"):
+            raise ParameterError(f"unknown kind {self.kind!r}")
+        if self.rank < 0:
+            raise ParameterError("rank must be >= 0")
+        if self.kind == "Sp":
+            if self.signature is not None:
+                raise ParameterError("Sp takes no signature")
+            return
+        if self.signature is not None:
+            p, q = self.signature
+            if p < 0 or q < 0:
+                raise ParameterError("negative signature")
+            if p + q != self.space_dim:
+                raise ParameterError(
+                    f"signature {p}+{q} != {self.space_dim} for {self.kind} rank {self.rank}"
+                )
+
+    @property
+    def space_dim(self) -> int:
+        return 2 * self.rank + 1 if self.kind == "SOodd" else 2 * self.rank
+
+    @property
+    def dual_dim(self) -> int:
+        return 2 * self.rank + 1 if self.kind == "Sp" else 2 * self.rank
+
+    def __str__(self) -> str:
+        if self.kind == "Sp":
+            return f"Sp({2 * self.rank},R)"
+        if self.signature is not None:
+            return f"SO({self.signature[0]},{self.signature[1]})"
+        return f"{self.kind}[{self.space_dim}]"
+
+
+@dataclass(frozen=True)
+class Block:
+    t2: int
+    a: int
+    eta: int = 1
+    mult: int = 1
+
+    def __post_init__(self) -> None:
+        if self.t2 < 0:
+            raise ParameterError("t must be >= 0")
+        if self.a < 1 or self.mult < 1:
+            raise ParameterError("a and mult must be >= 1")
+        if self.eta not in (1, -1):
+            raise ParameterError("eta must be +1 or -1")
+        if self.t2 > 0 and self.eta != 1:
+            object.__setattr__(self, "eta", 1)
+
+    @property
+    def dim(self) -> int:
+        return (1 if self.t2 == 0 else 2) * self.a * self.mult
+
+    @property
+    def key(self) -> tuple[int, int, int]:
+        return (self.t2, self.a, self.eta)
+
+    def __str__(self) -> str:
+        if self.t2 == 0:
+            rho = "triv" if self.eta == 1 else "sgn"
+        else:
+            rho = f"I[{Fraction(self.t2, 2)}]"
+        s = f"{rho}*R[{self.a}]"
+        return s if self.mult == 1 else f"{s}^{self.mult}"
+
+
+@dataclass(frozen=True)
+class ArthurParameter:
+    group: ClassicalGroup
+    blocks: tuple[Block, ...]
+
+    def __post_init__(self) -> None:
+        total = sum(b.dim for b in self.blocks)
+        if total != self.group.dual_dim:
+            raise DimensionError(
+                f"blocks have total dimension {total}, expected {self.group.dual_dim}"
+            )
+        keys = [b.key for b in self.blocks]
+        if keys != sorted(set(keys), reverse=True):
+            if len(set(keys)) != len(keys):
+                raise ParameterError("duplicate blocks; merge multiplicities first")
+            raise ParameterError("blocks not in canonical order")
+
+    def __str__(self) -> str:
+        return f"{self.group}: " + " + ".join(str(b) for b in self.blocks)
+
+
+@dataclass(frozen=True)
+class InfChar:
+    side: str
+    doubled: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.side not in ("G", "GL"):
+            raise ParameterError("side must be 'G' or 'GL'")
+
+    def __str__(self) -> str:
+        body = ",".join(str(Fraction(d, 2)) for d in self.doubled)
+        return ("{" + body + "}") if self.side == "GL" else ("(" + body + ")")
+
+
+@dataclass(frozen=True)
+class ComponentGroup:
+    basis: tuple[Block, ...]
+    dims: tuple[int, ...]
+    det_relation: bool
+    s_psi: tuple[int, ...]
+    odd: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        odd = sum(1 << b for b, d in enumerate(reversed(self.dims)) if d % 2)
+        object.__setattr__(self, "odd", odd if self.det_relation else 0)
+
+
+@dataclass(frozen=True)
+class QuotientMap:
+    source: ComponentGroup
+    target: ComponentGroup
+    index_map: tuple[int, ...]
+    fibers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        k = len(self.source.basis)
+        fibers = [0] * len(self.target.basis)
+        for i, j in enumerate(self.index_map):
+            fibers[j] |= 1 << (k - 1 - i)
+        object.__setattr__(self, "fibers", tuple(fibers))
+
+
+TWINS = {
+    cls.__name__: cls
+    for cls in (
+        GroupType, Weight, ClassicalGroup, Block, ArthurParameter, InfChar, ComponentGroup, QuotientMap
+    )
+}
+
+
+def twin(value):
+    """The dataclass form of a package value: a value class becomes its
+    twin, built from its fields (each converted in turn), and a tuple is
+    converted item by item; anything else is returned as it is."""
+    if isinstance(value, tuple):
+        return tuple(twin(v) for v in value)
+    cls = TWINS.get(type(value).__name__)
+    if cls is None or type(value) is cls:
+        return value
+    return cls(*(twin(getattr(value, f.name)) for f in dataclasses.fields(cls) if f.init))

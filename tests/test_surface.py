@@ -10,10 +10,10 @@ point or by a reached definition.  A name that only its own definition,
 an ``__all__`` list, an import or unreached code reads is not reached.
 A reached class brings in its decorators, bases, fields and dunder
 methods; any other method of it is reached only when its name is read.
-A record field (of a dataclass or a named tuple) or public method of a
-reached class is read when an
-entry point or a reached definition reads an attribute of that name; a
-keyword argument to a constructor is not a read.  A name that two reached
+A record field (of a dataclass or a named tuple), a slot of a value
+class or a public method of a reached class is read when an entry point
+or a reached definition reads an attribute of that name; a keyword
+argument to a constructor is not a read.  A name that two reached
 classes define is listed with its classes in ``SHARED_MEMBERS``, whose
 reads were checked by hand.  Every name a ``src`` module imports is read
 in that module or listed in its ``__all__``.
@@ -181,7 +181,8 @@ SHARED_MEMBERS = {
 
 
 def unread_members(extra: str = "") -> list[str]:
-    """``Class.member`` for every record field and public method of a
+    """``Class.member`` for every record field, slot (``__slots__`` names
+    other than ``__dict__`` and ``__weakref__``) and public method of a
     reached class that neither an entry point nor a reached definition
     reads as an attribute (``obj.member``), outside ``MEMBERS_KEPT``; and
     for every member whose name another reached class defines too, unless
@@ -205,12 +206,17 @@ def unread_members(extra: str = "") -> list[str]:
                 continue
             for stmt in cls.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    name = stmt.target.id
+                    names = [stmt.target.id]
+                elif isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    names = [n for n in ast.literal_eval(stmt.value) if not n.startswith("__")]
                 elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-                    name = stmt.name
+                    names = [stmt.name]
                 else:
                     continue
-                owners.setdefault(name, []).append(cls.name)
+                for name in names:
+                    owners.setdefault(name, []).append(cls.name)
     out = []
     for name, classes in owners.items():
         shared = len(classes) > 1 and tuple(sorted(classes)) != SHARED_MEMBERS.get(name)
@@ -291,21 +297,39 @@ def test_an_unread_named_tuple_field_is_flagged():
     assert "BlindTuple.zzz_only_here" in unread_members(_BLIND_TUPLE)
 
 
+# The same as a value class, the third record idiom: its fields are its
+# slots, which its own __init__ sets without reading them.
+_BLIND_VALUE = """
+from arthurcomb.weyl import _Value
+
+
+class BlindValue(_Value):
+    __slots__ = ("zzz_only_here", "__dict__")
+
+    def __init__(self, zzz_only_here):
+        object.__setattr__(self, "zzz_only_here", zzz_only_here)
+
+    def _never_called(self):
+        return self.zzz_only_here
+
+
+BlindValue(zzz_only_here=0)
+"""
+
+
+def test_an_unread_value_class_slot_is_flagged():
+    unread = [m for m in unread_members(_BLIND_VALUE) if m.startswith("BlindValue.")]
+    assert unread == ["BlindValue.zzz_only_here"]  # and not __dict__
+
+
 # The record rule: a value record is a ``typing.NamedTuple``, cheap to
-# define at import and to build.  These are the frozen dataclasses kept,
-# each with its reason.
+# define at import and to build, and a type that validates, derives
+# attributes or keeps memos is a slotted value class (``weyl._Value``).
+# These are the frozen dataclasses kept, each with its reason.
 DATACLASSES_KEPT = {
-    "ClassicalGroup": "validates in __post_init__",
-    "Block": "validates in __post_init__ and normalizes eta there",
-    "ArthurParameter": "validates in __post_init__ and keeps memos in __dict__",
-    "InfChar": "validates in __post_init__",
-    "ComponentGroup": "computes odd, a field(init=False)",
-    "QuotientMap": "computes fibers, a field(init=False)",
-    "FiltrationReport": "items is an _OnFirstRead field, decoded on its first read",
+    "FiltrationReport": "perfbench/selftest.py perturbs it with dataclasses.replace",
     "TranslatedPacket": "perfbench/selftest.py perturbs it with dataclasses.replace",
     "UniquenessReport": "perfbench/selftest.py perturbs it with dataclasses.replace",
-    "GroupType": "validates in __post_init__",
-    "Weight": "overrides __len__ and +, which a tuple subclass must not",
 }
 
 
@@ -330,8 +354,8 @@ NAMED_TUPLES = [cls.name for cls in _src_classes() if "NamedTuple" in _names(cls
 
 def test_every_dataclass_is_kept_for_a_listed_reason():
     assert sorted(DATACLASSES) == sorted(DATACLASSES_KEPT), (
-        "a dataclass outside DATACLASSES_KEPT (make it a NamedTuple, or list "
-        "its reason), or a listed one that is gone: "
+        "a dataclass outside DATACLASSES_KEPT (make it a NamedTuple or a "
+        "weyl._Value class, or list its reason), or a listed one that is gone: "
         + ", ".join(sorted(set(DATACLASSES) ^ set(DATACLASSES_KEPT)))
     )
 
