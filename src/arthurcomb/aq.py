@@ -19,7 +19,6 @@ order.
 
 from __future__ import annotations
 
-import collections
 import functools
 import heapq
 import itertools
@@ -550,51 +549,9 @@ def _delta_l1(a_list: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for a in a_list for v in half_sum_positive_roots(GroupType("A", a)).doubled)
 
 
-_SweepInfo = collections.namedtuple("_SweepInfo", "hits misses maxsize currsize")
-
-
-class _SweepCache:
-    """The cache of ``_layout_sweep``: least recently used first out, at
-    most ``maxsize`` entries, with ``cache_info`` and ``cache_clear`` as
-    ``functools.lru_cache`` has them.
-
-    A sweep that did not stop at the cap is kept under its whole key.  A
-    sweep that stopped at the cap is kept under the key without its height
-    and answers every height at or above its stop layer, since the height
-    does not change the order in which the sweep finds its states
-    (``_layout_sweep``); a call at a lower height has a key of its own.
-    A call answered from an entry counts as a hit, a sweep run as a miss.
-    """
-
-    maxsize = 256
-
-    def __init__(self, sweep):
-        functools.update_wrapper(self, sweep)
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self.entries: collections.OrderedDict = collections.OrderedDict()
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> _SweepInfo:
-        return _SweepInfo(self.hits, self.misses, self.maxsize, len(self.entries))
-
-    def __call__(self, a_list, n0, kind, height, cap):
-        # entry[2] is the sweep's truncation flag, entry[3] its layer count
-        base = (a_list, n0, kind, cap)
-        capped = self.entries.get(base)
-        key = base if capped is not None and height >= capped[3] else base + (height,)
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self.entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        entry = self.__wrapped__(a_list, n0, kind, height, cap)
-        self.entries[base if entry[2] else key] = entry
-        if len(self.entries) > self.maxsize:
-            self.entries.popitem(last=False)
-        return entry
+# (layout, cap) -> (L, h): a sweep of the layout at height h stopped at
+# the cap in its L-th layer, and answers every height >= L (``_layout_sweep``)
+_STOP_LAYERS: dict[tuple[tuple[int, ...], int, str, int], tuple[int, int]] = {}
 
 
 def _layout_rows(
@@ -623,14 +580,14 @@ def _layout_rows(
     return tuple(map(tuple.__add__, roots, zip(*columns))), n + len(dominance)
 
 
-@_SweepCache
+@functools.lru_cache(maxsize=256)
 def _layout_sweep(
     a_list: tuple[int, ...],
     n0: int,
     kind: str,
     height: int,
     cap: int,
-) -> tuple[int, int, bool, int, _Digits, int, bytes]:
+) -> tuple[int, int, bool, _Digits, bytes, bytes]:
     """The dominant part of the monoid sweep of one layout, height and cap.
 
     The packed rows hold the coordinates of each nilradical root r, its
@@ -641,13 +598,13 @@ def _layout_sweep(
     (``filtration_vanishing``), so every parameter of the layout shares
     one entry.
 
-    Returns ``(enumerated, dominant_count, truncated, layers, digits, head,
-    suspects)``: the counts and truncation flag of the sweep, the number
-    of layers it built, its digit layout, and two strings of packed states
-    (``digits.to_bytes``), each in increasing order: in ``head`` the first
-    ``_REPORTED_ITEMS`` dominant states (all of them if there are fewer),
-    in ``suspects`` every suspect among all the dominant states, those of
-    the head included.  Nothing else is kept.
+    Returns ``(enumerated, dominant_count, truncated, digits, head,
+    suspects)``: the counts and truncation flag of the sweep, its digit
+    layout, and two strings of packed states (``digits.to_bytes``), each
+    in increasing order: in ``head`` the first ``_REPORTED_ITEMS``
+    dominant states (all of them if there are fewer), in ``suspects``
+    every suspect among all the dominant states, those of the head
+    included.  Nothing else is kept.
 
     A sweep that stops at the cap does so in its last layer, the L-th,
     which is empty when the cap was reached exactly at the end of layer
@@ -661,16 +618,24 @@ def _layout_sweep(
     whatever the widths, and the rows in their given order.  So they find
     the same states in the same order and stop at the same state.  Their
     counts, flag, head and suspects are then equal, and the entry's own
-    ``digits`` decode its ``head`` and ``suspects``.  So ``_SweepCache``
-    keeps one entry for every height >= L.  A height below L builds fewer
-    layers and does not stop at the cap, and a sweep that did not stop at
-    the cap may grow with the height, so both keep the height in their
-    key.
+    ``digits`` decode its ``head`` and ``suspects``.
+
+    So the first sweep of a (layout, cap) that stops at the cap records
+    (L, height) in ``_STOP_LAYERS``, and ``filtration_vanishing`` makes
+    every call at a height >= L at that recorded height, so that all of
+    them read one cache entry.  L depends on the coordinates alone, as
+    the appended columns are functions of them, so a record never goes
+    stale: after ``cache_clear`` or an eviction the call runs the sweep
+    again at the recorded height.  A height below L builds fewer layers
+    and does not stop at the cap, and a sweep that did not stop at the cap
+    may grow with the height, so both are cached under their own height.
     """
     n_u = sum(a_list)
     n = n_u + n0
     rows, k = _layout_rows(a_list, n0, kind)
     layers, truncated, digits = _monoid_sums(rows, height, cap)
+    if truncated:
+        _STOP_LAYERS.setdefault((a_list, n0, kind, cap), (len(layers), height))
 
     dom_c, dom_h = digits.nonneg(range(n, k))
     pair_c, pair_h = digits.nonneg((k,))
@@ -687,7 +652,6 @@ def _layout_sweep(
         sum(map(len, layers)),
         sum(map(len, dominant)),
         truncated,
-        len(layers),
         digits,
         digits.to_bytes(head),
         digits.to_bytes(suspects),
@@ -746,13 +710,15 @@ def filtration_vanishing(
 
     The monoid, the dominance test and the suspect test depend only on the
     layout (block sizes, residual rank and kind), the height and the state
-    cap, so ``_layout_sweep`` caches one sweep per key ``(layout, height,
-    cap)`` and every parameter that shares the key reads it.  A sweep that
-    stops at the cap in its L-th layer is the same sweep at every height
-    >= L, as it finds its states in an order that no height changes
-    (``_layout_sweep``), so it is run once and read at all those heights;
-    a lower height, or a sweep that did not stop at the cap, keeps a key
-    of its own.
+    cap, so ``_layout_sweep`` is an ``lru_cache`` of one sweep per key
+    ``(layout, height, cap)`` and every parameter that shares the key reads
+    it.  A sweep that stops at the cap in its L-th layer is the same sweep
+    at every height >= L, as it finds its states in an order that no
+    height changes (``_layout_sweep``).  Its (L, h) sits in
+    ``_STOP_LAYERS`` under (layout, cap), and a call at a height >= L is
+    made at h, so the sweep is run once and read at all those heights; a
+    lower height, or a sweep that did not stop at the cap, keeps a key of
+    its own.
 
     ``_decode_items`` turns a state into a ``FiltrationItem``, computing the
     two pairings and the norm in 4x integers; the violations are the
@@ -787,8 +753,9 @@ def filtration_vanishing(
     dominant_count = 0
     truncated = False
     if roots:
-        enumerated, dominant_count, truncated, _layers, digits, head, suspects = _layout_sweep(
-            a_list, n0, kind, height_bound, state_cap
+        stop, ran_at = _STOP_LAYERS.get((a_list, n0, kind, state_cap), (0, height_bound))
+        enumerated, dominant_count, truncated, digits, head, suspects = _layout_sweep(
+            a_list, n0, kind, ran_at if height_bound >= stop else height_bound, state_cap
         )
         decode = functools.partial(_decode_items, digits, n, lam_d, delta_d)
         candidates = digits.from_bytes(suspects)

@@ -122,14 +122,6 @@ class Weight(_Value):
             raise ValueError("length mismatch")
         return Weight(tuple(a + b for a, b in zip(self.doubled, other.doubled)))
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return Weight(tuple(a - b for a, b in zip(self.doubled, other.doubled)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.doubled))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(Fraction(d, 2)) for d in self.doubled) + ")"
 

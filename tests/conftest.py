@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from arthurcomb.aq import aq_datum, enumerate_levis, packet_data
+from arthurcomb.aq import aq_datum, enumerate_levis, packet_data, translate_packet
 from arthurcomb.params import ClassicalGroup, arthur_parameter, block, component_group
 
 
@@ -35,6 +36,27 @@ def full_packet():
     """Builds the packet of a parameter from every Levi datum paired with
     every character of its component group, Levis outermost."""
     return _full_packet
+
+
+def _translates_to_full_packet(psi_plus, psi):
+    """Whether ``translate_packet`` takes the full packet of psi_+ to the
+    full packet of psi: as a multiset, every Levi of psi_+ with every
+    character of A(psi), once each, and |Levis| x (|A(psi_+)| - |A(psi)|)
+    vanishing entries."""
+    result = translate_packet(_full_packet(psi_plus), psi)
+    dropped = len(enumerate_levis(psi_plus)) * (
+        len(component_group(psi_plus).characters()) - len(component_group(psi).characters())
+    )
+    return (
+        Counter(result.packet.entries) == Counter(_full_packet(psi).entries)
+        and len(result.vanishing) == dropped
+    )
+
+
+@pytest.fixture
+def translates_to_full_packet():
+    """Checks the translation statement for a domination pair (psi_+, psi)."""
+    return _translates_to_full_packet
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -195,10 +195,11 @@ def test_criterion_6_filtration_vanishing():
     assert (sweeps.misses, sweeps.hits) == (151, 787)
 
 
-def test_criterion_7_translation_round_trip(full_packet):
+def test_criterion_7_translation_round_trip(full_packet, translates_to_full_packet):
     start = time.time()
     identity_failures = 0
     count_failures = 0
+    packet_failures = 0
     kernel_failures = 0
     checked = 0
     for psi in corpus(signed=True):
@@ -212,6 +213,9 @@ def test_criterion_7_translation_round_trip(full_packet):
         result = translate_packet(pk_plus, psi)
         if len(result.packet.entries) + len(result.vanishing) != len(pk_plus.entries):
             count_failures += 1
+        # the full packet of psi_+ translates to the full packet of psi
+        if not translates_to_full_packet(plus, psi):
+            packet_failures += 1
         qm = quotient_map(plus, psi)
         image = {qm.push(s) for s in qm.source.elements}
         if image != set(qm.target.elements):
@@ -222,12 +226,13 @@ def test_criterion_7_translation_round_trip(full_packet):
             kernel_failures += 1
         checked += 1
     elapsed = time.time() - start
-    ok = identity_failures == 0 and count_failures == 0 and kernel_failures == 0
+    ok = identity_failures == count_failures == packet_failures == kernel_failures == 0
     report(
         7,
         ok,
         f"packet translation over {checked} parameters: {identity_failures} identity, "
-        f"{count_failures} count, {kernel_failures} quotient failures, {elapsed:.1f}s",
+        f"{count_failures} count, {packet_failures} full-packet, {kernel_failures} "
+        f"quotient failures, {elapsed:.1f}s",
     )
 
 

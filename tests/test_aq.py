@@ -1,4 +1,5 @@
 import gc
+import itertools
 import pickle
 import weakref
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arthurcomb import params
 from arthurcomb.aq import (
     AqDatum,
     LeviDatum,
@@ -359,6 +361,34 @@ def test_translate_packet_kernel_vanishing(full_packet):
     # exactly the characters with unequal values on the two copies vanish
     for _datum, eps in result.vanishing:
         assert eps[0] != eps[1]
+
+
+def _leaky_push_character(self, values_plus):
+    """``QuotientMap.push_character`` with a wrong descent rule: a character
+    that is not constant on a fiber of two blocks descends, as -1 there,
+    in place of vanishing."""
+    c = params._mask(values_plus, len(self.source.basis), params._CHARACTER_ERROR)
+    out = 0
+    for f in self.fibers:
+        part = c & f
+        if part and part != f and f.bit_count() != 2:
+            return None
+        out = out << 1 | (part != 0)
+    return params._signs(min(out, out ^ self.target.odd), len(self.fibers))
+
+
+@pytest.mark.parametrize("leaky", [False, True])
+def test_full_packet_check_fails_on_a_wrong_descent(monkeypatch, translates_to_full_packet, leaky):
+    """Criterion 7's full-packet check passes on the first 30 corpus
+    parameters, and fails on 4 of them when a character that is not
+    constant on a 2-element fiber descends."""
+    if leaky:
+        monkeypatch.setattr(params.QuotientMap, "push_character", _leaky_push_character)
+    failures = sum(
+        not translates_to_full_packet(dominate(psi, canonical_offsets(psi)), psi)
+        for psi in itertools.islice(corpus(signed=True), 30)
+    )
+    assert failures == (4 if leaky else 0)
 
 
 def test_translate_packet_rejects_mismatched_shifts(ex1):

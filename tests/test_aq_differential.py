@@ -781,6 +781,34 @@ def test_capped_sample_sweeps_are_run_once_for_every_height_at_or_above_their_st
     assert min(checked.values()) >= 5, checked
 
 
+def test_evicted_capped_sweep_runs_again_at_its_recorded_height(monkeypatch):
+    """Once a capped sweep has left the cache, a call at another height at
+    or above its stop layer runs one sweep, at the height that
+    ``_STOP_LAYERS`` recorded, and reports what the oracle reports at the
+    requested height."""
+    cap = 37
+    psi, _plus, datum, height = next(
+        case for case in _sample() if _layers(case[2], case[3], cap)[1]
+    )
+    aq._layout_sweep.cache_clear()
+    assert aq.filtration_vanishing(datum, psi, height_bound=height, state_cap=cap).truncated
+    levi = datum.levi
+    stop, ran_at = aq._STOP_LAYERS[(levi.a_list, levi.g0.rank, levi.g0.kind, cap)]
+    # fill the cache with cheap sweeps: one root, three states, no cap reached
+    for small_cap in range(1000, 1000 + aq._layout_sweep.cache_info().maxsize):
+        aq._layout_sweep((1,), 0, "Sp", 2, small_cap)
+    heights = []
+    monoid_sums = aq._monoid_sums
+    monkeypatch.setattr(
+        aq, "_monoid_sums", lambda rows, h, c: heights.append(h) or monoid_sums(rows, h, c)
+    )
+    requested = stop if stop != ran_at else stop + 1
+    rep = aq.filtration_vanishing(datum, psi, height_bound=requested, state_cap=cap)
+    assert heights == [ran_at]
+    assert rep.height_bound == requested
+    assert rep == old_filtration_vanishing(datum, psi, height_bound=requested, state_cap=cap)
+
+
 # --- violations from the suspects, items on first read ------------------------
 
 

@@ -12,10 +12,10 @@ A reached class brings in its decorators, bases, fields and dunder
 methods; any other method of it is reached only when its name is read.
 A record field (of a dataclass or a named tuple), a slot of a value
 class or a public method of a reached class is read when an entry point
-or a reached definition reads an attribute of that name; a keyword
-argument to a constructor is not a read.  A name that two reached
-classes define is listed with its classes in ``SHARED_MEMBERS``, whose
-reads were checked by hand.  Every name a ``src`` module imports is read
+or a reached definition reads an attribute of that name outside an
+``__init__``; a keyword argument to a constructor is not a read.  A
+name that two reached classes define is listed with its classes in
+``SHARED_MEMBERS``, whose reads were checked by hand.  Every name a ``src`` module imports is read
 in that module or listed in its ``__all__``.
 """
 
@@ -163,6 +163,9 @@ MEMBERS_KEPT = {
     "EndoscopicSplit.psi_plus": "a documented result in README",
     "EndoscopicSplit.n_minus": "the dual dimension n' that the split documents",
     "EndoscopicSplit.n_plus": "the dual dimension n'' that the split documents",
+    "ComponentGroup.dims": "a constructor input of the differential tests and oracles",
+    "ComponentGroup.det_relation": "a constructor input of the differential tests and oracles",
+    "QuotientMap.index_map": "a constructor input of the differential tests and oracles",
 }
 
 
@@ -191,14 +194,19 @@ def unread_members(extra: str = "") -> list[str]:
 
     Reads are by name, as in ``unreached_exports``: a member counts as read
     when any reached code reads an attribute of that name, whatever the
-    object.  A keyword argument of a constructor is not a read."""
+    object.  A keyword argument of a constructor is not a read, and
+    neither is a read in the body of an ``__init__``, which only derives
+    the other members from it."""
     trees, nodes, reached = _reach(extra)
-    attrs = {
-        node.attr
-        for tree in nodes
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    attrs: set[str] = set()
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
     owners: dict[str, list[str]] = {}
     for tree in trees.values():
         for cls in tree.body:
@@ -320,6 +328,28 @@ BlindValue(zzz_only_here=0)
 def test_an_unread_value_class_slot_is_flagged():
     unread = [m for m in unread_members(_BLIND_VALUE) if m.startswith("BlindValue.")]
     assert unread == ["BlindValue.zzz_only_here"]  # and not __dict__
+
+
+# A value class whose __init__ alone reads a slot, to derive another one.
+_BLIND_INIT = """
+from arthurcomb.weyl import _Value
+
+
+class BlindInit(_Value):
+    __slots__ = ("zzz_only_here", "zzz_derived")
+
+    def __init__(self, zzz_only_here):
+        object.__setattr__(self, "zzz_only_here", zzz_only_here)
+        object.__setattr__(self, "zzz_derived", self.zzz_only_here + 1)
+
+
+BlindInit(zzz_only_here=0).zzz_derived
+"""
+
+
+def test_a_slot_read_only_by_its_constructor_is_flagged():
+    unread = [m for m in unread_members(_BLIND_INIT) if m.startswith("BlindInit.")]
+    assert unread == ["BlindInit.zzz_only_here"]
 
 
 # The record rule: a value record is a ``typing.NamedTuple``, cheap to
