@@ -644,6 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    title = f"verify {args.suite}" if args.command == "verify" else args.command
     try:
         psi, options = (None, {}) if args.spec is None else parse_spec(args.spec)
         s = resolve_settings(args, options)
@@ -651,7 +652,6 @@ def main(argv=None) -> int:
         results, verdicts = args.handler(args, psi, s, pair)
         spec = None if psi is None else _psi_payload(psi)
         if args.command == "verify":
-            title = f"verify {args.suite}"
             payload = {
                 "suite": args.suite,
                 "spec": spec,
@@ -668,13 +668,17 @@ def main(argv=None) -> int:
                 "endo_rank": None,
             }
         else:
-            title = args.command
             payload = {"command": args.command, "spec": spec}
         emit_report(make_report(title, payload, s.seed, results, verdicts), args.format)
         return 0 if _all_pass(verdicts) else 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # exit 1 would read as a violation, so running out of memory has a
+        # code of its own
+        print(f"error: {title} ran out of memory; no verdict was reached", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader closed stdout early; what is left unwritten, and the
         # flush at exit, go to os.devnull

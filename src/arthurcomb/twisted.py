@@ -92,18 +92,19 @@ def _kostant_rep(target: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(target)), key=target.__getitem__, reverse=True))
 
 
-def _power_table(entries: tuple[complex, ...], bound: int) -> list[complex]:
-    """e**p for every entry e and every p in [-bound, bound], entry-major."""
-    return [e**p for e in entries for p in range(-bound, bound + 1)]
-
-
 # For each power-table index, that entry's value in each trial of a block.
 _Columns = Sequence[Sequence[complex]]
 
 
-def _columns(tables: Iterable[list[complex]]) -> tuple[tuple[complex, ...], ...]:
-    """Per-trial power tables, transposed into one column per index."""
-    return tuple(zip(*tables))
+def _columns(entries: Sequence[tuple[complex, ...]], bound: int) -> tuple[tuple[complex, ...], ...]:
+    """The power table of a block of trials, given each trial's entries:
+    for every entry e and every p in [-bound, bound], entry-major, the
+    column of e**p across the trials."""
+    return tuple(
+        tuple(map(pow, column, itertools.repeat(p)))
+        for column in zip(*entries)
+        for p in range(-bound, bound + 1)
+    )
 
 
 # One step per Laurent monomial: the length of the prefix it shares with
@@ -131,7 +132,7 @@ def _sweep_steps(xs: Sequence[tuple[int, ...]], bound: int) -> tuple[_Steps, _St
     distinct theta-invariant dominant xs, each owned by its position in
     xs: one step per monomial, over every weight's (target, position)
     pairs, sorted descending, and over its (endoscopic head, position)
-    pairs, ascending.  A monomial's indices, into a ``_power_table`` of the
+    pairs, ascending.  A monomial's indices, into the ``_columns`` of the
     same bound, are those of its non-zero exponents in coordinate order;
     in a sorted list every shared prefix is one run, so it is multiplied
     out once.
@@ -171,16 +172,24 @@ def _sweep_steps(xs: Sequence[tuple[int, ...]], bound: int) -> tuple[_Steps, _St
 def _sums(steps: _Steps, columns: _Columns, count: int, owners: int) -> list[Sequence[complex]]:
     """Each owner's sum of its monomials in each of the ``count`` trials
     of a block.  ``stack[d]`` is the product, left to right from
-    1.0+0.0j, of the current monomial's first d table entries, so every
-    value is bit for bit its direct product, in any monomial order; each
-    owner adds its values with ``+`` from 0.0+0.0j, in step order."""
+    1.0+0.0j, of the current monomial's first d table entries, kept only
+    as deep as the next monomial shares; the rest of a monomial is one
+    chain of lazy products, read once by its owner's sum.  So every
+    distinct prefix is multiplied once, and every value is bit for bit
+    its direct product, in any monomial order; each owner adds its values
+    with ``+`` from 0.0+0.0j, in step order."""
     totals: list[Sequence[complex]] = [(0.0 + 0.0j,) * count] * owners
     stack: list[Sequence[complex]] = [(1.0 + 0.0j,) * count]
-    for shared, rest, owner in steps:
+    nexts = [shared for shared, _rest, _owner in steps[1:]] + [0]
+    for (shared, rest, owner), nxt in zip(steps, nexts):
         del stack[shared + 1 :]
-        for i in rest:
+        keep = max(nxt - shared, 0)
+        for i in rest[:keep]:
             stack.append(list(map(mul, stack[-1], columns[i])))
-        totals[owner] = list(map(add, totals[owner], stack[-1]))
+        value: Iterable[complex] = stack[-1]
+        for i in rest[keep:]:
+            value = map(mul, value, columns[i])
+        totals[owner] = list(map(add, totals[owner], value))
     return totals
 
 
@@ -235,19 +244,20 @@ def verify_transfer_identities(weights: Sequence[Weight], trials: int = 100, see
     Each residual is bit-for-bit that of evaluating every character
     directly: the trials are the first ``trials`` regular draws from
     ``random.Random(seed)``; each character is the product, left to right
-    from 1.0+0.0j, of ``e**k`` (read from a per-trial table) over its
-    non-zero exponents k; the twisted side adds them with ``+`` from
-    0.0+0.0j in coset order (its theta-fixed extremal weights,
-    descending), and the
-    endoscopic side likewise in sorted orbit order.  Every distinct
-    weight's monomials of one side, tagged with the weight, are merged into one
-    sorted list (each weight's own order is sorted already, so the merge
-    keeps it), compiled from the heads (``_sweep_steps``) and evaluated
-    in one pass over a stack of prefix products, which multiplies every
-    shared prefix once.  The trials are drawn and
-    tabulated in blocks of at most ``_BLOCK_VALUES`` values, and every
-    weight is evaluated on a block before the next is drawn, so memory
-    stays flat in ``trials``.
+    from 1.0+0.0j, of ``e**k`` (read from a block's power columns,
+    ``_columns``) over its non-zero exponents k; the twisted side adds
+    them with ``+`` from 0.0+0.0j in coset order (its theta-fixed
+    extremal weights, descending), and the endoscopic side likewise in
+    sorted orbit order.  Every distinct weight's monomials of one side,
+    tagged with the weight, are merged into one sorted list (each
+    weight's own order is sorted already, so the merge keeps it),
+    compiled from the heads (``_sweep_steps``) and evaluated in one pass
+    (``_sums``) that keeps only the prefix products the next monomial
+    shares and multiplies the rest of each monomial straight into its
+    sum; every distinct prefix is multiplied once.  The trials are drawn
+    and tabulated in blocks of at most ``_BLOCK_VALUES`` values, and
+    every weight is evaluated on a block before the next is drawn, so
+    memory stays flat in ``trials``.
     """
     if not weights:
         return []
@@ -259,7 +269,8 @@ def verify_transfer_identities(weights: Sequence[Weight], trials: int = 100, see
     distinct = list(dict.fromkeys(xs))
     bound = max((abs(v) for x in distinct for v in x), default=0)
     sides = _sweep_steps(distinct, bound)
-    # per trial: both power tables, the prefix stack and two sums per weight
+    # per trial: both sides' power columns, the kept prefixes and two sums
+    # per weight
     size = max(1, _BLOCK_VALUES // ((n + m) * (2 * bound + 1) + n + 1 + 2 * len(distinct)))
     owners = len(distinct)
     worst = [0.0] * owners
@@ -268,7 +279,7 @@ def verify_transfer_identities(weights: Sequence[Weight], trials: int = 100, see
         # a trial is (entries, norm map), the twisted and the endoscopic
         # side's; one side's tables are held at a time
         left, right = (
-            _sums(steps, _columns(_power_table(d[side], bound) for d in block), len(block), owners)
+            _sums(steps, _columns([d[side] for d in block], bound), len(block), owners)
             for side, steps in enumerate(sides)
         )
         worst = [max(w, *map(abs, map(sub, a, b))) for w, a, b in zip(worst, left, right)]
@@ -277,8 +288,9 @@ def verify_transfer_identities(weights: Sequence[Weight], trials: int = 100, see
     return [residual[x] for x in xs]
 
 
-# the most complex values (power tables, prefix stack and sums) one block
-# of trials holds, about 1.3 MB
+# the most complex values one block of trials holds, about 1.3 MB: its
+# power columns, the prefix products the next monomial shares (never more
+# than n + 1 rows) and two sums per weight
 _BLOCK_VALUES = 32_768
 
 

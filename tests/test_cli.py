@@ -504,6 +504,19 @@ def test_closed_stdout_exits_two_without_a_traceback(child_env):
     assert closed.stderr == b"error: stdout was closed before the report was written\n"
 
 
+@pytest.mark.parametrize("suite", ["filtration", "all"])
+def test_running_out_of_memory_exits_three_without_a_verdict(ex1_path, monkeypatch, capsys, suite):
+    def exhausted(psi, s, pair):
+        raise MemoryError
+
+    _suite, needs_spec, needs_good_parity = cli.VERIFY_SUITES["filtration"]
+    monkeypatch.setitem(cli.VERIFY_SUITES, "filtration", (exhausted, needs_spec, needs_good_parity))
+    assert main(["verify", suite, "--spec", ex1_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify {suite} ran out of memory; no verdict was reached\n"
+
+
 def test_filtration_levi_rows_share_one_sweep(ex1_path, capsys):
     aq._layout_sweep.cache_clear()
     assert main(["verify", "filtration", "--spec", ex1_path]) == 0

@@ -59,11 +59,11 @@ def _twisted_trace(x, t):
     """The twisted side of a one-weight sweep over the theta-invariant
     dominant x, at the torus element with entries t: the sum of the
     theta-fixed extremal characters, in the sweep's order."""
-    from arthurcomb.twisted import _columns, _power_table, _sums, _sweep_steps
+    from arthurcomb.twisted import _columns, _sums, _sweep_steps
 
     bound = max(map(abs, x), default=0)
     twisted, _endoscopic = _sweep_steps([x], bound)
-    ((trace,),) = _sums(twisted, _columns([_power_table(t, bound)]), 1, 1)
+    ((trace,),) = _sums(twisted, _columns([t], bound), 1, 1)
     return trace
 
 
@@ -233,13 +233,27 @@ def _coset_rep_for_weight(mu, target):
     return tuple(w)
 
 
+def _rearrangements(x):
+    """Oracle: every distinct rearrangement of x, each position taking in
+    turn every distinct value still left."""
+    if not x:
+        yield ()
+        return
+    for v in sorted(set(x), reverse=True):
+        rest = list(x)
+        rest.remove(v)
+        for tail in _rearrangements(tuple(rest)):
+            yield (v,) + tail
+
+
 @functools.cache
 def _oracle_cosets(x):
     """Oracle: every theta-fixed rearrangement of x, descending, by
-    walking all n! orders, with its minimal-length coset representative."""
+    walking all distinct rearrangements, with its minimal-length coset
+    representative."""
     return tuple(
         (_coset_rep_for_weight(x, target), target)
-        for target in sorted(set(itertools.permutations(x)), reverse=True)
+        for target in sorted(_rearrangements(x), reverse=True)
         if theta_weight(target) == target
     )
 
@@ -252,6 +266,10 @@ def test_theta_fixed_cosets_match_full_orbit_oracle():
     for mu in weights:
         n = len(mu)
         x = tuple(d // 2 for d in mu.doubled)
+        # the rearrangements oracle against all n! orders
+        rearranged = list(_rearrangements(x))
+        assert len(set(rearranged)) == len(rearranged), x
+        assert set(rearranged) == set(itertools.permutations(x)), x
         cosets = _oracle_cosets(x)
         assert [(_kostant_rep(t), t) for t in _theta_fixed_targets(x)] == list(cosets), x
         assert kostant_theta_invariance(n, mu) == all(theta_perm(r) == r for r, _t in cosets)
@@ -284,9 +302,9 @@ def test_plan_values_equal_the_direct_products(data):
     count = data.draw(st.integers(1, 4))
     width = 2 * bound + 1
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    tables = [
-        [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n * width)] for _ in range(count)
-    ]
+    entries = [tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)) for _ in range(count)]
+    # each trial's table, entry-major, with each power taken directly
+    tables = [[e**p for e in t for p in range(-bound, bound + 1)] for t in entries]
     # few exponents make shared prefixes; some monomials come twice, in any order
     exponents = st.lists(st.integers(-bound, bound), min_size=n, max_size=n).map(tuple)
     monomials = data.draw(st.lists(st.tuples(exponents, st.integers(0, owners - 1)), max_size=10))
@@ -295,7 +313,7 @@ def test_plan_values_equal_the_direct_products(data):
     monomials = data.draw(st.permutations(monomials))
     for order in (monomials, sorted(monomials, reverse=data.draw(st.booleans()))):
         steps = _old_steps(order, bound)
-        totals = _sums(steps, _columns(tables), count, owners)
+        totals = _sums(steps, _columns(entries, bound), count, owners)
         for trial, table in enumerate(tables):
             for owner in range(owners):
                 total = 0.0 + 0.0j
@@ -439,12 +457,23 @@ ENDO_RANK_CASES = [
     (n, seed, trials) for n in range(7) for seed in (0, 3) for trials in (1, 37)
 ] + [(7, 3, 37), (8, 3, 37)]
 
+# ranks 5 and 6, at a few heads: their monomials are chains of up to 10
+# and 12 products
+DEEP_HEADS = [
+    (2, 2, 1, 1, 1), (2, 1, 1, 0, 0), (2, 2, 2, 2, 2),
+    (2, 1, 1, 1, 1, 1), (1,) * 6, (1, 1, 1, 1, 0, 0),
+]
+
 
 def test_transfer_identity_matches_oracle_for_every_endo_rank():
     for n, seed, trials in ENDO_RANK_CASES:
         for mu in theta_invariant_dominant_weights(n, 3):
             (residual,) = verify_transfer_identities([mu], trials, seed)
             assert residual == _oracle_residual(mu, trials, seed), (mu, seed, trials)
+    for head in DEEP_HEADS:
+        mu = weight(list(head) + [-v for v in reversed(head)])
+        (residual,) = verify_transfer_identities([mu], 5, 3)
+        assert residual == _oracle_residual(mu, 5, 3), mu
 
 
 # (n, max entry, trials); the n = 8 sweep spans many blocks at 1 and 300
@@ -472,7 +501,7 @@ def test_block_cases_span_two_blocks_at_the_default_budget(monkeypatch):
 
     tables = []
     real = twisted._columns
-    monkeypatch.setattr(twisted, "_columns", lambda t: tables.append(None) or real(t))
+    monkeypatch.setattr(twisted, "_columns", lambda *a: tables.append(None) or real(*a))
     n, max_entry, trials = BLOCK_CASES[-1]
     verify_transfer_identities(list(theta_invariant_dominant_weights(n, max_entry)), trials)
     # two sides per block
