@@ -6,7 +6,8 @@ each setting once (flag, then the spec's ``options``, then the default)
 and emit the handler's ``(results, verdicts)`` as one report.
 
 Exit codes: 0 all verdicts pass, 1 at least one violation, 2 input error
-or stdout closed before the report was written.
+or stdout closed before the report was written, 3 out of memory before a
+verdict.
 """
 
 from __future__ import annotations
@@ -505,20 +506,48 @@ def _norm_doubles(nu: InfChar, group: ClassicalGroup) -> bool:
     return sum(d * d for d in gl) == 2 * sum(d * d for d in nu.doubled)
 
 
-def _suite_norms(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
-    rng = random.Random(s.seed)
-    gt = psi.group.gside_type()
+# The values of the verify suites that read nothing of the spec but the
+# group's kind and rank sit in bounded module caches, each keyed by exactly
+# what it reads, so a second ``verify`` with the same key in one process
+# reuses them; every report is still built per call.
+
+
+@functools.lru_cache(maxsize=16)
+def _norm_failures(kind: str, rank: int, seed: int, trials: int) -> int:
+    """How many of ``trials`` seeded random G-side infinitesimal characters
+    of the group fail to double their norm under transfer; keyed by
+    (kind, rank, seed, trials), as the draws never read the signature."""
+    group = ClassicalGroup(kind, rank)
+    gt = group.gside_type()
+    rng = random.Random(seed)
     failures = 0
-    trials = s.trials
     for _ in range(trials):
-        w = Weight(tuple(rng.randint(-14, 14) for _ in range(psi.group.rank)))
-        nu = g_inf_char(gt, w)
-        if not _norm_doubles(nu, psi.group):
+        w = Weight(tuple(rng.randint(-14, 14) for _ in range(rank)))
+        if not _norm_doubles(g_inf_char(gt, w), group):
             failures += 1
+    return failures
+
+
+@functools.lru_cache(maxsize=16)
+def _transfer_residuals(weights: tuple[Weight, ...], trials: int, seed: int) -> tuple[float, ...]:
+    """``verify_transfer_identities(weights, trials, seed)`` as a tuple;
+    keyed by (weights, trials, seed)."""
+    return tuple(verify_transfer_identities(weights, trials, seed))
+
+
+@functools.lru_cache(maxsize=16)
+def _kostant_rows(n: int, weights: tuple[Weight, ...]) -> tuple[tuple[str, bool], ...]:
+    """The sorted (mu, verdict) rows of the Kostant check of each weight;
+    keyed by (n, weights)."""
+    return tuple(sorted((str(mu), kostant_theta_invariance(n, mu)) for mu in weights))
+
+
+def _suite_norms(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
+    failures = _norm_failures(psi.group.kind, psi.group.rank, s.seed, s.trials)
     exact = _norm_doubles(inf_char(psi, "G"), psi.group)
-    results = {"trials": trials, "failures": failures, "nu_psi_doubles": exact}
+    results = {"trials": s.trials, "failures": failures, "nu_psi_doubles": exact}
     ok = failures == 0 and exact
-    return results, [_verdict("norm-doubling", ok, f"{failures} failures in {trials} trials")]
+    return results, [_verdict("norm-doubling", ok, f"{failures} failures in {s.trials} trials")]
 
 
 def _suite_filtration(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, list[dict]]:
@@ -546,8 +575,7 @@ def _suite_filtration(psi: ArthurParameter, s: Settings, pair) -> tuple[dict, li
 
 
 def _suite_twisted(psi, s: Settings, pair) -> tuple[dict, list[dict]]:
-    residuals = verify_transfer_identities(s.weights, s.trials, s.seed)
-    rows = sorted(zip(map(str, s.weights), residuals))
+    rows = sorted(zip(map(str, s.weights), _transfer_residuals(s.weights, s.trials, s.seed)))
     worst = max((r for _m, r in rows), default=0.0)
     results = {
         "n": s.n,
@@ -560,8 +588,7 @@ def _suite_twisted(psi, s: Settings, pair) -> tuple[dict, list[dict]]:
 
 
 def _suite_kostant(psi, s: Settings, pair) -> tuple[dict, list[dict]]:
-    rows = [(str(mu), kostant_theta_invariance(s.n, mu)) for mu in s.weights]
-    rows.sort()
+    rows = _kostant_rows(s.n, s.weights)
     ok = all(r for _m, r in rows)
     results = {"n": s.n, "cases": [{"mu": m, "ok": r} for m, r in rows]}
     return results, [_verdict("kostant", ok, f"{len(rows)} weight(s) checked")]

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from arthurcomb import aq, cli
+from arthurcomb import aq, cli, params
 from arthurcomb.cli import main, parse_spec, parse_spec_data, SpecError
 
 EX1_SPEC = {
@@ -559,6 +559,8 @@ def test_integer_norm_check_agrees_with_fraction_norms(monkeypatch):
     from arthurcomb.params import ClassicalGroup, g_inf_char, gl_inf_char
     from arthurcomb.weyl import Weight, norm_sq
 
+    cli._norm_failures.cache_clear()  # its draws call the patched transfer
+
     def fraction_verdict(nu, group):
         gl = cli.transfer_infchar(nu, group)
         return norm_sq(Weight(gl.doubled)) == 2 * norm_sq(nu.weight)
@@ -698,6 +700,103 @@ def test_text_and_json_agree_on_verdicts(ex1_path, run_cli):
     report = json.loads(j.stdout)
     assert all(v["status"] == "pass" for v in report["verdicts"])
     assert b"overall: pass" in t.stdout
+
+
+# --- memos of the spec-free verify values ------------------------------------------
+# Each test clears them first; no fixture does, so the golden cases after the
+# first `verify all` check memo-served reports against their digests.
+
+
+def _clear_memos():
+    for memo in (cli._norm_failures, cli._transfer_residuals, cli._kostant_rows):
+        memo.cache_clear()
+
+
+def _corpus_spec(tmp_path, kind, rank=2):
+    """The spec of the first corpus parameter of the group, on its quasi-split form."""
+    psi = next(p for p in params.corpus(signed=True) if (p.group.kind, p.group.rank) == (kind, rank))
+    path = tmp_path / f"{kind}{rank}.json"
+    path.write_text(json.dumps(cli._psi_payload(psi)))
+    return str(path)
+
+
+def _stdout(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def _count_calls(monkeypatch, calls, name):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(name) or real(*a))
+
+
+def test_verify_all_on_two_groups_runs_the_spec_free_checks_once(tmp_path, monkeypatch, capsys):
+    _clear_memos()
+    calls = []
+    for name in ("verify_transfer_identities", "kostant_theta_invariance", "g_inf_char"):
+        _count_calls(monkeypatch, calls, name)
+    sp, so = _corpus_spec(tmp_path, "Sp"), _corpus_spec(tmp_path, "SOodd")
+    for path in (sp, so, sp, so):
+        assert _stdout(capsys, ["verify", "all", "--spec", path, "--seed", "7"])[0] == 0
+    # 6 weights of GL(4) with entries <= 2, and 100 norm draws per (kind, rank)
+    assert calls.count("verify_transfer_identities") == 1
+    assert calls.count("kostant_theta_invariance") == 6
+    assert calls.count("g_inf_char") == 2 * 100
+    # the draws read the group's kind and rank, not its signature
+    spec = json.loads(open(so).read())
+    spec["group"]["signature"] = None
+    unsigned = tmp_path / "unsigned.json"
+    unsigned.write_text(json.dumps(spec))
+    reports = [_report(capsys, ["verify", "norms", "--spec", str(p), "--seed", "7"]) for p in (so, unsigned)]
+    assert reports[0][1]["results"] == reports[1][1]["results"]
+    assert calls.count("g_inf_char") == 2 * 100
+
+
+@pytest.mark.parametrize(
+    "flag, value, new",
+    [
+        ("--seed", "8", {"verify_transfer_identities", "g_inf_char"}),
+        ("--trials", "99", {"verify_transfer_identities", "g_inf_char"}),
+        ("--n", "3", {"verify_transfer_identities", "kostant_theta_invariance"}),
+        ("--max-entry", "1", {"verify_transfer_identities", "kostant_theta_invariance"}),
+        ("--mu", "2,1,-1,-2", {"verify_transfer_identities", "kostant_theta_invariance"}),
+    ],
+)
+def test_a_new_key_makes_a_new_call(tmp_path, monkeypatch, capsys, flag, value, new):
+    _clear_memos()
+    calls = []
+    for name in ("verify_transfer_identities", "kostant_theta_invariance", "g_inf_char"):
+        _count_calls(monkeypatch, calls, name)
+    argv = ["verify", "all", "--spec", _corpus_spec(tmp_path, "Sp"), "--seed", "7"]
+    assert _stdout(capsys, argv)[0] == _stdout(capsys, argv)[0] == 0
+    assert set(calls) == {"verify_transfer_identities", "kostant_theta_invariance", "g_inf_char"}
+    calls.clear()
+    argv += [flag, value]
+    report = _stdout(capsys, argv)
+    assert report[0] == 0
+    assert set(calls) == new
+    calls.clear()
+    assert _stdout(capsys, argv) == report
+    assert calls == []
+    _clear_memos()
+    assert _stdout(capsys, argv) == report
+
+
+@pytest.mark.parametrize("kind", ["Sp", "SOodd", "SOeven"])
+def test_memo_served_reports_equal_fresh_ones(tmp_path, capsys, kind):
+    argv = ["verify", "all", "--spec", _corpus_spec(tmp_path, kind), "--seed", "3"]
+    _clear_memos()
+    fresh = _stdout(capsys, argv)
+    _clear_memos()
+    # the twisted-trace and Kostant values of another group's run serve the
+    # next report, and all three memos the one after
+    other = ["verify", "all", "--spec", _corpus_spec(tmp_path, "Sp", 1), "--seed", "3"]
+    assert _stdout(capsys, other)[0] == 0
+    served = [_stdout(capsys, argv) for _ in range(2)]
+    assert cli._norm_failures.cache_info().hits == 1
+    assert cli._transfer_residuals.cache_info().hits == cli._kostant_rows.cache_info().hits == 2
+    assert served == [fresh, fresh]
+    assert fresh[0] == 0 and fresh[1]
 
 
 # --- dependencies ----------------------------------------------------------------
