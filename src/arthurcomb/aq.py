@@ -180,24 +180,26 @@ def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
     Each discrete block of size a contributes a factor U(p, q) with
     p + q = a; orthogonal signatures must stay non-negative after
     removing the 2p's and 2q's.  Deterministic lexicographic order in
-    the p-vector.
+    the p-vector.  The Levis with one residual signature share one G_0.
     """
     if not good_parity(psi).ok:
         raise ParityError("Levi enumeration requires good parity")
     g = psi.group
+    if g.kind != "Sp" and g.signature is None:
+        raise ParameterError("Levi enumeration for SO kinds needs a signature")
     a_list, n0 = _discrete_layout(psi)
+    g0s: dict[tuple[int, int] | None, ClassicalGroup] = {}
     out: list[LeviDatum] = []
     for ps in itertools.product(*(range(a + 1) for a in a_list)):
         factors = tuple((p, a - p) for p, a in zip(ps, a_list))
-        if g.kind == "Sp":
-            g0 = ClassicalGroup("Sp", n0)
-        else:
-            if g.signature is None:
-                raise ParameterError("Levi enumeration for SO kinds needs a signature")
-            p0, q0 = _residual_signature(g, factors)
-            if p0 < 0 or q0 < 0:
+        sig = None
+        if g.signature is not None:
+            sig = _residual_signature(g, factors)
+            if sig[0] < 0 or sig[1] < 0:
                 continue
-            g0 = ClassicalGroup(g.kind, n0, (p0, q0))
+        g0 = g0s.get(sig)
+        if g0 is None:
+            g0 = g0s[sig] = ClassicalGroup(g.kind, n0, sig)
         out.append(LeviDatum(factors, g0))
     if not out:
         raise ParameterError(f"no Levi datum is compatible with the signature of {g}")
@@ -208,7 +210,7 @@ def _lambda_tilde_doubled(psi: ArthurParameter) -> tuple[int, ...]:
     """2 t_i~ = t2_i + a_i - 1 + 2 eps_G + 2 (sum_{j>i} a_j + n_0), in
     integers."""
     a_list, n0 = _discrete_layout(psi)
-    eps2 = int(2 * psi.group.epsilon_g)
+    eps2 = psi.group.epsilon_g2
     out = []
     for i, (t2, a) in enumerate(psi.discrete):
         tail = sum(a_list[i + 1 :])
@@ -793,20 +795,21 @@ class TranslatedPacket:
 def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> TranslatedPacket:
     """Translate a packet for a dominating parameter down to psi.
 
-    Every datum must be in the good range; its shifts are replaced by the
-    psi-side shifts and its character is transported through the quotient
-    A(psi_+) -> A(psi).  Entries whose character is nontrivial on the
-    kernel acquire a vanishing annotation and are dropped.
+    Every datum must be one that ``aq_datum`` gives psi_+ (a Levi that
+    fits psi_+, with psi_+'s shifts) and lie in the good range; its shifts
+    are replaced by the psi-side shifts and its character is transported
+    through the quotient A(psi_+) -> A(psi).  Entries whose character is
+    nontrivial on the kernel acquire a vanishing annotation and are
+    dropped.
 
     Each distinct datum is checked and rebuilt once, however many
     characters it carries, and each character is pushed once per quotient
     map: the map and its push table are kept on psi_+ (``quotient_map``),
-    the shifts on each parameter, and the range verdict of a (layout, t~)
-    pair in a bounded module cache (``range_check``).
+    the shifts and A_q data on each parameter, and the range verdict of a
+    (layout, t~) pair in a bounded module cache (``range_check``).
     """
     psi_plus = packet_plus.psi
     qm = quotient_map(psi_plus, psi)
-    shifts_plus = lambda_tilde(psi_plus)
     shifts = lambda_tilde(psi)
     # keyed by id: ``aq_datum`` returns one object per (psi_+, levi, sigma),
     # so equal data share it, and every datum stays alive in packet_plus
@@ -816,7 +819,9 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     for datum, values in packet_plus.entries:
         new_datum = moved.get(id(datum))
         if new_datum is None:
-            if datum.t_tilde != shifts_plus:
+            # a Levi that does not fit psi_+ raises here; the kept datum
+            # differs from this one only where the shifts do
+            if _aq_datum(psi_plus, datum.levi, datum.sigma) != datum:
                 raise ParameterError(
                     f"entry shifts {datum.t_tilde} do not match the dominating parameter"
                 )

@@ -13,6 +13,7 @@ endoscopic splittings.
 from __future__ import annotations
 
 import functools
+import inspect
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -67,25 +68,49 @@ class DominationError(ParameterError):
 
 
 def _kept(fn):
-    """Memo for a function of one object and hashable arguments:
+    """Memo for a function of one object and hashable positional arguments:
     ``fn(obj, *args)`` is computed on the first call with those arguments
-    and kept in ``obj.__dict__``, in one table per function keyed by the
-    argument tuple, so the values are freed with the object.  A
-    module-level cache keyed by the object would instead keep every object
-    it was given alive.  Unlike ``functools.cached_property`` before
+    and kept in ``obj.__dict__``, so the values are freed with the object.
+    A module-level cache keyed by the object would instead keep every
+    object it was given alive.  Unlike ``functools.cached_property`` before
     Python 3.12, a first call takes no lock.  Under ``property``, a kept
-    method of no arguments reads as an attribute."""
+    method of no arguments reads as an attribute.
+
+    A hit is one lookup where the signature allows: with no argument the
+    value sits under the function's key itself, with one the table is
+    keyed by that argument, and with more, or with ``*args``, by the
+    argument tuple.  A kept None is a hit like any other value."""
     key = "_kept_" + fn.__qualname__
+    code = fn.__code__
 
-    @functools.wraps(fn)
-    def kept(obj, *args):
-        try:
-            return obj.__dict__[key][args]
-        except KeyError:
-            value = obj.__dict__.setdefault(key, {})[args] = fn(obj, *args)
-            return value
+    if code.co_flags & inspect.CO_VARARGS or code.co_argcount > 2:
 
-    return kept
+        def kept(obj, *args):
+            try:
+                return obj.__dict__[key][args]
+            except KeyError:
+                value = obj.__dict__.setdefault(key, {})[args] = fn(obj, *args)
+                return value
+
+    elif code.co_argcount == 2:
+
+        def kept(obj, arg):
+            try:
+                return obj.__dict__[key][arg]
+            except KeyError:
+                value = obj.__dict__.setdefault(key, {})[arg] = fn(obj, arg)
+                return value
+
+    else:
+
+        def kept(obj):
+            try:
+                return obj.__dict__[key]
+            except KeyError:
+                value = obj.__dict__[key] = fn(obj)
+                return value
+
+    return functools.wraps(fn)(kept)
 
 
 _KINDS = ("Sp", "SOodd", "SOeven")
@@ -144,12 +169,13 @@ class ClassicalGroup(_Value):
         return self.kind in ("Sp", "SOeven")
 
     @property
-    def epsilon_g(self) -> Fraction:
+    def epsilon_g2(self) -> int:
+        """Twice eps_G: 2 for Sp, 1 for SO odd, 0 for SO even."""
         if self.kind == "SOeven":
-            return Fraction(0)
+            return 0
         if self.kind == "SOodd":
-            return Fraction(1, 2)
-        return Fraction(1)
+            return 1
+        return 2
 
     def gside_type(self) -> GroupType:
         if self.kind == "Sp":
@@ -611,7 +637,7 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
     parameter shares the group, its elements and its characters."""
     if not good_parity(psi).ok:
         raise ParityError("component group requires good parity")
-    basis = tuple(Block(b.t2, b.a, b.eta) for b in psi.blocks)
+    basis = tuple(b if b.mult == 1 else Block(b.t2, b.a, b.eta) for b in psi.blocks)
     return ComponentGroup(
         basis=basis,
         dims=tuple(b.dim for b in psi.blocks),

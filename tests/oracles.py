@@ -4,8 +4,9 @@ Each is a plain, slow or direct form of something the package computes
 another way: the whole Weyl group and its orbits, the dominant-chamber
 test, delta(u) of a Levi layout, the quasi-split test of a real form,
 parameter merging and enumeration with a new block for every block and
-every search node, and the frozen dataclasses that the value classes of
-``weyl`` and ``params`` replaced.  None of them is part of the package.
+every search node, Levi enumeration with a new G_0 for every Levi, and
+the frozen dataclasses that the value classes of ``weyl`` and ``params``
+replaced.  None of them is part of the package.
 
 The dataclasses carry the package's class names, so that their ``repr``
 is comparable; the package's own classes are named through their
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from arthurcomb import params, weyl
+from arthurcomb import aq, params, weyl
 from arthurcomb.aq import _layout_roots
 from arthurcomb.params import DimensionError, ParameterError, _block_candidates
 
@@ -122,6 +123,31 @@ def enumerate_parameters(
         yield from rec(idx + 1, remaining, chosen)
 
     yield from rec(0, group.dual_dim, [])
+
+
+def enumerate_levis(psi: params.ArthurParameter) -> list[aq.LeviDatum]:
+    """Levi data with a new G_0 for every Levi, and the signature
+    condition checked inside the loop."""
+    if not params.good_parity(psi).ok:
+        raise params.ParityError("Levi enumeration requires good parity")
+    g = psi.group
+    a_list, n0 = aq._discrete_layout(psi)
+    out: list[aq.LeviDatum] = []
+    for ps in itertools.product(*(range(a + 1) for a in a_list)):
+        factors = tuple((p, a - p) for p, a in zip(ps, a_list))
+        if g.kind == "Sp":
+            g0 = params.ClassicalGroup("Sp", n0)
+        else:
+            if g.signature is None:
+                raise ParameterError("Levi enumeration for SO kinds needs a signature")
+            p0, q0 = aq._residual_signature(g, factors)
+            if p0 < 0 or q0 < 0:
+                continue
+            g0 = params.ClassicalGroup(g.kind, n0, (p0, q0))
+        out.append(aq.LeviDatum(factors, g0))
+    if not out:
+        raise ParameterError(f"no Levi datum is compatible with the signature of {g}")
+    return out
 
 
 # --- the frozen dataclasses the value classes replaced -----------------------

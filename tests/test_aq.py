@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arthurcomb import params
+from arthurcomb import aq, params
 from arthurcomb.aq import (
     AqDatum,
     LeviDatum,
@@ -38,6 +38,7 @@ from arthurcomb.params import (
     quotient_map,
 )
 from arthurcomb.weyl import weight
+import oracles
 from oracles import delta_u
 
 SP2 = ClassicalGroup("Sp", 2)
@@ -82,14 +83,62 @@ def test_enumerate_levis_unipotent_parameter():
 
 def test_enumerate_levis_requires_signature():
     psi = arthur_parameter(ClassicalGroup("SOodd", 2), [block(0, 2), block(0, 2, "-")])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="needs a signature"):
         enumerate_levis(psi)
+
+
+def _every_form(psi):
+    """psi, then psi on every real form of its group: Sp(2n,R) has one,
+    which psi is on; SO(p,q) is taken with p >= q."""
+    g = psi.group
+    yield psi
+    if g.kind != "Sp":
+        for q in range(g.space_dim // 2 + 1):
+            yield arthur_parameter(ClassicalGroup(g.kind, g.rank, (g.space_dim - q, q)), psi.blocks)
+
+
+def _outcome(f, psi):
+    try:
+        return f(psi)
+    except ParameterError as e:
+        return type(e), str(e)
+
+
+def test_enumerate_levis_matches_the_per_levi_oracle_on_every_real_form(monkeypatch):
+    """Every corpus parameter unsigned, and on every real form of its
+    group (Sp(2n,R); SO(p,q) with p >= q, 4,098 parameter-form pairs, the
+    signed corpus among them): the oracle's Levis in its order, or its
+    error.  The Levis with one residual signature share one G_0, built
+    once."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ClassicalGroup(*args)
+
+    monkeypatch.setattr(aq, "ClassicalGroup", counted)
+    pairs = unsigned = refused = 0
+    for psi in corpus():
+        for p in _every_form(psi):
+            pairs += 1
+            unsigned += p.group.kind != "Sp" and p.group.signature is None
+            built.clear()
+            levis = _outcome(enumerate_levis, p)
+            assert levis == _outcome(oracles.enumerate_levis, p), str(p)
+            if not isinstance(levis, list):
+                refused += 1
+                continue
+            g0s = {id(l.g0): l.g0 for l in levis}
+            assert len(g0s) == len(set(g0s.values())) == len(built), str(p)
+    assert (pairs - unsigned, unsigned) == (4098, 840)
+    assert refused > unsigned, "some signed forms must leave no Levi datum"
 
 
 # --- Levi data checked against the parameter ----------------------------------
 
 SO43 = ClassicalGroup("SOodd", 3, (4, 3))
 SO61 = ClassicalGroup("SOodd", 3, (6, 1))
+SO32 = ClassicalGroup("SOodd", 2, (3, 2))
 
 
 def _one_block_psi(group):
@@ -396,8 +445,40 @@ def test_translate_packet_rejects_mismatched_shifts(ex1):
     d = aq_datum(plus, enumerate_levis(plus)[0])
     wrong = AqDatum(d.levi, (4,), d.sigma)
     pk = packet_data(plus, [(wrong, (1, 1))])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"entry shifts \(4,\) do not match"):
         translate_packet(pk, ex1)
+
+
+SP4_TWO_COPIES = arthur_parameter(SP2, [block(3, 1, mult=2), block(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "psi, levi, message",
+    [
+        pytest.param(
+            SP4_TWO_COPIES, LeviDatum(((1, 0),), ClassicalGroup("Sp", 0)), "factor count",
+            id="one-factor-for-two-blocks",
+        ),
+        pytest.param(
+            SP4_TWO_COPIES, LeviDatum(((1, 0), (1, 0)), ClassicalGroup("Sp", 1)), "rank",
+            id="g0-rank-1-where-0-is-left",
+        ),
+        pytest.param(
+            arthur_parameter(SO32, [block(Fraction(7, 2), 1), block(0, 2)]),
+            LeviDatum(((0, 1),), ClassicalGroup("SOodd", 1, (0, 3))),
+            "signature",
+            id="g0-so03-where-so30-is-left",
+        ),
+    ],
+)
+def test_translate_packet_rejects_levi_not_fitting_the_dominating_parameter(psi, levi, message):
+    """A datum with psi_+'s shifts and a Levi that does not fit psi_+ is
+    refused as ``aq_datum`` refuses it, with every character of A(psi_+)."""
+    plus = dominate(psi, canonical_offsets(psi))
+    datum = AqDatum(levi, lambda_tilde(plus), "sigma")
+    pk = packet_data(plus, [(datum, eps) for eps in params.component_group(plus).characters()])
+    with pytest.raises(ParameterError, match=message):
+        translate_packet(pk, psi)
 
 
 def test_kept_values_leave_the_parameter_as_it_was_and_die_with_it(full_packet):

@@ -369,10 +369,15 @@ def old_onto(qm):
     return {qm.push(s) for s in qm.source.elements} == set(qm.target.elements)
 
 
+# the oracle's own eps_G of each kind, so that it reads nothing of
+# ``ClassicalGroup`` beyond the kind
+EPSILON_G = {"Sp": Fraction(1), "SOodd": Fraction(1, 2), "SOeven": Fraction(0)}
+
+
 def old_lambda_tilde(psi):
     a_list = tuple(a for _t2, a in psi.discrete)
     n0 = psi.group.rank - sum(a_list)
-    eps2 = int(2 * psi.group.epsilon_g)
+    eps2 = int(2 * EPSILON_G[psi.group.kind])
     out = []
     for i, (t2, a) in enumerate(psi.discrete):
         d = t2 + a - 1 + eps2 + 2 * (sum(a_list[i + 1 :]) + n0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from arthurcomb import params
 from arthurcomb.params import (
     ArthurParameter,
     Block,
@@ -357,6 +358,21 @@ def test_component_group_order_counts_its_elements_over_corpus():
             assert list(grp.elements) == sorted(grp.elements, reverse=True), str(p)
 
 
+def test_component_group_basis_is_the_blocks_at_multiplicity_one_over_corpus():
+    """The basis equals every block rebuilt with multiplicity 1, and each
+    block of multiplicity 1 is its own basis element."""
+    kept = rebuilt = 0
+    for psi in corpus():
+        for p in (psi, dominate(psi, canonical_offsets(psi))):
+            basis = component_group(p).basis
+            assert basis == tuple(Block(b.t2, b.a, b.eta) for b in p.blocks), str(p)
+            for b, e in zip(p.blocks, basis):
+                assert (e is b) == (b.mult == 1), str(p)
+                kept += e is b
+                rebuilt += e is not b
+    assert kept and rebuilt
+
+
 # --- quotient map --------------------------------------------------------------
 
 
@@ -391,22 +407,48 @@ def test_quotient_map_to_itself_is_the_identity_over_corpus():
         assert qm.index_map == tuple(range(len(psi.blocks))), str(psi)
 
 
-def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1):
+def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1, monkeypatch):
     """``_kept`` computes fn(obj, *args) once per object and argument
-    tuple; two groups, or two arguments, never share an entry, and the
-    filled tables leave ==, hash and repr of the groups and of a quotient
-    map as they were."""
+    tuple, whichever hit path the signature picks (no argument, one, two,
+    or ``*args``); two objects, or two arguments, never share an entry,
+    x and (x,) are two arguments, and a kept None is a hit.  The filled
+    tables leave ==, hash and repr of the groups and of a quotient map as
+    they were."""
     calls = []
+
+    def call(*record):
+        calls.append(record)
+        return len(calls)
 
     class Box:
         @_kept
+        def zero(self):
+            call("zero", self)
+            return None
+
+        @_kept
+        def one(self, x):
+            return call("one", self, x)
+
+        @_kept
+        def two(self, x, y):
+            return call("two", self, x, y)
+
+        @_kept
         def f(self, *args):
-            calls.append((self, args))
-            return len(calls)
+            return call("f", self, args)
 
     one, two = Box(), Box()
-    assert [one.f(1), one.f(2), two.f(1), one.f(1, 2), one.f(), one.f(1), two.f(1)] == [1, 2, 3, 4, 5, 1, 3]
-    assert calls == [(one, (1,)), (one, (2,)), (two, (1,)), (one, (1, 2)), (one, ())]
+    assert [one.zero(), two.zero(), one.zero(), two.zero()] == [None] * 4
+    assert [one.one(1), one.one((1,)), two.one(1), one.one(1), one.one((1,))] == [3, 4, 5, 3, 4]
+    assert [one.two(1, 2), one.two(2, 1), two.two(1, 2), one.two(1, 2)] == [6, 7, 8, 6]
+    assert [one.f(1), one.f(2), two.f(1), one.f(1, 2), one.f(), one.f(1), two.f(1)] == [9, 10, 11, 12, 13, 9, 11]
+    assert calls == [
+        ("zero", one), ("zero", two),
+        ("one", one, 1), ("one", one, (1,)), ("one", two, 1),
+        ("two", one, 1, 2), ("two", one, 2, 1), ("two", two, 1, 2),
+        ("f", one, (1,)), ("f", one, (2,)), ("f", two, (1,)), ("f", one, (1, 2)), ("f", one, ()),
+    ]
 
     # ex1's dual SO(5) cuts A(psi) by the determinant, SO(5,R)'s dual Sp(4) does not
     sp = component_group(ex1)
@@ -420,6 +462,10 @@ def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1):
     assert so.canonical_character((-1, 1)) == (-1, 1)
     assert qm.push_character((1, -1)) is None
     assert qm.push_character((-1, -1)) == (-1,)
+    # the vanishing character's None is read back, not pushed again
+    monkeypatch.setattr(params, "_mask", None)
+    assert qm.push_character((1, -1)) is None
+    monkeypatch.undo()
     for x, y in zip((sp, so, qm), fresh):
         assert vars(x) != vars(y)  # something is kept
         assert (x, hash(x), repr(x)) == (y, hash(y), repr(y))
