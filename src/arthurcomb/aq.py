@@ -48,7 +48,6 @@ __all__ = [
     "packet_data",
     "enumerate_levis",
     "lambda_tilde",
-    "lambda_tilde_fractions",
     "nilradical_roots",
     "RangeResult",
     "range_check",
@@ -147,11 +146,12 @@ def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: str = "sigma") -> AqD
 
     Each datum is built once per (levi, sigma) and kept on psi, so repeated
     calls return the same object."""
-    return _aq_datum(psi, levi, sigma)
+    return _aq_datum(psi, (levi, sigma))
 
 
 @_kept
-def _aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: str) -> AqDatum:
+def _aq_datum(psi: ArthurParameter, levi_sigma: tuple[LeviDatum, str]) -> AqDatum:
+    levi, sigma = levi_sigma
     shifts = lambda_tilde(psi)
     _check_levi(psi, levi)
     return AqDatum(levi, shifts, sigma)
@@ -206,35 +206,22 @@ def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
     return out
 
 
-def _lambda_tilde_doubled(psi: ArthurParameter) -> tuple[int, ...]:
-    """2 t_i~ = t2_i + a_i - 1 + 2 eps_G + 2 (sum_{j>i} a_j + n_0), in
-    integers."""
-    a_list, n0 = _discrete_layout(psi)
-    eps2 = psi.group.epsilon_g2
-    out = []
-    for i, (t2, a) in enumerate(psi.discrete):
-        tail = sum(a_list[i + 1 :])
-        out.append(t2 + a - 1 + eps2 + 2 * (tail + n0))
-    return tuple(out)
-
-
-def lambda_tilde_fractions(psi: ArthurParameter) -> list[Fraction]:
-    """The character shifts t_i~ as exact fractions, no integrality check."""
-    return [Fraction(d, 2) for d in _lambda_tilde_doubled(psi)]
-
-
 @_kept
 def lambda_tilde(psi: ArthurParameter) -> tuple[int, ...]:
     """t_i~ = t_i + (a_i - 1)/2 + eps_G + sum_{j>i} a_j + n_0, all integers,
-    kept on the parameter.
+    kept on the parameter; the sum is worked out doubled, in integers.
 
     Integrality of every shift is exactly the good-parity criterion; a
     fractional value raises ParityError.
     """
+    eps2 = psi.group.epsilon_g2
+    rest = psi.group.rank  # sum_{j>i} a_j + n_0, once a_i is taken off
     out = []
-    for i, d in enumerate(_lambda_tilde_doubled(psi)):
+    for i, (t2, a) in enumerate(psi.discrete, 1):
+        rest -= a
+        d = t2 + a - 1 + eps2 + 2 * rest
         if d % 2:
-            raise ParityError(f"t~_{i + 1} = {Fraction(d, 2)} is not an integer (bad parity)")
+            raise ParityError(f"t~_{i} = {Fraction(d, 2)} is not an integer (bad parity)")
         out.append(d // 2)
     return tuple(out)
 
@@ -821,7 +808,7 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
         if new_datum is None:
             # a Levi that does not fit psi_+ raises here; the kept datum
             # differs from this one only where the shifts do
-            if _aq_datum(psi_plus, datum.levi, datum.sigma) != datum:
+            if _aq_datum(psi_plus, (datum.levi, datum.sigma)) != datum:
                 raise ParameterError(
                     f"entry shifts {datum.t_tilde} do not match the dominating parameter"
                 )

@@ -29,6 +29,7 @@ from .params import (
     ClassicalGroup,
     InfChar,
     ParameterError,
+    _KINDS,
     arthur_parameter,
     block,
     canonical_offsets,
@@ -87,7 +88,7 @@ def _parse_group(gdata: dict, context: str) -> ClassicalGroup:
     _require_keys(gdata, {"kind", "rank", "signature"}, context)
     kind = gdata.get("kind")
     rank = gdata.get("rank")
-    if kind not in ("Sp", "SOodd", "SOeven"):
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SpecError(f"{context}.kind must be Sp, SOodd or SOeven, got {kind!r}")
     if type(rank) is not int or rank < 0:
         raise SpecError(f"{context}.rank must be a non-negative integer")

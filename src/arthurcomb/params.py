@@ -13,7 +13,6 @@ endoscopic splittings.
 from __future__ import annotations
 
 import functools
-import inspect
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -68,31 +67,20 @@ class DominationError(ParameterError):
 
 
 def _kept(fn):
-    """Memo for a function of one object and hashable positional arguments:
-    ``fn(obj, *args)`` is computed on the first call with those arguments
-    and kept in ``obj.__dict__``, so the values are freed with the object.
-    A module-level cache keyed by the object would instead keep every
-    object it was given alive.  Unlike ``functools.cached_property`` before
-    Python 3.12, a first call takes no lock.  Under ``property``, a kept
-    method of no arguments reads as an attribute.
+    """Memo for a function of one object and at most one hashable argument:
+    ``fn(obj)`` or ``fn(obj, arg)`` is computed on the first call and kept
+    in ``obj.__dict__``, so the values are freed with the object.  A
+    module-level cache keyed by the object would instead keep every object
+    it was given alive.  Unlike ``functools.cached_property`` before Python
+    3.12, a first call takes no lock.  Under ``property``, a kept method of
+    no arguments reads as an attribute.
 
-    A hit is one lookup where the signature allows: with no argument the
-    value sits under the function's key itself, with one the table is
-    keyed by that argument, and with more, or with ``*args``, by the
-    argument tuple.  A kept None is a hit like any other value."""
+    A hit is one lookup: with no argument the value sits under the
+    function's key itself, with one argument in a table keyed by it.  A
+    kept None is a hit like any other value."""
     key = "_kept_" + fn.__qualname__
-    code = fn.__code__
 
-    if code.co_flags & inspect.CO_VARARGS or code.co_argcount > 2:
-
-        def kept(obj, *args):
-            try:
-                return obj.__dict__[key][args]
-            except KeyError:
-                value = obj.__dict__.setdefault(key, {})[args] = fn(obj, *args)
-                return value
-
-    elif code.co_argcount == 2:
+    if fn.__code__.co_argcount == 2:
 
         def kept(obj, arg):
             try:
@@ -113,7 +101,11 @@ def _kept(fn):
     return functools.wraps(fn)(kept)
 
 
-_KINDS = ("Sp", "SOodd", "SOeven")
+# what a group's kind fixes: its Weyl family, twice eps_G, and whether its
+# dual group is symplectic (else special orthogonal).  On the even
+# orthogonal side we always work modulo the outer automorphism, so family D
+# is the full signed-permutation group.
+_KINDS = {"Sp": ("C", 2, False), "SOodd": ("B", 1, True), "SOeven": ("D", 0, False)}
 
 
 class ClassicalGroup(_Value):
@@ -130,7 +122,8 @@ class ClassicalGroup(_Value):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "signature", signature)
-        if kind not in _KINDS:
+        # a dict membership test hashes the kind, so a list must not reach it
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ParameterError(f"unknown kind {kind!r}")
         if rank < 0:
             raise ParameterError("rank must be >= 0")
@@ -149,42 +142,24 @@ class ClassicalGroup(_Value):
 
     @property
     def space_dim(self) -> int:
-        if self.kind == "Sp":
-            return 2 * self.rank
-        if self.kind == "SOodd":
-            return 2 * self.rank + 1
-        return 2 * self.rank
+        return 2 * self.rank + (_KINDS[self.kind][0] == "B")
 
     @property
     def dual_dim(self) -> int:
         """n*: the dimension of the dual group's standard representation."""
-        return 2 * self.rank + 1 if self.kind == "Sp" else 2 * self.rank
+        return 2 * self.rank + (_KINDS[self.kind][0] == "C")
 
     @property
     def dual_symplectic(self) -> bool:
-        return self.kind == "SOodd"
-
-    @property
-    def dual_special_orthogonal(self) -> bool:
-        return self.kind in ("Sp", "SOeven")
+        return _KINDS[self.kind][2]
 
     @property
     def epsilon_g2(self) -> int:
         """Twice eps_G: 2 for Sp, 1 for SO odd, 0 for SO even."""
-        if self.kind == "SOeven":
-            return 0
-        if self.kind == "SOodd":
-            return 1
-        return 2
+        return _KINDS[self.kind][1]
 
     def gside_type(self) -> GroupType:
-        if self.kind == "Sp":
-            return GroupType("C", self.rank)
-        if self.kind == "SOodd":
-            return GroupType("B", self.rank)
-        # on the even orthogonal side we always work modulo the outer
-        # automorphism, so family D is the full signed-permutation group
-        return GroupType("D", self.rank)
+        return GroupType(_KINDS[self.kind][0], self.rank)
 
     def __str__(self) -> str:
         if self.kind == "Sp":
@@ -334,21 +309,19 @@ class GoodParityReport(NamedTuple):
 
 
 def _block_parity(group: ClassicalGroup, b: Block) -> BlockParity:
+    symplectic = group.dual_symplectic
     if b.t2 > 0:
-        # t + (a-1)/2 must be an integer unless the group is odd
-        # orthogonal, in which case it must be a half-odd integer
+        # t + (a-1)/2 must be an integer unless the dual group is
+        # symplectic, in which case it must be a half-odd integer
         val2 = b.t2 + (b.a - 1)  # twice t + (a-1)/2
-        want_odd = group.kind == "SOodd"
-        ok = (val2 % 2 == 1) if want_odd else (val2 % 2 == 0)
-        kindname = "half-odd" if want_odd else "integral"
+        ok = val2 % 2 == symplectic
+        kindname = "half-odd" if symplectic else "integral"
         half = str(val2 // 2) if val2 % 2 == 0 else f"{val2}/2"
         return BlockParity(b, ok, f"t+(a-1)/2 = {half} {'is' if ok else 'is not'} {kindname}")
     # t = 0: R[a] is orthogonal iff a is odd; the block must match the dual type
-    if group.dual_symplectic:
-        ok = b.a % 2 == 0
-        return BlockParity(b, ok, f"a = {b.a} {'is' if ok else 'is not'} even (symplectic dual)")
-    ok = b.a % 2 == 1
-    return BlockParity(b, ok, f"a = {b.a} {'is' if ok else 'is not'} odd (orthogonal dual)")
+    ok = b.a % 2 != symplectic
+    parity, dual = ("even", "symplectic") if symplectic else ("odd", "orthogonal")
+    return BlockParity(b, ok, f"a = {b.a} {'is' if ok else 'is not'} {parity} ({dual} dual)")
 
 
 @_kept
@@ -641,7 +614,7 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
     return ComponentGroup(
         basis=basis,
         dims=tuple(b.dim for b in psi.blocks),
-        det_relation=psi.group.dual_special_orthogonal,
+        det_relation=not psi.group.dual_symplectic,
         s_psi=tuple(-1 if b.a % 2 == 0 else 1 for b in basis),
     )
 
@@ -795,13 +768,12 @@ class EndoscopicSplit(NamedTuple):
 
 
 def _factor_group(base: ClassicalGroup, dual_dim: int) -> ClassicalGroup:
-    if base.dual_symplectic:
-        if dual_dim % 2:
-            raise ParameterError("symplectic dual cannot split with odd part")
-        return ClassicalGroup("SOodd", dual_dim // 2)
-    if dual_dim % 2:
-        return ClassicalGroup("Sp", (dual_dim - 1) // 2)
-    return ClassicalGroup("SOeven", dual_dim // 2)
+    """The group whose dual is of the base's type (symplectic or special
+    orthogonal) and of dimension ``dual_dim``: odd only for Sp's SO(2n+1)."""
+    for kind, (family, _eps2, symplectic) in _KINDS.items():
+        if symplectic == base.dual_symplectic and (family == "C") == dual_dim % 2:
+            return ClassicalGroup(kind, dual_dim // 2)
+    raise ParameterError("symplectic dual cannot split with odd part")
 
 
 def endoscopic_split(psi: ArthurParameter, s: Iterable[int]) -> EndoscopicSplit:

@@ -4,9 +4,10 @@ Each is a plain, slow or direct form of something the package computes
 another way: the whole Weyl group and its orbits, the dominant-chamber
 test, delta(u) of a Levi layout, the quasi-split test of a real form,
 parameter merging and enumeration with a new block for every block and
-every search node, Levi enumeration with a new G_0 for every Levi, and
-the frozen dataclasses that the value classes of ``weyl`` and ``params``
-replaced.  None of them is part of the package.
+every search node, Levi enumeration with a new G_0 for every Levi, the
+rules of a group kind as if chains on the kind, and the frozen
+dataclasses that the value classes of ``weyl`` and ``params`` replaced.
+None of them is part of the package.
 
 The dataclasses carry the package's class names, so that their ``repr``
 is comparable; the package's own classes are named through their
@@ -148,6 +149,56 @@ def enumerate_levis(psi: params.ArthurParameter) -> list[aq.LeviDatum]:
     if not out:
         raise ParameterError(f"no Levi datum is compatible with the signature of {g}")
     return out
+
+
+# --- the kind rules as if chains on the kind -----------------------------------
+#
+# What a group's kind fixes, written out per kind as ``ClassicalGroup``,
+# ``params._block_parity`` and ``params._factor_group`` wrote it before
+# ``params._KINDS``.
+
+
+def kind_rules(g: params.ClassicalGroup) -> dict:
+    """space_dim, dual_dim, dual_symplectic, epsilon_g2 and gside_type."""
+    if g.kind == "Sp":
+        space_dim, epsilon_g2, family = 2 * g.rank, 2, "C"
+    elif g.kind == "SOodd":
+        space_dim, epsilon_g2, family = 2 * g.rank + 1, 1, "B"
+    else:
+        space_dim, epsilon_g2, family = 2 * g.rank, 0, "D"
+    return {
+        "space_dim": space_dim,
+        "dual_dim": 2 * g.rank + 1 if g.kind == "Sp" else 2 * g.rank,
+        "dual_symplectic": g.kind == "SOodd",
+        "epsilon_g2": epsilon_g2,
+        "gside_type": weyl.GroupType(family, g.rank),
+    }
+
+
+def block_parity(group: params.ClassicalGroup, b: params.Block) -> tuple[bool, str]:
+    """(ok, reason) of one block's parity check."""
+    if b.t2 > 0:
+        val2 = b.t2 + (b.a - 1)
+        want_odd = group.kind == "SOodd"
+        ok = (val2 % 2 == 1) if want_odd else (val2 % 2 == 0)
+        kindname = "half-odd" if want_odd else "integral"
+        half = str(val2 // 2) if val2 % 2 == 0 else f"{val2}/2"
+        return ok, f"t+(a-1)/2 = {half} {'is' if ok else 'is not'} {kindname}"
+    if group.kind == "SOodd":
+        ok = b.a % 2 == 0
+        return ok, f"a = {b.a} {'is' if ok else 'is not'} even (symplectic dual)"
+    ok = b.a % 2 == 1
+    return ok, f"a = {b.a} {'is' if ok else 'is not'} odd (orthogonal dual)"
+
+
+def factor_group(base: params.ClassicalGroup, dual_dim: int) -> params.ClassicalGroup:
+    if base.kind == "SOodd":
+        if dual_dim % 2:
+            raise ParameterError("symplectic dual cannot split with odd part")
+        return params.ClassicalGroup("SOodd", dual_dim // 2)
+    if dual_dim % 2:
+        return params.ClassicalGroup("Sp", (dual_dim - 1) // 2)
+    return params.ClassicalGroup("SOeven", dual_dim // 2)
 
 
 # --- the frozen dataclasses the value classes replaced -----------------------

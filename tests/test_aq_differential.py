@@ -303,7 +303,7 @@ def old_component_group(psi):
         raise ParityError("component group requires good parity")
     basis = tuple(Block(b.t2, b.a, b.eta) for b in psi.blocks)
     dims = tuple(b.dim for b in psi.blocks)
-    det_relation = psi.group.dual_special_orthogonal
+    det_relation = psi.group.kind in ("Sp", "SOeven")
     s_psi = tuple(-1 if b.a % 2 == 0 else 1 for b in basis)
     return OldComponentGroup(
         basis=basis,

@@ -412,6 +412,34 @@ def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "twisted-trace"], "suite 'twisted-trace' requires --n"),
+        (["verify", "kostant"], "suite 'kostant' requires --n"),
+        *((["verify", suite], f"suite {suite!r} requires --spec") for suite in cli.SPEC_SUITES),
+        (["info", "--spec", "{missing}"], "cannot read {missing}"),
+        (["verify", "parity", "--spec", "{dir}"], "cannot read {dir}"),
+        (["info", "--spec", "{list_kind}"], "group.kind must be Sp, SOodd or SOeven, got ['Sp']"),
+    ],
+)
+def test_missing_inputs_exit_two_with_one_line(tmp_path, capsys, argv, message):
+    paths = {
+        "{missing}": str(tmp_path / "missing.json"),
+        "{dir}": str(tmp_path),
+        "{list_kind}": str(tmp_path / "list_kind.json"),
+    }
+    list_kind = {**EX1_SPEC, "group": {"kind": ["Sp"], "rank": 2}}
+    (tmp_path / "list_kind.json").write_text(json.dumps(list_kind))
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    for name, path in paths.items():
+        message = message.replace(name, path)
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_option_exits_two(run_cli):
     out = run_cli(["verify", "twisted-trace", "--n", "4", "--endo-rank", "1"])
     assert out.returncode == 2
@@ -743,7 +771,8 @@ def test_verify_all_on_two_groups_runs_the_spec_free_checks_once(tmp_path, monke
     assert calls.count("kostant_theta_invariance") == 6
     assert calls.count("g_inf_char") == 2 * 100
     # the draws read the group's kind and rank, not its signature
-    spec = json.loads(open(so).read())
+    with open(so) as f:
+        spec = json.load(f)
     spec["group"]["signature"] = None
     unsigned = tmp_path / "unsigned.json"
     unsigned.write_text(json.dumps(spec))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from arthurcomb.params import (
     domination_offsets,
     endoscopic_split,
     enumerate_parameters,
+    gl_inf_char,
     good_parity,
     inf_char,
     quotient_map,
@@ -37,6 +39,7 @@ from oracles import quasi_split
 
 SP2 = ClassicalGroup("Sp", 2)
 SO_ODD2 = ClassicalGroup("SOodd", 2)
+SP3 = ClassicalGroup("Sp", 3)
 
 
 def so_odd(rank, signature=None):
@@ -50,6 +53,49 @@ def test_dual_dimensions():
     assert SP2.dual_dim == 5
     assert so_odd(3).dual_dim == 6
     assert ClassicalGroup("SOeven", 3).dual_dim == 6
+
+
+def test_kind_table_equals_the_if_chains():
+    """Every rule read from ``params._KINDS`` equals the if chain it
+    replaced (``oracles``), for every kind at ranks 0-5, unsigned and on
+    every signature: the dimensions, dual type, eps_G and Weyl family, the
+    parity row of each block with t <= 4 and a <= 6, and the factor group
+    (or its error) of every dual dimension up to n* + 2."""
+    blocks = [Block(t2, a, eta) for t2 in range(9) for a in range(1, 7) for eta in (1, -1)]
+    groups = []
+    for kind, rank in itertools.product(("Sp", "SOodd", "SOeven"), range(6)):
+        groups.append(ClassicalGroup(kind, rank))
+        if kind != "Sp":
+            dim = groups[-1].space_dim
+            groups += [ClassicalGroup(kind, rank, (p, dim - p)) for p in range(dim + 1)]
+    for g in groups:
+        rules = {
+            "space_dim": g.space_dim,
+            "dual_dim": g.dual_dim,
+            "dual_symplectic": g.dual_symplectic,
+            "epsilon_g2": g.epsilon_g2,
+            "gside_type": g.gside_type(),
+        }
+        expected = oracles.kind_rules(g)
+        assert rules == expected
+        assert list(map(type, rules.values())) == list(map(type, expected.values()))
+        for b in blocks:
+            row = params._block_parity(g, b)
+            assert (row.ok, row.reason) == oracles.block_parity(g, b)
+        for dual_dim in range(g.dual_dim + 3):
+            outcomes = []
+            for factor_group in (params._factor_group, oracles.factor_group):
+                try:
+                    outcomes.append(factor_group(g, dual_dim))
+                except ParameterError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+
+
+def test_kind_must_be_a_known_string():
+    for kind in ("Spin", "", ["Sp"], {"Sp": 1}, None, 1):
+        with pytest.raises(ParameterError, match="unknown kind"):
+            ClassicalGroup(kind, 2)
 
 
 def test_quasi_split():
@@ -292,6 +338,36 @@ def test_canonical_offsets_through_corpus():
     assert count > 50
 
 
+@pytest.mark.parametrize(
+    "group, blocks, plus_group, plus_blocks, message",
+    [
+        (SP2, [("3/2", 2), (0, 1)], SO_ODD2, [("3/2", 2)], "group mismatch"),
+        (SP2, [("3/2", 2), (0, 1)], SP2, [("3/2", 2), (0, 1, "-")], "unipotent parts differ"),
+        (SP3, [("5/2", 1), ("3/2", 1), (0, 3)], SP3, [("5/2", 2), (0, 3)], "discrete block counts differ"),
+        (SP3, [("5/2", 1), ("1/2", 2), (0, 1)], SP3, [("5/2", 2), ("1/2", 1), (0, 1)], "SL(2) dimensions differ"),
+        (SP2, [("3/2", 2), (0, 1)], SP2, [("1/2", 2), (0, 1)], "offset -1 is not a non-negative integer"),
+        (SP2, [("3/2", 2), (0, 1)], SP2, [(2, 2), (0, 1)], "offset 1/2 is not a non-negative integer"),
+        (SP2, [("5/2", 1), ("1/2", 1), (0, 1)], SP2, [("7/2", 1), ("5/2", 1), (0, 1)], "offsets are not non-increasing"),
+    ],
+)
+def test_domination_offsets_rejects_a_pair_that_is_no_domination(
+    group, blocks, plus_group, plus_blocks, message
+):
+    psi = arthur_parameter(group, [block(*b) for b in blocks])
+    psi_plus = arthur_parameter(plus_group, [block(*b) for b in plus_blocks])
+    with pytest.raises(DominationError, match=re.escape(message)):
+        domination_offsets(psi, psi_plus)
+
+
+def test_inf_char_and_block_reject_what_they_cannot_represent(ex1):
+    with pytest.raises(ParameterError, match="must be symmetric under negation"):
+        gl_inf_char([3, 1, -3])
+    with pytest.raises(ParameterError, match="side must be 'G' or 'GL'"):
+        inf_char(ex1, "X")
+    with pytest.raises(ParameterError, match="'1/3' is not a half-integer"):
+        block("1/3", 1)
+
+
 # --- component groups ---------------------------------------------------------
 
 
@@ -408,12 +484,11 @@ def test_quotient_map_to_itself_is_the_identity_over_corpus():
 
 
 def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1, monkeypatch):
-    """``_kept`` computes fn(obj, *args) once per object and argument
-    tuple, whichever hit path the signature picks (no argument, one, two,
-    or ``*args``); two objects, or two arguments, never share an entry,
-    x and (x,) are two arguments, and a kept None is a hit.  The filled
-    tables leave ==, hash and repr of the groups and of a quotient map as
-    they were."""
+    """``_kept`` computes fn(obj) and fn(obj, x) once per object and
+    argument; two objects, or two arguments, never share an entry, x and
+    (x,) are two arguments, and a kept None is a hit.  The filled tables
+    leave ==, hash and repr of the groups and of a quotient map as they
+    were."""
     calls = []
 
     def call(*record):
@@ -430,24 +505,12 @@ def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1, monkeypatch):
         def one(self, x):
             return call("one", self, x)
 
-        @_kept
-        def two(self, x, y):
-            return call("two", self, x, y)
-
-        @_kept
-        def f(self, *args):
-            return call("f", self, args)
-
     one, two = Box(), Box()
     assert [one.zero(), two.zero(), one.zero(), two.zero()] == [None] * 4
     assert [one.one(1), one.one((1,)), two.one(1), one.one(1), one.one((1,))] == [3, 4, 5, 3, 4]
-    assert [one.two(1, 2), one.two(2, 1), two.two(1, 2), one.two(1, 2)] == [6, 7, 8, 6]
-    assert [one.f(1), one.f(2), two.f(1), one.f(1, 2), one.f(), one.f(1), two.f(1)] == [9, 10, 11, 12, 13, 9, 11]
     assert calls == [
         ("zero", one), ("zero", two),
         ("one", one, 1), ("one", one, (1,)), ("one", two, 1),
-        ("two", one, 1, 2), ("two", one, 2, 1), ("two", two, 1, 2),
-        ("f", one, (1,)), ("f", one, (2,)), ("f", two, (1,)), ("f", one, (1, 2)), ("f", one, ()),
     ]
 
     # ex1's dual SO(5) cuts A(psi) by the determinant, SO(5,R)'s dual Sp(4) does not

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from arthurcomb.params import (
     ClassicalGroup,
+    ParameterError,
     arthur_parameter,
     block,
     canonical_offsets,
     dominate,
     enumerate_parameters,
     g_inf_char,
+    gl_inf_char,
     inf_char,
 )
 from arthurcomb.torus import transfer_infchar, translation_weight, uniqueness_check
@@ -116,6 +120,13 @@ def test_transfer_infchar_so_even_rank():
     nu = g_inf_char(B2, weight([0, 0]))
     gl = transfer_infchar(nu, ClassicalGroup("SOodd", 2))
     assert gl.entries == (0, 0, 0, 0)
+
+
+def test_transfer_infchar_takes_a_g_side_character_of_the_group_rank():
+    with pytest.raises(ParameterError, match="expected a G-side infinitesimal character"):
+        transfer_infchar(gl_inf_char([2, -2]), SP2)
+    with pytest.raises(ParameterError, match="rank mismatch"):
+        transfer_infchar(g_inf_char(C2, weight([2, 1])), ClassicalGroup("Sp", 3))
 
 
 def test_transfer_doubles_norm_exactly():

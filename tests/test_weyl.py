@@ -129,6 +129,11 @@ def test_pairing_length_mismatch():
         pairing(weight([1]), weight([1, 2]))
 
 
+def test_weight_rejects_an_entry_that_is_no_half_integer():
+    with pytest.raises(ValueError, match="'1/3' is not a half-integer"):
+        weight(["1/3"])
+
+
 def test_pairing_weyl_invariance_random():
     rng = random.Random(7)
     for t in (B2, C2, D3, D4):
