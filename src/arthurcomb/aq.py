@@ -34,8 +34,8 @@ from .params import (
     ParityError,
     QuotientMap,
     _kept,
+    _parity_ok,
     component_group,
-    good_parity,
     quotient_map,
 )
 from .weyl import GroupType, Weight, half_sum_positive_roots, positive_roots, simple_roots
@@ -182,7 +182,7 @@ def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
     removing the 2p's and 2q's.  Deterministic lexicographic order in
     the p-vector.  The Levis with one residual signature share one G_0.
     """
-    if not good_parity(psi).ok:
+    if not _parity_ok(psi):
         raise ParityError("Levi enumeration requires good parity")
     g = psi.group
     if g.kind != "Sp" and g.signature is None:

@@ -30,6 +30,7 @@ from .params import (
     InfChar,
     ParameterError,
     _KINDS,
+    _parity_ok,
     arthur_parameter,
     block,
     canonical_offsets,
@@ -614,7 +615,7 @@ SPEC_SUITES = tuple(
 def cmd_verify(args, psi, s, pair) -> tuple[dict, list[dict]]:
     if psi is None and args.suite in SPEC_SUITES:
         raise SpecError(f"suite {args.suite!r} requires --spec")
-    good = psi is None or good_parity(psi).ok
+    good = psi is None or _parity_ok(psi)
     results: dict = {}
     verdicts: list[dict] = []
     for key, (suite, _needs_spec, needs_good_parity) in VERIFY_SUITES.items():

@@ -125,6 +125,9 @@ class ClassicalGroup(_Value):
         # a dict membership test hashes the kind, so a list must not reach it
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ParameterError(f"unknown kind {kind!r}")
+        # the type itself, as True is an int too
+        if type(rank) is not int:
+            raise ParameterError(f"rank {rank!r} is not an integer")
         if rank < 0:
             raise ParameterError("rank must be >= 0")
         if kind == "Sp":
@@ -232,8 +235,9 @@ class ArthurParameter(_Value):
     Values derived from the parameter alone (its discrete and unipotent
     parts, good parity, component group, quotient maps and, in ``aq``, its
     layout, shifts and A_q data) are computed once and kept on the object
-    (``_kept``); they play no part in ``==``, ``hash``, ``repr`` or
-    pickling, and are freed with it.
+    (``_kept``), as are the offsets of a psi_+ built by ``dominate``; they
+    play no part in ``==``, ``hash``, ``repr`` or pickling, and are freed
+    with it.
     """
 
     __slots__ = ("group", "blocks", "__dict__", "__weakref__")
@@ -308,20 +312,29 @@ class GoodParityReport(NamedTuple):
         return self.ok
 
 
-def _block_parity(group: ClassicalGroup, b: Block) -> BlockParity:
-    symplectic = group.dual_symplectic
+def _block_ok(symplectic: bool, b: Block) -> bool:
+    """The parity rule of one block, for a dual group that is symplectic
+    or (else) special orthogonal."""
     if b.t2 > 0:
         # t + (a-1)/2 must be an integer unless the dual group is
         # symplectic, in which case it must be a half-odd integer
+        return (b.t2 + b.a - 1) % 2 == symplectic
+    # t = 0: R[a] is orthogonal iff a is odd; the block must match the dual type
+    return b.a % 2 != symplectic
+
+
+def _block_parity(group: ClassicalGroup, b: Block) -> BlockParity:
+    """``_block_ok`` with the reason text of the parity report."""
+    symplectic = group.dual_symplectic
+    ok = _block_ok(symplectic, b)
+    verdict = "is" if ok else "is not"
+    if b.t2 > 0:
         val2 = b.t2 + (b.a - 1)  # twice t + (a-1)/2
-        ok = val2 % 2 == symplectic
         kindname = "half-odd" if symplectic else "integral"
         half = str(val2 // 2) if val2 % 2 == 0 else f"{val2}/2"
-        return BlockParity(b, ok, f"t+(a-1)/2 = {half} {'is' if ok else 'is not'} {kindname}")
-    # t = 0: R[a] is orthogonal iff a is odd; the block must match the dual type
-    ok = b.a % 2 != symplectic
+        return BlockParity(b, ok, f"t+(a-1)/2 = {half} {verdict} {kindname}")
     parity, dual = ("even", "symplectic") if symplectic else ("odd", "orthogonal")
-    return BlockParity(b, ok, f"a = {b.a} {'is' if ok else 'is not'} {parity} ({dual} dual)")
+    return BlockParity(b, ok, f"a = {b.a} {verdict} {parity} ({dual} dual)")
 
 
 @_kept
@@ -329,6 +342,14 @@ def good_parity(psi: ArthurParameter) -> GoodParityReport:
     """Good parity: every block self-dual of the same type as the dual group."""
     reports = tuple(_block_parity(psi.group, b) for b in psi.blocks)
     return GoodParityReport(all(r.ok for r in reports), reports)
+
+
+@_kept
+def _parity_ok(psi: ArthurParameter) -> bool:
+    """``good_parity(psi).ok`` without the report: the verdict that the
+    guards read."""
+    symplectic = psi.group.dual_symplectic
+    return all(_block_ok(symplectic, b) for b in psi.blocks)
 
 
 class InfChar(_Value):
@@ -377,11 +398,10 @@ def _nu_display_doubled(psi: ArthurParameter) -> tuple[int, ...]:
     unipotent multiset, then the mirrored negative segments."""
     head: list[int] = []
     for t2, a in psi.discrete:
-        head.extend(t2 + (a - 1) - 2 * k for k in range(a))
+        head.extend(range(t2 + a - 1, t2 - a, -2))
     middle: list[int] = []
     for b in psi.unipotent:
-        for _ in range(b.mult):
-            middle.extend((b.a - 1) - 2 * k for k in range(b.a))
+        middle.extend(list(range(b.a - 1, -b.a, -2)) * b.mult)
     middle.sort(reverse=True)
     tail = [-x for x in reversed(head)]
     return tuple(head + middle + tail)
@@ -421,7 +441,7 @@ def dominate(
     tail) at least the very-regular threshold.  Pass ``threshold=0`` to
     build degenerate pairs for diagnostic sweeps.
     """
-    if not good_parity(psi).ok:
+    if not _parity_ok(psi):
         raise ParityError("dominate requires a good-parity parameter")
     disc = psi.discrete
     offs = list(offsets)
@@ -452,9 +472,12 @@ def dominate(
         raise DominationError(f"t'_v = {Fraction(tp2[-1], 2)} below threshold")
     # already canonical: the t'_i strictly decrease by the gap check, and
     # the unipotent part follows in its own order
-    return ArthurParameter(
+    psi_plus = ArthurParameter(
         psi.group, tuple(Block(t2p, a) for t2p, (_t2, a) in zip(tp2, disc)) + psi.unipotent
     )
+    # the offsets of this pair, for domination_offsets; see there
+    psi_plus.__dict__["_dominates"] = ((psi.group, psi.blocks), tuple(ts))
+    return psi_plus
 
 
 def canonical_offsets(psi: ArthurParameter, threshold: int | None = None) -> tuple[int, ...]:
@@ -479,7 +502,15 @@ def domination_offsets(psi: ArthurParameter, psi_plus: ArthurParameter) -> tuple
 
     Checks: same group, identical unipotent part, identical a-sequence on
     the discrete part, integral non-negative non-increasing differences.
+
+    A psi_+ built by ``dominate`` keeps the offsets it was built with,
+    keyed by the fields of its psi, which pass every check; any other pair
+    is checked.  As with ``quotient_map``, the key holds no reference to
+    psi, and a pickle or copy of psi_+ keeps nothing.
     """
+    kept = psi_plus.__dict__.get("_dominates")
+    if kept is not None and kept[0] == (psi.group, psi.blocks):
+        return kept[1]
     if psi_plus.group != psi.group:
         raise DominationError("group mismatch")
     if psi_plus.unipotent != psi.unipotent:
@@ -608,7 +639,7 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
 
     Built once per parameter and kept on it, so every caller of one
     parameter shares the group, its elements and its characters."""
-    if not good_parity(psi).ok:
+    if not _parity_ok(psi):
         raise ParityError("component group requires good parity")
     basis = tuple(b if b.mult == 1 else Block(b.t2, b.a, b.eta) for b in psi.blocks)
     return ComponentGroup(
@@ -795,13 +826,14 @@ def endoscopic_split(psi: ArthurParameter, s: Iterable[int]) -> EndoscopicSplit:
 
 
 def _block_candidates(group: ClassicalGroup, t2_max: int, a_max: int) -> list[Block]:
+    symplectic = group.dual_symplectic
     out = []
     for t2 in range(t2_max + 1):
         for a in range(1, a_max + 1):
             etas = (1,) if t2 > 0 else (1, -1)
             for eta in etas:
                 b = Block(t2, a, eta)
-                if _block_parity(group, b).ok:
+                if _block_ok(symplectic, b):
                     out.append(b)
     out.sort(key=lambda b: b.key, reverse=True)
     return out

@@ -18,9 +18,9 @@ from .params import (
     InfChar,
     ParameterError,
     _nu_display_doubled,
+    _parity_ok,
     domination_offsets,
     gl_inf_char,
-    good_parity,
 )
 from .weyl import Weight
 
@@ -47,17 +47,18 @@ def translation_weight(psi: ArthurParameter, psi_plus: ArthurParameter) -> Trans
     negatives in mirrored order; the G-side weight keeps the first n
     coordinates.
     """
-    offs = domination_offsets(psi, psi_plus)
-    disc = psi.discrete
-    n_star = psi.group.dual_dim
+    coords = _lambda_doubled(psi, domination_offsets(psi, psi_plus))
+    return TranslationDatum(Weight(coords), Weight(coords[: psi.group.rank]))
+
+
+def _lambda_doubled(psi: ArthurParameter, offs: tuple[int, ...]) -> tuple[int, ...]:
+    """The GL-side translation weight of the offsets, doubled, in the
+    layout of ``translation_weight``."""
     head: list[int] = []
-    for T, (_t2, a) in zip(offs, disc):
+    for T, (_t2, a) in zip(offs, psi.discrete):
         head.extend([2 * T] * a)
-    zeros = n_star - 2 * len(head)
-    coords = head + [0] * zeros + [-x for x in reversed(head)]
-    lam = Weight(tuple(coords))
-    lam_g = Weight(tuple(coords[: psi.group.rank]))
-    return TranslationDatum(lam, lam_g)
+    zeros = psi.group.dual_dim - 2 * len(head)
+    return tuple(head + [0] * zeros + [-x for x in reversed(head)])
 
 
 def _counts(items: tuple[int, ...]) -> dict[int, int]:
@@ -115,6 +116,7 @@ def _orbit_matches(
     unused = _counts(lam_items)
     keys = sorted(unused, reverse=True)
     missing = _counts(target)
+    is_missing = missing.get
     m = len(keys)
     mu = [0] * n
     cursor = [0] * n
@@ -126,14 +128,14 @@ def _orbit_matches(
             matches.append(tuple(mu))
         else:
             base = nu_plus[i]
-            for c in range(cursor[i], m):
+            c = cursor[i]
+            while c < m:
                 k = keys[c]
                 s = base + k
-                if unused[k] and missing.get(s):
+                if unused[k] and is_missing(s):
                     break
-            else:
-                c = -1
-            if c >= 0:
+                c += 1
+            if c < m:
                 cursor[i] = c + 1
                 nodes += 1
                 unused[k] -= 1
@@ -153,13 +155,13 @@ def _orbit_matches(
 
 
 def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> UniquenessReport:
-    if not good_parity(psi).ok:
+    if not _parity_ok(psi):
         raise ParameterError("uniqueness check requires good parity")
-    datum = translation_weight(psi, psi_plus)
+    # translation_weight's GL side, without its G side
+    lam_items = _lambda_doubled(psi, domination_offsets(psi, psi_plus))
     nu_plus = _nu_display_doubled(psi_plus)
     # the GL infinitesimal character of psi, as a multiset
     target = _nu_display_doubled(psi)
-    lam_items = datum.lambda_GL.doubled
     aligned = tuple(-x for x in lam_items)
     matches, nodes = _orbit_matches(nu_plus, lam_items, target)
     matches.sort(reverse=True)

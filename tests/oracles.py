@@ -4,8 +4,10 @@ Each is a plain, slow or direct form of something the package computes
 another way: the whole Weyl group and its orbits, the dominant-chamber
 test, delta(u) of a Levi layout, the quasi-split test of a real form,
 parameter merging and enumeration with a new block for every block and
-every search node, Levi enumeration with a new G_0 for every Levi, the
-rules of a group kind as if chains on the kind, and the frozen
+every search node (and with every block, of good parity or not), the GL
+exponents of a parameter one generator step at a time, Levi enumeration
+with a new G_0 for every Levi, the rules of a group kind as if chains on
+the kind, the parity verdict read off the report rows, and the frozen
 dataclasses that the value classes of ``weyl`` and ``params`` replaced.
 None of them is part of the package.
 
@@ -107,7 +109,28 @@ def enumerate_parameters(
 ) -> Iterator[params.ArthurParameter]:
     """Every good-parity parameter with bounded block data, by recursion
     over the candidate blocks with a new block at each search node."""
-    cands = _block_candidates(group, int(Fraction(t_max) * 2), a_max)
+    return _parameters(group, _block_candidates(group, int(Fraction(t_max) * 2), a_max))
+
+
+def every_parameter(
+    group: params.ClassicalGroup, t_max=Fraction(7, 2), a_max: int = 4
+) -> Iterator[params.ArthurParameter]:
+    """Every parameter with bounded block data, of good parity or not."""
+    cands = [
+        params.Block(t2, a, eta)
+        for t2 in range(int(Fraction(t_max) * 2) + 1)
+        for a in range(1, a_max + 1)
+        for eta in ((1,) if t2 else (1, -1))
+    ]
+    cands.sort(key=lambda b: b.key, reverse=True)
+    return _parameters(group, cands)
+
+
+def _parameters(
+    group: params.ClassicalGroup, cands: list[params.Block]
+) -> Iterator[params.ArthurParameter]:
+    """Every parameter whose blocks are candidates, by the recursion of
+    ``enumerate_parameters``."""
 
     def rec(idx: int, remaining: int, chosen: list[params.Block]) -> Iterator[params.ArthurParameter]:
         if remaining == 0:
@@ -124,6 +147,20 @@ def enumerate_parameters(
         yield from rec(idx + 1, remaining, chosen)
 
     yield from rec(0, group.dual_dim, [])
+
+
+def nu_display_doubled(psi: params.ArthurParameter) -> tuple[int, ...]:
+    """``params._nu_display_doubled`` with one generator step per exponent."""
+    head: list[int] = []
+    for t2, a in psi.discrete:
+        head.extend(t2 + (a - 1) - 2 * k for k in range(a))
+    middle: list[int] = []
+    for b in psi.unipotent:
+        for _ in range(b.mult):
+            middle.extend((b.a - 1) - 2 * k for k in range(b.a))
+    middle.sort(reverse=True)
+    tail = [-x for x in reversed(head)]
+    return tuple(head + middle + tail)
 
 
 def enumerate_levis(psi: params.ArthurParameter) -> list[aq.LeviDatum]:
@@ -189,6 +226,14 @@ def block_parity(group: params.ClassicalGroup, b: params.Block) -> tuple[bool, s
         return ok, f"a = {b.a} {'is' if ok else 'is not'} even (symplectic dual)"
     ok = b.a % 2 == 1
     return ok, f"a = {b.a} {'is' if ok else 'is not'} odd (orthogonal dual)"
+
+
+def good_parity(psi: params.ArthurParameter) -> tuple[bool, list[tuple[params.Block, bool, str]]]:
+    """The verdict and the (block, ok, reason) rows, the verdict read off
+    the rows built with their reasons, as ``params.good_parity`` did for
+    every caller."""
+    rows = [(b, *block_parity(psi.group, b)) for b in psi.blocks]
+    return all(ok for _b, ok, _reason in rows), rows
 
 
 def factor_group(base: params.ClassicalGroup, dual_dim: int) -> params.ClassicalGroup:

@@ -62,7 +62,8 @@ def test_criterion_1_orbit_uniqueness():
         checked += 1
         nodes += rep.nodes
     elapsed = time.time() - start
-    ok = not failures and elapsed <= 300
+    # the corpus, and the search over it, visit exactly these
+    ok = not failures and (checked, nodes) == (1072, 7528) and elapsed <= 300
     report(
         1,
         ok,

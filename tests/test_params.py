@@ -1,6 +1,9 @@
+import gc
 import itertools
+import pickle
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,8 @@ from arthurcomb.params import (
     _CORPUS_RANKS,
     _block_parity,
     _kept,
+    _nu_display_doubled,
+    _parity_ok,
     _quasi_split_form,
     arthur_parameter,
     block,
@@ -34,6 +39,7 @@ from arthurcomb.params import (
     quotient_map,
     very_regular_threshold,
 )
+from arthurcomb.torus import uniqueness_check
 import oracles
 from oracles import quasi_split
 
@@ -96,6 +102,13 @@ def test_kind_must_be_a_known_string():
     for kind in ("Spin", "", ["Sp"], {"Sp": 1}, None, 1):
         with pytest.raises(ParameterError, match="unknown kind"):
             ClassicalGroup(kind, 2)
+
+
+@pytest.mark.parametrize("rank", [2.5, 2.0, True, "2", None, Fraction(2)], ids=repr)
+def test_rank_must_be_an_int(rank):
+    for kind in ("Sp", "SOodd", "SOeven"):
+        with pytest.raises(ParameterError, match=re.escape(f"rank {rank!r} is not an integer")):
+            ClassicalGroup(kind, rank)
 
 
 def test_quasi_split():
@@ -201,7 +214,49 @@ def test_block_parity_reasons_equal_fraction_text():
         assert _block_parity(group, b).reason == old_block_parity_reason(group, b), (group, b)
 
 
+def _corpus_and_plus():
+    """Every corpus parameter, each followed by its psi_+ at the canonical
+    offsets."""
+    for psi in corpus():
+        yield psi
+        yield dominate(psi, canonical_offsets(psi))
+
+
+def _wide_block_parameters():
+    """Every parameter of the corpus groups with t <= 11/2 and a <= 8, of
+    good parity or not: both wide-block corpora (a <= 8, and t <= 11/2
+    with a <= 8) and every parameter with a bad block among them."""
+    for kind, ranks in _CORPUS_RANKS:
+        for rank in ranks:
+            yield from oracles.every_parameter(ClassicalGroup(kind, rank), Fraction(11, 2), 8)
+
+
+def test_parity_verdict_and_report_equal_the_reason_building_oracle():
+    """The verdict the guards read, the report's verdict and its rows equal
+    the oracle's verdict read off rows built with their reasons, on the
+    corpus with each psi_+ and on the wide-block parameters.  The bare
+    verdict is read first, on a parameter with nothing kept."""
+    checked = bad = 0
+    for psi in itertools.chain(_corpus_and_plus(), _wide_block_parameters()):
+        ok, rows = oracles.good_parity(psi)
+        assert _parity_ok(psi) is ok, str(psi)
+        rep = good_parity(psi)
+        assert rep.ok is ok, str(psi)
+        assert [tuple(row) for row in rep.blocks] == rows, str(psi)
+        checked += 1
+        bad += not ok
+    assert (checked, bad) == (2 * 1072 + 17866, 15460)
+
+
 # --- infinitesimal characters -----------------------------------------------
+
+
+def test_gl_exponents_equal_the_generator_oracle():
+    """The exponents from ranges equal those one generator step at a time,
+    on the corpus with each psi_+ and on the wide-block parameters."""
+    for psi in itertools.chain(_corpus_and_plus(), _wide_block_parameters()):
+        assert _nu_display_doubled(psi) == oracles.nu_display_doubled(psi), str(psi)
+
 
 
 def test_inf_char_ex1(ex1):
@@ -336,6 +391,80 @@ def test_canonical_offsets_through_corpus():
             assert domination_offsets(psi, plus) == offs
             count += 1
     assert count > 50
+
+
+def _offset_trials(psi):
+    """The canonical offsets and three larger non-increasing vectors: one
+    more everywhere, k - i more at position i of k, and n* more at the
+    first."""
+    offs = canonical_offsets(psi)
+    k, n_star = len(offs), psi.group.dual_dim
+    return [
+        offs,
+        tuple(T + 1 for T in offs),
+        tuple(T + k - i for i, T in enumerate(offs)),
+        tuple(T + n_star * (i == 0) for i, T in enumerate(offs)),
+    ]
+
+
+def test_offsets_kept_by_dominate_equal_the_checked_ones_over_corpus():
+    """``dominate`` leaves its offsets on psi_+.  Read back for psi, or for
+    a parameter equal to it, they are one kept tuple, equal to the offsets
+    given and to those the full check recovers from a pickle of psi_+,
+    which keeps nothing."""
+    pairs = 0
+    for psi in corpus():
+        equal = pickle.loads(pickle.dumps(psi))
+        for offs in _offset_trials(psi):
+            plus = dominate(psi, offs)
+            kept = domination_offsets(psi, plus)
+            # a checked pair builds a new tuple at each call
+            assert domination_offsets(equal, plus) is kept
+            fresh = pickle.loads(pickle.dumps(plus))
+            assert fresh == plus and not vars(fresh)
+            assert kept == domination_offsets(psi, fresh) == offs, (str(psi), offs)
+            pairs += 1
+    assert pairs == 4 * 1072
+
+
+def test_a_pair_that_dominate_did_not_build_is_checked_over_corpus():
+    """psi_+ of each corpus parameter against the parameter before it: the
+    offsets psi_+ keeps answer for no other parameter, so the outcome,
+    offsets or error, is that of the full check on a pickle of psi_+."""
+    prev = None
+    outcomes = set()
+    for psi in corpus():
+        plus = dominate(psi, canonical_offsets(psi))
+        if prev is not None:
+            want = _outcome(domination_offsets, prev, pickle.loads(pickle.dumps(plus)))
+            assert _outcome(domination_offsets, prev, plus) == want, (str(prev), str(psi))
+            outcomes.add(want if isinstance(want, str) else "offsets")
+        prev = psi
+    assert len(outcomes) >= 4, outcomes
+
+
+def test_psi_plus_keeps_no_reference_to_psi():
+    """After psi_+ has answered ``domination_offsets``, ``quotient_map`` and
+    the uniqueness check, psi dies with its last reference, with the
+    cyclic collector off: psi_+ keeps psi's fields only, in no cycle.  It
+    still reads its offsets back for a parameter equal to psi."""
+    psi = arthur_parameter(SO_ODD2, [block(Fraction(1, 2), 1, mult=2)])
+    offs = canonical_offsets(psi)
+    plus = dominate(psi, offs)
+    assert domination_offsets(psi, plus) == offs
+    assert quotient_map(plus, psi).kernel_order == 2
+    assert uniqueness_check(psi, plus).unique
+    equal = pickle.loads(pickle.dumps(psi))
+    ref = weakref.ref(psi)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del psi
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert domination_offsets(equal, plus) is domination_offsets(equal, plus) == offs
 
 
 @pytest.mark.parametrize(
