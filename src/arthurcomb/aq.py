@@ -168,9 +168,7 @@ def packet_data(
     psi: ArthurParameter, entries: Iterable[tuple[AqDatum, Iterable[int]]]
 ) -> PacketData:
     group = component_group(psi)
-    canon = tuple(
-        (datum, group.canonical_character(tuple(values))) for datum, values in entries
-    )
+    canon = tuple((datum, group.canonical_character(values)) for datum, values in entries)
     return PacketData(psi, canon)
 
 
@@ -790,10 +788,10 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     dropped.
 
     Each distinct datum is checked and rebuilt once, however many
-    characters it carries, and each character is pushed once per quotient
-    map: the map and its push table are kept on psi_+ (``quotient_map``),
-    the shifts and A_q data on each parameter, and the range verdict of a
-    (layout, t~) pair in a bounded module cache (``range_check``).
+    characters it carries, and each character is pushed once per shape of
+    quotient map: the map is kept on psi_+ (``quotient_map``), the shifts
+    and A_q data on each parameter, and the pushed characters and the range
+    verdict of a (layout, t~) pair in bounded module caches.
     """
     psi_plus = packet_plus.psi
     qm = quotient_map(psi_plus, psi)

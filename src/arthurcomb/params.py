@@ -69,15 +69,13 @@ class DominationError(ParameterError):
 def _kept(fn):
     """Memo for a function of one object and at most one hashable argument:
     ``fn(obj)`` or ``fn(obj, arg)`` is computed on the first call and kept
-    in ``obj.__dict__``, so the values are freed with the object.  A
-    module-level cache keyed by the object would instead keep every object
-    it was given alive.  Unlike ``functools.cached_property`` before Python
-    3.12, a first call takes no lock.  Under ``property``, a kept method of
-    no arguments reads as an attribute.
-
-    A hit is one lookup: with no argument the value sits under the
-    function's key itself, with one argument in a table keyed by it.  A
-    kept None is a hit like any other value."""
+    in ``obj.__dict__``, so it is freed with the object, which a module
+    cache keyed by the object would keep alive.  A hit is one lookup (a
+    kept None too), and a first call takes no lock.  Under ``property``, a
+    kept method of no arguments reads as an attribute.  A value that reads
+    less than the object, as the F_2 tables of a component group or a
+    quotient map read only its shape, sits in an ``lru_cache`` keyed by
+    what it reads."""
     key = "_kept_" + fn.__qualname__
 
     if fn.__code__.co_argcount == 2:
@@ -558,6 +556,73 @@ def _signs(mask: int, k: int) -> tuple[int, ...]:
 _CHARACTER_ERROR = "character values must be +-1 per basis block"
 
 
+@functools.lru_cache(maxsize=64)
+def _elements(k: int, odd: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_signs(m, k) for m in range(1 << k) if not (m & odd).bit_count() & 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _characters(k: int, odd: int) -> tuple[tuple[int, ...], ...]:
+    top = 1 << (odd.bit_length() - 1) if odd else 0
+    return tuple(_signs(c, k) for c in range(1 << k) if not c & top)
+
+
+@functools.lru_cache(maxsize=1024)
+def _canonical_character(k: int, odd: int, values: tuple[int, ...]) -> tuple[int, ...]:
+    c = _mask(values, k, _CHARACTER_ERROR)
+    return _signs(min(c, c ^ odd), k)
+
+
+def _push(fibers: tuple[int, ...], m: int) -> int:
+    out = 0
+    for f in fibers:
+        out = out << 1 | (m & f).bit_count() & 1
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _push_character(
+    k: int, fibers: tuple[int, ...], target_odd: int, values: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    c = _mask(values, k, _CHARACTER_ERROR)
+    out = 0
+    for f in fibers:
+        part = c & f
+        if part and part != f:
+            return None
+        out = out << 1 | (part != 0)
+    return _signs(min(out, out ^ target_odd), len(fibers))
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(k: int, odd: int, fibers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(s for s in _elements(k, odd) if not _push(fibers, _mask(s, k)))
+
+
+@functools.lru_cache(maxsize=256)
+def _onto(k: int, odd: int, fibers: tuple[int, ...], target_odd: int) -> bool:
+    """True iff the push maps the source group onto the target group, by
+    an F_2 rank check in O(k^2) bit operations: the images of the source
+    basis (the unit masks off ``odd``, and each other one on ``odd`` plus
+    the lowest) must lie in the target and have rank dim A(psi)."""
+    low = odd & -odd
+    pivots: dict[int, int] = {}
+    for b in range(k):
+        unit = 1 << b
+        if unit == low:
+            continue
+        image = _push(fibers, unit | low if unit & odd else unit)
+        if (image & target_odd).bit_count() & 1:
+            return False
+        while image:
+            top = image.bit_length()
+            if top not in pivots:
+                pivots[top] = image
+                break
+            image ^= pivots[top]
+    return len(pivots) == len(fibers) - (target_odd != 0)
+
+
 class ComponentGroup(_Value):
     """A(psi) as sign vectors on the distinct blocks.
 
@@ -570,10 +635,10 @@ class ComponentGroup(_Value):
     blocks under the determinant condition (else 0): an element is a mask
     m with ``m & odd`` of even popcount, and a character is a mask modulo
     ``odd``.  The order is read off the basis; elements and characters
-    are listed only when read.
+    are listed only when read, once per shape (k, odd) in a process.
     """
 
-    __slots__ = ("basis", "dims", "det_relation", "s_psi", "odd", "__dict__")
+    __slots__ = ("basis", "dims", "det_relation", "s_psi", "odd", "__weakref__")
     _derived = ("odd",)
 
     def __init__(
@@ -594,17 +659,10 @@ class ComponentGroup(_Value):
     def order(self) -> int:
         return 1 << (len(self.basis) - self.relation_nontrivial)
 
-    def _masks(self) -> Iterator[int]:
-        """The elements as masks, ascending."""
-        odd = self.odd
-        return (m for m in range(1 << len(self.basis)) if not (m & odd).bit_count() & 1)
-
     @property
-    @_kept
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        """Every element, descending; listed on the first read and kept."""
-        k = len(self.basis)
-        return tuple(_signs(m, k) for m in self._masks())
+        """Every element, descending."""
+        return _elements(len(self.basis), self.odd)
 
     def __contains__(self, s: Iterable[int]) -> bool:
         m = _mask(tuple(s), len(self.basis))
@@ -614,31 +672,26 @@ class ComponentGroup(_Value):
     def relation_nontrivial(self) -> bool:
         return self.odd != 0
 
-    @_kept
-    def canonical_character(self, values: tuple[int, ...]) -> tuple[int, ...]:
+    def canonical_character(self, values: Iterable[int]) -> tuple[int, ...]:
         """Canonical representative of a character given by generator
         values: of the two masks that agree on A(psi), c and c ^ odd, the
-        smaller.  Each value vector is canonicalized once and kept on the
-        group."""
-        c = _mask(values, len(self.basis), _CHARACTER_ERROR)
-        return _signs(min(c, c ^ self.odd), len(self.basis))
+        smaller."""
+        try:
+            return _canonical_character(len(self.basis), self.odd, tuple(values))
+        except TypeError:  # not iterable, or an entry that cannot key the table
+            raise ParameterError(_CHARACTER_ERROR) from None
 
-    @_kept
     def characters(self) -> tuple[tuple[int, ...], ...]:
         """All characters, as canonical generator-value vectors, descending:
-        the masks with the top bit of ``odd`` clear.  Listed on the first
-        call and kept on the group."""
-        k, odd = len(self.basis), self.odd
-        top = 1 << (odd.bit_length() - 1) if odd else 0
-        return tuple(_signs(c, k) for c in range(1 << k) if not c & top)
+        the masks with the top bit of ``odd`` clear."""
+        return _characters(len(self.basis), self.odd)
 
 
 @_kept
 def component_group(psi: ArthurParameter) -> ComponentGroup:
     """Component group of the centralizer, with s_psi = image of -1 in SL(2).
 
-    Built once per parameter and kept on it, so every caller of one
-    parameter shares the group, its elements and its characters."""
+    Built once per parameter and kept on it."""
     if not _parity_ok(psi):
         raise ParityError("component group requires good parity")
     basis = tuple(b if b.mult == 1 else Block(b.t2, b.a, b.eta) for b in psi.blocks)
@@ -656,10 +709,10 @@ class QuotientMap(_Value):
     ``fibers[j]`` is the mask of the source blocks over target block j.
     A source mask pushes to the mask whose bit j is the parity of its
     fiber; a character of A(psi_+) descends when it is constant on every
-    fiber, and its image takes that constant on each.  Each character
-    pushed is pushed once and its image (or None) kept on the map."""
+    fiber, and its image takes that constant on each.  Each character is
+    pushed once per shape (k, fibers, the target's ``odd``) in a process."""
 
-    __slots__ = ("source", "target", "index_map", "fibers", "__dict__")
+    __slots__ = ("source", "target", "index_map", "fibers", "__weakref__")
     _derived = ("fibers",)
 
     def __init__(
@@ -674,38 +727,11 @@ class QuotientMap(_Value):
             fibers[j] |= 1 << (k - 1 - i)
         object.__setattr__(self, "fibers", tuple(fibers))
 
-    def _push(self, m: int) -> int:
-        out = 0
-        for f in self.fibers:
-            out = out << 1 | (m & f).bit_count() & 1
-        return out
-
-    def _onto(self) -> bool:
-        """True iff the push maps the source group onto the target group
-        (see ``_quotient_map``).  The source basis: the unit masks off
-        ``odd``, and each other unit mask on ``odd`` plus the lowest one."""
-        odd, low = self.source.odd, self.source.odd & -self.source.odd
-        pivots: dict[int, int] = {}
-        for b in range(len(self.source.basis)):
-            unit = 1 << b
-            if unit == low:
-                continue
-            image = self._push(unit | low if unit & odd else unit)
-            if (image & self.target.odd).bit_count() & 1:
-                return False
-            while image:
-                top = image.bit_length()
-                if top not in pivots:
-                    pivots[top] = image
-                    break
-                image ^= pivots[top]
-        return len(pivots) == len(self.target.basis) - self.target.relation_nontrivial
-
     def push(self, s_plus: tuple[int, ...]) -> tuple[int, ...]:
         s_plus = tuple(s_plus)
         if s_plus not in self.source:
             raise ParameterError("element not in the source group")
-        return _signs(self._push(_mask(s_plus, len(self.source.basis))), len(self.fibers))
+        return _signs(_push(self.fibers, _mask(s_plus, len(self.source.basis))), len(self.fibers))
 
     @property
     def kernel_order(self) -> int:
@@ -713,48 +739,33 @@ class QuotientMap(_Value):
 
     def kernel(self) -> tuple[tuple[int, ...], ...]:
         """The elements pushed to the identity, descending."""
-        k = len(self.source.basis)
-        return tuple(_signs(m, k) for m in self.source._masks() if not self._push(m))
+        return _kernel(len(self.source.basis), self.source.odd, self.fibers)
 
-    @_kept
-    def push_character(self, values_plus: tuple[int, ...]) -> tuple[int, ...] | None:
+    def push_character(self, values_plus: Iterable[int]) -> tuple[int, ...] | None:
         """Descend a character to A(psi), as its canonical values; None
         flags a vanishing coefficient: one not constant on every fiber."""
-        c = _mask(values_plus, len(self.source.basis), _CHARACTER_ERROR)
-        out = 0
-        for f in self.fibers:
-            part = c & f
-            if part and part != f:
-                return None
-            out = out << 1 | (part != 0)
-        return _signs(min(out, out ^ self.target.odd), len(self.fibers))
+        k = len(self.source.basis)
+        try:
+            return _push_character(k, self.fibers, self.target.odd, tuple(values_plus))
+        except TypeError:  # not iterable, or an entry that cannot key the table
+            raise ParameterError(_CHARACTER_ERROR) from None
 
 
 def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
-    """The quotient A(psi_+) -> A(psi) of a domination pair.
+    """The quotient A(psi_+) -> A(psi) of a domination pair: each block of
+    psi_+ maps to the block of psi it came from, and the map must be onto
+    (``_onto``).
 
-    Built and checked for surjectivity once per pair: the map is kept on
-    psi_+, keyed by the fields of psi, so it holds no reference to psi and
-    is freed with psi_+.  ``_kept`` would key it by psi itself, and for the
-    identity pair (psi, psi) that puts psi in a table in its own
-    ``__dict__``: a reference cycle, which only the garbage collector
-    frees."""
+    Built and checked once per pair: the map is kept on psi_+, keyed by
+    the fields of psi, so it holds no reference to psi and is freed with
+    psi_+.  ``_kept`` would key it by psi itself, and for the identity pair
+    (psi, psi) that puts psi in a table in its own ``__dict__``: a
+    reference cycle, which only the garbage collector frees."""
     maps = psi_plus.__dict__.setdefault("_quotient_maps", {})
     key = (psi.group, psi.blocks)
     qm = maps.get(key)
-    if qm is None:
-        qm = maps[key] = _quotient_map(psi_plus, psi)
-    return qm
-
-
-def _quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
-    """Each block of psi_+ maps to the block of psi it came from.
-
-    Surjectivity is an F_2 rank check in O(k^2) bit operations on k
-    blocks, without listing A(psi_+) (``QuotientMap._onto``): the push is
-    linear, so its image is the span of the images of a basis of A(psi_+).
-    That span is all of A(psi) when each image lies in A(psi) and the
-    images have rank dim A(psi)."""
+    if qm is not None:
+        return qm
     domination_offsets(psi, psi_plus)
     source = component_group(psi_plus)
     target = component_group(psi)
@@ -771,8 +782,9 @@ def _quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMa
         else:
             index_map.append(target_index[b.key])
     qm = QuotientMap(source, target, tuple(index_map))
-    if not qm._onto():
+    if not _onto(len(source.basis), source.odd, qm.fibers, target.odd):
         raise RuntimeError("quotient map is not surjective")
+    maps[key] = qm
     return qm
 
 

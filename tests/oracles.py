@@ -7,9 +7,10 @@ parameter merging and enumeration with a new block for every block and
 every search node (and with every block, of good parity or not), the GL
 exponents of a parameter one generator step at a time, Levi enumeration
 with a new G_0 for every Levi, the rules of a group kind as if chains on
-the kind, the parity verdict read off the report rows, and the frozen
-dataclasses that the value classes of ``weyl`` and ``params`` replaced.
-None of them is part of the package.
+the kind, the parity verdict read off the report rows, the F_2 tables of
+a component group and a quotient map worked out from the object they
+belong to, and the frozen dataclasses that the value classes of ``weyl``
+and ``params`` replaced.  None of them is part of the package.
 
 The dataclasses carry the package's class names, so that their ``repr``
 is comparable; the package's own classes are named through their
@@ -27,6 +28,75 @@ from typing import Iterable, Iterator
 from arthurcomb import aq, params, weyl
 from arthurcomb.aq import _layout_roots
 from arthurcomb.params import DimensionError, ParameterError, _block_candidates
+
+
+# The F_2 tables of a component group and a quotient map, each worked out
+# from the group or map it is given, as the methods did when each object
+# kept its own: the package's module tables keyed by shape must equal them.
+
+
+def group_masks(grp: params.ComponentGroup) -> Iterator[int]:
+    """The elements as masks, ascending."""
+    odd = grp.odd
+    return (m for m in range(1 << len(grp.basis)) if not (m & odd).bit_count() & 1)
+
+
+def group_elements(grp: params.ComponentGroup) -> tuple[tuple[int, ...], ...]:
+    k = len(grp.basis)
+    return tuple(params._signs(m, k) for m in group_masks(grp))
+
+
+def group_characters(grp: params.ComponentGroup) -> tuple[tuple[int, ...], ...]:
+    k, odd = len(grp.basis), grp.odd
+    top = 1 << (odd.bit_length() - 1) if odd else 0
+    return tuple(params._signs(c, k) for c in range(1 << k) if not c & top)
+
+
+def canonical_character(grp: params.ComponentGroup, values: tuple[int, ...]) -> tuple[int, ...]:
+    c = params._mask(values, len(grp.basis), params._CHARACTER_ERROR)
+    return params._signs(min(c, c ^ grp.odd), len(grp.basis))
+
+
+def map_push(qm: params.QuotientMap, m: int) -> int:
+    out = 0
+    for f in qm.fibers:
+        out = out << 1 | (m & f).bit_count() & 1
+    return out
+
+
+def map_onto(qm: params.QuotientMap) -> bool:
+    odd, low = qm.source.odd, qm.source.odd & -qm.source.odd
+    pivots: dict[int, int] = {}
+    for b in range(len(qm.source.basis)):
+        unit = 1 << b
+        if unit == low:
+            continue
+        image = map_push(qm, unit | low if unit & odd else unit)
+        if (image & qm.target.odd).bit_count() & 1:
+            return False
+        while image:
+            top = image.bit_length()
+            if top not in pivots:
+                pivots[top] = image
+                break
+            image ^= pivots[top]
+    return len(pivots) == len(qm.target.basis) - qm.target.relation_nontrivial
+
+
+def map_kernel(qm: params.QuotientMap) -> tuple[tuple[int, ...], ...]:
+    k = len(qm.source.basis)
+    return tuple(params._signs(m, k) for m in group_masks(qm.source) if not map_push(qm, m))
+
+
+def push_character(qm: params.QuotientMap, values_plus: tuple[int, ...]) -> tuple[int, ...] | None:
+    c = params._mask(values_plus, len(qm.source.basis), params._CHARACTER_ERROR)
+    out = 0
+    for f in qm.fibers:
+        part = c & f
+        if part and part != f:
+            return None
+        out = out << 1 | (part != 0)
+    return params._signs(min(out, out ^ qm.target.odd), len(qm.fibers))
 
 
 @dataclass(frozen=True)

@@ -482,8 +482,10 @@ def test_translate_packet_rejects_levi_not_fitting_the_dominating_parameter(psi,
 def test_kept_values_leave_the_parameter_as_it_was_and_die_with_it(full_packet):
     """What the packet path keeps on psi and psi_+ changes neither their
     ==, hash, repr nor pickle, and is freed with them: no module-level
-    cache holds a parameter, and the kept values make no reference cycle,
-    so the parameters go as soon as the last reference does."""
+    cache holds a parameter, a component group or a quotient map (the
+    tables of groups and maps are keyed by their shape, in ints), and the
+    kept values make no reference cycle, so the parameters, their groups
+    and their maps go as soon as the last reference does."""
     g = ClassicalGroup("SOodd", 2, (3, 2))
     psi = arthur_parameter(g, [block(Fraction(1, 2), 1, mult=2)])
     plus = dominate(psi, canonical_offsets(psi))
@@ -497,13 +499,17 @@ def test_kept_values_leave_the_parameter_as_it_was_and_die_with_it(full_packet):
         assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
         back = pickle.loads(pickle.dumps(p))
         assert back == p and vars(back) == vars(fresh)
-    refs = [weakref.ref(psi), weakref.ref(plus)]
+    groups_and_maps = (
+        params.component_group(psi), params.component_group(plus),
+        quotient_map(plus, psi), quotient_map(plus, plus),
+    )
+    refs = [weakref.ref(x) for x in (psi, plus, *groups_and_maps)]
     gc.disable()
     try:
-        del psi, plus, pk, results, p, fresh, back
-        assert [r() for r in refs] == [None, None]
+        del psi, plus, pk, results, p, fresh, back, groups_and_maps
+        assert [r() for r in refs] == [None] * 6
     finally:
         gc.enable()
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None] * 6
 

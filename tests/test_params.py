@@ -529,6 +529,108 @@ def test_component_group_and_quotient_map_take_only_sign_vectors(ex1):
         qm.push((1, -1))
 
 
+def test_character_methods_take_any_iterable_and_refuse_bad_values_on_every_call(ex1):
+    """A list or a generator of +-1 is a character like the tuple; what is
+    not an iterable of +-1, an unhashable entry included, raises
+    ParameterError, never TypeError, and on every call, since no error is
+    kept in a table."""
+    grp = component_group(ex1)
+    psi = arthur_parameter(SO_ODD2, [block(Fraction(1, 2), 1, mult=2)])
+    qm = quotient_map(dominate(psi, canonical_offsets(psi)), psi)
+    for method in (grp.canonical_character, qm.push_character):
+        for values, same in (([1, -1], (1, -1)), ((x for x in (-1, -1)), (-1, -1))):
+            assert method(values) == method(same)
+        for bad in (5, None, [1], [1, 2], [[1], -1], [{}, 1], "+-", iter([1, -1, 1])):
+            for _ in range(2):
+                with pytest.raises(ParameterError, match="character values must be"):
+                    method(bad)
+
+
+def _shape_group(k: int, odd: int) -> params.ComponentGroup:
+    """A group of k blocks under the determinant relation whose mask
+    ``odd`` is the given one: block i is one-dimensional where bit k-1-i
+    is set, two-dimensional elsewhere."""
+    basis = tuple(Block(2 * (k - i), 1) for i in range(k))
+    dims = tuple(1 if odd >> (k - 1 - i) & 1 else 2 for i in range(k))
+    return params.ComponentGroup(basis, dims, True, (1,) * k)
+
+
+def _index_maps(k: int):
+    """Every map of k >= 1 source blocks onto target blocks 0, 1, ...,
+    each target numbered where its fiber first appears: every map up to
+    the order of the targets.  The maps of a domination pair are among
+    them, as the targets of psi_+'s blocks ascend."""
+
+    def grow(prefix: tuple[int, ...], m: int):
+        if len(prefix) == k:
+            yield prefix
+            return
+        for j in range(m + 1):
+            yield from grow(prefix + (j,), max(m, j + 1))
+
+    return grow((0,), 1)
+
+
+def _table_mismatches(max_k: int) -> list:
+    """Where the module tables differ from the per-object bodies of the
+    oracles: for every group of k <= max_k blocks, with every odd mask,
+    its elements, its characters and the canonical form of every sign
+    vector; for every map of k <= max_k source blocks, its kernel under
+    every source mask, its surjectivity under every source and target
+    mask, and the push of every sign vector under every target mask."""
+    out = []
+    for k in range(1, max_k + 1):
+        vectors = list(itertools.product((1, -1), repeat=k))
+        groups = [_shape_group(k, odd) for odd in range(1 << k)]
+        for grp in groups:
+            if grp.elements != oracles.group_elements(grp):
+                out.append((grp, "elements"))
+            if grp.characters() != oracles.group_characters(grp):
+                out.append((grp, "characters"))
+            for v in vectors:
+                if grp.canonical_character(v) != oracles.canonical_character(grp, v):
+                    out.append((grp, v))
+        for index_map in _index_maps(k):
+            m = max(index_map) + 1
+            targets = [_shape_group(m, odd) for odd in range(1 << m)]
+            for source in groups:
+                qm = params.QuotientMap(source, targets[0], index_map)
+                if qm.kernel() != oracles.map_kernel(qm):
+                    out.append((qm, "kernel"))
+                for target in targets:
+                    qm = params.QuotientMap(source, target, index_map)
+                    if params._onto(k, source.odd, qm.fibers, target.odd) != oracles.map_onto(qm):
+                        out.append((qm, "onto"))
+            for target in targets:
+                qm = params.QuotientMap(groups[0], target, index_map)
+                for v in vectors:
+                    if qm.push_character(v) != oracles.push_character(qm, v):
+                        out.append((qm, v))
+    return out
+
+
+def _push_character_without_fiber_test(k, fibers, target_odd, values):
+    """``params._push_character`` without its ``part != f`` test: a
+    character that is not constant on a fiber descends as -1 there."""
+    c = params._mask(values, k, params._CHARACTER_ERROR)
+    out = 0
+    for f in fibers:
+        out = out << 1 | (c & f != 0)
+    return params._signs(min(out, out ^ target_odd), len(fibers))
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_shape_tables_match_the_per_object_bodies(monkeypatch, mutant):
+    """The module tables equal the oracles' per-object bodies on every
+    shape with k <= 6 blocks (``_table_mismatches``), and the comparison
+    catches a push that lets a character descend across a fiber."""
+    if mutant:
+        monkeypatch.setattr(params, "_push_character", _push_character_without_fiber_test)
+        assert _table_mismatches(3)
+    else:
+        assert _table_mismatches(6) == []
+
+
 def test_component_group_single_odd_block():
     psi = arthur_parameter(SP2, [block(0, 5)])
     grp = component_group(psi)
@@ -615,9 +717,10 @@ def test_quotient_map_to_itself_is_the_identity_over_corpus():
 def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1, monkeypatch):
     """``_kept`` computes fn(obj) and fn(obj, x) once per object and
     argument; two objects, or two arguments, never share an entry, x and
-    (x,) are two arguments, and a kept None is a hit.  The filled tables
-    leave ==, hash and repr of the groups and of a quotient map as they
-    were."""
+    (x,) are two arguments, and a kept None is a hit.  A component group
+    and a quotient map keep nothing: their values are read back from the
+    module tables of their shape, also by a new object of that shape, and
+    ==, hash and repr stay those of a new object."""
     calls = []
 
     def call(*record):
@@ -647,19 +750,28 @@ def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1, monkeypatch):
     so = component_group(arthur_parameter(SO_ODD2, [block(Fraction(3, 2), 1), block(Fraction(1, 2), 1)]))
     psi = arthur_parameter(SO_ODD2, [block(Fraction(1, 2), 1, mult=2)])
     qm = quotient_map(dominate(psi, canonical_offsets(psi)), psi)
-    fresh = [type(x)(*(getattr(x, f) for f in x._fields)) for x in (sp, so, qm)]
-    assert sp.canonical_character((1, -1)) == (1, 1)
-    assert sp.canonical_character((-1, 1)) == (-1, 1)
-    assert so.canonical_character((1, -1)) == (1, -1)
-    assert so.canonical_character((-1, 1)) == (-1, 1)
-    assert qm.push_character((1, -1)) is None
-    assert qm.push_character((-1, -1)) == (-1,)
-    # the vanishing character's None is read back, not pushed again
+    objects = (sp, so, qm)
+    fresh = [type(x)(*(getattr(x, f) for f in x._fields)) for x in objects]
+    # (object, sign vector, its canonical form or pushed character)
+    reads = [(0, (1, -1), (1, 1)), (0, (-1, 1), (-1, 1)), (1, (1, -1), (1, -1)),
+             (1, (-1, 1), (-1, 1)), (2, (1, -1), None), (2, (-1, -1), (-1,))]
+
+    def read(x, values):
+        if isinstance(x, params.QuotientMap):
+            return x.push_character(values)
+        return x.canonical_character(values)
+
+    for i, values, image in reads:
+        assert read(objects[i], values) == image
+    # every value, the vanishing character's None too, is read back, not
+    # worked out again, also through a new object of the same shape: with
+    # no mask to compute, each call still answers
     monkeypatch.setattr(params, "_mask", None)
-    assert qm.push_character((1, -1)) is None
+    for i, values, image in reads:
+        assert read(objects[i], values) == read(fresh[i], values) == image
     monkeypatch.undo()
-    for x, y in zip((sp, so, qm), fresh):
-        assert vars(x) != vars(y)  # something is kept
+    for x, y in zip(objects, fresh):
+        assert not hasattr(x, "__dict__")
         assert (x, hash(x), repr(x)) == (y, hash(y), repr(y))
 
 
