@@ -178,14 +178,24 @@ def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
     Each discrete block of size a contributes a factor U(p, q) with
     p + q = a; orthogonal signatures must stay non-negative after
     removing the 2p's and 2q's.  Deterministic lexicographic order in
-    the p-vector.  The Levis with one residual signature share one G_0.
+    the p-vector.  The list depends only on the shape (group, a_i, n_0),
+    so it is built once per shape in a process (``_levis``), and each
+    call returns a fresh list of the shape's shared ``LeviDatum`` objects.
+    The cached list outlives the parameter: a shape with prod(a_i + 1)
+    candidates keeps its whole listing until 256 later shapes evict it.
     """
     if not _parity_ok(psi):
         raise ParityError("Levi enumeration requires good parity")
     g = psi.group
     if g.kind != "Sp" and g.signature is None:
         raise ParameterError("Levi enumeration for SO kinds needs a signature")
-    a_list, n0 = _discrete_layout(psi)
+    return list(_levis(g, *_discrete_layout(psi)))
+
+
+@functools.lru_cache(maxsize=256)
+def _levis(g: ClassicalGroup, a_list: tuple[int, ...], n0: int) -> tuple[LeviDatum, ...]:
+    """The Levi data of one shape, in ``enumerate_levis``'s order; the
+    Levis with one residual signature share one G_0."""
     g0s: dict[tuple[int, int] | None, ClassicalGroup] = {}
     out: list[LeviDatum] = []
     for ps in itertools.product(*(range(a + 1) for a in a_list)):
@@ -201,7 +211,7 @@ def enumerate_levis(psi: ArthurParameter) -> list[LeviDatum]:
         out.append(LeviDatum(factors, g0))
     if not out:
         raise ParameterError(f"no Levi datum is compatible with the signature of {g}")
-    return out
+    return tuple(out)
 
 
 @_kept

@@ -502,9 +502,10 @@ def domination_offsets(psi: ArthurParameter, psi_plus: ArthurParameter) -> tuple
     the discrete part, integral non-negative non-increasing differences.
 
     A psi_+ built by ``dominate`` keeps the offsets it was built with,
-    keyed by the fields of its psi, which pass every check; any other pair
-    is checked.  As with ``quotient_map``, the key holds no reference to
-    psi, and a pickle or copy of psi_+ keeps nothing.
+    keyed by the fields of its psi, which pass every check; any other pair,
+    the identity pair (psi, psi) among them, is checked.  As with
+    ``quotient_map``, the key holds no reference to psi, and a pickle or
+    copy of psi_+ keeps nothing.
     """
     kept = psi_plus.__dict__.get("_dominates")
     if kept is not None and kept[0] == (psi.group, psi.blocks):
@@ -665,7 +666,10 @@ class ComponentGroup(_Value):
         return _elements(len(self.basis), self.odd)
 
     def __contains__(self, s: Iterable[int]) -> bool:
-        m = _mask(tuple(s), len(self.basis))
+        try:
+            m = _mask(tuple(s), len(self.basis))
+        except TypeError:  # not iterable
+            raise ParameterError(f"{s!r} is not a sign vector") from None
         return m is not None and not (m & self.odd).bit_count() & 1
 
     @property
@@ -728,7 +732,10 @@ class QuotientMap(_Value):
         object.__setattr__(self, "fibers", tuple(fibers))
 
     def push(self, s_plus: tuple[int, ...]) -> tuple[int, ...]:
-        s_plus = tuple(s_plus)
+        try:
+            s_plus = tuple(s_plus)
+        except TypeError:  # not iterable
+            raise ParameterError("element not in the source group") from None
         if s_plus not in self.source:
             raise ParameterError("element not in the source group")
         return _signs(_push(self.fibers, _mask(s_plus, len(self.source.basis))), len(self.fibers))
@@ -754,7 +761,9 @@ class QuotientMap(_Value):
 def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap:
     """The quotient A(psi_+) -> A(psi) of a domination pair: each block of
     psi_+ maps to the block of psi it came from, and the map must be onto
-    (``_onto``).
+    (``_onto``).  The identity pair (psi, psi), one object twice, gives
+    the identity map of A(psi), which is onto, so only psi's parity is
+    checked (by ``component_group``).
 
     Built and checked once per pair: the map is kept on psi_+, keyed by
     the fields of psi, so it holds no reference to psi and is freed with
@@ -765,6 +774,10 @@ def quotient_map(psi_plus: ArthurParameter, psi: ArthurParameter) -> QuotientMap
     key = (psi.group, psi.blocks)
     qm = maps.get(key)
     if qm is not None:
+        return qm
+    if psi_plus is psi:
+        group = component_group(psi)
+        qm = maps[key] = QuotientMap(group, group, tuple(range(len(group.basis))))
         return qm
     domination_offsets(psi, psi_plus)
     source = component_group(psi_plus)
@@ -821,7 +834,10 @@ def _factor_group(base: ClassicalGroup, dual_dim: int) -> ClassicalGroup:
 
 def endoscopic_split(psi: ArthurParameter, s: Iterable[int]) -> EndoscopicSplit:
     group = component_group(psi)
-    s = tuple(s)
+    try:
+        s = tuple(s)
+    except TypeError:  # not iterable
+        raise ParameterError(f"{s} is not an element of A(psi)") from None
     if s not in group:
         raise ParameterError(f"{s} is not an element of A(psi)")
     blocks_minus = []

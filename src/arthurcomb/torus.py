@@ -69,9 +69,10 @@ def _counts(items: tuple[int, ...]) -> dict[int, int]:
     return counts
 
 
-def _rearrangement_count(items: tuple[int, ...]) -> int:
-    total = math.factorial(len(items))
-    for c in _counts(items).values():
+def _rearrangement_count(counts: dict[int, int]) -> int:
+    """The number of distinct rearrangements of the multiset ``counts``."""
+    total = math.factorial(sum(counts.values()))
+    for c in counts.values():
         total //= math.factorial(c)
     return total
 
@@ -95,10 +96,12 @@ class UniquenessReport:
 
 
 def _orbit_matches(
-    nu_plus: tuple[int, ...], lam_items: tuple[int, ...], target: tuple[int, ...]
+    nu_plus: tuple[int, ...], unused: dict[int, int], target: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Every rearrangement mu of ``lam_items`` with nu_plus + mu a
-    rearrangement of ``target``, and the number of search-tree nodes.
+    """Every rearrangement mu of the multiset ``unused`` (a table of
+    counts, ``_counts``) with nu_plus + mu a rearrangement of ``target``,
+    and the number of search-tree nodes.  The table is used in place and
+    is whole again on return.
 
     Backtracking (Knuth, TAOCP 7.2.2): mu is filled one position at a
     time, trying the distinct unused values in descending order, and a
@@ -113,7 +116,6 @@ def _orbit_matches(
     and ``i`` is the position being filled, so any length runs.
     """
     n = len(nu_plus)
-    unused = _counts(lam_items)
     keys = sorted(unused, reverse=True)
     missing = _counts(target)
     is_missing = missing.get
@@ -163,14 +165,15 @@ def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> Uniquen
     # the GL infinitesimal character of psi, as a multiset
     target = _nu_display_doubled(psi)
     aligned = tuple(-x for x in lam_items)
-    matches, nodes = _orbit_matches(nu_plus, lam_items, target)
+    counts = _counts(lam_items)
+    matches, nodes = _orbit_matches(nu_plus, counts, target)
     matches.sort(reverse=True)
     unique = matches == [aligned]
     return UniquenessReport(
         unique=unique,
         aligned=Weight(aligned),
         matches=tuple(Weight(m) for m in matches),
-        rearrangements=_rearrangement_count(lam_items),
+        rearrangements=_rearrangement_count(counts),
         nodes=nodes,
     )
 

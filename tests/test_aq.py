@@ -108,7 +108,8 @@ def test_enumerate_levis_matches_the_per_levi_oracle_on_every_real_form(monkeypa
     group (Sp(2n,R); SO(p,q) with p >= q, 4,098 parameter-form pairs, the
     signed corpus among them): the oracle's Levis in its order, or its
     error.  The Levis with one residual signature share one G_0, built
-    once."""
+    once: the shape cache is emptied before each call, as a repeated shape
+    builds none."""
     built = []
 
     def counted(*args):
@@ -122,6 +123,7 @@ def test_enumerate_levis_matches_the_per_levi_oracle_on_every_real_form(monkeypa
             pairs += 1
             unsigned += p.group.kind != "Sp" and p.group.signature is None
             built.clear()
+            aq._levis.cache_clear()
             levis = _outcome(enumerate_levis, p)
             assert levis == _outcome(oracles.enumerate_levis, p), str(p)
             if not isinstance(levis, list):
@@ -131,6 +133,34 @@ def test_enumerate_levis_matches_the_per_levi_oracle_on_every_real_form(monkeypa
             assert len(g0s) == len(set(g0s.values())) == len(built), str(p)
     assert (pairs - unsigned, unsigned) == (4098, 840)
     assert refused > unsigned, "some signed forms must leave no Levi datum"
+
+
+def test_enumerate_levis_shares_one_list_per_shape_and_returns_a_fresh_list(ex1):
+    """Two parameters of one shape (group, a_i, n_0) get equal lists of
+    the same LeviDatum objects, and a caller that mutates its list does
+    not change the next call's result."""
+    other = arthur_parameter(SP2, [block(Fraction(5, 2), 2), block(0, 1)])
+    assert other != ex1
+    first = enumerate_levis(ex1)
+    want = list(first)
+    second = enumerate_levis(other)
+    assert second == first and second is not first
+    assert all(a is b for a, b in zip(first, second))
+    first.reverse()
+    first.append(first[0])
+    second.clear()
+    assert enumerate_levis(ex1) == enumerate_levis(other) == want
+
+
+def test_a_failed_levi_listing_caches_nothing():
+    # U(1,0) and U(0,1) each take 2 from one side of SO(1,1); the error
+    # repeats and the shape gets no entry
+    psi = arthur_parameter(ClassicalGroup("SOeven", 1, (1, 1)), [block(3, 1)])
+    before = aq._levis.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="no Levi datum is compatible"):
+            enumerate_levis(psi)
+    assert aq._levis.cache_info().currsize == before
 
 
 # --- Levi data checked against the parameter ----------------------------------

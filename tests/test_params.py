@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import pickle
@@ -714,6 +715,34 @@ def test_quotient_map_to_itself_is_the_identity_over_corpus():
         assert qm.index_map == tuple(range(len(psi.blocks))), str(psi)
 
 
+def test_the_identity_pair_equals_the_general_path_over_the_signed_corpus():
+    """``quotient_map`` reads the pair (x, x), one object twice, as the
+    identity without checking it.  An equal, distinct copy of x is no such
+    pair, so it takes the checked path, which must give the same map, for
+    every signed corpus parameter and its psi_+; ``domination_offsets``
+    checks both pairs and gives zeros.  The map is kept on the first
+    argument, so the copy comes first there, or the second call would read
+    the first's map."""
+    pairs = 0
+    for psi in corpus(signed=True):
+        for x in (psi, dominate(psi, canonical_offsets(psi))):
+            twin = copy.copy(x)
+            assert twin == x and twin is not x
+            zeros = (0,) * len(x.discrete)
+            assert domination_offsets(x, x) == domination_offsets(twin, x) == zeros, str(x)
+            assert quotient_map(x, x) == quotient_map(twin, x), str(x)
+            pairs += 1
+    assert pairs == 2 * 1072
+
+
+def test_the_identity_pair_of_a_bad_parity_parameter_raises_parity_error():
+    bad = arthur_parameter(SP2, [block(1, 2), block(0, 1)])
+    assert domination_offsets(bad, bad) == domination_offsets(copy.copy(bad), bad) == (0,)
+    for _ in range(2):  # a failed call keeps no map
+        with pytest.raises(ParityError):
+            quotient_map(bad, bad)
+
+
 def test_kept_keeps_one_entry_per_object_and_argument_tuple(ex1, monkeypatch):
     """``_kept`` computes fn(obj) and fn(obj, x) once per object and
     argument; two objects, or two arguments, never share an entry, x and
@@ -818,6 +847,20 @@ def test_endoscopic_split_symplectic_dual():
 def test_endoscopic_split_rejects_outsiders(ex1):
     with pytest.raises(Exception):
         endoscopic_split(ex1, (1, -1))  # violates the determinant condition
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda psi: 5 in component_group(psi), "5 is not a sign vector"),
+        (lambda psi: quotient_map(psi, psi).push(5), "element not in the source group"),
+        (lambda psi: endoscopic_split(psi, None), "None is not an element of A(psi)"),
+    ],
+    ids=["contains", "push", "endoscopic_split"],
+)
+def test_a_sign_vector_that_is_not_iterable_raises_parameter_error(ex1, call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call(ex1)
 
 
 def test_split_with_s_and_minus_s_give_same_pair():
