@@ -383,23 +383,13 @@ class _Digits:
     its value, the width of its digit in bits (one spare top bit
     included) and the digit's shift, most significant column first."""
 
-    __slots__ = ("offs", "widths", "shifts", "zero", "nbytes")
+    __slots__ = ("offs", "widths", "shifts", "zero")
 
     def __init__(self, offs: Iterable[int]):
         self.offs = tuple(offs)
         self.widths = tuple((2 * off).bit_length() + 1 for off in self.offs)
         self.shifts = tuple(sum(self.widths[i + 1 :]) for i in range(len(self.widths)))
         self.zero = sum(off << sh for off, sh in zip(self.offs, self.shifts))
-        self.nbytes = (sum(self.widths) + 7) // 8
-
-    def to_bytes(self, states: Iterable[int]) -> bytes:
-        """``states`` as one string of ``nbytes``-byte little-endian ints."""
-        return b"".join(y.to_bytes(self.nbytes, "little") for y in states)
-
-    def from_bytes(self, blob: bytes) -> list[int]:
-        """The states that ``to_bytes`` wrote into ``blob``, in order."""
-        w = self.nbytes
-        return [int.from_bytes(blob[i : i + w], "little") for i in range(0, len(blob), w)]
 
     def decode(self, y: int, cols: Iterable[int]) -> tuple[int, ...]:
         """The values of the columns ``cols`` in state ``y``."""
@@ -584,7 +574,7 @@ def _layout_sweep(
     kind: str,
     height: int,
     cap: int,
-) -> tuple[int, int, bool, _Digits, bytes, bytes]:
+) -> tuple[int, int, bool, _Digits, tuple[int, ...], tuple[int, ...]]:
     """The dominant part of the monoid sweep of one layout, height and cap.
 
     The packed rows hold the coordinates of each nilradical root r, its
@@ -597,11 +587,10 @@ def _layout_sweep(
 
     Returns ``(enumerated, dominant_count, truncated, digits, head,
     suspects)``: the counts and truncation flag of the sweep, its digit
-    layout, and two strings of packed states (``digits.to_bytes``), each
-    in increasing order: in ``head`` the first ``_REPORTED_ITEMS``
-    dominant states (all of them if there are fewer), in ``suspects``
-    every suspect among all the dominant states, those of the head
-    included.  Nothing else is kept.
+    layout, and two tuples of packed states, each in increasing order: in
+    ``head`` the first ``_REPORTED_ITEMS`` dominant states (all of them if
+    there are fewer), in ``suspects`` every suspect among all the dominant
+    states, those of the head included.  Nothing else is kept.
 
     A sweep that stops at the cap does so in its last layer, the L-th,
     which is empty when the cap was reached exactly at the end of layer
@@ -650,8 +639,8 @@ def _layout_sweep(
         sum(map(len, dominant)),
         truncated,
         digits,
-        digits.to_bytes(head),
-        digits.to_bytes(suspects),
+        tuple(head),
+        tuple(suspects),
     )
 
 
@@ -755,13 +744,13 @@ def filtration_vanishing(
             a_list, n0, kind, ran_at if height_bound >= stop else height_bound, state_cap
         )
         decode = functools.partial(_decode_items, digits, n, lam_d, delta_d)
-        candidates = digits.from_bytes(suspects)
+        candidates = suspects
         if not cert_pairing:
             # without the certificate a state that is not a suspect may
             # fail as well, so the reported states are tested too
-            candidates = sorted(set(candidates).union(digits.from_bytes(head)))
+            candidates = sorted(set(suspects).union(head))
         violations = tuple(item for item in decode(candidates) if not item.ok)
-        items = lambda: decode(digits.from_bytes(head))
+        items = lambda: decode(head)
     return FiltrationReport(
         height_bound=height_bound,
         enumerated=enumerated,
@@ -781,10 +770,6 @@ class TranslatedPacket:
     packet: PacketData
     vanishing: tuple[tuple[AqDatum, tuple[int, ...]], ...]
     quotient: QuotientMap
-
-    @property
-    def kernel_order(self) -> int:
-        return self.quotient.kernel_order
 
 
 def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> TranslatedPacket:

@@ -453,7 +453,7 @@ def cmd_packet(args, psi, s, pair) -> tuple[dict, list[dict]]:
     result = translate_packet(pk_plus, psi)
     results = {
         "offsets": offs,
-        "kernel_order": result.kernel_order,
+        "kernel_order": result.quotient.kernel_order,
         "entries": [
             {"datum": d.label(), "character": list(v)} for d, v in result.packet.entries
         ],

@@ -75,7 +75,8 @@ def _kept(fn):
     kept method of no arguments reads as an attribute.  A value that reads
     less than the object, as the F_2 tables of a component group or a
     quotient map read only its shape, sits in an ``lru_cache`` keyed by
-    what it reads."""
+    what it reads.  Only what the corpus sweeps read again is kept: a
+    value read once per parameter, or cheap to compute, is not."""
     key = "_kept_" + fn.__qualname__
 
     if fn.__code__.co_argcount == 2:
@@ -133,6 +134,8 @@ class ClassicalGroup(_Value):
                 raise ParameterError("Sp takes no signature")
             return
         if signature is not None:
+            if type(signature) is not tuple or [type(x) for x in signature] != [int, int]:
+                raise ParameterError(f"signature {signature!r} is not a pair of integers")
             p, q = signature
             if p < 0 or q < 0:
                 raise ParameterError("negative signature")
@@ -183,6 +186,9 @@ class Block(_Value):
     _derived = ("dim", "key")
 
     def __init__(self, t2: int, a: int, eta: int = 1, mult: int = 1) -> None:
+        # the types themselves, as True is an int too
+        if not (type(t2) is int and type(a) is int and type(mult) is int):
+            raise ParameterError(f"t2, a and mult must be integers, got {t2!r}, {a!r}, {mult!r}")
         if t2 < 0:
             raise ParameterError("t must be >= 0")
         if a < 1 or mult < 1:
@@ -217,7 +223,10 @@ class Block(_Value):
 
 def block(t, a: int, eta=1, mult: int = 1) -> Block:
     """Block from a half-integer t (int, Fraction or ``"p/q"`` string)."""
-    t2 = Fraction(t) * 2
+    try:
+        t2 = Fraction(t) * 2
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParameterError(f"{t!r} is not a half-integer") from None
     if t2.denominator != 1:
         raise ParameterError(f"{t!r} is not a half-integer")
     if eta in ("+", "+1"):
@@ -230,9 +239,9 @@ def block(t, a: int, eta=1, mult: int = 1) -> Block:
 class ArthurParameter(_Value):
     """A parameter: group plus canonically sorted multiset of blocks.
 
-    Values derived from the parameter alone (its discrete and unipotent
-    parts, good parity, component group, quotient maps and, in ``aq``, its
-    layout, shifts and A_q data) are computed once and kept on the object
+    Values derived from the parameter alone (its discrete part, parity
+    verdict, component group, quotient maps and, in ``aq``, its layout,
+    shifts and A_q data) are computed once and kept on the object
     (``_kept``), as are the offsets of a psi_+ built by ``dominate``; they
     play no part in ``==``, ``hash``, ``repr`` or pickling, and are freed
     with it.
@@ -241,6 +250,9 @@ class ArthurParameter(_Value):
     __slots__ = ("group", "blocks", "__dict__", "__weakref__")
 
     def __init__(self, group: ClassicalGroup, blocks: tuple[Block, ...]) -> None:
+        # a list would make the parameter unhashable
+        if type(blocks) is not tuple:
+            raise ParameterError(f"blocks {blocks!r} are not a tuple")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "blocks", blocks)
         # one pass for the total dimension and the canonical order:
@@ -270,7 +282,6 @@ class ArthurParameter(_Value):
         return tuple(out)
 
     @property
-    @_kept
     def unipotent(self) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.t2 == 0)
 
@@ -335,7 +346,6 @@ def _block_parity(group: ClassicalGroup, b: Block) -> BlockParity:
     return BlockParity(b, ok, f"a = {b.a} {verdict} {parity} ({dual} dual)")
 
 
-@_kept
 def good_parity(psi: ArthurParameter) -> GoodParityReport:
     """Good parity: every block self-dual of the same type as the dual group."""
     reports = tuple(_block_parity(psi.group, b) for b in psi.blocks)
@@ -557,7 +567,6 @@ def _signs(mask: int, k: int) -> tuple[int, ...]:
 _CHARACTER_ERROR = "character values must be +-1 per basis block"
 
 
-@functools.lru_cache(maxsize=64)
 def _elements(k: int, odd: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_signs(m, k) for m in range(1 << k) if not (m & odd).bit_count() & 1)
 
@@ -635,8 +644,9 @@ class ComponentGroup(_Value):
     appear only at the public methods.  ``odd`` marks the odd-dimensional
     blocks under the determinant condition (else 0): an element is a mask
     m with ``m & odd`` of even popcount, and a character is a mask modulo
-    ``odd``.  The order is read off the basis; elements and characters
-    are listed only when read, once per shape (k, odd) in a process.
+    ``odd``.  The order is read off the basis; the characters are listed
+    once per shape (k, odd) in a process, the elements on every read (a
+    kernel, kept per shape, is their only reader in the package).
     """
 
     __slots__ = ("basis", "dims", "det_relation", "s_psi", "odd", "__weakref__")
@@ -666,11 +676,16 @@ class ComponentGroup(_Value):
         return _elements(len(self.basis), self.odd)
 
     def __contains__(self, s: Iterable[int]) -> bool:
+        return self._element_mask(s, "{!r} is not a sign vector") is not None
+
+    def _element_mask(self, s: Iterable[int], error: str) -> int | None:
+        """The mask of ``s`` if it is an element, else None; an ``s`` that
+        is not iterable raises ParameterError(``error.format(s)``)."""
         try:
             m = _mask(tuple(s), len(self.basis))
         except TypeError:  # not iterable
-            raise ParameterError(f"{s!r} is not a sign vector") from None
-        return m is not None and not (m & self.odd).bit_count() & 1
+            raise ParameterError(error.format(s)) from None
+        return None if m is None or (m & self.odd).bit_count() & 1 else m
 
     @property
     def relation_nontrivial(self) -> bool:
@@ -732,13 +747,11 @@ class QuotientMap(_Value):
         object.__setattr__(self, "fibers", tuple(fibers))
 
     def push(self, s_plus: tuple[int, ...]) -> tuple[int, ...]:
-        try:
-            s_plus = tuple(s_plus)
-        except TypeError:  # not iterable
-            raise ParameterError("element not in the source group") from None
-        if s_plus not in self.source:
-            raise ParameterError("element not in the source group")
-        return _signs(_push(self.fibers, _mask(s_plus, len(self.source.basis))), len(self.fibers))
+        error = "element not in the source group"
+        m = self.source._element_mask(s_plus, error)
+        if m is None:
+            raise ParameterError(error)
+        return _signs(_push(self.fibers, m), len(self.fibers))
 
     @property
     def kernel_order(self) -> int:
@@ -834,12 +847,11 @@ def _factor_group(base: ClassicalGroup, dual_dim: int) -> ClassicalGroup:
 
 def endoscopic_split(psi: ArthurParameter, s: Iterable[int]) -> EndoscopicSplit:
     group = component_group(psi)
-    try:
-        s = tuple(s)
-    except TypeError:  # not iterable
-        raise ParameterError(f"{s} is not an element of A(psi)") from None
-    if s not in group:
-        raise ParameterError(f"{s} is not an element of A(psi)")
+    error = "{} is not an element of A(psi)"
+    m = group._element_mask(s, error)
+    if m is None:
+        raise ParameterError(error.format(s))
+    s = _signs(m, len(group.basis))
     blocks_minus = []
     blocks_plus = []
     for sign, b in zip(s, psi.blocks):

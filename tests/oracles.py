@@ -362,7 +362,10 @@ class ClassicalGroup:
                 raise ParameterError("Sp takes no signature")
             return
         if self.signature is not None:
-            p, q = self.signature
+            sig = self.signature
+            if not (type(sig) is tuple and len(sig) == 2 and all(type(x) is int for x in sig)):
+                raise ParameterError(f"signature {sig!r} is not a pair of integers")
+            p, q = sig
             if p < 0 or q < 0:
                 raise ParameterError("negative signature")
             if p + q != self.space_dim:
@@ -394,6 +397,10 @@ class Block:
     mult: int = 1
 
     def __post_init__(self) -> None:
+        if not all(type(x) is int for x in (self.t2, self.a, self.mult)):
+            raise ParameterError(
+                f"t2, a and mult must be integers, got {self.t2!r}, {self.a!r}, {self.mult!r}"
+            )
         if self.t2 < 0:
             raise ParameterError("t must be >= 0")
         if self.a < 1 or self.mult < 1:
@@ -426,6 +433,8 @@ class ArthurParameter:
     blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
+        if type(self.blocks) is not tuple:
+            raise ParameterError(f"blocks {self.blocks!r} are not a tuple")
         total = sum(b.dim for b in self.blocks)
         if total != self.group.dual_dim:
             raise DimensionError(

@@ -409,7 +409,7 @@ def test_translate_packet_ex1(ex1, full_packet):
     plus = dominate(ex1, [5])
     pk = full_packet(plus)
     result = translate_packet(pk, ex1)
-    assert result.kernel_order == 1
+    assert result.quotient.kernel_order == 1
     assert result.vanishing == ()
     assert len(result.packet.entries) == len(pk.entries)
     for datum, _eps in result.packet.entries:
@@ -431,7 +431,7 @@ def test_translate_packet_kernel_vanishing(full_packet):
     plus = dominate(psi, canonical_offsets(psi))
     pk = full_packet(plus)
     result = translate_packet(pk, psi)
-    assert result.kernel_order == 2
+    assert result.quotient.kernel_order == 2
     assert result.vanishing  # characters separating the merged copies drop
     kept = len(result.packet.entries)
     assert kept + len(result.vanishing) == len(pk.entries)

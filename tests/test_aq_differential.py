@@ -852,14 +852,14 @@ def test_suspects_in_the_head_are_found(monkeypatch):
             n_u = sum(a_list)
             *_counts, digits, head, suspects = aq._layout_sweep(a_list, n0, kind, height, cap)
             coords = range(n_u + n0)
-            decoded = [digits.decode(y, coords) for y in digits.from_bytes(suspects)]
+            decoded = [digits.decode(y, coords) for y in suspects]
             dominant = _oracle_dominant(datum, height, cap)
             delta = aq._delta_l1(a_list)
             expected = [
                 mu for mu in dominant if sum(map(mul, delta, mu)) < 0 or not any(mu[:n_u])
             ]
             assert decoded == expected, str(psi)
-            assert [digits.decode(y, coords) for y in digits.from_bytes(head)] == dominant[:500]
+            assert [digits.decode(y, coords) for y in head] == dominant[:500]
             in_head += len(set(expected) & set(dominant[:500]))
             past_head += len(set(expected) - set(dominant[:500]))
 

@@ -112,6 +112,40 @@ def test_rank_must_be_an_int(rank):
             ClassicalGroup(kind, rank)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: block(1, 1.5), "must be integers, got 2, 1.5, 1"),
+        (lambda: Block(2.5, 1), "must be integers, got 2.5, 1, 1"),
+        (lambda: Block(2, True), "must be integers, got 2, True, 1"),
+        (lambda: Block(2, 1, mult=2.0), "must be integers, got 2, 1, 2.0"),
+        (lambda: Block("2", 1), "must be integers, got '2', 1, 1"),
+        (lambda: block("x", 1), "'x' is not a half-integer"),
+        (lambda: block(None, 1), "None is not a half-integer"),
+        (lambda: so_odd(1, (1.5, 1.5)), "signature (1.5, 1.5) is not a pair of integers"),
+        (lambda: so_odd(1, ("a", "b")), "signature ('a', 'b') is not a pair of integers"),
+        (lambda: so_odd(1, (1,)), "signature (1,) is not a pair of integers"),
+        (lambda: ArthurParameter(SP2, [block(0, 1, mult=5)]), "are not a tuple"),
+    ],
+    ids=[
+        "block-a-float",
+        "t2-float",
+        "a-bool",
+        "mult-float",
+        "t2-str",
+        "block-t-str",
+        "block-t-none",
+        "signature-floats",
+        "signature-strs",
+        "signature-short",
+        "blocks-list",
+    ],
+)
+def test_library_inputs_of_the_wrong_type_raise_parameter_error(make, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        make()
+
+
 def test_quasi_split():
     assert quasi_split(SP2) is True
     assert quasi_split(so_odd(2, (3, 2))) is True

@@ -177,7 +177,6 @@ SHARED_MEMBERS = {
     "doubled": ("InfChar", "Weight"),
     "entries": ("InfChar", "PacketData"),
     "height_bound": ("FiltrationReport", "Settings"),
-    "kernel_order": ("QuotientMap", "TranslatedPacket"),
     "ok": ("BlockParity", "FiltrationItem", "GoodParityReport"),
     "rank": ("ClassicalGroup", "GroupType"),
 }
