@@ -140,12 +140,17 @@ def _check_levi(psi: ArthurParameter, levi: LeviDatum) -> None:
 
 def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: str = "sigma") -> AqDatum:
     """The A_q datum of ``levi`` for psi, with psi's shifts and the label
-    ``sigma`` for the module on G_0; a Levi datum that does not fit the
-    parameter (factor sizes, G_0 kind, rank or signature) raises
-    ParameterError.
+    ``sigma`` for the module on G_0; a Levi datum whose factor sizes are not
+    pairs of ints, or that does not fit the parameter (factor sizes, G_0
+    kind, rank or signature), raises ParameterError.
 
     Each datum is built once per (levi, sigma) and kept on psi, so repeated
-    calls return the same object."""
+    calls return the same object.  The sizes' types are checked before that
+    lookup: it compares keys by value, so a U(True, True) would find the
+    datum of U(1, 1)."""
+    for p, q in levi.unitary_factors:
+        if type(p) is not int or type(q) is not int:
+            raise ParameterError(f"unitary factor {(p, q)!r} is not a pair of integers")
     return _aq_datum(psi, (levi, sigma))
 
 

@@ -29,8 +29,6 @@ from .params import (
     ClassicalGroup,
     InfChar,
     ParameterError,
-    _KINDS,
-    _parity_ok,
     arthur_parameter,
     block,
     canonical_offsets,
@@ -87,25 +85,15 @@ def _parse_half(value, context: str) -> Fraction:
 
 def _parse_group(gdata: dict, context: str) -> ClassicalGroup:
     _require_keys(gdata, {"kind", "rank", "signature"}, context)
-    kind = gdata.get("kind")
-    rank = gdata.get("rank")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise SpecError(f"{context}.kind must be Sp, SOodd or SOeven, got {kind!r}")
-    if type(rank) is not int or rank < 0:
-        raise SpecError(f"{context}.rank must be a non-negative integer")
     signature = gdata.get("signature")
-    if signature is not None:
-        if (
-            not isinstance(signature, list)
-            or len(signature) != 2
-            or not all(type(x) is int for x in signature)
-        ):
-            raise SpecError(f"{context}.signature must be a pair of integers")
-        signature = tuple(signature)
     try:
-        return ClassicalGroup(kind, rank, signature)
+        return ClassicalGroup(
+            gdata.get("kind"),
+            gdata.get("rank"),
+            tuple(signature) if isinstance(signature, list) else signature,
+        )
     except ParameterError as exc:
-        raise SpecError(str(exc)) from exc
+        raise SpecError(f"{context}: {exc}") from exc
 
 
 def parse_spec_data(data: dict) -> tuple[ArthurParameter, dict]:
@@ -128,17 +116,11 @@ def parse_spec_data(data: dict) -> tuple[ArthurParameter, dict]:
         if "t" not in bd or "a" not in bd:
             raise SpecError(f"blocks[{i}] needs fields 't' and 'a'")
         t = _parse_half(bd["t"], f"blocks[{i}].t")
-        a = bd["a"]
-        if type(a) is not int or a < 1:
-            raise SpecError(f"blocks[{i}].a must be a positive integer")
         eta = bd.get("eta", "+")
         if eta not in ("+", "-", "−"):
             raise SpecError(f"blocks[{i}].eta must be '+' or '-'")
-        mult = bd.get("mult", 1)
-        if type(mult) is not int or mult < 1:
-            raise SpecError(f"blocks[{i}].mult must be a positive integer")
         try:
-            blocks.append(block(t, a, eta, mult))
+            blocks.append(block(t, bd["a"], eta, bd.get("mult", 1)))
         except ParameterError as exc:
             raise SpecError(f"blocks[{i}]: {exc}") from exc
 
@@ -429,17 +411,17 @@ def _parse_packet_file(path: str, psi_plus: ArthurParameter):
         _require_keys(ld, {"unitary", "g0"}, f"entries[{i}].levi")
         unitary = ld.get("unitary", [])
         if not isinstance(unitary, list) or not all(
-            isinstance(pq, list) and len(pq) == 2 and all(type(x) is int and x >= 0 for x in pq)
-            for pq in unitary
+            isinstance(pq, list) and len(pq) == 2 for pq in unitary
         ):
-            raise SpecError(
-                f"entries[{i}].levi.unitary must be a list of [p, q] pairs of non-negative integers"
-            )
+            raise SpecError(f"entries[{i}].levi.unitary must be a list of [p, q] pairs")
         g0 = _parse_group(_field(ld, "g0", dict, f"entries[{i}].levi"), f"entries[{i}].levi.g0")
         levi = LeviDatum(tuple(map(tuple, unitary)), g0)
         sd = _field(ed, "sigma", dict, f"entries[{i}]", {})
         _require_keys(sd, {"label"}, f"entries[{i}].sigma")
-        datum = aq_datum(psi_plus, levi, _field(sd, "label", str, f"entries[{i}].sigma", "sigma"))
+        try:
+            datum = aq_datum(psi_plus, levi, _field(sd, "label", str, f"entries[{i}].sigma", "sigma"))
+        except ParameterError as exc:
+            raise SpecError(f"entries[{i}].levi: {exc}") from exc
         values = ed.get("character")
         if not isinstance(values, list) or not all(type(v) is int and v in (1, -1) for v in values):
             raise SpecError(f"entries[{i}].character must be a list of +-1")
@@ -615,7 +597,7 @@ SPEC_SUITES = tuple(
 def cmd_verify(args, psi, s, pair) -> tuple[dict, list[dict]]:
     if psi is None and args.suite in SPEC_SUITES:
         raise SpecError(f"suite {args.suite!r} requires --spec")
-    good = psi is None or _parity_ok(psi)
+    good = psi is None or good_parity(psi).ok
     results: dict = {}
     verdicts: list[dict] = []
     for key, (suite, _needs_spec, needs_good_parity) in VERIFY_SUITES.items():

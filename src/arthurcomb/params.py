@@ -193,8 +193,8 @@ class Block(_Value):
             raise ParameterError("t must be >= 0")
         if a < 1 or mult < 1:
             raise ParameterError("a and mult must be >= 1")
-        if eta not in (1, -1):
-            raise ParameterError("eta must be +1 or -1")
+        if type(eta) is not int or eta not in (1, -1):
+            raise ParameterError(f"eta must be +1 or -1, got {eta!r}")
         if t2 > 0 and eta != 1:
             eta = 1
         object.__setattr__(self, "t2", t2)
@@ -224,6 +224,8 @@ class Block(_Value):
 def block(t, a: int, eta=1, mult: int = 1) -> Block:
     """Block from a half-integer t (int, Fraction or ``"p/q"`` string)."""
     try:
+        if type(t) is bool:  # Fraction(True) is 1
+            raise TypeError
         t2 = Fraction(t) * 2
     except (TypeError, ValueError, ZeroDivisionError):
         raise ParameterError(f"{t!r} is not a half-integer") from None

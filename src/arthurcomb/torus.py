@@ -17,6 +17,7 @@ from .params import (
     ClassicalGroup,
     InfChar,
     ParameterError,
+    ParityError,
     _nu_display_doubled,
     _parity_ok,
     domination_offsets,
@@ -158,7 +159,7 @@ def _orbit_matches(
 
 def uniqueness_check(psi: ArthurParameter, psi_plus: ArthurParameter) -> UniquenessReport:
     if not _parity_ok(psi):
-        raise ParameterError("uniqueness check requires good parity")
+        raise ParityError("uniqueness check requires good parity")
     # translation_weight's GL side, without its G side
     lam_items = _lambda_doubled(psi, domination_offsets(psi, psi_plus))
     nu_plus = _nu_display_doubled(psi_plus)

@@ -405,8 +405,8 @@ class Block:
             raise ParameterError("t must be >= 0")
         if self.a < 1 or self.mult < 1:
             raise ParameterError("a and mult must be >= 1")
-        if self.eta not in (1, -1):
-            raise ParameterError("eta must be +1 or -1")
+        if type(self.eta) is not int or self.eta not in (1, -1):
+            raise ParameterError(f"eta must be +1 or -1, got {self.eta!r}")
         if self.t2 > 0 and self.eta != 1:
             object.__setattr__(self, "eta", 1)
 

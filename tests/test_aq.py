@@ -188,10 +188,15 @@ def _one_block_psi(group):
         (SO43, ((1, 1),), ClassicalGroup("SOodd", 1, (1, 2)), "signature"),
         (SO43, ((1, 1),), ClassicalGroup("SOodd", 1), "signature"),
         (SO61, ((1, 1),), ClassicalGroup("SOodd", 1, (3, 0)), "exceed the signature"),
+        (SP2, ((0.5, 1.5),), ClassicalGroup("Sp", 0), "is not a pair of integers"),
+        (SP2, ((True, True),), ClassicalGroup("Sp", 0), "is not a pair of integers"),
+        (SP2, (("1", 1),), ClassicalGroup("Sp", 0), "is not a pair of integers"),
     ],
 )
 def test_aq_datum_rejects_levi_not_fitting_parameter(group, factors, g0, message):
     psi = _one_block_psi(group)
+    # a kept datum, U(1,1) x G_0 for SP2, answers for no malformed Levi
+    aq_datum(psi, enumerate_levis(psi)[0])
     with pytest.raises(ParameterError, match=message):
         aq_datum(psi, LeviDatum(factors, g0))
 

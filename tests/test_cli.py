@@ -199,13 +199,13 @@ def _packet_exit_code(spec_path, tmp_path, levi, **fields):
 def test_packet_missing_g0_kind_rejected(ex1_path, tmp_path, capsys):
     levi = {"unitary": [[1, 1]], "g0": {"rank": 0}}
     assert _packet_exit_code(ex1_path, tmp_path, levi) == 2
-    assert "g0.kind" in capsys.readouterr().err
+    assert "entries[0].levi.g0: unknown kind None" in capsys.readouterr().err
 
 
 def test_packet_fractional_unitary_rejected(ex1_path, tmp_path, capsys):
     levi = {"unitary": [[1.5, 1]], "g0": {"kind": "Sp", "rank": 0}}
     assert _packet_exit_code(ex1_path, tmp_path, levi) == 2
-    assert "unitary" in capsys.readouterr().err
+    assert "entries[0].levi: unitary factor (1.5, 1) is not a pair of integers" in capsys.readouterr().err
 
 
 def test_packet_levi_not_fitting_block_rejected(ex1_path, tmp_path, capsys):
@@ -228,11 +228,27 @@ def test_packet_levi_not_fitting_block_rejected(ex1_path, tmp_path, capsys):
         ({"sigma": []}, "sigma must be an object"),
         ({"character": [True, 1]}, "character"),
         ({"sigma": {"nu": ["0.5"]}}, "unknown field(s) ['nu'] in entries[0].sigma"),
+        (
+            {"levi": {"unitary": [[0.5, 1.5]], "g0": {"kind": "Sp", "rank": 0}}},
+            "entries[0].levi: unitary factor (0.5, 1.5) is not a pair of integers",
+        ),
+        (
+            {"levi": {"unitary": [[True, True]], "g0": {"kind": "Sp", "rank": 0}}},
+            "entries[0].levi: unitary factor (True, True) is not a pair of integers",
+        ),
+        (
+            {"levi": {"unitary": [["1", 1]], "g0": {"kind": "Sp", "rank": 0}}},
+            "entries[0].levi: unitary factor ('1', 1) is not a pair of integers",
+        ),
+        (
+            {"levi": {"unitary": [[1, 1]], "g0": {"kind": "SOodd", "rank": 0, "signature": [2, 2]}}},
+            "entries[0].levi.g0: signature 2+2 != 1 for SOodd rank 0",
+        ),
     ],
 )
 def test_packet_sigma_and_character_typed_strictly(ex1_path, tmp_path, capsys, fields, message):
-    levi = {"unitary": [[1, 1]], "g0": {"kind": "Sp", "rank": 0}}
-    assert _packet_exit_code(ex1_path, tmp_path, levi, **fields) == 2
+    fields = {"levi": {"unitary": [[1, 1]], "g0": {"kind": "Sp", "rank": 0}}, **fields}
+    assert _packet_exit_code(ex1_path, tmp_path, **fields) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err and len(err.splitlines()) == 1
 
@@ -377,10 +393,25 @@ LARGE_SPECS = {"{sp1000}": {"group": {"kind": "Sp", "rank": 500}, "blocks": [{"t
         (["verify", "all", "--spec", "{ex1}", "--n", "0"], "--n must be at least 1"),
         (["verify", "filtration", "--spec", "{ex1}", "--threshold", "-1"], "--threshold"),
         (["dominate", "--spec", "{ex1}", "--threshold", "-2"], "--threshold"),
-        (["info", "--spec", "{rank_true}"], "group.rank"),
-        (["info", "--spec", "{signature_true}"], "group.signature"),
-        (["info", "--spec", "{a_true}"], "blocks[0].a"),
-        (["info", "--spec", "{mult_true}"], "blocks[1].mult"),
+        # each id names the malformed field
+        pytest.param(
+            ["info", "--spec", "{rank_true}"], "group: rank True is not an integer", id="argv13-group.rank"
+        ),
+        pytest.param(
+            ["info", "--spec", "{signature_true}"],
+            "group: signature (2, True) is not a pair of integers",
+            id="argv14-group.signature",
+        ),
+        pytest.param(
+            ["info", "--spec", "{a_true}"],
+            "blocks[0]: t2, a and mult must be integers, got 2, True, 1",
+            id="argv15-blocks[0].a",
+        ),
+        pytest.param(
+            ["info", "--spec", "{mult_true}"],
+            "blocks[1]: t2, a and mult must be integers, got 0, 1, True",
+            id="argv16-blocks[1].mult",
+        ),
         (["info", "--spec", "{t_0}"], "blocks[0].t: '0.5' is not written as 'k' or 'k/2'"),
         (["info", "--spec", "{t_1}"], "blocks[0].t: '1e3' is not written"),
         (["info", "--spec", "{t_2}"], "blocks[0].t: ' 3/2' is not written"),
@@ -420,7 +451,7 @@ def test_vacuous_counts_exit_two(ex1_path, tmp_path, capsys, argv, message):
         *((["verify", suite], f"suite {suite!r} requires --spec") for suite in cli.SPEC_SUITES),
         (["info", "--spec", "{missing}"], "cannot read {missing}"),
         (["verify", "parity", "--spec", "{dir}"], "cannot read {dir}"),
-        (["info", "--spec", "{list_kind}"], "group.kind must be Sp, SOodd or SOeven, got ['Sp']"),
+        (["info", "--spec", "{list_kind}"], "group: unknown kind ['Sp']"),
     ],
 )
 def test_missing_inputs_exit_two_with_one_line(tmp_path, capsys, argv, message):
@@ -694,9 +725,14 @@ def test_fuzzed_spec_and_packet_files_exit_cleanly(tmp_path, command, data):
     argv = [command, "--spec", str(paths["spec"])]
     if command == "packet":
         argv += ["--plus-packet", str(paths["packet"])]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err.getvalue()
 
 
 # --- determinism -----------------------------------------------------------------

@@ -126,6 +126,9 @@ def test_rank_must_be_an_int(rank):
         (lambda: so_odd(1, ("a", "b")), "signature ('a', 'b') is not a pair of integers"),
         (lambda: so_odd(1, (1,)), "signature (1,) is not a pair of integers"),
         (lambda: ArthurParameter(SP2, [block(0, 1, mult=5)]), "are not a tuple"),
+        (lambda: Block(0, 1, eta=True), "eta must be +1 or -1, got True"),
+        (lambda: Block(0, 1, eta=1.0), "eta must be +1 or -1, got 1.0"),
+        (lambda: block(True, 1), "True is not a half-integer"),
     ],
     ids=[
         "block-a-float",
@@ -139,6 +142,9 @@ def test_rank_must_be_an_int(rank):
         "signature-strs",
         "signature-short",
         "blocks-list",
+        "eta-bool",
+        "eta-float",
+        "block-t-bool",
     ],
 )
 def test_library_inputs_of_the_wrong_type_raise_parameter_error(make, message):

@@ -6,6 +6,7 @@ import pytest
 from arthurcomb.params import (
     ClassicalGroup,
     ParameterError,
+    ParityError,
     arthur_parameter,
     block,
     canonical_offsets,
@@ -95,6 +96,13 @@ def test_uniqueness_degenerate_offsets_are_reported():
     assert not report.unique
     assert report.aligned in report.matches
     assert len(report.matches) == 4
+
+
+def test_uniqueness_requires_good_parity():
+    # triv R[2] is symplectic, and the dual group of Sp(2,R) is SO(3)
+    psi = arthur_parameter(ClassicalGroup("Sp", 1), [block(0, 2), block(0, 1)])
+    with pytest.raises(ParityError, match="uniqueness check requires good parity"):
+        uniqueness_check(psi, psi)
 
 
 def test_uniqueness_two_blocks():

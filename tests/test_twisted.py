@@ -453,7 +453,7 @@ def test_transfer_identity_matches_oracle_on_every_small_weight():
 # (n, seed, trials), at the one endoscopic rank n // 2; each one-weight
 # call here fits in one block at the default budget, so the block edges
 # are covered by BLOCK_CASES
-ENDO_RANK_CASES = [
+SEED_TRIAL_CASES = [
     (n, seed, trials) for n in range(7) for seed in (0, 3) for trials in (1, 37)
 ] + [(7, 3, 37), (8, 3, 37)]
 
@@ -465,8 +465,8 @@ DEEP_HEADS = [
 ]
 
 
-def test_transfer_identity_matches_oracle_for_every_endo_rank():
-    for n, seed, trials in ENDO_RANK_CASES:
+def test_transfer_identity_matches_oracle_for_seeds_trial_counts_and_deep_heads():
+    for n, seed, trials in SEED_TRIAL_CASES:
         for mu in theta_invariant_dominant_weights(n, 3):
             (residual,) = verify_transfer_identities([mu], trials, seed)
             assert residual == _oracle_residual(mu, trials, seed), (mu, seed, trials)
