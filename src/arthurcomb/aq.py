@@ -38,7 +38,7 @@ from .params import (
     component_group,
     quotient_map,
 )
-from .weyl import GroupType, Weight, half_sum_positive_roots, positive_roots, simple_roots
+from .weyl import GroupType, Weight, _Value, half_sum_positive_roots, positive_roots, simple_roots
 
 __all__ = [
     "LeviDatum",
@@ -64,15 +64,26 @@ __all__ = [
 FILTRATION_STATE_CAP = 50_000
 
 
-class LeviDatum(NamedTuple):
-    """x U(p_i, q_i) x G_0 with G_0 of the same kind as the ambient group."""
+class LeviDatum(_Value):
+    """x U(p_i, q_i) x G_0 with G_0 of the same kind as the ambient group.
 
-    unitary_factors: tuple[tuple[int, int], ...]
-    g0: ClassicalGroup
+    The factor sizes are a tuple of pairs of ints, checked on construction
+    (a bool or a float would equal an int, and a list would not hash), and
+    the block sizes ``a_list`` (p_i + q_i) are derived once.
+    """
 
-    @property
-    def a_list(self) -> tuple[int, ...]:
-        return tuple(p + q for p, q in self.unitary_factors)
+    __slots__ = ("unitary_factors", "g0", "a_list")
+    _derived = ("a_list",)
+
+    def __init__(self, unitary_factors: tuple[tuple[int, int], ...], g0: ClassicalGroup) -> None:
+        if type(unitary_factors) is not tuple:
+            raise ParameterError(f"unitary factors {unitary_factors!r} are not a tuple")
+        for f in unitary_factors:
+            if type(f) is not tuple or [type(x) for x in f] != [int, int]:
+                raise ParameterError(f"unitary factor {f!r} is not a pair of integers")
+        object.__setattr__(self, "unitary_factors", unitary_factors)
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "a_list", tuple([p + q for p, q in unitary_factors]))
 
     def __str__(self) -> str:
         factors = [f"U({p},{q})" for p, q in self.unitary_factors]
@@ -140,17 +151,14 @@ def _check_levi(psi: ArthurParameter, levi: LeviDatum) -> None:
 
 def aq_datum(psi: ArthurParameter, levi: LeviDatum, sigma: str = "sigma") -> AqDatum:
     """The A_q datum of ``levi`` for psi, with psi's shifts and the label
-    ``sigma`` for the module on G_0; a Levi datum whose factor sizes are not
-    pairs of ints, or that does not fit the parameter (factor sizes, G_0
-    kind, rank or signature), raises ParameterError.
+    ``sigma`` for the module on G_0; a Levi datum that does not fit the
+    parameter (factor sizes, G_0 kind, rank or signature) raises
+    ParameterError.
 
     Each datum is built once per (levi, sigma) and kept on psi, so repeated
-    calls return the same object.  The sizes' types are checked before that
-    lookup: it compares keys by value, so a U(True, True) would find the
-    datum of U(1, 1)."""
-    for p, q in levi.unitary_factors:
-        if type(p) is not int or type(q) is not int:
-            raise ParameterError(f"unitary factor {(p, q)!r} is not a pair of integers")
+    calls return the same object.  That lookup compares Levis by value,
+    which is safe as a ``LeviDatum`` holds only int sizes: no U(True, True)
+    can find the datum of U(1, 1)."""
     return _aq_datum(psi, (levi, sigma))
 
 
@@ -788,10 +796,11 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     dropped.
 
     Each distinct datum is checked and rebuilt once, however many
-    characters it carries, and each character is pushed once per shape of
-    quotient map: the map is kept on psi_+ (``quotient_map``), the shifts
-    and A_q data on each parameter, and the pushed characters and the range
-    verdict of a (layout, t~) pair in bounded module caches.
+    characters it carries, and each distinct character is pushed once per
+    call: the map is kept on psi_+ (``quotient_map``), the shifts and A_q
+    data on each parameter, and the pushed characters of a shape of
+    quotient map and the range verdict of a (layout, t~) pair in bounded
+    module caches.
     """
     psi_plus = packet_plus.psi
     qm = quotient_map(psi_plus, psi)
@@ -799,6 +808,7 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
     # keyed by id: ``aq_datum`` returns one object per (psi_+, levi, sigma),
     # so equal data share it, and every datum stays alive in packet_plus
     moved: dict[int, AqDatum] = {}
+    pushes: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     entries = []
     dropped = []
     for datum, values in packet_plus.entries:
@@ -813,7 +823,12 @@ def translate_packet(packet_plus: PacketData, psi: ArthurParameter) -> Translate
             if range_check(datum).verdict != "good":
                 raise ParameterError(f"{datum.label()} is not in the good range")
             new_datum = moved[id(datum)] = AqDatum(datum.levi, shifts, datum.sigma)
-        pushed = qm.push_character(values)
+        try:
+            pushed = pushes[values]
+        except KeyError:
+            pushed = pushes[values] = qm.push_character(values)
+        except TypeError:  # values that do not hash, a list say: pushed as they are
+            pushed = qm.push_character(values)
         if pushed is None:
             dropped.append((new_datum, values))
         else:

@@ -415,17 +415,21 @@ def _parse_packet_file(path: str, psi_plus: ArthurParameter):
         ):
             raise SpecError(f"entries[{i}].levi.unitary must be a list of [p, q] pairs")
         g0 = _parse_group(_field(ld, "g0", dict, f"entries[{i}].levi"), f"entries[{i}].levi.g0")
-        levi = LeviDatum(tuple(map(tuple, unitary)), g0)
         sd = _field(ed, "sigma", dict, f"entries[{i}]", {})
         _require_keys(sd, {"label"}, f"entries[{i}].sigma")
+        label = _field(sd, "label", str, f"entries[{i}].sigma", "sigma")
         try:
-            datum = aq_datum(psi_plus, levi, _field(sd, "label", str, f"entries[{i}].sigma", "sigma"))
+            datum = aq_datum(psi_plus, LeviDatum(tuple(map(tuple, unitary)), g0), label)
         except ParameterError as exc:
             raise SpecError(f"entries[{i}].levi: {exc}") from exc
         values = ed.get("character")
         if not isinstance(values, list) or not all(type(v) is int and v in (1, -1) for v in values):
             raise SpecError(f"entries[{i}].character must be a list of +-1")
-        entries.append((datum, tuple(values)))
+        try:
+            character = component_group(psi_plus).canonical_character(values)
+        except ParameterError as exc:
+            raise SpecError(f"entries[{i}].character: {exc}") from exc
+        entries.append((datum, character))
     return packet_data(psi_plus, entries)
 
 
@@ -686,16 +690,20 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # exit 1 would read as a violation, so running out of memory has a
-        # code of its own
-        print(f"error: {title} ran out of memory; no verdict was reached", file=sys.stderr)
-        return 3
+        # reported below, once the handler is left: until then the
+        # exception's traceback keeps the frames, and with them what filled
+        # the memory, alive, and the message could not be written
+        pass
     except BrokenPipeError:
         # the reader closed stdout early; what is left unwritten, and the
         # flush at exit, go to os.devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the report was written", file=sys.stderr)
         return 2
+    # exit 1 would read as a violation, so running out of memory has a code
+    # of its own
+    print(f"error: {title} ran out of memory; no verdict was reached", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

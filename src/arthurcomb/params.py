@@ -545,7 +545,8 @@ def domination_offsets(psi: ArthurParameter, psi_plus: ArthurParameter) -> tuple
 
 def _mask(values: tuple[int, ...], k: int, error: str | None = None) -> int | None:
     """The mask of a sign vector of length k (bit k-1-i set when sign i is
-    -1); if it is none, a ParameterError with ``error``, or None."""
+    -1); if it is none, a ParameterError with ``error`` (and the length, if
+    that is wrong), or None."""
     mask = 0
     if len(values) == k:
         for x in values:
@@ -559,6 +560,8 @@ def _mask(values: tuple[int, ...], k: int, error: str | None = None) -> int | No
             return mask
     if error is None:
         return None
+    if len(values) != k:
+        error = f"{error} (length {len(values)}, expected {k})"
     raise ParameterError(error)
 
 

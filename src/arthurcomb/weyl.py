@@ -46,12 +46,15 @@ class _Value:
     with ``object.__setattr__``; after it, assigning or deleting an
     attribute raises ``AttributeError``.  Two values are equal when they
     have one class and equal fields, the hash is that of the tuple of
-    fields, and ``repr`` is ``Class(field=value, ...)``.  Derived
-    attributes and memos take no part: a pickle or a copy calls the
-    constructor on the fields, which derives them again, with no memos.
+    fields, and ``repr`` is ``Class(field=value, ...)``.  The hash is
+    computed on the first ``hash()`` and kept in the ``_hash`` slot, so a
+    value used as a key again costs one slot read.  Derived attributes,
+    the kept hash and memos take no part: a pickle or a copy calls the
+    constructor on the fields, which derives them again, with no memos,
+    and computes its hash again when it is first hashed.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _derived: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
@@ -66,7 +69,12 @@ class _Value:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

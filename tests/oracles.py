@@ -9,8 +9,9 @@ exponents of a parameter one generator step at a time, Levi enumeration
 with a new G_0 for every Levi, the rules of a group kind as if chains on
 the kind, the parity verdict read off the report rows, the F_2 tables of
 a component group and a quotient map worked out from the object they
-belong to, and the frozen dataclasses that the value classes of ``weyl``
-and ``params`` replaced.  None of them is part of the package.
+belong to, packet translation pushing each entry's character on its own,
+and the frozen dataclasses that the value classes of ``weyl``, ``params``
+and ``aq`` replaced.  None of them is part of the package.
 
 The dataclasses carry the package's class names, so that their ``repr``
 is comparable; the package's own classes are named through their
@@ -258,6 +259,33 @@ def enumerate_levis(psi: params.ArthurParameter) -> list[aq.LeviDatum]:
     return out
 
 
+def translate_packet(packet_plus: aq.PacketData, psi: params.ArthurParameter) -> aq.TranslatedPacket:
+    """``aq.translate_packet`` with the character of every entry pushed
+    through the quotient map on its own, however often it repeats."""
+    psi_plus = packet_plus.psi
+    qm = params.quotient_map(psi_plus, psi)
+    shifts = aq.lambda_tilde(psi)
+    moved: dict[int, aq.AqDatum] = {}
+    entries = []
+    dropped = []
+    for datum, values in packet_plus.entries:
+        new_datum = moved.get(id(datum))
+        if new_datum is None:
+            if aq._aq_datum(psi_plus, (datum.levi, datum.sigma)) != datum:
+                raise ParameterError(
+                    f"entry shifts {datum.t_tilde} do not match the dominating parameter"
+                )
+            if aq.range_check(datum).verdict != "good":
+                raise ParameterError(f"{datum.label()} is not in the good range")
+            new_datum = moved[id(datum)] = aq.AqDatum(datum.levi, shifts, datum.sigma)
+        pushed = qm.push_character(values)
+        if pushed is None:
+            dropped.append((new_datum, values))
+        else:
+            entries.append((new_datum, pushed))
+    return aq.TranslatedPacket(aq.PacketData(psi, tuple(entries)), tuple(dropped), qm)
+
+
 # --- the kind rules as if chains on the kind -----------------------------------
 #
 # What a group's kind fixes, written out per kind as ``ClassicalGroup``,
@@ -492,10 +520,30 @@ class QuotientMap:
         object.__setattr__(self, "fibers", tuple(fibers))
 
 
+@dataclass(frozen=True)
+class LeviDatum:
+    unitary_factors: tuple[tuple[int, int], ...]
+    g0: ClassicalGroup
+    a_list: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        factors = self.unitary_factors
+        if type(factors) is not tuple:
+            raise ParameterError(f"unitary factors {factors!r} are not a tuple")
+        for f in factors:
+            if not (type(f) is tuple and len(f) == 2 and all(type(x) is int for x in f)):
+                raise ParameterError(f"unitary factor {f!r} is not a pair of integers")
+        object.__setattr__(self, "a_list", tuple(p + q for p, q in factors))
+
+    def __str__(self) -> str:
+        return "x".join([f"U({p},{q})" for p, q in self.unitary_factors] + [str(self.g0)])
+
+
 TWINS = {
     cls.__name__: cls
     for cls in (
-        GroupType, Weight, ClassicalGroup, Block, ArthurParameter, InfChar, ComponentGroup, QuotientMap
+        GroupType, Weight, ClassicalGroup, Block, ArthurParameter, InfChar, ComponentGroup,
+        QuotientMap, LeviDatum,
     )
 }
 

@@ -201,6 +201,26 @@ def test_aq_datum_rejects_levi_not_fitting_parameter(group, factors, g0, message
         aq_datum(psi, LeviDatum(factors, g0))
 
 
+def test_malformed_unitary_factors_raise_parameter_error():
+    """Factors that are not a tuple of pairs of ints are refused with
+    ParameterError, never TypeError or a bare ValueError, and after a kept
+    datum of the same sizes exists: a list, a triple, an int, and a bool,
+    float or string size."""
+    psi = _one_block_psi(SP2)
+    g0 = ClassicalGroup("Sp", 0)
+    aq_datum(psi, LeviDatum(((1, 1),), g0))
+    for factors, message in [
+        ([(1, 1)], r"unitary factors \[\(1, 1\)\] are not a tuple"),
+        (((1, 1, 0),), r"unitary factor \(1, 1, 0\) is not a pair of integers"),
+        ((2,), "unitary factor 2 is not a pair of integers"),
+        (((True, 1),), r"unitary factor \(True, 1\) is not a pair of integers"),
+        (((1.5, 0.5),), r"unitary factor \(1.5, 0.5\) is not a pair of integers"),
+        ((("1", 1),), r"unitary factor \('1', 1\) is not a pair of integers"),
+    ]:
+        with pytest.raises(ParameterError, match=message):
+            aq_datum(psi, LeviDatum(factors, g0))
+
+
 # --- character shifts ----------------------------------------------------------
 
 
@@ -443,6 +463,42 @@ def test_translate_packet_kernel_vanishing(full_packet):
     # exactly the characters with unequal values on the two copies vanish
     for _datum, eps in result.vanishing:
         assert eps[0] != eps[1]
+
+
+def test_translate_packet_matches_the_per_entry_oracle(full_packet):
+    """On every criterion-7 packet of the signed corpus, translated to psi_+
+    and to psi, the entries, the vanishing entries and their order equal
+    those of the oracle that pushes every entry's character on its own."""
+    vanishing = 0
+    for psi in corpus(signed=True):
+        plus = dominate(psi, canonical_offsets(psi))
+        pk = full_packet(plus)
+        for target in (plus, psi):
+            got = translate_packet(pk, target)
+            assert got == oracles.translate_packet(pk, target), (str(psi), str(target))
+            vanishing += len(got.vanishing)
+    assert vanishing
+
+
+def test_translate_packet_repeated_and_list_characters():
+    """A packet that repeats each character, apart and across data, and
+    one whose characters are lists, translate as the per-entry oracle
+    does; a character that holds a list raises ParameterError on both."""
+    g = ClassicalGroup("SOodd", 2, (3, 2))
+    psi = arthur_parameter(g, [block(Fraction(1, 2), 1, mult=2)])
+    plus = dominate(psi, canonical_offsets(psi))
+    data = [aq_datum(plus, levi) for levi in enumerate_levis(plus)]
+    chars = params.component_group(plus).characters()
+    repeated = aq.PacketData(plus, tuple((d, c) for c in chars + chars[::-1] for d in data))
+    listed = aq.PacketData(plus, tuple((d, list(c)) for d in data for c in chars))
+    for pk in (repeated, listed):
+        got = translate_packet(pk, psi)
+        assert got == oracles.translate_packet(pk, psi) and got.vanishing
+    for bad in ([[1], [1]], [1, [-1]]):
+        pk = aq.PacketData(plus, ((data[0], chars[0]), (data[0], bad)))
+        for translate in (translate_packet, oracles.translate_packet):
+            with pytest.raises(ParameterError, match="character values must be"):
+                translate(pk, psi)
 
 
 def _leaky_push_character(self, values_plus):

@@ -244,6 +244,10 @@ def test_packet_levi_not_fitting_block_rejected(ex1_path, tmp_path, capsys):
             {"levi": {"unitary": [[1, 1]], "g0": {"kind": "SOodd", "rank": 0, "signature": [2, 2]}}},
             "entries[0].levi.g0: signature 2+2 != 1 for SOodd rank 0",
         ),
+        (
+            {"character": [1]},
+            "entries[0].character: character values must be +-1 per basis block (length 1, expected 2)",
+        ),
     ],
 )
 def test_packet_sigma_and_character_typed_strictly(ex1_path, tmp_path, capsys, fields, message):

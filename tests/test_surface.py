@@ -394,11 +394,9 @@ def _records() -> dict[str, tuple]:
     sp4 = params.ClassicalGroup("Sp", 2)
     psi = params.arthur_parameter(sp4, [params.block(Fraction(3, 2), 2), params.block(0, 1)])
     plus = params.dominate(psi, params.canonical_offsets(psi))
-    levi = aq.enumerate_levis(plus)[0]
-    datum = aq.aq_datum(plus, levi)
+    datum = aq.aq_datum(plus, aq.enumerate_levis(plus)[0])
     parity = params.good_parity(psi)
     out = [
-        levi,
         datum,
         aq.packet_data(plus, [(datum, (1, 1))]),
         aq.range_check(datum),

@@ -1,13 +1,14 @@
-"""The value classes of ``weyl`` and ``params`` behave as the frozen
-dataclasses they replaced (``oracles.TWINS``).
+"""The value classes of ``weyl``, ``params`` and ``aq`` behave as the
+frozen dataclasses they replaced (``oracles.TWINS``).
 
 On every parameter of the corpus, plain and signed, and on the groups,
 blocks, infinitesimal characters, Weyl group types, weights, component
-groups and quotient maps that it reaches, each value compares, hashes
-and prints as its twin does; a pickle or a copy of it is an equal value
-that prints the same; assigning or deleting an attribute raises the
-twin's ``AttributeError``; and each invalid constructor input raises the
-twin's exception with the twin's message.
+groups, quotient maps and Levi data that it reaches, each value
+compares, hashes and prints as its twin does; its kept hash, read again,
+is that of its fields; a pickle or a copy of it is an equal value that
+prints the same and computes its hash afresh; assigning or deleting an
+attribute raises the twin's ``AttributeError``; and each invalid
+constructor input raises the twin's exception with the twin's message.
 """
 
 import copy
@@ -18,7 +19,7 @@ import pickle
 import pytest
 
 import oracles
-from arthurcomb import params, weyl
+from arthurcomb import aq, params, weyl
 from oracles import twin
 
 VALUE_CLASSES = (
@@ -30,6 +31,7 @@ VALUE_CLASSES = (
     params.InfChar,
     params.ComponentGroup,
     params.QuotientMap,
+    aq.LeviDatum,
 )
 NAMES = [cls.__name__ for cls in VALUE_CLASSES]
 
@@ -46,6 +48,8 @@ def _reached() -> dict[str, list]:
             gl, g = params.inf_char(psi, "GL"), params.inf_char(psi, "G")
             reached = [psi, plus, psi.group, psi.group.gside_type(), gl, g, gl.weight, g.weight]
             reached += [*psi.blocks, *plus.blocks, *qm.source.basis, qm, qm.source, qm.target]
+            if signed:  # the Levis of criteria 6 and 7
+                reached += aq.enumerate_levis(plus)
             for x in reached:
                 found[type(x).__name__].setdefault(repr(x), x)
     return {name: list(values.values()) for name, values in found.items()}
@@ -62,6 +66,10 @@ def _derived(x) -> tuple:
     return tuple(getattr(x, name) for name in type(x)._derived)
 
 
+def _fields(x) -> tuple:
+    return tuple(getattr(x, f) for f in type(x)._fields)
+
+
 def test_every_value_class_has_a_twin_and_is_reached():
     assert sorted(oracles.TWINS) == sorted(NAMES)
     assert all(len(_reached()[name]) >= 2 for name in NAMES)
@@ -75,6 +83,8 @@ def test_compares_hashes_and_prints_as_its_twin(name):
     for i, (x, t) in enumerate(zip(values, twins)):
         assert type(t) is oracles.TWINS[name]
         assert (hash(x), repr(x), str(x)) == (hash(t), repr(t), str(t))
+        # the second read is the kept hash
+        assert hash(x) == hash(_fields(x)) == hash(t)
         assert _derived(x) == tuple(getattr(t, d) for d in type(x)._derived)
         same = _rebuilt(x)
         assert same is not x and (same == x, x == same, same != x) == (True, True, False)
@@ -85,8 +95,7 @@ def test_compares_hashes_and_prints_as_its_twin(name):
                 y, u = values[j], twins[j]
                 assert (x == y, y == x, x != y, y != x) == (t == u, u == t, t != u, u != t)
         # never equal to a value of another class, its twin included
-        fields = tuple(getattr(x, f) for f in type(x)._fields)
-        assert (x == t, t == x, x != t, x == fields) == (False, False, True, False)
+        assert (x == t, t == x, x != t, x == _fields(x)) == (False, False, True, False)
 
 
 def test_a_normalized_block_equals_the_block_it_normalizes_to():
@@ -99,9 +108,15 @@ def test_a_normalized_block_equals_the_block_it_normalizes_to():
 def test_pickles_and_copies_as_an_equal_value(name):
     for x in _reached()[name]:
         t = twin(x)
+        hash(x)
+        assert hash(x) == hash(_fields(x))
         for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            # nor is the kept hash: a copy computes its own on the first read
+            with pytest.raises(AttributeError):
+                y._hash
             assert type(y) is type(x) and y == x and x == y
             assert (hash(y), repr(y), str(y)) == (hash(t), repr(t), str(t))
+            assert hash(y) == hash(_fields(y)) == hash(x)
             assert _derived(y) == _derived(x)
             # memos are not carried over: a copy starts with none
             assert getattr(y, "__dict__", {}) == {}
@@ -165,6 +180,13 @@ def _invalid() -> list[tuple[str, tuple, dict]]:
         ("ComponentGroup", (cg.basis, None, True, cg.s_psi), {}),
         ("QuotientMap", (qm.source, qm.target, (5, 0)), {}),
         ("QuotientMap", (qm.source, qm.target), {}),
+        ("LeviDatum", ([(1, 1)], sp4), {}),
+        ("LeviDatum", (((1, 1, 0),), sp4), {}),
+        ("LeviDatum", ((2,), sp4), {}),
+        ("LeviDatum", (((True, 1),), sp4), {}),
+        ("LeviDatum", (((1.5, 0.5),), sp4), {}),
+        ("LeviDatum", ((("1", 1),), sp4), {}),
+        ("LeviDatum", (((1, 1),),), {}),
     ]
 
 
