@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
@@ -62,6 +63,9 @@ __all__ = [
 # Explicit filtration sweeps stop growing the monoid beyond this many
 # states; the root-level certificates cover every height exactly.
 FILTRATION_STATE_CAP = 50_000
+
+# ``_monoid_sums`` checks the state cap once per this many walked states.
+_CAP_CHUNK = 64
 
 
 class LeviDatum(_Value):
@@ -392,43 +396,28 @@ class FiltrationReport:
 
 
 class _Digits:
-    """Where each column of a packed monoid state sits: the offset added to
-    its value, the width of its digit in bits (one spare top bit
-    included) and the digit's shift, most significant column first."""
+    """Where each column of a packed monoid state sits: the width of its
+    digit in bits, which holds the value plus the top bit, and the digit's
+    shift, most significant column first."""
 
-    __slots__ = ("offs", "widths", "shifts", "zero")
+    __slots__ = ("widths", "shifts", "zero")
 
     def __init__(self, offs: Iterable[int]):
-        self.offs = tuple(offs)
-        self.widths = tuple((2 * off).bit_length() + 1 for off in self.offs)
+        self.widths = tuple((2 * off).bit_length() + 1 for off in offs)
         self.shifts = tuple(sum(self.widths[i + 1 :]) for i in range(len(self.widths)))
-        self.zero = sum(off << sh for off, sh in zip(self.offs, self.shifts))
+        self.zero = sum(1 << w - 1 << sh for w, sh in zip(self.widths, self.shifts))
 
     def decode(self, y: int, cols: Iterable[int]) -> tuple[int, ...]:
         """The values of the columns ``cols`` in state ``y``."""
         return tuple(
-            (y >> self.shifts[i] & (1 << self.widths[i]) - 1) - self.offs[i] for i in cols
+            (y >> self.shifts[i] & (1 << self.widths[i]) - 1) - (1 << self.widths[i] - 1)
+            for i in cols
         )
 
-    def nonneg(self, cols: Iterable[int]) -> tuple[int, int]:
-        """``(c, h)`` such that ``(y + c) & h == h`` exactly when every
-        column in ``cols`` is >= 0 in state ``y``.
-
-        A digit x + off lies in [0, 2*off], below its spare top bit t, so
-        adding t - off sets that bit exactly when x >= 0 and carries into
-        no other digit."""
-        c = h = 0
-        for i in cols:
-            top = 1 << self.widths[i] - 1
-            c += top - self.offs[i] << self.shifts[i]
-            h += top << self.shifts[i]
-        return c, h
-
-    def zeros(self, cols: Iterable[int]) -> tuple[int, int]:
-        """``(m, z)`` such that ``y & m == z`` exactly when every column in
-        ``cols`` is 0 in state ``y``."""
-        m = sum((1 << self.widths[i]) - 1 << self.shifts[i] for i in cols)
-        return m, self.zero & m
+    def nonneg(self, cols: Iterable[int]) -> int:
+        """``h``, the top bits of the digits of ``cols``: ``y & h == h``
+        exactly when every column in ``cols`` is >= 0 in state ``y``."""
+        return sum(1 << self.widths[i] - 1 << self.shifts[i] for i in cols)
 
 
 def _monoid_sums(
@@ -460,13 +449,19 @@ def _monoid_sums(
     the plain order, and stops at the same state.  A row equal in value to
     k(x) gives x' = x, so it stays (>=, not >).
 
+    The cap is checked once per ``_CAP_CHUNK`` walked states.  A layer
+    may add room = max(cap + 1 - |seen before it|, 0) states and lists its
+    new ones in the plain order, so once that list passes room, its first
+    room states are those the plain order kept: the rest are dropped.
+
     Each state is one int holding one digit per column, most significant
-    first.  Column i has the offset off_i = max|entry_i| * max(max_height, 0)
-    and a digit x_i + off_i of (2*off_i).bit_length() + 1 bits.  A sum of
-    at most ``max_height`` rows has every x_i in [-off_i, off_i], so every
-    digit stays in [0, 2*off_i]: adding a row is one integer addition of
-    its packed (signed) digits and never carries or borrows, and the top
-    bit of every digit stays clear for the sign tests of ``_Digits.nonneg``.
+    first.  Column i has the bound off_i = max|entry_i| * max(max_height, 0)
+    and a digit x_i + t_i of w_i = (2*off_i).bit_length() + 1 bits, with
+    t_i = 2**(w_i - 1) > 2*off_i its top bit.  A sum of at most
+    ``max_height`` rows has every x_i in [-off_i, off_i], so every digit
+    stays in [0, 2*t_i): adding a row is one integer addition of its
+    packed (signed) digits and never carries or borrows, and bit t_i is
+    set exactly when x_i >= 0 (``_Digits.nonneg``).
 
     Callers may append columns that are linear functions of the leading
     (coordinate) columns; a sum then carries their values along.  Integer
@@ -489,19 +484,21 @@ def _monoid_sums(
         if truncated or not frontier:
             break
         nxt = []
-        for x in frontier:
-            for r in seen[x]:
-                y = x + r
-                if y not in seen:
-                    if len(seen) > cap:
-                        truncated = True
-                        break
-                    seen[y] = at_or_above[r]
-                    nxt.append(y)
-            if truncated:
+        room = max(cap + 1 - len(seen), 0)
+        for start in range(0, len(frontier), _CAP_CHUNK):
+            for x in frontier[start : start + _CAP_CHUNK]:
+                for r in seen[x]:
+                    y = x + r
+                    if y not in seen:
+                        seen[y] = at_or_above[r]
+                        nxt.append(y)
+            if len(nxt) > room:
+                del nxt[room:]
+                truncated = True
                 break
-        frontier = sorted(nxt)
-        layers.append(frontier)
+        nxt.sort()
+        layers.append(nxt)
+        frontier = nxt
     return layers, truncated, digits
 
 
@@ -593,10 +590,12 @@ def _layout_sweep(
     The packed rows hold the coordinates of each nilradical root r, its
     pairings with the Levi's simple roots, halved, and ``<delta_L1, r>``.
     A dominant state is a *suspect* when that pairing is negative or its
-    unitary part is zero.  No shift reaches the sweep: the pairing with
-    the shifts is > 0 on every root for every parameter
-    (``filtration_vanishing``), so every parameter of the layout shares
-    one entry.
+    unitary part is zero.  The unitary coordinates lead, so the latter are
+    one interval of each sorted layer (all of it when n_u = 0), and pair 0
+    with delta_L1, so the sign test finds none of them.  No shift reaches
+    the sweep: the pairing with the shifts is > 0 on every root for every
+    parameter (``filtration_vanishing``), so every parameter of the layout
+    shares one entry.
 
     Returns ``(enumerated, dominant_count, truncated, digits, head,
     suspects)``: the counts and truncation flag of the sweep, its digit
@@ -636,17 +635,18 @@ def _layout_sweep(
     if truncated:
         _STOP_LAYERS.setdefault((a_list, n0, kind, cap), (len(layers), height))
 
-    dom_c, dom_h = digits.nonneg(range(n, k))
-    pair_c, pair_h = digits.nonneg((k,))
-    u_mask, u_zero = digits.zeros(range(n_u))
-    dominant = [[y for y in layer if (y + dom_c) & dom_h == dom_h] for layer in layers]
+    dom = digits.nonneg(range(n, k))
+    pair = digits.nonneg((k,))
+    dominant = [[y for y in layer if y & dom == dom] for layer in layers]
     head = itertools.islice(heapq.merge(*dominant), _REPORTED_ITEMS)
-    suspects = sorted(
-        y
-        for layer in dominant
-        for y in layer
-        if (y + pair_c) & pair_h != pair_h or y & u_mask == u_zero
-    )
+    # a zero unitary part: the digits above the low ones are the zero state's
+    low = sum(digits.widths[n_u:])
+    lo = digits.zero >> low << low
+    suspects = []
+    for layer in dominant:
+        suspects += layer[bisect_left(layer, lo) : bisect_left(layer, lo + (1 << low))]
+        suspects += [y for y in layer if y & pair != pair]
+    suspects.sort()
     return (
         sum(map(len, layers)),
         sum(map(len, dominant)),

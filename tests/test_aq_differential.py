@@ -23,9 +23,10 @@ packed sweep that extends every state of a layer by every row, in the
 given order; ``aq._monoid_sums`` extends each state only by the rows at
 or above the row that first reached it, and must give the plain sweep's
 layers one by one, its flag and its digit layout: at the state cap, at
-caps around a sweep's size and at every small cap, the last two also
-with the rows reversed and shuffled, on random rows with repeated and
-zero rows, and with no rows at all.
+caps around a sweep's size, at every small cap and at negative caps, and
+with the cap at the chunk boundaries where the sweep checks it, all but
+the first also with the rows reversed and shuffled, on random rows with
+repeated and zero rows, and with no rows at all.
 """
 
 import functools
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +70,7 @@ from arthurcomb.params import (
     good_parity,
     quotient_map,
 )
-from arthurcomb.weyl import GroupType, Weight, norm_sq, pairing
+from arthurcomb.weyl import GroupType, Weight, norm_sq, pairing, positive_roots
 from oracles import delta_u, is_dominant
 
 SEED = 20260810
@@ -538,12 +540,59 @@ def test_monoid_sums_layers_at_every_small_cap():
     for roots in sorted(layouts):
         for rows in _row_orders(roots):
             for height in range(6):
-                for cap in range(61):
+                for cap in (-5, -1, *range(61)):
                     _plain_layers(rows, height, cap)
     # no rows: the zero state is extended by nothing
     for height in (-1, 0, 3):
-        for cap in (0, 5):
+        for cap in (-1, 0, 5):
             _plain_layers((), height, cap)
+
+
+def _found_per_walked_state(rows, layer):
+    """How many new states each state of layer ``layer - 1`` finds in
+    the plain order, as it is walked to build layer ``layer`` (>= 1)."""
+    layers, _truncated, digits = plain_monoid_sums(rows, layer, 10**9)
+    packed = [sum(v << sh for v, sh in zip(r, digits.shifts)) for r in rows]
+    seen = {digits.zero, *itertools.chain(*layers[: layer - 1])}
+    counts = []
+    for x in ([digits.zero], *layers)[layer - 1]:
+        known = len(seen)
+        seen.update(x + r for r in packed)
+        counts.append(len(seen) - known)
+    return counts
+
+
+def test_monoid_sums_cap_at_chunk_boundaries():
+    """The sweep checks the cap once per chunk of walked states.  On
+    corpus layouts whose walked layer spans more than two chunks, the
+    cap falls on the first and the last new state found by the walked
+    states at chunk offsets 0, 1, 63-65 and 127-129, at those offsets of
+    the new layer, on its last state and at its end."""
+    chunk = aq._CAP_CHUNK
+    offsets = (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1)
+    layouts = {((1, 1), 1, "Sp"), ((1, 1, 1), 0, "Sp"), ((1, 1, 1), 0, "SOeven")}
+    checked = 0
+    for psi, _plus, datum, _height in _sample():
+        levi = datum.levi
+        if (levi.a_list, levi.g0.rank, levi.g0.kind) not in layouts:
+            continue
+        layouts.discard((levi.a_list, levi.g0.rank, levi.g0.kind))
+        roots = _doubled_roots(datum)
+        sizes = [len(layer) for layer in plain_monoid_sums(roots, 8, 10**9)[0]]
+        # the first layer built by walking more than two chunks
+        layer = next(h for h in range(2, 9) if sizes[h - 2] > 2 * chunk + 1)
+        before = 1 + sum(sizes[: layer - 1])  # the states known before it
+        for rows in _row_orders(roots):
+            found = list(itertools.accumulate(_found_per_walked_state(rows, layer), initial=0))
+            kept = {*offsets, sizes[layer - 1] - 1, sizes[layer - 1]}
+            kept |= {found[j] for j in offsets} | {found[j + 1] - 1 for j in offsets}
+            for k in sorted(kept):
+                _plain_layers(rows, layer + 1, before - 1 + k)
+                layers, truncated, _digits = aq._monoid_sums(tuple(rows), layer + 1, before - 1 + k)
+                assert truncated and len(layers) == layer + (k == sizes[layer - 1]), (str(psi), k)
+                checked += 1
+    assert not layouts, "the sample must hold every chosen layout"
+    assert checked >= 150, checked
 
 
 def test_monoid_sums_keep_rows_equal_to_the_key():
@@ -586,7 +635,7 @@ def test_monoid_sums_match_oracle_on_random_roots(roots, height, cap):
         lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=5)
     ),
     st.integers(-1, 6),
-    st.integers(0, 80),
+    st.integers(-5, 80),
     st.data(),
 )
 def test_monoid_sums_layers_with_repeated_and_zero_rows(rows, height, cap, data):
@@ -622,13 +671,13 @@ def test_packed_columns_carry_linear_functionals(drawn, height, cap, data):
     decoded = {y: digits.decode(y, range(width)) for y in _layer_union(layers, digits)}
     assert ([v[:n] for v in decoded.values()], truncated) == old_monoid_sums(coords, height, cap)
     cols = data.draw(st.sets(st.integers(0, width - 1)))
-    c, h = digits.nonneg(cols)
-    m, z = digits.zeros(cols)
+    h = digits.nonneg(cols)
     for y, v in decoded.items():
         x = v[:n]
         assert list(v[n:]) == [sum(map(mul, f, x)) for f in funcs]
-        assert ((y + c) & h == h) == all(v[i] >= 0 for i in cols)
-        assert (y & m == z) == all(v[i] == 0 for i in cols)
+        assert (y & h == h) == all(v[i] >= 0 for i in cols)
+        # a column zero in every row is zero in every state
+        assert all(v[i] == 0 for i in zeroed)
     assert decoded[digits.zero] == (0,) * width
 
 
@@ -818,11 +867,12 @@ def test_evicted_capped_sweep_runs_again_at_its_recorded_height(monkeypatch):
 # --- violations from the suspects, items on first read ------------------------
 
 
-def _oracle_dominant(datum, height, cap):
-    """The nonzero Levi-dominant states of the oracle sweep, as doubled
-    coordinate tuples in increasing order, by the oracle's dominance test."""
-    a_list, n0, kind = datum.levi.a_list, datum.levi.g0.rank, datum.levi.g0.kind
-    sums, _truncated = old_monoid_sums(_doubled_roots(datum), height, cap)
+def _oracle_dominant(layout, roots, height, cap):
+    """The nonzero Levi-dominant states of the oracle sweep of ``roots``,
+    as doubled coordinate tuples in increasing order, by the oracle's
+    dominance test for ``layout``."""
+    a_list, n0, kind = layout
+    sums, _truncated = old_monoid_sums(roots, height, cap)
     spans = [(r.start, r.stop) for r in _block_ranges(a_list)]
     g0_type = GroupType(_G0_FAMILY[kind], n0) if n0 else None
     return [
@@ -853,7 +903,7 @@ def test_suspects_in_the_head_are_found(monkeypatch):
             *_counts, digits, head, suspects = aq._layout_sweep(a_list, n0, kind, height, cap)
             coords = range(n_u + n0)
             decoded = [digits.decode(y, coords) for y in suspects]
-            dominant = _oracle_dominant(datum, height, cap)
+            dominant = _oracle_dominant((a_list, n0, kind), _doubled_roots(datum), height, cap)
             delta = aq._delta_l1(a_list)
             expected = [
                 mu for mu in dominant if sum(map(mul, delta, mu)) < 0 or not any(mu[:n_u])
@@ -882,6 +932,62 @@ def test_suspects_in_the_head_are_found(monkeypatch):
     finally:
         aq._layout_sweep.cache_clear()  # no sweep of the negated delta_L1 stays behind
     assert in_head and past_head, "the sample must have suspects in and past the head"
+
+
+def _dense_rows(layout, coords):
+    """Sweep rows for coordinate rows ``coords``: each followed by its
+    dense pairings with the Levi-dominance functionals and delta_L1."""
+    a_list, n0, kind = layout
+    dominance = [tuple(v // 2 for v in r) for r in aq._levi_roots(a_list, n0, kind)]
+    functionals = dominance + [aq._delta_l1(a_list)]
+    return tuple(r + tuple(sum(map(mul, f, r)) for f in functionals) for r in coords)
+
+
+# (layout, height, cap, rows added to the nilradical's): the residual
+# positive roots, whose unitary part is zero, and for n_u > 0 the row
+# -e_1 (doubled), which puts states with a negative first coordinate
+# before the zero-unitary ones; each sweep has zero-unitary suspects in
+# the head and past it
+_ZERO_UNITARY_SWEEPS = [
+    (((1,), 2, "Sp"), 12, 6000, [(-2, 0, 0)]),
+    (((), 3, "SOodd"), 16, 10_000, []),
+]
+
+
+@pytest.mark.parametrize("layout, height, cap, added", _ZERO_UNITARY_SWEEPS)
+def test_zero_unitary_suspects_match_the_per_state_decode(monkeypatch, layout, height, cap, added):
+    """No nilradical root has a zero unitary part, so with the rows of
+    ``_layout_rows`` patched to include such rows, the sweep's suspects
+    equal those a decode of every dominant state finds: a negative
+    delta_L1 pairing or a zero unitary part (every dominant state when
+    n_u = 0)."""
+    a_list, n0, kind = layout
+    n_u = sum(a_list)
+    coords = [r.doubled for r in nilradical_roots(*layout)] + added
+    coords += [(0,) * n_u + r.doubled for r in positive_roots(GroupType(_G0_FAMILY[kind], n0))]
+    rows = _dense_rows(layout, coords)
+    layout_rows = aq._layout_rows
+    monkeypatch.setattr(aq, "_layout_rows", lambda *key: (rows, layout_rows(*key)[1]))
+    # the patched sweep records its stop layer under the real layout's key
+    monkeypatch.setattr(aq, "_STOP_LAYERS", {})
+    aq._layout_sweep.cache_clear()
+    try:
+        *_counts, digits, head, suspects = aq._layout_sweep(a_list, n0, kind, height, cap)
+    finally:
+        aq._layout_sweep.cache_clear()
+    coord_range = range(n_u + n0)
+    dominant = _oracle_dominant(layout, coords, height, cap)
+    delta = old_delta_l1(a_list)
+    expected = [mu for mu in dominant if sum(map(mul, delta, mu)) < 0 or not any(mu[:n_u])]
+    assert [digits.decode(y, coord_range) for y in suspects] == expected
+    head_states = dominant[:500]
+    assert [digits.decode(y, coord_range) for y in head] == head_states
+    zero = [mu for mu in expected if not any(mu[:n_u])]
+    assert zero and zero[0] in head_states and zero[-1] not in head_states
+    if n_u:
+        assert dominant[0] < zero[0], "a dominant state must come before the interval"
+    else:
+        assert zero == dominant
 
 
 def test_items_are_decoded_on_first_read(monkeypatch):
@@ -998,14 +1104,10 @@ def test_layout_rows_match_dense_pairings():
     layout of rank n <= 7."""
     layouts = _layouts(7)
     assert len(layouts) == 765
-    for a_list, n0, kind in layouts:
-        dominance = [tuple(v // 2 for v in r) for r in aq._levi_roots(a_list, n0, kind)]
-        functionals = dominance + [aq._delta_l1(a_list)]
-        roots = aq._layout_roots(a_list, n0, kind)[0]
-        dense = tuple(r + tuple(sum(map(mul, f, r)) for f in functionals) for r in roots)
-        rows, k = aq._layout_rows(a_list, n0, kind)
-        assert rows == dense, (a_list, n0, kind)
-        assert k == sum(a_list) + n0 + len(dominance)
+    for layout in layouts:
+        rows, k = aq._layout_rows(*layout)
+        assert rows == _dense_rows(layout, aq._layout_roots(*layout)[0]), layout
+        assert k == sum(layout[0]) + layout[1] + len(aq._levi_roots(*layout))
 
 
 # --- packet translation against the per-entry oracle ---------------------------
